@@ -76,6 +76,7 @@ from .fpp_core import (
     WeightField,
     edge_breakpoint,
     edge_influence,
+    geodesic_breakpoints,
     geodesic_derivative_check,
     passage_time,
     randomized_passage_time,

@@ -28,6 +28,13 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _fmt(x: float) -> str:
+    """Spec text for a parameter that parses back to exactly x: the short
+    `:g` form when it round-trips, `repr` otherwise."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 class Distribution:
     """Abstract one-dimensional edge-time law."""
 
@@ -155,7 +162,7 @@ class Gamma(Distribution):
         return self.b / 2.0
 
     def spec_string(self):
-        return f"gamma:a={self.a:g},b={self.b:g}"
+        return f"gamma:a={_fmt(self.a)},b={_fmt(self.b)}"
 
 
 class Exponential(Distribution):
@@ -229,7 +236,7 @@ class Exponential(Distribution):
         return self.rate / 2.0
 
     def spec_string(self):
-        return f"exp:rate={self.rate:g}"
+        return f"exp:rate={_fmt(self.rate)}"
 
 
 class Uniform(Distribution):
@@ -293,7 +300,7 @@ class Uniform(Distribution):
         return 1.0
 
     def spec_string(self):
-        return f"uniform:lo={self.lo:g},hi={self.hi:g}"
+        return f"uniform:lo={_fmt(self.lo)},hi={_fmt(self.hi)}"
 
 
 class HalfNormal(Distribution):
@@ -401,7 +408,7 @@ class Bernoulli(Distribution):
         return 1.0
 
     def spec_string(self):
-        return f"bernoulli:a={self.a:g},b={self.b:g},p={self.p:g}"
+        return f"bernoulli:a={_fmt(self.a)},b={_fmt(self.b)},p={_fmt(self.p)}"
 
 
 class Dirac(Distribution):
@@ -435,7 +442,7 @@ class Dirac(Distribution):
         return 1.0
 
     def spec_string(self):
-        return f"dirac:c={self.c:g}"
+        return f"dirac:c={_fmt(self.c)}"
 
 
 class HatBump:
@@ -607,7 +614,7 @@ class Truncated(Distribution):
         return 1.0  # bounded support
 
     def spec_string(self):
-        return f"trunc({self.base.spec_string()};k={self.k},c5={self.c5:g})"
+        return f"trunc({self.base.spec_string()};k={self.k},c5={_fmt(self.c5)})"
 
 
 class Tabulated(Distribution):
@@ -738,7 +745,9 @@ def parse_spec(spec: str) -> Distribution:
             raise DomainError(f"malformed truncation spec: {spec!r}")
         base_part, arg_part = inner.rsplit(";", 1)
         args = _parse_kv(arg_part, {"k", "c5"})
-        return Truncated(parse_spec(base_part), int(args["k"]), float(args["c5"]))
+        if not args["k"].is_integer():
+            raise DomainError(f"truncation index k must be an integer: {spec!r}")
+        return Truncated(parse_spec(base_part), int(args["k"]), args["c5"])
     if spec == "halfnormal":
         return HalfNormal()
     if ":" not in spec:
@@ -746,23 +755,24 @@ def parse_spec(spec: str) -> Distribution:
     head, rest = spec.split(":", 1)
     if head == "gamma":
         kv = _parse_kv(rest, {"a", "b"})
-        return Gamma(float(kv["a"]), float(kv["b"]))
+        return Gamma(kv["a"], kv["b"])
     if head == "exp":
         kv = _parse_kv(rest, {"rate"})
-        return Exponential(float(kv["rate"]))
+        return Exponential(kv["rate"])
     if head == "uniform":
         kv = _parse_kv(rest, {"lo", "hi"})
-        return Uniform(float(kv["lo"]), float(kv["hi"]))
+        return Uniform(kv["lo"], kv["hi"])
     if head == "bernoulli":
         kv = _parse_kv(rest, {"a", "b", "p"})
-        return Bernoulli(float(kv["a"]), float(kv["b"]), float(kv["p"]))
+        return Bernoulli(kv["a"], kv["b"], kv["p"])
     if head == "dirac":
         kv = _parse_kv(rest, {"c"})
-        return Dirac(float(kv["c"]))
+        return Dirac(kv["c"])
     raise DomainError(f"unrecognized distribution kind: {head!r}")
 
 
-def _parse_kv(text: str, expected: set[str]) -> dict[str, str]:
+def _parse_kv(text: str, expected: set[str]) -> dict[str, float]:
+    """Parameters as finite floats; anything else is a DomainError."""
     out = {}
     for piece in text.split(","):
         if "=" not in piece:
@@ -771,7 +781,13 @@ def _parse_kv(text: str, expected: set[str]) -> dict[str, str]:
         key = key.strip()
         if key not in expected:
             raise DomainError(f"unexpected parameter {key!r}")
-        out[key] = val.strip()
+        try:
+            num = float(val)
+        except ValueError:
+            raise DomainError(f"parameter {key} is not a number: {val.strip()!r}") from None
+        if not math.isfinite(num):
+            raise DomainError(f"parameter {key} must be finite, got {val.strip()!r}")
+        out[key] = num
     missing = expected - set(out)
     if missing:
         raise DomainError(f"missing parameters: {sorted(missing)}")

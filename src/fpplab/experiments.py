@@ -18,6 +18,7 @@ import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy import stats as _sstats
@@ -47,9 +48,13 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        parse_spec(self.dist_spec)  # fail fast on bad grammar
+        law = parse_spec(self.dist_spec)  # fail fast on bad grammar
+        if law.support[0] < 0:
+            raise ConfigError(f"edge law {self.dist_spec!r} has negative support")
         if self.dim not in (2, 3):
             raise ConfigError("dimension must be 2 or 3")
+        if isinstance(self.replicas, bool) or not isinstance(self.replicas, Integral):
+            raise ConfigError(f"replicas must be an integer, got {self.replicas!r}")
         if self.replicas < 2:
             raise ConfigError("at least 2 replicas are needed for a variance")
         if not self.n_list or any(int(n) < 1 for n in self.n_list):
@@ -125,9 +130,29 @@ def _offset_bits(master_seed: int, replica: int, m: int, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=(d, m * m), dtype=np.uint8)
 
 
+def _exact_probes(field, res, dist, probe_ids):
+    """Exact W_{e,+} for the probe edges plus the Lipschitz bound on W_+."""
+    w_e = np.zeros(len(probe_ids))
+    for j, eid in enumerate(probe_ids):
+        if not res.edge_bitset[eid]:
+            continue
+        t0, t_inf = edge_breakpoint(field, res, int(eid))
+        level = res.time - t0
+        w_e[j] = dist.upper_mean(level) - dist.upper_mean(t_inf - t0)
+    # 1-Lipschitz bound: resampling edge e can add at most (Y - x_e)+
+    w_plus = float(
+        np.sum([dist.upper_mean(float(x)) for x in field.weights[res.edge_ids]])
+    )
+    return w_e, w_plus
+
+
 def _replica_chunk(args) -> list:
-    """One contiguous block of replicas; returns per-replica tuples."""
-    (spec, lo, hi, n, master_seed, r0, r1, m, want_edges, probe_ids) = args
+    """One contiguous block of replicas; returns per-replica tuples.
+
+    Replicas below exact_n also carry their exact probe influences, taken
+    from the field and geodesic already built here.
+    """
+    (spec, lo, hi, n, master_seed, r0, r1, m, want_edges, probe_ids, exact_n) = args
     box = _cached_box(lo, hi)
     dist = parse_spec(spec)
     amap = AveragingMap(m) if m > 0 else None
@@ -154,6 +179,7 @@ def _replica_chunk(args) -> list:
                 presence.astype(np.uint8),
                 geo_edges,
                 field.weights[res.edge_ids] if want_edges else None,
+                _exact_probes(field, res, dist, probe_ids) if r < exact_n else None,
             )
         )
     return out
@@ -166,6 +192,7 @@ def _run_replicas(
     want_edges: bool = False,
     probe_ids=(),
     replicas: int | None = None,
+    exact_replicas: int = 0,
 ):
     box = box_for(cfg, n)
     reps = replicas if replicas is not None else cfg.replicas
@@ -184,6 +211,7 @@ def _run_replicas(
             m,
             want_edges,
             tuple(int(e) for e in probe_ids),
+            exact_replicas,
         )
         for (r0, r1) in ranges
     ]
@@ -210,6 +238,9 @@ class ReplicaBatch:
     geo_edges: list | None = None
     geo_weights: list | None = None
     seconds: float = 0.0
+    # exact probe influences of the first exact_replicas replicas, in order
+    exact_w: np.ndarray | None = None  # (exact_replicas, n_probes) W_{e,+}
+    exact_w_plus: list | None = None  # Lipschitz bound on W_+ per replica
 
 
 def collect_batch(
@@ -219,12 +250,20 @@ def collect_batch(
     want_edges: bool = False,
     probe_ids=(),
     replicas: int | None = None,
+    exact_replicas: int = 0,
 ) -> ReplicaBatch:
     t0 = _time.perf_counter()
     m_eff = cfg.m_for(n) if m is None else m
     box, flat = _run_replicas(
-        cfg, n, m_eff, want_edges=want_edges, probe_ids=probe_ids, replicas=replicas
+        cfg,
+        n,
+        m_eff,
+        want_edges=want_edges,
+        probe_ids=probe_ids,
+        replicas=replicas,
+        exact_replicas=exact_replicas,
     )
+    exact = [f[6] for f in flat[:exact_replicas]]
     elapsed = _time.perf_counter() - t0
     return ReplicaBatch(
         n=n,
@@ -241,6 +280,8 @@ def collect_batch(
         geo_edges=[f[4] for f in flat] if want_edges else None,
         geo_weights=[f[5] for f in flat] if want_edges else None,
         seconds=elapsed,
+        exact_w=np.array([w for w, _ in exact]).reshape(len(exact), len(probe_ids)),
+        exact_w_plus=[w_plus for _, w_plus in exact],
     )
 
 
@@ -602,25 +643,27 @@ def influence_diagnostics(
     configured m policy (auto by default at m = ceil(n^(1/4))).
 
     Edge-presence probabilities near the origin come from all replicas.
-    Exact per-probe influences W_{e,+} (breakpoint solve + mean excess in
-    closed form) are averaged over a smaller subsample; whole-geodesic
-    influence sums use the 1-Lipschitz upper bound, which is what the
-    diagnostics r and s stand in for anyway.
+    Exact per-probe influences W_{e,+} (mean excess in closed form at the
+    edge's breakpoint, one solve per probe edge on the geodesic) are
+    averaged over the first `exact_replicas` replicas; the replica workers
+    compute them from the field and geodesic they already hold, and they
+    are folded in replica order. Whole-geodesic influence sums use the
+    1-Lipschitz upper bound, which is what the diagnostics r and s stand in
+    for anyway.
     """
     dist = parse_spec(cfg.dist_spec)
     m_auto = cfg.m_for(n) if cfg.m_policy != "none" else int(math.ceil(n**0.25))
     box = box_for(cfg, n)
     probe_ids = [int(e) for e in box.edges_near(tuple([0] * cfg.dim), probe_radius)]
+    exact_n = min(exact_replicas, cfg.replicas)
     out = {}
     for m in (0, m_auto):
-        batch = collect_batch(cfg, n, m=m, probe_ids=probe_ids)
-        exact_n = min(exact_replicas, cfg.replicas)
+        batch = collect_batch(
+            cfg, n, m=m, probe_ids=probe_ids, exact_replicas=exact_n
+        )
         w_sq = np.zeros(len(probe_ids))
         s_sq_sum = 0.0
-        for r in range(exact_n):
-            w_e, w_plus = _exact_probe_influence(
-                cfg, box, dist, n, m, r, probe_ids
-            )
+        for w_e, w_plus in zip(batch.exact_w, batch.exact_w_plus):
             w_sq += w_e**2
             s_sq_sum += w_plus**2
         w_sq /= max(exact_n, 1)
@@ -670,33 +713,6 @@ def influence_diagnostics(
         "max_presence_m0": max((p.presence for p in base.probes), default=0.0),
         "max_presence_randomized": max((p.presence for p in rand.probes), default=0.0),
     }
-
-
-def _exact_probe_influence(cfg, box, dist, n, m, replica, probe_ids):
-    """Exact W_{e,+} for probe edges plus the Lipschitz bound on W_+."""
-    field = WeightField.generate(box, dist, cfg.master_seed, replica)
-    if m > 0:
-        bits = _offset_bits(cfg.master_seed, replica, m, box.d)
-        amap = AveragingMap(m)
-        z = np.array([amap.level(row) for row in bits], dtype=np.int64)
-    else:
-        z = np.zeros(box.d, dtype=np.int64)
-    u = tuple(int(c) for c in z)
-    v = list(u)
-    v[0] += n
-    res = passage_time(field, u, tuple(v))
-    w_e = np.zeros(len(probe_ids))
-    for j, eid in enumerate(probe_ids):
-        if not res.edge_bitset[eid]:
-            continue
-        t0, t_inf = edge_breakpoint(field, res, eid)
-        level = res.time - t0
-        w_e[j] = dist.upper_mean(level) - dist.upper_mean(t_inf - t0)
-    # 1-Lipschitz bound: resampling edge e can add at most (Y - x_e)+
-    w_plus = float(
-        np.sum([dist.upper_mean(float(x)) for x in field.weights[res.edge_ids]])
-    )
-    return w_e, w_plus
 
 
 def _k_const(cfg, dist, mean_f, m, n, flags) -> float:

@@ -7,16 +7,20 @@ backend, with deterministic outputs for a fixed (spec, seed, replica).
 
 Single-edge perturbations exploit the breakpoint structure of the passage
 time: as a function of one edge weight y it is min(t0 + y, t_inf), where
-t0 is the solve with that edge free and t_inf the solve with it priced out.
-That turns influence integrals and derivative checks into two solves plus
-closed-form arithmetic.
+t0 is the passage time with that edge free and t_inf the time with it
+priced out. One of the two is free: on the geodesic t0 is the geodesic
+re-summed with the edge at zero, off it t_inf is the passage time itself.
+So a single-edge breakpoint costs one solve, and the breakpoints of every
+geodesic edge together cost one solve from the target plus a sweep over
+the edges (replacement paths). Influence integrals, the two-point energy
+and derivative checks are then closed-form arithmetic.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +224,9 @@ class GeodesicResult:
     edge_bitset: np.ndarray  # (E,) bool membership mask
     unique: bool
     ties: int
+    # the source solve behind the path, reused by geodesic_breakpoints
+    source_dist: np.ndarray | None = dataclass_field(default=None, repr=False)
+    source_pred: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     @property
     def length(self) -> int:
@@ -299,6 +306,8 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
         edge_bitset=bitset,
         unique=(ties == 0),
         ties=ties,
+        source_dist=dist,
+        source_pred=pred,
     )
 
 
@@ -333,23 +342,115 @@ def _solve_time(box: LatticeBox, weights: np.ndarray, src: int, tgt: int) -> flo
     return float(dist[tgt])
 
 
+def _priced_out_time(field: WeightField, eid: int, src: int, tgt: int) -> float:
+    """Passage time with edge eid priced above every self-avoiding path."""
+    w = field.weights.copy()
+    w[eid] = float(field.weights.sum()) + 1.0
+    return _solve_time(field.box, w, src, tgt)
+
+
+def _path_sums(wpath: np.ndarray, positions, value: float) -> np.ndarray:
+    """For each position i, the path weights summed left to right with
+    entry i set to value: the sum Dijkstra forms along that path, bit for
+    bit (np.sum would add pairwise)."""
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.size == 0:
+        return np.empty(0)
+    rows = np.tile(wpath, (positions.size, 1))
+    rows[np.arange(positions.size), positions] = value
+    return np.add.accumulate(rows, axis=1)[:, -1]
+
+
 def edge_breakpoint(field: WeightField, result: GeodesicResult, eid: int):
     """(t0, t_inf): passage time with edge eid free and priced out.
 
     The passage time as a function of that one edge weight y is exactly
-    min(t0 + y, t_inf); t_inf - t0 is the breakpoint level.
+    min(t0 + y, t_inf); t_inf - t0 is the breakpoint level. One solve: on
+    the geodesic t0 is the geodesic re-summed with the edge at zero, off
+    it t_inf is result.time.
     """
     box = field.box
     if not (0 <= eid < box.n_edges):
         raise DomainError("edge index out of range")
     src = box.vertex_index(result.source)
     tgt = box.vertex_index(result.target)
+    if result.edge_bitset[eid]:
+        i = int(np.flatnonzero(result.edge_ids == eid)[0])
+        t0 = float(_path_sums(field.weights[result.edge_ids], [i], 0.0)[0])
+        return t0, _priced_out_time(field, eid, src, tgt)
     w0 = field.weights.copy()
     w0[eid] = 0.0
-    t0 = _solve_time(box, w0, src, tgt)
-    big = float(field.weights.sum()) + 1.0
-    w0[eid] = big
-    t_inf = _solve_time(box, w0, src, tgt)
+    return _solve_time(box, w0, src, tgt), result.time
+
+
+def _geodesic_labels(pred: np.ndarray, path_pos: np.ndarray, verts: np.ndarray):
+    """Path index of the first geodesic vertex on each vertex's tree path.
+
+    Geodesic vertices are roots, so the tree is forced onto the geodesic
+    whichever way the solve broke ties there. Pointer jumping takes
+    log2(tree depth) vectorized rounds.
+    """
+    up = pred.astype(np.int64)
+    up[verts] = verts
+    while True:
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            return path_pos[up]
+        up = nxt
+
+
+def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
+    """(t0, t_inf) arrays for every geodesic edge, in path order.
+
+    t0 is the geodesic re-summed with that edge at zero. t_inf is the
+    replacement-path distance (Malik, Mittal & Gupta, Oper. Res. Lett. 8,
+    1989; Hershberger & Suri, FOCS 2001): label each vertex with the
+    geodesic index where its source-tree path leaves the geodesic and the
+    index where its target-tree path first reaches it. A non-geodesic edge
+    (x, y) with lab_s(x) < lab_t(y) then offers the detour
+    ds[x] + w + dt[y] to path edges lab_s(x) .. lab_t(y) - 1, and the
+    cheapest offer to an edge is its t_inf. The offers are reduced through
+    an (L+1) x (L+1) table and two running-minimum scans, so this costs one
+    solve from the target beyond the source solve on `result`.
+
+    The labels need a positive weight on the edge itself; free geodesic
+    edges and bridges (no offer at all) fall back to a re-solve.
+    """
+    box = field.box
+    w = field.weights
+    n_path = result.length
+    if n_path == 0:
+        return np.empty(0), np.empty(0)
+    verts = (result.path - np.asarray(box.lo)) @ box.strides
+    if result.source_dist is None:
+        ds, pred_s = box.solve(w, int(verts[0]))
+    else:
+        ds, pred_s = result.source_dist, result.source_pred
+    dt, pred_t = box.solve(w, int(verts[-1]))
+    path_pos = np.full(box.n_vertices, -1, dtype=np.int64)
+    path_pos[verts] = np.arange(n_path + 1)
+    lab_s = _geodesic_labels(pred_s, path_pos, verts)
+    lab_t = _geodesic_labels(pred_t, path_pos, verts)
+
+    off = ~result.edge_bitset
+    eu, ev, ew = box.edge_u[off], box.edge_v[off], w[off]
+    x = np.concatenate([eu, ev])
+    y = np.concatenate([ev, eu])
+    wx = np.concatenate([ew, ew])
+    a, b = lab_s[x], lab_t[y]
+    keep = a < b
+    offers = np.full((n_path + 1, n_path + 1), np.inf)
+    np.minimum.at(offers, (a[keep], b[keep]), ds[x[keep]] + wx[keep] + dt[y[keep]])
+    # best[i, j] = min over offers with a <= i and b >= j
+    best = np.minimum.accumulate(offers, axis=0)
+    best = np.minimum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
+    t_inf = best[np.arange(n_path), np.arange(1, n_path + 1)]
+
+    wpath = w[result.edge_ids]
+    t0 = _path_sums(wpath, np.arange(n_path), 0.0)
+    src, tgt = int(verts[0]), int(verts[-1])
+    for i in np.flatnonzero(np.isinf(t_inf) | (wpath == 0.0)):
+        t_inf[i] = _priced_out_time(field, int(result.edge_ids[i]), src, tgt)
     return t0, t_inf
 
 
@@ -412,8 +513,10 @@ def v_e_plus_bernoulli(field: WeightField, u, v, result: GeodesicResult | None =
     two-point edge law with 0 < a < b.
 
     Only geodesic edges currently at the low value can contribute: any
-    other edge admits a route around it at the current cost. Returns
-    (value, result) so callers can reuse the solve.
+    other edge admits a route around it at the current cost. Raising a low
+    edge to b gives min(geodesic with that edge at b, t_inf), with t_inf
+    from geodesic_breakpoints, so a field costs two solves. Returns
+    (value, result) so callers can reuse the passage-time solve.
     """
     dist = field.distribution()
     if dist.kind != "bernoulli":
@@ -426,19 +529,13 @@ def v_e_plus_bernoulli(field: WeightField, u, v, result: GeodesicResult | None =
         raise UnsupportedParameterError("two-point law needs a < b")
     if result is None:
         result = passage_time(field, u, v)
-    box = field.box
-    src = box.vertex_index(result.source)
-    tgt = box.vertex_index(result.target)
+    _, t_inf = geodesic_breakpoints(field, result)
+    wpath = field.weights[result.edge_ids]
+    low = np.flatnonzero(wpath == dist.a)
+    t_b = np.minimum(_path_sums(wpath, low, dist.b), t_inf[low])
     total = 0.0
-    w = field.weights
-    for eid in result.edge_ids:
-        eid = int(eid)
-        if w[eid] != dist.a:
-            continue
-        wb = w.copy()
-        wb[eid] = dist.b
-        t_b = _solve_time(box, wb, src, tgt)
-        total += dist.p * (max(t_b - result.time, 0.0)) ** 2
+    for t in t_b.tolist():
+        total += dist.p * (max(t - result.time, 0.0)) ** 2
     return total, result
 
 

@@ -128,3 +128,70 @@ def martingale_increments_oracle(table):
     for j in range(1, n + 1):
         increments.append(cond_exp(j) - cond_exp(j + 1))
     return increments
+
+
+def two_solve_breakpoint(field, result, eid):
+    """(t0, t_inf) for one edge from two full solves: the edge set to zero,
+    then priced above every self-avoiding path."""
+    box = field.box
+    src = box.vertex_index(result.source)
+    tgt = box.vertex_index(result.target)
+    w = field.weights.copy()
+    w[eid] = 0.0
+    t0 = float(box.solve(w, src)[0][tgt])
+    w[eid] = float(field.weights.sum()) + 1.0
+    t_inf = float(box.solve(w, src)[0][tgt])
+    return t0, t_inf
+
+
+def serial_exact_probe_influence(cfg, n, m, exact_n, probe_ids):
+    """Probe W_{e,+} squares and Lipschitz W_+ squares, each averaged over
+    replicas 0..exact_n-1: every replica regenerated and re-solved serially,
+    with two-solve breakpoints."""
+    from fpplab import experiments as E
+
+    dist = E.parse_spec(cfg.dist_spec)
+    box = E.box_for(cfg, n)
+    w_sq = np.zeros(len(probe_ids))
+    s_sq_sum = 0.0
+    for r in range(exact_n):
+        field = E.WeightField.generate(box, dist, cfg.master_seed, r)
+        if m > 0:
+            amap = E.AveragingMap(m)
+            bits = E._offset_bits(cfg.master_seed, r, m, box.d)
+            z = np.array([amap.level(row) for row in bits], dtype=np.int64)
+        else:
+            z = np.zeros(box.d, dtype=np.int64)
+        u = tuple(int(c) for c in z)
+        v = list(u)
+        v[0] += n
+        res = E.passage_time(field, u, tuple(v))
+        w_e = np.zeros(len(probe_ids))
+        for j, eid in enumerate(probe_ids):
+            if not res.edge_bitset[eid]:
+                continue
+            t0, t_inf = two_solve_breakpoint(field, res, eid)
+            w_e[j] = dist.upper_mean(res.time - t0) - dist.upper_mean(t_inf - t0)
+        w_plus = float(
+            np.sum([dist.upper_mean(float(x)) for x in field.weights[res.edge_ids]])
+        )
+        w_sq += w_e**2
+        s_sq_sum += w_plus**2
+    w_sq /= max(exact_n, 1)
+    return w_sq, s_sq_sum / max(exact_n, 1)
+
+
+def per_edge_v_e_plus(field, dist, result):
+    """Two-point energy with one full solve per low geodesic edge raised to b."""
+    box = field.box
+    src = box.vertex_index(result.source)
+    tgt = box.vertex_index(result.target)
+    total = 0.0
+    for eid in result.edge_ids:
+        if field.weights[eid] != dist.a:
+            continue
+        w = field.weights.copy()
+        w[eid] = dist.b
+        t_b = float(box.solve(w, src)[0][tgt])
+        total += dist.p * (max(t_b - result.time, 0.0)) ** 2
+    return total

@@ -1,0 +1,240 @@
+"""Breakpoints from one solve per edge and two per geodesic, checked against
+the two-solve re-solve and brute-force enumeration, plus solve-count guards."""
+
+import math
+
+import numpy as np
+import pytest
+
+import fpplab as F
+from oracles import (
+    brute_force_passage_time,
+    per_edge_v_e_plus,
+    serial_exact_probe_influence,
+    two_solve_breakpoint,
+)
+
+BOXES = {
+    2: ((-3, -3), (12, 3), (0, 0), (9, 0)),
+    3: ((-2, -2, -2), (6, 2, 2), (0, 0, 0), (4, 1, 0)),
+}
+SPECS = ("exp:rate=1", "gamma:a=2,b=1", "bernoulli:a=1,b=2,p=0.5")
+
+
+def _fields(spec, dim, count, seed=99):
+    lo, hi, u, v = BOXES[dim]
+    box = F.LatticeBox(lo, hi)
+    dist = F.parse_spec(spec)
+    for rep in range(count):
+        field = F.WeightField.generate(box, dist, seed, rep)
+        yield field, F.passage_time(field, u, v)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("spec", SPECS)
+def test_geodesic_breakpoints_match_two_solve_oracle(spec, dim):
+    integer_valued = spec.startswith("bernoulli")
+    edges = 0
+    for field, res in _fields(spec, dim, 25):
+        t0, t_inf = F.geodesic_breakpoints(field, res)
+        assert t0.shape == t_inf.shape == (res.length,)
+        for i, eid in enumerate(res.edge_ids):
+            o0, o_inf = two_solve_breakpoint(field, res, int(eid))
+            assert t0[i] == pytest.approx(o0, rel=1e-12, abs=0.0)
+            assert t_inf[i] == pytest.approx(o_inf, rel=1e-12, abs=0.0)
+            if integer_valued:
+                assert (t0[i], t_inf[i]) == (o0, o_inf)
+            edges += 1
+    assert edges > 100
+
+
+def test_geodesic_breakpoints_match_brute_force_on_tiny_boxes():
+    dist = F.parse_spec("exp:rate=1")
+    for hi in ((2, 2), (3, 1), (1, 1, 1)):
+        lo = tuple(0 for _ in hi)
+        box = F.LatticeBox(lo, hi)
+        for rep in range(8):
+            field = F.WeightField.generate(box, dist, 5, rep)
+            res = F.passage_time(field, lo, hi)
+            t0, t_inf = F.geodesic_breakpoints(field, res)
+            big = float(field.weights.sum()) + 1.0
+            for i, eid in enumerate(res.edge_ids):
+                w = field.weights.copy()
+                w[eid] = 0.0
+                assert t0[i] == pytest.approx(
+                    brute_force_passage_time(box, w, lo, hi), rel=1e-12
+                )
+                w[eid] = big
+                assert t_inf[i] == pytest.approx(
+                    brute_force_passage_time(box, w, lo, hi), rel=1e-12
+                )
+
+
+@pytest.mark.parametrize("c", (0.0, 1.0))
+def test_geodesic_breakpoints_on_bridges_ties_and_free_edges(c):
+    # a 1-wide strip makes every edge a bridge; constant fields tie everywhere;
+    # c = 0 makes every geodesic edge free
+    cases = (
+        ((0, 0), (5, 0), (0, 0), (5, 0)),
+        ((0, 0), (4, 3), (0, 0), (4, 3)),
+        ((0, 0, 0), (2, 2, 2), (0, 0, 0), (2, 2, 1)),
+    )
+    for lo, hi, u, v in cases:
+        box = F.LatticeBox(lo, hi)
+        field = F.WeightField(box, np.full(box.n_edges, c), f"dirac:c={c}", 0, 0)
+        res = F.passage_time(field, u, v)
+        t0, t_inf = F.geodesic_breakpoints(field, res)
+        for i, eid in enumerate(res.edge_ids):
+            assert (t0[i], t_inf[i]) == two_solve_breakpoint(field, res, int(eid))
+
+
+def test_geodesic_breakpoints_empty_path():
+    box = F.LatticeBox((0, 0), (2, 2))
+    field = F.WeightField.generate(box, F.Exponential(1.0), 1, 0)
+    t0, t_inf = F.geodesic_breakpoints(field, F.passage_time(field, (1, 1), (1, 1)))
+    assert t0.size == t_inf.size == 0
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("spec", SPECS)
+def test_edge_breakpoint_equals_oracle_bit_for_bit(spec, dim):
+    on = off = 0
+    for field, res in _fields(spec, dim, 12, seed=7):
+        off_ids = np.flatnonzero(~res.edge_bitset)[:: max(field.box.n_edges // 12, 1)]
+        for eid in list(res.edge_ids) + list(off_ids):
+            assert F.edge_breakpoint(field, res, int(eid)) == two_solve_breakpoint(
+                field, res, int(eid)
+            )
+            on += bool(res.edge_bitset[eid])
+            off += not res.edge_bitset[eid]
+    assert on > 40 and off > 40
+
+
+def test_v_e_plus_matches_per_edge_resolve_bit_for_bit():
+    # every field of acceptance criterion 8
+    box = F.LatticeBox((0, 0), (10, 10))
+    dist = F.parse_spec("bernoulli:a=1,b=2,p=0.5")
+    for rep in range(1000):
+        field = F.WeightField.generate(box, dist, 1789, rep)
+        val, res = F.v_e_plus_bernoulli(field, (0, 0), (10, 10))
+        assert val == per_edge_v_e_plus(field, dist, res)
+
+
+def test_v_e_plus_lossless_spec_matches_brute_force_resampling():
+    # 0.1234567 does not survive a 6-digit spec round trip; the field's
+    # law must still recognise its own low edges
+    box = F.LatticeBox((0, 0), (4, 4))
+    dist = F.parse_spec("bernoulli:a=0.1234567,b=2,p=0.5")
+    positive = 0
+    for rep in range(12):
+        field = F.WeightField.generate(box, dist, 4321, rep)
+        val, res = F.v_e_plus_bernoulli(field, (0, 0), (4, 4))
+        brute = 0.0
+        for eid in range(box.n_edges):
+            for y, prob in ((dist.a, 1 - dist.p), (dist.b, dist.p)):
+                w2 = field.weights.copy()
+                w2[eid] = y
+                t_y = F.passage_time(
+                    F.WeightField(box, w2, field.dist_spec, 0, 0), (0, 0), (4, 4)
+                ).time
+                brute += prob * max(t_y - res.time, 0.0) ** 2
+        assert val == pytest.approx(brute, rel=1e-12, abs=1e-15)
+        positive += val > 0
+    assert positive >= 6
+
+
+# ---------------------------------------------------------------------------
+# solve counts
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    calls = []
+    original = F.LatticeBox.solve
+
+    def counting(self, weights, source_index):
+        calls.append(source_index)
+        return original(self, weights, source_index)
+
+    monkeypatch.setattr(F.LatticeBox, "solve", counting)
+    return calls
+
+
+def test_edge_breakpoint_costs_one_solve(solve_counter):
+    box = F.LatticeBox((-2, -2), (8, 2))
+    field = F.WeightField.generate(box, F.Exponential(1.0), 3, 1)
+    res = F.passage_time(field, (0, 0), (6, 0))
+    off = int(np.flatnonzero(~res.edge_bitset)[0])
+    for eid in (int(res.edge_ids[2]), off):
+        solve_counter.clear()
+        F.edge_breakpoint(field, res, eid)
+        assert len(solve_counter) == 1
+
+
+def test_v_e_plus_costs_two_solves_per_field(solve_counter):
+    box = F.LatticeBox((0, 0), (10, 10))
+    dist = F.parse_spec("bernoulli:a=1,b=2,p=0.5")
+    for rep in range(20):
+        field = F.WeightField.generate(box, dist, 1789, rep)
+        solve_counter.clear()
+        F.v_e_plus_bernoulli(field, (0, 0), (10, 10))
+        assert len(solve_counter) == 2
+
+
+def test_influence_diagnostics_solves_batch_plus_probe_edges(solve_counter):
+    cfg = F.ExperimentConfig(
+        dist_spec="exp:rate=1", dim=2, n_list=(12,), replicas=20,
+        master_seed=5, m_policy="auto", workers=1,
+    )
+    exact_n = 8
+    box = F.experiments.box_for(cfg, 12)
+    probe_ids = [int(e) for e in box.edges_near((0, 0), 1)]
+    expected = 0
+    for m in (0, cfg.m_for(12)):
+        batch = F.collect_batch(cfg, 12, m=m, probe_ids=probe_ids)
+        expected += cfg.replicas + int(batch.presence[:exact_n].sum())
+    solve_counter.clear()
+    F.influence_diagnostics(cfg, 12, exact_replicas=exact_n)
+    assert len(solve_counter) == expected
+
+
+# ---------------------------------------------------------------------------
+# influence diagnostics against the serial exact-probe loop
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("spec", ("exp:rate=1", "bernoulli:a=1,b=2,p=0.5"))
+def test_influence_diagnostics_matches_serial_oracle(spec, workers):
+    n, exact_n = 16, 12
+    cfg = F.ExperimentConfig(
+        dist_spec=spec, dim=2, n_list=(n,), replicas=24,
+        master_seed=17, m_policy="auto", workers=workers,
+    )
+    out = F.influence_diagnostics(cfg, n, exact_replicas=exact_n)
+    probe_ids = [p.edge for p in out["m0"].probes]
+    for key, m in (("m0", 0), ("randomized", cfg.m_for(n))):
+        diag = out[key]
+        assert diag.m == m
+        w_sq, s_sq = serial_exact_probe_influence(cfg, n, m, exact_n, probe_ids)
+        assert [p.w_sq_mean for p in diag.probes] == w_sq.tolist()
+        assert [p.r_hat for p in diag.probes] == [math.sqrt(x) for x in w_sq]
+        assert diag.r_hat == float(np.sqrt(w_sq.max()))
+        assert diag.s_hat == math.sqrt(s_sq)
+        assert np.any(w_sq > 0)
+
+
+def test_geodesic_breakpoints_reuses_the_source_solve(solve_counter):
+    box = F.LatticeBox((-2, -2), (8, 2))
+    field = F.WeightField.generate(box, F.Exponential(1.0), 3, 2)
+    res = F.passage_time(field, (0, 0), (6, 0))
+    solve_counter.clear()
+    with_tree = F.geodesic_breakpoints(field, res)
+    assert len(solve_counter) == 1
+    bare = F.GeodesicResult(
+        res.source, res.target, res.time, res.path, res.edge_ids,
+        res.edge_bitset, res.unique, res.ties,
+    )
+    without_tree = F.geodesic_breakpoints(field, bare)
+    assert len(solve_counter) == 3
+    for a, b in zip(with_tree, without_tree):
+        assert a.tobytes() == b.tobytes()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fpplab.cli import build_parser, main
+from fpplab.distributions import Distribution
 
 
 def _run(argv):
@@ -87,6 +88,30 @@ def test_config_errors_exit_2(capsys):
     assert _run(["classify", "--dist", "wat:x=1"]) == 2
     assert _run(["simulate", "--dist", "exp:rate=1", "--replicas", "1", "--n", "4"]) == 2
     assert _run(["truncate-check", "--dist", "exp:rate=1", "--k", "1", "--c5", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    (
+        ["--dist", "uniform:lo=0,hi=inf"],
+        ["--dist", "gamma:a=inf,b=1"],
+        ["--dist", "dirac:c=nan"],
+        ["--dist", "bernoulli:a=-1,b=2,p=0.5"],
+        ["--dist", "exp:rate=1", "--replicas", "2.5"],
+    ),
+)
+def test_simulate_rejects_bad_input_before_sampling(bad, tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the input was checked")
+
+    monkeypatch.setattr(Distribution, "sample", no_sampling)
+    argv = ["simulate", "--n", "4", "--replicas", "4", "--out", str(tmp_path)] + bad
+    try:
+        rc = _run(argv)
+    except SystemExit as exc:  # argparse rejects a non-integer --replicas
+        rc = exc.code
+    assert rc == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_outputs_and_determinism(tmp_path):

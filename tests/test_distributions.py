@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import fpplab as F
@@ -265,6 +266,65 @@ def test_parse_spec_grammar():
     for bad in ("nope", "gamma:a=1", "gamma:a=1,b=1,c=3", "trunc(exp:rate=1)", "exp:rate=-1"):
         with pytest.raises((DomainError,)):
             F.parse_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ("uniform:lo=0,hi=inf", "gamma:a=inf,b=1", "dirac:c=nan", "exp:rate=fast",
+            "trunc(exp:rate=1;k=2.5,c5=1)"),
+)
+def test_parse_spec_rejects_non_finite_and_non_numeric(bad):
+    with pytest.raises(DomainError):
+        F.parse_spec(bad)
+
+
+def test_spec_string_keeps_short_form_when_lossless():
+    assert F.parse_spec("exp:rate=1").spec_string() == "exp:rate=1"
+    assert F.Bernoulli(0.125, 2.0, 0.5).spec_string() == "bernoulli:a=0.125,b=2,p=0.5"
+    assert F.Dirac(0.1234567).spec_string() == "dirac:c=0.1234567"
+    assert F.Exponential(1 / 3).spec_string() == "exp:rate=0.3333333333333333"
+
+
+def _params(d):
+    """Every parameter of a parsed law, as float bit patterns."""
+    names = {
+        "gamma": ("a", "b"), "exponential": ("rate",), "uniform": ("lo", "hi"),
+        "bernoulli": ("a", "b", "p"), "dirac": ("c",), "halfnormal": (),
+    }
+    if d.kind == "truncated":
+        return (d.kind, d.k, d.c5.hex()) + _params(d.base)
+    return (d.kind,) + tuple(float(getattr(d, k)).hex() for k in names[d.kind])
+
+
+_finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+_pos = st.floats(min_value=1e-300, max_value=1e300)
+_prob = st.floats(min_value=1e-12, max_value=1 - 1e-12)
+
+
+def _pairs(values):
+    """(lo, hi) with lo < hi."""
+    return st.tuples(values, values).map(sorted).filter(lambda t: t[0] < t[1])
+
+
+_bases = st.one_of(
+    st.builds(F.Gamma, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    st.builds(F.Exponential, _pos),
+    _pairs(st.floats(0, 1e300)).map(lambda t: F.Uniform(*t)),
+    st.just(F.HalfNormal()),
+)
+_laws = st.one_of(
+    _bases,
+    _pairs(_finite).map(lambda t: F.Uniform(*t)),
+    st.builds(lambda a, b, p: F.Bernoulli(min(a, b), max(a, b), p), _finite, _finite, _prob),
+    st.builds(F.Dirac, _finite),
+    st.builds(F.truncate, _bases, st.integers(2, 10**6), st.floats(1e-3, 1e3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laws)
+def test_spec_round_trip_is_bit_exact(law):
+    again = F.parse_spec(law.spec_string())
+    assert _params(again) == _params(law)
 
 
 def test_discrete_kinds_have_no_density():

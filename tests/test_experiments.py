@@ -25,6 +25,21 @@ def test_config_validation():
         F.ExperimentConfig(dist_spec="exp:rate=1", m_policy="sometimes")
 
 
+@pytest.mark.parametrize(
+    "spec", ("bernoulli:a=-1,b=2,p=0.5", "uniform:lo=-1,hi=1", "dirac:c=-0.5")
+)
+def test_config_rejects_negative_support(spec):
+    with pytest.raises(ConfigError, match="negative support"):
+        F.ExperimentConfig(dist_spec=spec)
+
+
+def test_config_rejects_non_integer_replicas():
+    for replicas in (2.5, 100.0, "100", True):
+        with pytest.raises(ConfigError, match="integer"):
+            F.ExperimentConfig(dist_spec="exp:rate=1", replicas=replicas)
+    assert F.ExperimentConfig(dist_spec="exp:rate=1", replicas=np.int64(10)).replicas == 10
+
+
 def test_m_policy():
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", m_policy="auto")
     assert cfg.m_for(100) == 4
