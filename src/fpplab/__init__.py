@@ -17,8 +17,6 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .gaussian import (
-    GAUSS,
-    GaussKit,
     gauss_cdf,
     gauss_log_cdf,
     gauss_log_pdf,
@@ -42,7 +40,6 @@ from .distributions import (
     default_c5,
     lsi_constant_bernoulli,
     parse_spec,
-    sample,
     truncate,
 )
 from .neargamma import GridSpec, NearlyGammaVerdict, classify_nearly_gamma, psi

@@ -112,15 +112,21 @@ class AveragingMap:
 
 @dataclass(frozen=True)
 class OffsetSample:
-    """Bit matrix a (one row per axis) and the lattice offset it encodes."""
+    """Bit matrix a (one row per axis) and the lattice offset it encodes.
+
+    Built from `a` alone, z is computed from it; a z given by the caller is
+    checked against it instead.
+    """
 
     a: np.ndarray  # shape (d, m^2), uint8
-    z: np.ndarray  # shape (d,), int
+    z: np.ndarray | None = None  # shape (d,), int
 
     def __post_init__(self):
         amap = AveragingMap(math.isqrt(self.a.shape[1]))
-        expect = np.array([amap.level(row) for row in self.a])
-        if not np.array_equal(expect, self.z):
+        levels = np.array([amap.level(row) for row in self.a], dtype=np.int64)
+        if self.z is None:
+            object.__setattr__(self, "z", levels)
+        elif not np.array_equal(levels, self.z):
             raise DomainError("offset does not match its bit matrix")
 
 
@@ -132,8 +138,7 @@ def sample_offset(rng: np.random.Generator, m: int, d: int) -> OffsetSample:
         raise DomainError("offset needs lattice dimension d >= 2")
     amap = AveragingMap(m)
     a = rng.integers(0, 2, size=(d, amap.n_bits), dtype=np.uint8)
-    z = np.array([amap.level(row) for row in a], dtype=np.int64)
-    return OffsetSample(a=a, z=z)
+    return OffsetSample(a=a)
 
 
 @dataclass
@@ -154,24 +159,6 @@ class AveragingReport:
     level_bound_ok: bool  # max measure <= 4/m
     checked_strings: int
     checked_flips: int
-
-    def summary(self) -> dict:
-        return {
-            "m": self.m,
-            "n_bits": self.n_bits,
-            "block_size": self.block_size,
-            "gradient_ok": self.gradient_ok,
-            "gradient_values": self.gradient_values,
-            "bijection_ok": self.bijection_ok,
-            "monotone_in_weight_ok": self.monotone_in_weight_ok,
-            "level_nondecreasing_ok": self.level_nondecreasing_ok,
-            "level_counts": self.level_counts,
-            "max_level_measure": self.max_level_measure,
-            "c_implied": self.c_implied,
-            "level_bound_ok": self.level_bound_ok,
-            "checked_strings": self.checked_strings,
-            "checked_flips": self.checked_flips,
-        }
 
 
 def verify_averaging_properties(m: int) -> AveragingReport:

@@ -11,6 +11,7 @@ flags win. FPPLAB_WORKERS caps the worker pool from the environment.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -202,7 +203,7 @@ def _cmd_verify_ineq(args) -> int:
     doc = {
         "version": __version__,
         "config": {"n": args.n, "p": ps, "tables": args.tables, "seed": args.seed},
-        "result": report.summary(),
+        "result": report,
     }
     _emit(doc, args.out, "verify-ineq.json")
     return EXIT_VIOLATION if report.violations else EXIT_OK
@@ -213,7 +214,7 @@ def _cmd_classify(args) -> int:
     doc = {
         "version": __version__,
         "config": {"dist": args.dist},
-        "verdict": {k: v for k, v in verdict.summary().items()},
+        "verdict": verdict.summary(),
     }
     # bound can be rendered infinite on failure; encode as null plus flag
     if not verdict.direct_pass:
@@ -227,7 +228,7 @@ def _cmd_gm_check(args) -> int:
     doc = {
         "version": __version__,
         "config": {"m": args.m},
-        "report": report.summary(),
+        "report": report,
     }
     _emit(doc, args.out, "gm-check.json")
     ok = report.gradient_ok and report.level_bound_ok and report.bijection_ok
@@ -264,24 +265,25 @@ def _cmd_truncate_check(args) -> int:
 
 def _cmd_report(args) -> int:
     source = Path(args.source)
-    if not source.exists():
+    if not source.is_file():
         raise FppLabError(f"report not found: {source}")
-    import json as _json
-
-    original = source.read_text(encoding="utf-8")
-    doc = _json.loads(original)
-    if "config" not in doc:
-        raise FppLabError("report carries no embedded config")
-    c = doc["config"]
-    cfg = experiments.ExperimentConfig(
-        dist_spec=c["dist_spec"],
-        dim=int(c["dim"]),
-        n_list=tuple(int(x) for x in c["n_list"]),
-        replicas=int(c["replicas"]),
-        master_seed=int(c["master_seed"]),
-        m_policy=str(c["m_policy"]),
-        margin_factor=float(c["margin_factor"]),
-    )
+    try:
+        original = source.read_text(encoding="utf-8")
+        c = json.loads(original)["config"]
+        cfg = experiments.ExperimentConfig(
+            dist_spec=c["dist_spec"],
+            dim=int(c["dim"]),
+            n_list=tuple(int(x) for x in c["n_list"]),
+            replicas=int(c["replicas"]),
+            master_seed=int(c["master_seed"]),
+            m_policy=str(c["m_policy"]),
+            margin_factor=float(c["margin_factor"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # bad UTF-8 and JSON are ValueErrors
+        raise FppLabError(
+            f"{source} is not a report with a readable embedded config: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     regenerated = reporting.dumps(experiments.full_report(cfg, deterministic=True))
     if args.out:
         out_dir = Path(args.out)

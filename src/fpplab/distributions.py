@@ -719,11 +719,6 @@ def truncate(base: Distribution, k: int, c5: float, bump=None) -> Truncated:
     return Truncated(base, k, c5, bump)
 
 
-def sample(d: Distribution, rng: np.random.Generator, size=None):
-    """Inverse-transform sample(s) from d using rng's uniform stream."""
-    return d.sample(rng, size)
-
-
 def default_c5(d: int, delta: float) -> float:
     """Truncation scale constant: 4d over the exponential-moment rate."""
     if not delta > 0:

@@ -17,7 +17,7 @@ import math
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -316,44 +316,12 @@ class ScalingRow:
     ties: int
     seconds: float
 
-    def as_csv_row(self, deterministic: bool = True):
-        return [
-            self.n,
-            self.mean,
-            self.var,
-            self.var_lo,
-            self.var_hi,
-            self.geo_len_mean,
-            self.geo_len_sq_mean,
-            self.ties,
-            0.0 if deterministic else self.seconds,
-        ]
-
     def summary(self, deterministic: bool = True) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "var": self.var,
-            "var_lo": self.var_lo,
-            "var_hi": self.var_hi,
-            "geo_len_mean": self.geo_len_mean,
-            "geo_len_sq_mean": self.geo_len_sq_mean,
-            "ties": self.ties,
-            "seconds": 0.0 if deterministic else self.seconds,
-        }
+        """The fields, with the wall time zeroed in deterministic output."""
+        return dict(vars(self), seconds=0.0 if deterministic else self.seconds)
 
 
-SCALING_CSV_HEADER = [
-    "n",
-    "mean",
-    "var",
-    "var_lo",
-    "var_hi",
-    "geo_len_mean",
-    "geo_len_sq_mean",
-    "ties",
-    "seconds",
-]
+SCALING_CSV_HEADER = [f.name for f in fields(ScalingRow)]
 
 
 def row_from_batch(batch: ReplicaBatch) -> ScalingRow:
@@ -390,16 +358,6 @@ class FitReport:
     rss_over_log: float
     preferred: str  # "linear" | "linear-over-log" | "inconclusive"
     noise_floor: float
-
-    def summary(self) -> dict:
-        return {
-            "c_linear": self.c_linear,
-            "rss_linear": self.rss_linear,
-            "c_over_log": self.c_over_log,
-            "rss_over_log": self.rss_over_log,
-            "preferred": self.preferred,
-            "noise_floor": self.noise_floor,
-        }
 
 
 def fit_scaling(rows) -> FitReport:
@@ -609,21 +567,6 @@ class ConcentrationDiagnostics:
     probes: list
     flags: list
 
-    def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "r_hat": self.r_hat,
-            "s_hat": self.s_hat,
-            "s_hat_bound": self.s_hat_bound,
-            "mean_f": self.mean_f,
-            "k_const": self.k_const,
-            "l_of_k": self.l_of_k,
-            "l_defined": self.l_defined,
-            "probes": [vars(p) for p in self.probes],
-            "flags": list(self.flags),
-        }
-
 
 def l_of_k(k_const: float, rs: float) -> float:
     """K / log(K / (rs log(K / rs))); defined only for K > e * rs."""
@@ -758,14 +701,6 @@ class TimeConstantReport:
     subadditivity: list  # (n, 2n, ok) triples
     nonincreasing_within_ci: bool
 
-    def summary(self) -> dict:
-        return {
-            "direction": list(self.direction),
-            "rows": [vars(r) for r in self.rows],
-            "subadditivity": [list(t) for t in self.subadditivity],
-            "nonincreasing_within_ci": self.nonincreasing_within_ci,
-        }
-
 
 def estimate_time_constant(
     cfg: ExperimentConfig, batches: dict | None = None
@@ -826,9 +761,6 @@ class TruncationReport:
     gap_mean: float
     gap_max: float
     zero_gap_replicas: int
-
-    def summary(self) -> dict:
-        return dict(vars(self))
 
 
 def truncation_experiment(
@@ -908,16 +840,6 @@ class GeodesicStats:
     ball_counts: dict  # m -> mean |geodesic ∩ ball(probe edge, d*m)|
     replicas: int
 
-    def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "mean_len": self.mean_len,
-            "mean_len_sq": self.mean_len_sq,
-            "len_sq_over_n_sq": self.len_sq_over_n_sq,
-            "ball_counts": {str(k): v for k, v in self.ball_counts.items()},
-            "replicas": self.replicas,
-        }
-
 
 def geodesic_stats(
     cfg: ExperimentConfig,
@@ -957,7 +879,11 @@ def geodesic_stats(
 
 
 def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
-    """Scaling rows, model fit and time-constant summary as one document."""
+    """Scaling rows, model fit and time-constant report as one document.
+
+    The fit and time constant are kept as their dataclasses; `reporting`
+    serializes them field by field.
+    """
     batches: dict = {}
     rows = run_variance_scaling(cfg, batches=batches)
     fit = fit_scaling(rows) if len(rows) >= 3 else None
@@ -966,6 +892,6 @@ def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
         "version": _pkg_version,
         "config": cfg.echo(),
         "rows": [r.summary(deterministic) for r in rows],
-        "fit": fit.summary() if fit else None,
-        "time_constant": tc.summary(),
+        "fit": fit,
+        "time_constant": tc,
     }

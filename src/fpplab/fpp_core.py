@@ -18,7 +18,6 @@ and derivative checks are then closed-form arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -27,6 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from . import reporting
 from .averaging import AveragingMap
 from .distributions import Distribution, parse_spec
 from .errors import DomainError, UnsupportedKindError, UnsupportedParameterError
@@ -208,7 +208,7 @@ class WeightField:
             "dtype": "<f8",
             "seed_scheme": "numpy SeedSequence((master_seed, replica)) -> PCG64",
         }
-        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
+        reporting.write_json(meta, meta_path)
         return bin_path, meta_path
 
 

@@ -376,18 +376,6 @@ class SuiteReport:
     violations: int
     worst: dict
 
-    def summary(self) -> dict:
-        return {
-            "tables": self.tables,
-            "families": self.families,
-            "mp_min_slack": self.mp_min_slack,
-            "fs_min_slack": self.fs_min_slack,
-            "energy_max_error": self.energy_max_error,
-            "jensen_ok": self.jensen_ok,
-            "violations": self.violations,
-            "worst": self.worst,
-        }
-
 
 def _suite_tables(n_tables: int, ns, ps, rng: np.random.Generator):
     """Random tables plus the adversarial families on every (n, p) cell."""

@@ -13,8 +13,6 @@ G(-x) = 1 - G(x) holds bit-exactly by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -61,11 +59,6 @@ def gauss_log_cdf(x):
     x = np.asarray(x, dtype=float)
     out = special.log_ndtr(x)
     return out if out.ndim else float(out)
-
-
-def gauss_log_sf(x):
-    """log(1 - G(x)) = log G(-x)."""
-    return gauss_log_cdf(np.negative(x))
 
 
 def gauss_quantile_from_log_cdf(logp):
@@ -116,20 +109,3 @@ def tail_asymptotic_ratio(y: float) -> float:
     one_term = y * math.sqrt(-2.0 * logy)
     denom = y * math.sqrt(-2.0 * math.log(one_term))
     return num / denom
-
-
-@dataclass(frozen=True)
-class GaussKit:
-    """Bundle of the Gaussian primitives, handy to pass around as one object."""
-
-    pdf: Callable = gauss_pdf
-    log_pdf: Callable = gauss_log_pdf
-    cdf: Callable = gauss_cdf
-    sf: Callable = gauss_sf
-    log_cdf: Callable = gauss_log_cdf
-    log_sf: Callable = gauss_log_sf
-    quantile: Callable = gauss_quantile
-    quantile_from_log_cdf: Callable = gauss_quantile_from_log_cdf
-
-
-GAUSS = GaussKit()

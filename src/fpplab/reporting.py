@@ -1,13 +1,16 @@
-"""Deterministic serialization: JSON and CSV with 17-significant-digit
-floats (lossless for binary64) and a dependency-free SVG line chart.
+"""Deterministic serialization: JSON, CSV and a dependency-free SVG chart.
 
 Byte-for-byte stability is a contract here: the same object must always
-serialize to the same bytes, so keys are sorted and float formatting is
-fixed rather than delegated to repr.
+serialize to the same bytes. JSON goes through the standard library with
+sorted keys; dataclasses, numpy scalars and arrays are first normalized to
+plain Python values. Floats are written as `repr`, the shortest text that
+reads back as the same binary64 value, in JSON and CSV alike, so no value
+is lost. Non-finite floats are rejected rather than written as NaN/Infinity.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
@@ -15,14 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise DomainError(f"non-finite float {x!r} in a report; encode it as null/flag")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
 
 
 def _normalize(obj):
@@ -43,60 +38,15 @@ def _normalize(obj):
     return obj
 
 
-def _encode(obj, parts: list, indent: int):
-    pad = " " * indent
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\t", "\\t")
-            .replace("\r", "\\r")
-        )
-        parts.append(f'"{escaped}"')
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        keys = sorted(obj)
-        for i, k in enumerate(keys):
-            parts.append(pad + "  ")
-            _encode(str(k), parts, indent)
-            parts.append(": ")
-            _encode(obj[k], parts, indent + 2)
-            parts.append(",\n" if i + 1 < len(keys) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, v in enumerate(obj):
-            parts.append(pad + "  ")
-            _encode(v, parts, indent + 2)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "]")
-    else:
-        raise DomainError(f"cannot serialize {type(obj).__name__} deterministically")
-
-
 def dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
-    parts: list[str] = []
-    _encode(_normalize(obj), parts, 0)
-    parts.append("\n")
-    return "".join(parts)
+    """Deterministic JSON text: sorted keys, floats as repr, one trailing newline."""
+    try:
+        text = json.dumps(_normalize(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # the only one left after _normalize: NaN or inf
+        raise DomainError("non-finite float in a report; encode it as null/flag") from exc
+    except TypeError as exc:
+        raise DomainError(f"cannot serialize deterministically: {exc}") from exc
+    return text + "\n"
 
 
 def write_json(obj, path) -> Path:
@@ -111,7 +61,10 @@ def format_cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
+        x = float(v)
+        if not math.isfinite(x):
+            raise DomainError(f"non-finite float {x!r} in a report; encode it as null/flag")
+        return repr(x)
     return str(v)
 
 

@@ -145,6 +145,40 @@ def test_report_roundtrip_and_check(tmp_path):
     assert rc == 1
 
 
+def test_report_with_control_character_in_spec_stays_valid_json(tmp_path):
+    # float() strips the form feed, so the spec parses; the config echo must
+    # still be valid JSON that report --from can read back
+    src = tmp_path / "run"
+    assert _run(["simulate", "--dist", "exp:rate=1\x0c", "--n", "5,8", "--replicas",
+                 "6", "--seed", "2", "--format", "json", "--out", str(src)]) == 0
+    report = src / "report.json"
+    assert json.loads(report.read_text())["config"]["dist_spec"] == "exp:rate=1\x0c"
+    assert _run(["report", "--from", str(report), "--check", "--out",
+                 str(tmp_path / "regen")]) == 0
+
+
+@pytest.mark.parametrize(
+    "data",
+    (
+        b'{"config": {"dist_spec": "exp:rate=1",',  # malformed JSON
+        b'{"config": {"dim": 2, "n_list": [5], "replicas": 4}}',  # no dist_spec
+        b'\xff\xfe{"config": {}}',  # not UTF-8
+    ),
+)
+def test_report_from_bad_input_exits_2(data, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert _run(["report", "--from", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and str(bad) in err
+    assert "Traceback" not in err
+
+
+def test_report_from_a_directory_exits_2(tmp_path, capsys):
+    assert _run(["report", "--from", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("fpplab: report not found")
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("dist=gamma:a=1,b=1\n# comment\n")
