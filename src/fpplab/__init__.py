@@ -42,7 +42,7 @@ from .distributions import (
     parse_spec,
     truncate,
 )
-from .neargamma import GridSpec, NearlyGammaVerdict, classify_nearly_gamma, psi
+from .neargamma import NearlyGammaVerdict, classify_nearly_gamma, psi
 from .averaging import (
     AveragingMap,
     AveragingReport,

@@ -90,6 +90,10 @@ class AveragingMap:
         """g_m = floor(rank / k); values lie in {0, ..., m}."""
         return self.rank(bits) // self.block_size
 
+    def levels(self, bits) -> np.ndarray:
+        """g_m of each row of a bit matrix, one `level` call per row."""
+        return np.array([self.level(row) for row in bits], dtype=np.int64)
+
     def level_table(self) -> np.ndarray:
         """g_m over all inputs, indexed by integer value (leftmost bit MSB).
 
@@ -122,8 +126,7 @@ class OffsetSample:
     z: np.ndarray | None = None  # shape (d,), int
 
     def __post_init__(self):
-        amap = AveragingMap(math.isqrt(self.a.shape[1]))
-        levels = np.array([amap.level(row) for row in self.a], dtype=np.int64)
+        levels = AveragingMap(math.isqrt(self.a.shape[1])).levels(self.a)
         if self.z is None:
             object.__setattr__(self, "z", levels)
         elif not np.array_equal(levels, self.z):

@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
 from . import averaging, experiments, funcineq, neargamma, reporting
 from .distributions import parse_spec, truncate
@@ -119,10 +117,14 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
     if idx + 1 >= len(argv):
         return argv
     path = Path(argv[idx + 1])
-    if not path.exists():
+    if not path.is_file():
         raise FppLabError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FppLabError(f"cannot read config file {path}: {exc}") from exc
     extra: list[str] = []
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -132,6 +134,16 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
         extra.extend([f"--{key.strip()}", val.strip()])
     # insert right after the subcommand so explicit flags still win
     return argv[:1] + extra + argv[1:]
+
+
+def _numbers(text: str, kind, flag: str) -> list:
+    """A comma-separated list of numbers from a flag value."""
+    try:
+        return [kind(x) for x in str(text).split(",") if x]
+    except ValueError:
+        raise FppLabError(
+            f"{flag} takes comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
 
 
 def _emit(doc: dict, out: str | None, default_name: str) -> None:
@@ -149,10 +161,14 @@ def _emit(doc: dict, out: str | None, default_name: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    formats = {f.strip() for f in args.format.split(",") if f.strip()}
+    unknown = formats - {"csv", "json"}
+    if unknown:
+        raise FppLabError(f"unknown output format(s): {sorted(unknown)}")
     cfg = experiments.ExperimentConfig(
         dist_spec=args.dist,
         dim=args.dim,
-        n_list=tuple(int(x) for x in str(args.n).split(",") if x),
+        n_list=tuple(_numbers(args.n, int, "--n")),
         replicas=args.replicas,
         master_seed=args.seed,
         m_policy=args.m_policy,
@@ -161,10 +177,6 @@ def _cmd_simulate(args) -> int:
     )
     deterministic = not args.timing_in_output
     doc = experiments.full_report(cfg, deterministic=deterministic)
-    formats = {f.strip() for f in args.format.split(",") if f.strip()}
-    unknown = formats - {"csv", "json"}
-    if unknown:
-        raise FppLabError(f"unknown output format(s): {sorted(unknown)}")
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = doc["rows"]
@@ -193,7 +205,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_ineq(args) -> int:
-    ps = [float(x) for x in str(args.p).split(",") if x]
+    ps = _numbers(args.p, float, "--p")
     report = funcineq.run_random_suite(
         n_tables=args.tables,
         ns=(args.n,),
@@ -236,14 +248,8 @@ def _cmd_gm_check(args) -> int:
 
 
 def _cmd_truncate_check(args) -> int:
-    base = parse_spec(args.dist)
-    nu_k = truncate(base, args.k, args.c5)
-    grid = np.linspace(0.0, nu_k.top * 1.05, args.grid)
-    h_base = np.asarray(base.cdf(grid))
-    h_k = np.asarray(nu_k.cdf(grid))
-    max_defect = float((h_base - h_k).max())
-    equal_below = float(np.abs(h_base[grid <= nu_k.cut] - h_k[grid <= nu_k.cut]).max())
-    support_ok = bool(abs(float(nu_k.cdf(nu_k.top)) - 1.0) <= 1e-12)
+    nu_k = truncate(parse_spec(args.dist), args.k, args.c5)
+    max_defect, equal_below, support_ok = nu_k.domination_check(args.grid)
     dominates = bool(max_defect <= 1e-12)
     doc = {
         "version": __version__,
@@ -272,14 +278,15 @@ def _cmd_report(args) -> int:
         c = json.loads(original)["config"]
         cfg = experiments.ExperimentConfig(
             dist_spec=c["dist_spec"],
-            dim=int(c["dim"]),
-            n_list=tuple(int(x) for x in c["n_list"]),
-            replicas=int(c["replicas"]),
-            master_seed=int(c["master_seed"]),
-            m_policy=str(c["m_policy"]),
-            margin_factor=float(c["margin_factor"]),
+            dim=c["dim"],
+            n_list=tuple(c["n_list"]),
+            replicas=c["replicas"],
+            master_seed=c["master_seed"],
+            m_policy=c["m_policy"],
+            margin_factor=c["margin_factor"],
         )
-    except (KeyError, TypeError, ValueError) as exc:  # bad UTF-8 and JSON are ValueErrors
+    # bad UTF-8 and JSON are ValueErrors; FppLabError is a config that fails its checks
+    except (KeyError, TypeError, ValueError, FppLabError) as exc:
         raise FppLabError(
             f"{source} is not a report with a readable embedded config: "
             f"{type(exc).__name__}: {exc}"

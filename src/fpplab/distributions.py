@@ -28,6 +28,11 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _log(arr):
+    with np.errstate(divide="ignore"):
+        return np.log(arr)
+
+
 def _fmt(x: float) -> str:
     """Spec text for a parameter that parses back to exactly x: the short
     `:g` form when it round-trips, `repr` otherwise."""
@@ -35,8 +40,37 @@ def _fmt(x: float) -> str:
     return short if float(short) == x else repr(float(x))
 
 
-class Distribution:
-    """Abstract one-dimensional edge-time law."""
+class _ArrayFunctions:
+    """Public pdf/cdf/sf over the array kernels _pdf/_cdf/_sf.
+
+    A Python or numpy scalar in gives a float out; an array in gives an
+    array of the same shape out. _sf defaults to 1 - _cdf.
+    """
+
+    def pdf(self, y):
+        arr, scalar = _as_float_array(y)
+        return _ret(self._pdf(arr), scalar)
+
+    def cdf(self, y):
+        arr, scalar = _as_float_array(y)
+        return _ret(self._cdf(arr), scalar)
+
+    def sf(self, y):
+        arr, scalar = _as_float_array(y)
+        return _ret(self._sf(arr), scalar)
+
+    def _sf(self, arr):
+        return 1.0 - self._cdf(arr)
+
+
+class Distribution(_ArrayFunctions):
+    """Abstract one-dimensional edge-time law.
+
+    A law implements the array kernels _cdf and _quantile, plus _pdf when
+    it has a density. The log forms, _sf and _isf default to log(_pdf),
+    log(_cdf), 1 - _cdf, log(_sf) and _quantile(1 - q); a law overrides a
+    kernel only where it has a more accurate closed form.
+    """
 
     kind: str = "abstract"
     continuous: bool = True
@@ -46,34 +80,47 @@ class Distribution:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    # Subclasses implement the array versions of these.
-    def pdf(self, y):
-        raise UnsupportedKindError(f"{self.kind} has no density")
-
     def log_pdf(self, y):
-        raise UnsupportedKindError(f"{self.kind} has no density")
-
-    def cdf(self, y):
-        raise NotImplementedError
+        arr, scalar = _as_float_array(y)
+        return _ret(self._log_pdf(arr), scalar)
 
     def log_cdf(self, y):
-        arr, scalar = _as_float_array(self.cdf(y))
-        with np.errstate(divide="ignore"):
-            out = np.log(arr)
-        return _ret(out, scalar)
-
-    def sf(self, y):
-        arr, scalar = _as_float_array(self.cdf(y))
-        return _ret(1.0 - arr, scalar)
+        arr, scalar = _as_float_array(y)
+        return _ret(self._log_cdf(arr), scalar)
 
     def log_sf(self, y):
-        arr, scalar = _as_float_array(self.sf(y))
-        with np.errstate(divide="ignore"):
-            out = np.log(arr)
-        return _ret(out, scalar)
+        arr, scalar = _as_float_array(y)
+        return _ret(self._log_sf(arr), scalar)
 
     def quantile(self, u):
+        arr, scalar = _as_float_array(u)
+        return _ret(self._quantile(arr), scalar)
+
+    def isf(self, q):
+        """Inverse survival function, the y with sf(y) = q."""
+        arr, scalar = _as_float_array(q)
+        return _ret(self._isf(arr), scalar)
+
+    def _pdf(self, arr):
+        raise UnsupportedKindError(f"{self.kind} has no density")
+
+    def _cdf(self, arr):
         raise NotImplementedError
+
+    def _quantile(self, arr):
+        raise NotImplementedError
+
+    def _log_pdf(self, arr):
+        return _log(self._pdf(arr))
+
+    def _log_cdf(self, arr):
+        return _log(self._cdf(arr))
+
+    def _log_sf(self, arr):
+        return _log(self._sf(arr))
+
+    def _isf(self, arr):
+        return self._quantile(1.0 - arr)
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -115,37 +162,29 @@ class Gamma(Distribution):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._frozen.pdf(arr), scalar)
+    def _pdf(self, arr):
+        return self._frozen.pdf(arr)
 
-    def log_pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._frozen.logpdf(arr), scalar)
+    def _log_pdf(self, arr):
+        return self._frozen.logpdf(arr)
 
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._frozen.cdf(arr), scalar)
+    def _cdf(self, arr):
+        return self._frozen.cdf(arr)
 
-    def log_cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._frozen.logcdf(arr), scalar)
+    def _log_cdf(self, arr):
+        return self._frozen.logcdf(arr)
 
-    def sf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._frozen.sf(arr), scalar)
+    def _sf(self, arr):
+        return self._frozen.sf(arr)
 
-    def log_sf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._frozen.logsf(arr), scalar)
+    def _log_sf(self, arr):
+        return self._frozen.logsf(arr)
 
-    def quantile(self, u):
-        arr, scalar = _as_float_array(u)
-        return _ret(self._frozen.ppf(arr), scalar)
+    def _quantile(self, arr):
+        return self._frozen.ppf(arr)
 
-    def isf(self, q):
-        arr, scalar = _as_float_array(q)
-        return _ret(self._frozen.isf(arr), scalar)
+    def _isf(self, arr):
+        return self._frozen.isf(arr)
 
     def mean(self):
         return self.a / self.b
@@ -180,49 +219,29 @@ class Exponential(Distribution):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, self.rate * np.exp(-self.rate * arr), 0.0)
-        return _ret(out, scalar)
+    def _pdf(self, arr):
+        return np.where(arr >= 0, self.rate * np.exp(-self.rate * arr), 0.0)
 
-    def log_pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, math.log(self.rate) - self.rate * arr, -np.inf)
-        return _ret(out, scalar)
+    def _log_pdf(self, arr):
+        return np.where(arr >= 0, math.log(self.rate) - self.rate * arr, -np.inf)
 
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, -np.expm1(-self.rate * np.maximum(arr, 0.0)), 0.0)
-        return _ret(out, scalar)
+    def _cdf(self, arr):
+        return np.where(arr >= 0, -np.expm1(-self.rate * np.maximum(arr, 0.0)), 0.0)
 
-    def log_cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        with np.errstate(divide="ignore"):
-            out = np.where(
-                arr >= 0,
-                np.log(-np.expm1(-self.rate * np.maximum(arr, 0.0))),
-                -np.inf,
-            )
-        return _ret(out, scalar)
+    def _log_cdf(self, arr):
+        return np.where(arr >= 0, _log(-np.expm1(-self.rate * np.maximum(arr, 0.0))), -np.inf)
 
-    def sf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, np.exp(-self.rate * np.maximum(arr, 0.0)), 1.0)
-        return _ret(out, scalar)
+    def _sf(self, arr):
+        return np.where(arr >= 0, np.exp(-self.rate * np.maximum(arr, 0.0)), 1.0)
 
-    def log_sf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, -self.rate * np.maximum(arr, 0.0), 0.0)
-        return _ret(out, scalar)
+    def _log_sf(self, arr):
+        return np.where(arr >= 0, -self.rate * np.maximum(arr, 0.0), 0.0)
 
-    def quantile(self, u):
-        arr, scalar = _as_float_array(u)
-        out = -np.log1p(-arr) / self.rate
-        return _ret(out, scalar)
+    def _quantile(self, arr):
+        return -np.log1p(-arr) / self.rate
 
-    def isf(self, q):
-        arr, scalar = _as_float_array(q)
-        return _ret(-np.log(arr) / self.rate, scalar)
+    def _isf(self, arr):
+        return -np.log(arr) / self.rate
 
     def mean(self):
         return 1.0 / self.rate
@@ -254,37 +273,22 @@ class Uniform(Distribution):
     def support(self):
         return (self.lo, self.hi)
 
-    def pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where((arr >= self.lo) & (arr <= self.hi), 1.0 / self.width, 0.0)
-        return _ret(out, scalar)
+    def _pdf(self, arr):
+        return np.where((arr >= self.lo) & (arr <= self.hi), 1.0 / self.width, 0.0)
 
-    def log_pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(
+    def _log_pdf(self, arr):
+        return np.where(
             (arr >= self.lo) & (arr <= self.hi), -math.log(self.width), -np.inf
         )
-        return _ret(out, scalar)
 
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.clip((arr - self.lo) / self.width, 0.0, 1.0)
-        return _ret(out, scalar)
+    def _cdf(self, arr):
+        return np.clip((arr - self.lo) / self.width, 0.0, 1.0)
 
-    def sf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.clip((self.hi - arr) / self.width, 0.0, 1.0)
-        return _ret(out, scalar)
+    def _sf(self, arr):
+        return np.clip((self.hi - arr) / self.width, 0.0, 1.0)
 
-    def log_sf(self, y):
-        arr, scalar = _as_float_array(self.sf(y))
-        with np.errstate(divide="ignore"):
-            out = np.log(arr)
-        return _ret(out, scalar)
-
-    def quantile(self, u):
-        arr, scalar = _as_float_array(u)
-        return _ret(self.lo + arr * self.width, scalar)
+    def _quantile(self, arr):
+        return self.lo + arr * self.width
 
     def mean(self):
         return 0.5 * (self.lo + self.hi)
@@ -314,45 +318,33 @@ class HalfNormal(Distribution):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, self._C * np.exp(-0.5 * arr * arr), 0.0)
-        return _ret(out, scalar)
+    def _pdf(self, arr):
+        return np.where(arr >= 0, self._C * np.exp(-0.5 * arr * arr), 0.0)
 
-    def log_pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, math.log(self._C) - 0.5 * arr * arr, -np.inf)
-        return _ret(out, scalar)
+    def _log_pdf(self, arr):
+        return np.where(arr >= 0, math.log(self._C) - 0.5 * arr * arr, -np.inf)
 
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, special.erf(np.maximum(arr, 0.0) / math.sqrt(2)), 0.0)
-        return _ret(out, scalar)
+    def _cdf(self, arr):
+        return np.where(arr >= 0, special.erf(np.maximum(arr, 0.0) / math.sqrt(2)), 0.0)
 
-    def sf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr >= 0, special.erfc(np.maximum(arr, 0.0) / math.sqrt(2)), 1.0)
-        return _ret(out, scalar)
+    def _sf(self, arr):
+        return np.where(arr >= 0, special.erfc(np.maximum(arr, 0.0) / math.sqrt(2)), 1.0)
 
-    def log_sf(self, y):
+    def _log_sf(self, arr):
         # sf(y) = 2 G(-y); log_ndtr keeps the deep tail exact
-        arr, scalar = _as_float_array(y)
-        out = np.where(
+        return np.where(
             arr >= 0, math.log(2.0) + special.log_ndtr(-np.maximum(arr, 0.0)), 0.0
         )
-        return _ret(out, scalar)
 
-    def quantile(self, u):
-        arr, scalar = _as_float_array(u)
+    def _quantile(self, arr):
         near1 = arr > 0.5
         out = np.empty_like(arr)
         out[~near1] = special.erfinv(arr[~near1]) * math.sqrt(2)
         out[near1] = special.erfcinv(1.0 - arr[near1]) * math.sqrt(2)
-        return _ret(out, scalar)
+        return out
 
-    def isf(self, q):
-        arr, scalar = _as_float_array(q)
-        return _ret(special.erfcinv(arr) * math.sqrt(2), scalar)
+    def _isf(self, arr):
+        return special.erfcinv(arr) * math.sqrt(2)
 
     def mean(self):
         return self._C
@@ -388,15 +380,11 @@ class Bernoulli(Distribution):
     def support(self):
         return (self.a, self.b)
 
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.where(arr < self.a, 0.0, np.where(arr < self.b, 1.0 - self.p, 1.0))
-        return _ret(out, scalar)
+    def _cdf(self, arr):
+        return np.where(arr < self.a, 0.0, np.where(arr < self.b, 1.0 - self.p, 1.0))
 
-    def quantile(self, u):
-        arr, scalar = _as_float_array(u)
-        out = np.where(arr < 1.0 - self.p, self.a, self.b)
-        return _ret(out, scalar)
+    def _quantile(self, arr):
+        return np.where(arr < 1.0 - self.p, self.a, self.b)
 
     def mean(self):
         return (1.0 - self.p) * self.a + self.p * self.b
@@ -424,13 +412,11 @@ class Dirac(Distribution):
     def support(self):
         return (self.c, self.c)
 
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(np.where(arr >= self.c, 1.0, 0.0), scalar)
+    def _cdf(self, arr):
+        return np.where(arr >= self.c, 1.0, 0.0)
 
-    def quantile(self, u):
-        arr, scalar = _as_float_array(u)
-        return _ret(np.full_like(arr, self.c), scalar)
+    def _quantile(self, arr):
+        return np.full_like(arr, self.c)
 
     def mean(self):
         return self.c
@@ -445,35 +431,29 @@ class Dirac(Distribution):
         return f"dirac:c={_fmt(self.c)}"
 
 
-class HatBump:
+class HatBump(_ArrayFunctions):
     """Default repatriation bump: the C1 hat 6 s (1 - s) on [0, 1]."""
 
-    def pdf(self, s):
-        arr, scalar = _as_float_array(s)
-        out = np.where((arr >= 0) & (arr <= 1), 6.0 * arr * (1.0 - arr), 0.0)
-        return _ret(out, scalar)
+    def _pdf(self, arr):
+        return np.where((arr >= 0) & (arr <= 1), 6.0 * arr * (1.0 - arr), 0.0)
 
-    def cdf(self, s):
-        arr, scalar = _as_float_array(s)
+    def _cdf(self, arr):
         sc = np.clip(arr, 0.0, 1.0)
-        return _ret(sc * sc * (3.0 - 2.0 * sc), scalar)
+        return sc * sc * (3.0 - 2.0 * sc)
 
-    def sf(self, s):
-        arr, scalar = _as_float_array(s)
+    def _sf(self, arr):
         sc = np.clip(arr, 0.0, 1.0)
-        return _ret((1.0 - sc) ** 2 * (1.0 + 2.0 * sc), scalar)
+        return (1.0 - sc) ** 2 * (1.0 + 2.0 * sc)
 
 
-class CallableBump:
+class CallableBump(_ArrayFunctions):
     """Wraps a user density on [0, 1]; CDF by dense trapezoid accumulation."""
 
     def __init__(self, fn: Callable, gridsize: int = 8193):
         self._fn = fn
-        mass_in = float(
-            np.trapezoid(
-                fn(np.linspace(0.0, 1.0, gridsize)), np.linspace(0.0, 1.0, gridsize)
-            )
-        )
+        self._xs = np.linspace(0.0, 1.0, gridsize)
+        vals = np.asarray(fn(self._xs), dtype=float)
+        mass_in = float(np.trapezoid(vals, self._xs))
         probes = np.array([-0.5, -1e-6, 1.0 + 1e-6, 1.5])
         outside = np.max(np.abs(np.asarray(fn(probes), dtype=float)))
         if outside > 0 or abs(mass_in - 1.0) > 1e-6:
@@ -481,8 +461,6 @@ class CallableBump:
         ends = np.abs(np.asarray(fn(np.array([0.0, 1.0])), dtype=float))
         if np.max(ends) > 1e-9:
             raise DomainError("a continuous bump supported in [0, 1] must vanish at 0 and 1")
-        self._xs = np.linspace(0.0, 1.0, gridsize)
-        vals = np.asarray(fn(self._xs), dtype=float)
         if np.any(vals < 0):
             raise DomainError("bump density must be nonnegative")
         cum = np.concatenate(
@@ -490,18 +468,11 @@ class CallableBump:
         )
         self._cum = cum / cum[-1]
 
-    def pdf(self, s):
-        arr, scalar = _as_float_array(s)
-        out = np.where((arr >= 0) & (arr <= 1), self._fn(np.clip(arr, 0, 1)), 0.0)
-        return _ret(out, scalar)
+    def _pdf(self, arr):
+        return np.where((arr >= 0) & (arr <= 1), self._fn(np.clip(arr, 0, 1)), 0.0)
 
-    def cdf(self, s):
-        arr, scalar = _as_float_array(s)
-        return _ret(np.interp(arr, self._xs, self._cum, left=0.0, right=1.0), scalar)
-
-    def sf(self, s):
-        arr, scalar = _as_float_array(self.cdf(s))
-        return _ret(1.0 - arr, scalar)
+    def _cdf(self, arr):
+        return np.interp(arr, self._xs, self._cum, left=0.0, right=1.0)
 
 
 class Truncated(Distribution):
@@ -545,49 +516,30 @@ class Truncated(Distribution):
     def _s(self, y):
         return (y - self.cut) / self.cut
 
-    def pdf(self, y):
-        arr, scalar = _as_float_array(y)
+    def _pdf(self, arr):
         out = self.base.pdf(arr) + self.bump.pdf(self._s(arr)) * (
             self.tail_mass / self.cut
         )
-        out = np.where(arr <= self.top, out, 0.0)
-        return _ret(out, scalar)
+        return np.where(arr <= self.top, out, 0.0)
 
-    def log_pdf(self, y):
-        arr, scalar = _as_float_array(self.pdf(y))
-        with np.errstate(divide="ignore"):
-            out = np.log(arr)
-        return _ret(out, scalar)
-
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
+    def _cdf(self, arr):
         out = self.base.cdf(arr) + self.tail_mass * self.bump.cdf(self._s(arr))
-        out = np.where(arr >= self.top, 1.0, out)
-        return _ret(out, scalar)
+        return np.where(arr >= self.top, 1.0, out)
 
-    def sf(self, y):
+    def _sf(self, arr):
         # base.sf(y) - base.sf(2T) avoids cancellation: both terms are tail-sized
-        arr, scalar = _as_float_array(y)
         out = (np.asarray(self.base.sf(arr)) - self.tail_mass) + (
             self.tail_mass * self.bump.sf(self._s(arr))
         )
-        out = np.where(arr >= self.top, 0.0, np.maximum(out, 0.0))
-        return _ret(out, scalar)
+        return np.where(arr >= self.top, 0.0, np.maximum(out, 0.0))
 
-    def log_sf(self, y):
-        arr, scalar = _as_float_array(self.sf(y))
-        with np.errstate(divide="ignore"):
-            out = np.log(arr)
-        return _ret(out, scalar)
-
-    def quantile(self, u):
-        arr, scalar = _as_float_array(u)
+    def _quantile(self, arr):
         out = np.asarray(self.base.quantile(arr), dtype=float).copy()
         h_cut = float(self.base.cdf(self.cut))
         in_tail = arr > h_cut
         if np.any(in_tail):
             out[in_tail] = self._tail_quantile(arr[in_tail])
-        return _ret(out, scalar)
+        return out
 
     def _tail_quantile(self, u):
         lo = np.full(u.shape, self.cut)
@@ -595,20 +547,38 @@ class Truncated(Distribution):
         # bisection is branch-free and robust to flat spots of the bump
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < u
+            below = self._cdf(mid) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
 
+    def domination_check(self, grid_points: int = 10_000) -> tuple[float, float, bool]:
+        """Compare this CDF with the base's on an even grid over [0, 1.05 top].
+
+        Returns (max of H_base - H_k, which domination needs <= 0 up to
+        rounding; max |H_base - H_k| at or below the cut, which should be
+        0; whether H_k reaches 1 at the top).
+        """
+        if grid_points < 2:
+            raise DomainError(f"the comparison grid needs at least 2 points, got {grid_points}")
+        grid = np.linspace(0.0, self.top * 1.05, grid_points)
+        h_base = np.asarray(self.base.cdf(grid))
+        h_k = self._cdf(grid)
+        below = grid <= self.cut
+        max_defect = float((h_base - h_k).max())
+        below_cut_error = float(np.abs(h_base[below] - h_k[below]).max())
+        support_ok = bool(abs(float(self.cdf(self.top)) - 1.0) <= 1e-12)
+        return max_defect, below_cut_error, support_ok
+
     def mean(self):
         grid = np.linspace(0.0, self.top, 20001)
-        return float(np.trapezoid(np.asarray(self.sf(grid)), grid))
+        return float(np.trapezoid(self._sf(grid), grid))
 
     def upper_mean(self, c):
         if c >= self.top:
             return 0.0
         grid = np.linspace(max(c, 0.0), self.top, 20001)
-        return float(np.trapezoid(np.asarray(self.sf(grid)), grid))
+        return float(np.trapezoid(self._sf(grid), grid))
 
     def exp_moment_rate(self):
         return 1.0  # bounded support
@@ -642,19 +612,10 @@ class Tabulated(Distribution):
     def support(self):
         return (float(self.xs[0]), float(self.xs[-1]))
 
-    def pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        out = np.interp(arr, self.xs, self.hs, left=0.0, right=0.0)
-        return _ret(out, scalar)
+    def _pdf(self, arr):
+        return np.interp(arr, self.xs, self.hs, left=0.0, right=0.0)
 
-    def log_pdf(self, y):
-        arr, scalar = _as_float_array(self.pdf(y))
-        with np.errstate(divide="ignore"):
-            out = np.log(arr)
-        return _ret(out, scalar)
-
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
+    def _cdf(self, arr):
         idx = np.clip(np.searchsorted(self.xs, arr, side="right") - 1, 0, self.xs.size - 2)
         x0 = self.xs[idx]
         h0 = self.hs[idx]
@@ -662,10 +623,9 @@ class Tabulated(Distribution):
         d = np.clip(arr - x0, 0.0, self.xs[idx + 1] - x0)
         out = self._cum[idx] + h0 * d + 0.5 * slope * d * d
         out = np.where(arr <= self.xs[0], 0.0, np.where(arr >= self.xs[-1], 1.0, out))
-        return _ret(np.clip(out, 0.0, 1.0), scalar)
+        return np.clip(out, 0.0, 1.0)
 
-    def quantile(self, u):
-        arr, scalar = _as_float_array(u)
+    def _quantile(self, arr):
         idx = np.clip(np.searchsorted(self._cum, arr, side="right") - 1, 0, self.xs.size - 2)
         x0 = self.xs[idx]
         h0 = self.hs[idx]
@@ -679,8 +639,7 @@ class Tabulated(Distribution):
         denom = h0 + disc
         with np.errstate(invalid="ignore", divide="ignore"):
             d = np.where(denom > 0, 2.0 * rem / np.where(denom > 0, denom, 1.0), 0.0)
-        out = x0 + np.clip(d, 0.0, dx)
-        return _ret(out, scalar)
+        return x0 + np.clip(d, 0.0, dx)
 
     def mean(self):
         return float(np.trapezoid(self.xs * self.hs, self.xs))
@@ -689,7 +648,7 @@ class Tabulated(Distribution):
         grid = np.linspace(max(c, self.xs[0]), self.xs[-1], 4001)
         if grid[0] >= grid[-1]:
             return 0.0
-        return float(np.trapezoid(np.asarray(self.sf(grid)), grid))
+        return float(np.trapezoid(self._sf(grid), grid))
 
     def exp_moment_rate(self):
         return 1.0

@@ -18,7 +18,7 @@ import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy import stats as _sstats
@@ -32,6 +32,10 @@ from .neargamma import classify_nearly_gamma
 
 DEFAULT_N_GRID = (25, 50, 100, 200)
 DEFAULT_T_GRID = tuple(np.arange(0.25, 3.01, 0.25)) + tuple(np.arange(3.5, 6.01, 0.5))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -48,19 +52,28 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.dist_spec, str):
+            raise ConfigError(f"edge law spec must be a string, got {self.dist_spec!r}")
         law = parse_spec(self.dist_spec)  # fail fast on bad grammar
         if law.support[0] < 0:
             raise ConfigError(f"edge law {self.dist_spec!r} has negative support")
-        if self.dim not in (2, 3):
-            raise ConfigError("dimension must be 2 or 3")
-        if isinstance(self.replicas, bool) or not isinstance(self.replicas, Integral):
+        if not _is_int(self.dim) or self.dim not in (2, 3):
+            raise ConfigError(f"dimension must be 2 or 3, got {self.dim!r}")
+        if not _is_int(self.replicas):
             raise ConfigError(f"replicas must be an integer, got {self.replicas!r}")
         if self.replicas < 2:
             raise ConfigError("at least 2 replicas are needed for a variance")
-        if not self.n_list or any(int(n) < 1 for n in self.n_list):
-            raise ConfigError("all distances n must be >= 1")
-        if self.margin_factor <= 0:
-            raise ConfigError("margin factor must be positive")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ConfigError(
+                f"master seed must be a nonnegative integer, got {self.master_seed!r}"
+            )
+        if not self.n_list or not all(_is_int(n) and n >= 1 for n in self.n_list):
+            raise ConfigError(f"all distances n must be integers >= 1, got {self.n_list!r}")
+        m = self.margin_factor
+        if isinstance(m, bool) or not isinstance(m, Real) or not (math.isfinite(m) and m > 0):
+            raise ConfigError(f"margin factor must be finite and positive, got {m!r}")
+        if not isinstance(self.m_policy, str):
+            raise ConfigError(f"m policy must be a string, got {self.m_policy!r}")
         self.m_for(int(self.n_list[0]))  # validate the policy string
 
     def m_for(self, n: int) -> int:
@@ -162,7 +175,7 @@ def _replica_chunk(args) -> list:
         field = WeightField.generate(box, dist, master_seed, r)
         if m > 0:
             bits = _offset_bits(master_seed, r, m, box.d)
-            z = np.array([amap.level(row) for row in bits], dtype=np.int64)
+            z = amap.levels(bits)
         else:
             z = np.zeros(box.d, dtype=np.int64)
         u = tuple(int(c) for c in z)
@@ -178,7 +191,6 @@ def _replica_chunk(args) -> list:
                 res.ties,
                 presence.astype(np.uint8),
                 geo_edges,
-                field.weights[res.edge_ids] if want_edges else None,
                 _exact_probes(field, res, dist, probe_ids) if r < exact_n else None,
             )
         )
@@ -191,11 +203,10 @@ def _run_replicas(
     m: int,
     want_edges: bool = False,
     probe_ids=(),
-    replicas: int | None = None,
     exact_replicas: int = 0,
 ):
     box = box_for(cfg, n)
-    reps = replicas if replicas is not None else cfg.replicas
+    reps = cfg.replicas
     workers = resolve_workers(cfg.workers)
     chunk = max(8, reps // (workers * 8) or 1)
     ranges = [(r, min(r + chunk, reps)) for r in range(0, reps, chunk)]
@@ -236,7 +247,6 @@ class ReplicaBatch:
     presence: np.ndarray  # (replicas, n_probes) uint8
     probe_ids: np.ndarray
     geo_edges: list | None = None
-    geo_weights: list | None = None
     seconds: float = 0.0
     # exact probe influences of the first exact_replicas replicas, in order
     exact_w: np.ndarray | None = None  # (exact_replicas, n_probes) W_{e,+}
@@ -249,7 +259,6 @@ def collect_batch(
     m: int | None = None,
     want_edges: bool = False,
     probe_ids=(),
-    replicas: int | None = None,
     exact_replicas: int = 0,
 ) -> ReplicaBatch:
     t0 = _time.perf_counter()
@@ -260,10 +269,9 @@ def collect_batch(
         m_eff,
         want_edges=want_edges,
         probe_ids=probe_ids,
-        replicas=replicas,
         exact_replicas=exact_replicas,
     )
-    exact = [f[6] for f in flat[:exact_replicas]]
+    exact = [f[5] for f in flat[:exact_replicas]]
     elapsed = _time.perf_counter() - t0
     return ReplicaBatch(
         n=n,
@@ -278,7 +286,6 @@ def collect_batch(
         ),
         probe_ids=np.asarray(probe_ids, dtype=np.int64),
         geo_edges=[f[4] for f in flat] if want_edges else None,
-        geo_weights=[f[5] for f in flat] if want_edges else None,
         seconds=elapsed,
         exact_w=np.array([w for w, _ in exact]).reshape(len(exact), len(probe_ids)),
         exact_w_plus=[w_plus for _, w_plus in exact],
@@ -784,11 +791,7 @@ def truncation_experiment(
     n = int(n if n is not None else min(cfg.n_list))
     reps = int(replicas if replicas is not None else min(cfg.replicas, 1000))
 
-    lo_q = float(base.quantile(1e-9))
-    hi_q = max(float(nu_k.top), float(base.quantile(1.0 - 1e-9)))
-    grid = np.linspace(lo_q, hi_q, grid_points)
-    defect = np.asarray(base.cdf(grid)) - np.asarray(nu_k.cdf(grid))
-    grid_max_defect = float(defect.max())
+    grid_max_defect, _, _ = nu_k.domination_check(grid_points)
     grid_ok = bool(grid_max_defect <= 1e-12)
 
     box = box_for(cfg, n)

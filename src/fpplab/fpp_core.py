@@ -327,8 +327,7 @@ def randomized_passage_time(
     m = math.isqrt(a_bits.shape[1])
     if m * m != a_bits.shape[1]:
         raise DomainError("offset rows must hold a square number of bits")
-    amap = AveragingMap(m)
-    z = np.array([amap.level(row) for row in a_bits], dtype=np.int64)
+    z = AveragingMap(m).levels(a_bits)
     start = tuple(int(c) for c in z)
     end = tuple(int(c) for c in (np.asarray(v, dtype=np.int64) + z))
     if not box.contains(start) or not box.contains(end):

@@ -57,51 +57,38 @@ def psi(d: Distribution, y):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Evaluation grid policy for the direct nearly-gamma check.
-
-    Points accumulate geometrically toward both support endpoints, coming
-    no closer than `endpoint_floor` (in distance for a finite endpoint, in
-    survival probability for an infinite one).
-    """
-
-    points_per_decade: int = 200
-    endpoint_floor: float = 1e-12
-    bulk_points: int = 400
-
-    def build(self, d: Distribution) -> np.ndarray:
-        lo, hi = d.support
-        mid = float(d.quantile(0.5))
-        pieces = []
-        # lower endpoint side
-        span_lo = (mid - lo) if math.isfinite(mid - lo) else 1.0
-        decades = max(math.log10(span_lo / self.endpoint_floor), 1.0)
-        npts = int(self.points_per_decade * decades)
-        pieces.append(lo + np.geomspace(self.endpoint_floor, span_lo, npts))
-        # upper endpoint side
-        if math.isfinite(hi):
-            span_hi = hi - mid
-            decades = max(math.log10(span_hi / self.endpoint_floor), 1.0)
-            npts = int(self.points_per_decade * decades)
-            pieces.append(hi - np.geomspace(self.endpoint_floor, span_hi, npts))
-        else:
-            decades = -math.log10(self.endpoint_floor)
-            npts = int(self.points_per_decade * decades)
-            js = np.linspace(math.log10(2.0), -math.log10(self.endpoint_floor), npts)
-            pieces.append(np.asarray(_isf(d, 10.0 ** (-js))))
-        pieces.append(np.linspace(lo + span_lo * 1e-3, float(d.quantile(0.95)), self.bulk_points))
-        grid = np.unique(np.concatenate(pieces))
-        return grid[(grid > lo) & (grid < hi)]
+# Evaluation grid for the direct check: points accumulate geometrically
+# toward both support endpoints, coming no closer than _ENDPOINT_FLOOR (in
+# distance for a finite endpoint, in survival probability for an infinite
+# one).
+_POINTS_PER_DECADE = 200
+_ENDPOINT_FLOOR = 1e-12
+_BULK_POINTS = 400
 
 
-def _isf(d: Distribution, q):
-    """Inverse survival function; falls back to quantile(1-q) when the law
-    does not expose a dedicated isf (fine away from the deep tail)."""
-    isf = getattr(d, "isf", None)
-    if isf is not None:
-        return isf(q)
-    return d.quantile(1.0 - np.asarray(q, dtype=float))
+def _grid(d: Distribution) -> np.ndarray:
+    lo, hi = d.support
+    mid = float(d.quantile(0.5))
+    pieces = []
+    # lower endpoint side
+    span_lo = (mid - lo) if math.isfinite(mid - lo) else 1.0
+    decades = max(math.log10(span_lo / _ENDPOINT_FLOOR), 1.0)
+    npts = int(_POINTS_PER_DECADE * decades)
+    pieces.append(lo + np.geomspace(_ENDPOINT_FLOOR, span_lo, npts))
+    # upper endpoint side
+    if math.isfinite(hi):
+        span_hi = hi - mid
+        decades = max(math.log10(span_hi / _ENDPOINT_FLOOR), 1.0)
+        npts = int(_POINTS_PER_DECADE * decades)
+        pieces.append(hi - np.geomspace(_ENDPOINT_FLOOR, span_hi, npts))
+    else:
+        decades = -math.log10(_ENDPOINT_FLOOR)
+        npts = int(_POINTS_PER_DECADE * decades)
+        js = np.linspace(math.log10(2.0), -math.log10(_ENDPOINT_FLOOR), npts)
+        pieces.append(d.isf(10.0 ** (-js)))
+    pieces.append(np.linspace(lo + span_lo * 1e-3, float(d.quantile(0.95)), _BULK_POINTS))
+    grid = np.unique(np.concatenate(pieces))
+    return grid[(grid > lo) & (grid < hi)]
 
 
 @dataclass
@@ -147,17 +134,14 @@ class NearlyGammaVerdict:
 _SAFETY = 1.05
 
 
-def classify_nearly_gamma(
-    d: Distribution, grid_spec: GridSpec | None = None
-) -> NearlyGammaVerdict:
+def classify_nearly_gamma(d: Distribution) -> NearlyGammaVerdict:
     """Run the direct sqrt-bound check and the sufficient tail conditions."""
     if not d.continuous:
         raise UnsupportedKindError(
             f"nearly-gamma classification requires a continuous law, got {d.kind}"
         )
-    spec = grid_spec or GridSpec()
     lo, hi = d.support
-    grid = spec.build(d)
+    grid = _grid(d)
     flags: list[str] = []
 
     interval_ok, continuity_ok = _support_checks(d, grid, flags)
@@ -230,7 +214,7 @@ def _support_checks(d: Distribution, grid: np.ndarray, flags: list) -> tuple[boo
     interval_ok = interval_ok and bool(np.all(vals > 0.0))
     if not interval_ok:
         flags.append("density vanishes inside the support")
-    continuity_ok = bool(getattr(d, "density_continuous", True))
+    continuity_ok = bool(d.density_continuous)
     if not continuity_ok:
         flags.append("density declared discontinuous on its support")
     return interval_ok, continuity_ok
@@ -247,7 +231,7 @@ def _diverging_upper_tail(d: Distribution, flags: list) -> bool:
     floor and above three quarters of the shallow-window slope.
     """
     js = np.linspace(10.0, 45.0, 120)
-    t = np.asarray(_isf(d, 10.0 ** (-js)), dtype=float)
+    t = np.asarray(d.isf(10.0 ** (-js)), dtype=float)
     good = np.isfinite(t)
     if good.sum() < 32 or np.any(np.diff(t[good]) <= 0):
         flags.append("upper-tail slope probe unavailable; bound read from grid only")
@@ -300,7 +284,7 @@ def _hazard_ratio_test(d: Distribution) -> tuple[bool, dict]:
     ways, a ratio drifting to 0 or infinity is not.
     """
     js = np.linspace(1.0, 50.0, 160)
-    t = np.asarray(_isf(d, 10.0 ** (-js)), dtype=float)
+    t = np.asarray(d.isf(10.0 ** (-js)), dtype=float)
     log_ratio = np.asarray(d.log_sf(t), dtype=float) - np.asarray(
         d.log_pdf(t), dtype=float
     )

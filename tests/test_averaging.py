@@ -181,3 +181,15 @@ def test_rank_orders_weight_then_reverse_value(m, data):
         assert ra > rb
     else:
         assert ra == rb and a == b
+
+
+def test_levels_calls_level_once_per_row(rng, monkeypatch):
+    am = F.AveragingMap(3)
+    bits = rng.integers(0, 2, size=(4, 9), dtype=np.uint8)
+    want = [am.level(row) for row in bits]
+    calls = []
+    level = F.AveragingMap.level
+    monkeypatch.setattr(F.AveragingMap, "level", lambda self, b: calls.append(1) or level(self, b))
+    got = am.levels(bits)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert len(calls) == 4

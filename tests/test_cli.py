@@ -199,3 +199,59 @@ def test_workers_env_cap(tmp_path, monkeypatch):
     assert resolve_workers(8) == 1
     monkeypatch.delenv("FPPLAB_WORKERS")
     assert resolve_workers(3) == 3
+
+
+def _forbid_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the input was checked")
+
+    monkeypatch.setattr(Distribution, "sample", no_sampling)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["simulate", "--dist", "exp:rate=1", "--n", "4.5"],
+        ["simulate", "--dist", "exp:rate=1", "--n", "4", "--seed", "-1"],
+        ["simulate", "--dist", "exp:rate=1", "--n", "4", "--margin", "nan"],
+        ["simulate", "--dist", "exp:rate=1", "--n", "4", "--format", "txt"],
+        ["verify-ineq", "--n", "3", "--p", "abc"],
+        ["truncate-check", "--dist", "exp:rate=1", "--k", "10", "--c5", "1", "--grid", "0"],
+        ["classify", "--config", "{tmp}"],  # a directory
+        ["classify", "--config", "{tmp}/latin1.cfg"],  # not UTF-8
+    ),
+)
+def test_bad_flags_exit_2_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "latin1.cfg").write_bytes(b"dist=exp:rate=1 \xe9\n")
+    _forbid_sampling(monkeypatch)
+    out = tmp_path / "out"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--out", str(out)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    (
+        ("replicas", 8.9),
+        ("dim", 2.5),
+        ("dim", 2.0),
+        ("n_list", [4.5]),
+        ("master_seed", 1.5),
+        ("margin_factor", float("nan")),
+        ("dist_spec", 5),
+    ),
+)
+def test_report_from_rejects_config_values_it_used_to_coerce(key, value, tmp_path,
+                                                              monkeypatch, capsys):
+    config = {"dist_spec": "exp:rate=1", "dim": 2, "n_list": [4], "replicas": 8,
+              "master_seed": 1, "m_policy": "none", "margin_factor": 0.5}
+    config[key] = value
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps({"config": config}))
+    _forbid_sampling(monkeypatch)
+    assert _run(["report", "--from", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and str(bad) in err

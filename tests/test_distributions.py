@@ -7,6 +7,7 @@ from scipy import integrate, stats
 
 import fpplab as F
 from fpplab import DomainError, UnsupportedKindError
+from fpplab.distributions import CallableBump, HatBump
 
 
 CONTINUOUS_SPECS = [
@@ -338,3 +339,97 @@ def test_default_c5():
     assert F.default_c5(2, 1.0) == 8.0
     with pytest.raises(DomainError):
         F.default_c5(2, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# scalar/array contract of every public method
+
+
+def _quintic_bump(s):
+    s = np.asarray(s, dtype=float)
+    return np.where((s >= 0) & (s <= 1), 30.0 * s * s * (1 - s) * (1 - s), 0.0)
+
+
+CONTRACT_LAWS = {
+    "gamma": F.parse_spec("gamma:a=2,b=1"),
+    "exp": F.parse_spec("exp:rate=1.5"),
+    "uniform": F.parse_spec("uniform:lo=1,hi=3"),
+    "halfnormal": F.parse_spec("halfnormal"),
+    "bernoulli": F.parse_spec("bernoulli:a=1,b=2,p=0.3"),
+    "dirac": F.parse_spec("dirac:c=1.5"),
+    "tabulated": F.Tabulated([0.0, 1.0, 1.5, 2.0, 4.0], [0.0, 2.0, 0.5, 1.0, 0.0]),
+    "trunc-hat": F.parse_spec("trunc(exp:rate=1;k=10,c5=0.5)"),
+    "trunc-callable": F.truncate(F.parse_spec("exp:rate=1"), 10, 0.5, bump=_quintic_bump),
+}
+# laws whose isf is quantile(1 - q) rather than a closed form
+ISF_BY_QUANTILE = ("uniform", "bernoulli", "dirac", "tabulated", "trunc-hat", "trunc-callable")
+
+# interior points, support ends, the bump region, deep tails and outside values
+Y_GRID = np.array([
+    [-1.0, 0.0, 1e-300, 1e-12, 0.1, 0.5, 1.0, 1.15, 1.5, 2.0],
+    [2.3, 2.5, 3.0, 3.5, 4.0, 10.0, 50.0, 700.0, 1e300, np.inf],
+])
+U_GRID = np.array([
+    [0.0, 1e-300, 1e-15, 1e-9, 0.01, 0.3],
+    [0.5, 0.7, 0.99, 1 - 1e-9, 1 - 1e-15, 1.0],
+])
+Y_METHODS = ("pdf", "log_pdf", "cdf", "log_cdf", "sf", "log_sf")
+U_METHODS = ("quantile", "isf")
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_LAWS))
+@pytest.mark.parametrize("method", Y_METHODS + U_METHODS)
+def test_scalar_and_array_calls_agree_bit_for_bit(name, method):
+    d = CONTRACT_LAWS[name]
+    grid = U_GRID if method in U_METHODS else Y_GRID
+    fn = getattr(d, method)
+    with np.errstate(all="ignore"):
+        if not d.continuous and method in ("pdf", "log_pdf"):
+            for x in (grid, float(grid[0, 1])):
+                with pytest.raises(UnsupportedKindError):
+                    fn(x)
+            return
+        arr = fn(grid)
+        assert isinstance(arr, np.ndarray) and arr.shape == grid.shape
+        for idx in np.ndindex(grid.shape):
+            val = fn(float(grid[idx]))
+            assert type(val) is float, (name, method, grid[idx])
+            assert _same_bits(val, arr[idx]), (name, method, grid[idx], val, arr[idx])
+
+
+@pytest.mark.parametrize("name", ISF_BY_QUANTILE)
+def test_isf_defaults_to_quantile_of_complement(name):
+    d = CONTRACT_LAWS[name]
+    with np.errstate(all="ignore"):
+        assert d.isf(U_GRID).tobytes() == d.quantile(1.0 - U_GRID).tobytes()
+        for q in U_GRID.ravel():
+            assert _same_bits(d.isf(float(q)), d.quantile(1.0 - float(q)))
+
+
+@pytest.mark.parametrize("bump", [HatBump(), CallableBump(_quintic_bump)])
+@pytest.mark.parametrize("method", ("pdf", "cdf", "sf"))
+def test_bump_scalar_and_array_calls_agree(bump, method):
+    s = np.array([[-1.0, 0.0, 1e-300, 0.25, 0.5], [0.75, 1 - 1e-12, 1.0, 1.5, np.inf]])
+    fn = getattr(bump, method)
+    arr = fn(s)
+    assert isinstance(arr, np.ndarray) and arr.shape == s.shape
+    for idx in np.ndindex(s.shape):
+        val = fn(float(s[idx]))
+        assert type(val) is float and _same_bits(val, arr[idx]), (method, s[idx])
+
+
+def test_domination_check_matches_a_direct_grid():
+    base = F.parse_spec("exp:rate=1")
+    nu = F.truncate(base, 10, 0.5)
+    max_defect, below_cut_error, support_ok = nu.domination_check(5000)
+    grid = np.linspace(0.0, 1.05 * nu.top, 5000)
+    defect = np.asarray(base.cdf(grid)) - np.asarray(nu.cdf(grid))
+    assert max_defect == defect.max() <= 1e-12
+    assert below_cut_error == np.abs(defect[grid <= nu.cut]).max() == 0.0
+    assert support_ok
+    with pytest.raises(DomainError):
+        nu.domination_check(1)

@@ -351,3 +351,30 @@ def test_time_constant_exponential_trend():
     rep = F.estimate_time_constant(cfg)
     assert rep.nonincreasing_within_ci
     assert all(ok for (_, _, ok) in rep.subadditivity)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    (
+        dict(n_list=(4.5,)),
+        dict(n_list=(4, 8.0)),
+        dict(n_list=(True,)),
+        dict(dim=2.0),
+        dict(master_seed=1.5),
+        dict(master_seed=-1),
+        dict(margin_factor=float("nan")),
+        dict(margin_factor=float("inf")),
+        dict(margin_factor="0.5"),
+        dict(m_policy=3),
+        dict(dist_spec=5),
+    ),
+)
+def test_config_rejects_fields_it_would_coerce(bad):
+    with pytest.raises(ConfigError):
+        F.ExperimentConfig(**(dict(dist_spec="exp:rate=1") | bad))
+
+
+def test_config_accepts_numpy_integers():
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", dim=np.int64(2),
+                             n_list=(np.int32(4),), master_seed=np.uint32(3))
+    assert cfg.echo()["n_list"] == [4]
