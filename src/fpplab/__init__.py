@@ -61,7 +61,6 @@ from .funcineq import (
     martingale_increments,
     onedim_lsi_check,
     run_random_suite,
-    table_entropy,
     verify_energy_decomposition,
     verify_fs_bound,
     verify_modified_poincare,

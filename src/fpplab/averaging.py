@@ -62,6 +62,17 @@ def weight_reverse_lex_rank(bits) -> int:
     return rank + larger
 
 
+def _rank_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming weight and 1-based rank of every n-bit string, by value."""
+    vals = np.arange(1 << n, dtype=np.int64)
+    # int64: np.diff on the uint8 popcount would wrap a decrease to 255
+    weight = np.bitwise_count(vals).astype(np.int64)
+    order = np.lexsort((-vals, weight))
+    ranks = np.empty(vals.size, dtype=np.int64)
+    ranks[order] = np.arange(1, vals.size + 1)
+    return weight, ranks
+
+
 @dataclass(frozen=True)
 class AveragingMap:
     """Level function on {0,1}^(m^2) with block size k = ceil(2^(m^2)/m)."""
@@ -103,15 +114,7 @@ class AveragingMap:
             raise ResourceGuardError(
                 f"exhaustive table for m={self.m} needs {1 << self.n_bits} entries"
             )
-        n = self.n_bits
-        vals = np.arange(1 << n, dtype=np.int64)
-        weight = np.zeros(vals.size, dtype=np.int64)
-        for b in range(n):
-            weight += (vals >> b) & 1
-        order = np.lexsort((-vals, weight))
-        ranks = np.empty(vals.size, dtype=np.int64)
-        ranks[order] = np.arange(1, vals.size + 1)
-        return ranks // self.block_size
+        return _rank_table(self.n_bits)[1] // self.block_size
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,8 @@ def verify_averaging_properties(m: int) -> AveragingReport:
         raise ResourceGuardError(f"exhaustive verification capped at m <= 4, got {m}")
     amap = AveragingMap(m)
     n = amap.n_bits
-    g = amap.level_table()
+    weight, ranks = _rank_table(n)
+    g = ranks // amap.block_size  # level_table() without a second rank table
     vals = np.arange(1 << n, dtype=np.int64)
 
     diffs = set()
@@ -191,19 +195,11 @@ def verify_averaging_properties(m: int) -> AveragingReport:
         diffs.update(np.unique(d).tolist())
     gradient_ok = diffs <= {0, 1}
 
-    # rank bijection and orderings, recomputed through the combinadic path
-    # for a sample plus the vectorized table for the full space
-    weight = np.zeros(vals.size, dtype=np.int64)
-    for b in range(n):
-        weight += (vals >> b) & 1
-    order = np.lexsort((-vals, weight))
-    ranks = np.empty(vals.size, dtype=np.int64)
-    ranks[order] = np.arange(1, vals.size + 1)
+    # rank bijection and orderings over the full space
     bijection_ok = np.unique(ranks).size == vals.size
-    monotone_ok = bool(
-        np.all(np.diff(weight[np.argsort(ranks)]) >= 0)
-    )
-    level_nondecreasing = bool(np.all(np.diff(g[np.argsort(ranks)]) >= 0))
+    by_rank = np.argsort(ranks)
+    monotone_ok = bool(np.all(np.diff(weight[by_rank]) >= 0))
+    level_nondecreasing = bool(np.all(np.diff(g[by_rank]) >= 0))
 
     counts = np.bincount(g, minlength=m + 1)
     max_meas = counts.max() / vals.size

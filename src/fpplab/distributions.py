@@ -490,8 +490,8 @@ class Truncated(Distribution):
     def __init__(self, base: Distribution, k: int, c5: float, bump=None):
         if not isinstance(k, (int, np.integer)) or k < 2:
             raise DomainError("truncation index k must be an integer >= 2")
-        if not c5 > 0:
-            raise DomainError("c5 must be positive")
+        if not (math.isfinite(c5) and c5 > 0):
+            raise DomainError(f"c5 must be finite and positive, got {c5!r}")
         if not base.continuous:
             raise UnsupportedKindError("truncation requires a continuous base law")
         if base.support[0] < 0:
@@ -501,6 +501,8 @@ class Truncated(Distribution):
         self.c5 = float(c5)
         self.cut = self.c5 * math.log(self.k)  # T
         self.top = 2.0 * self.cut
+        if not math.isfinite(1.05 * self.top):  # the end of the domination grid
+            raise DomainError(f"c5 = {c5!r} is too large: 2.1 c5 log k overflows")
         if bump is None:
             self.bump = HatBump()
         elif isinstance(bump, (HatBump, CallableBump)):

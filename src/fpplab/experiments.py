@@ -72,6 +72,8 @@ class ExperimentConfig:
         m = self.margin_factor
         if isinstance(m, bool) or not isinstance(m, Real) or not (math.isfinite(m) and m > 0):
             raise ConfigError(f"margin factor must be finite and positive, got {m!r}")
+        if self.workers is not None and not (_is_int(self.workers) and self.workers >= 1):
+            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
         if not isinstance(self.m_policy, str):
             raise ConfigError(f"m policy must be a string, got {self.m_policy!r}")
         self.m_for(int(self.n_list[0]))  # validate the policy string
@@ -103,10 +105,13 @@ class ExperimentConfig:
 
 
 def resolve_workers(requested: int | None) -> int:
+    """The requested worker count (default: every core), capped by FPPLAB_WORKERS."""
     cap = os.environ.get("FPPLAB_WORKERS")
     n = requested if requested else (os.cpu_count() or 1)
     if cap:
-        n = min(n, max(int(cap), 1))
+        if not (cap.strip().isdecimal() and int(cap) >= 1):
+            raise ConfigError(f"FPPLAB_WORKERS must be a positive integer, got {cap!r}")
+        n = min(n, int(cap))
     return max(int(n), 1)
 
 
@@ -438,16 +443,6 @@ class TailFit:
         """Empirical exponential rate (positive for a decaying tail)."""
         return -self.slope
 
-    def summary(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "slope_se": self.slope_se,
-            "points": self.points,
-            "rate": self.rate,
-        }
-
 
 @dataclass
 class TailProfile:
@@ -456,15 +451,6 @@ class TailProfile:
     rows: list
     fit: TailFit | None
     flags: list
-
-    def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "scale": self.scale,
-            "rows": [vars(r) for r in self.rows],
-            "fit": self.fit.summary() if self.fit else None,
-            "flags": list(self.flags),
-        }
 
 
 def _count_ci(k: int, n: int, level: float = 0.95):

@@ -165,10 +165,10 @@ def classify_nearly_gamma(d: Distribution) -> NearlyGammaVerdict:
     direct_pass = interval_ok and continuity_ok and bound_ok
     bound_a = _SAFETY * ratio_max if direct_pass else math.inf
 
-    alpha, alpha_ok = _lower_exponent(d, lo, grid)
+    alpha, alpha_ok = _endpoint_exponent(d, lo, 1)
     if math.isfinite(hi):
         mode = "finite-endpoint"
-        beta, beta_ok = _upper_exponent(d, hi, grid)
+        beta, beta_ok = _endpoint_exponent(d, hi, -1)
         upper_ok = beta_ok
         detail = {"beta": beta}
     else:
@@ -252,27 +252,19 @@ def _diverging_upper_tail(d: Distribution, flags: list) -> bool:
     return s_deep > 0.02 and s_deep > 0.75 * s_shallow
 
 
-def _lower_exponent(d: Distribution, lo: float, grid: np.ndarray) -> tuple[float, bool]:
-    """Fit h(lo + delta) ~ delta^alpha for small delta; need alpha > -1."""
-    scale = max(float(d.quantile(0.5)) - lo, 1e-6)
+def _endpoint_exponent(d: Distribution, end: float, inward: int) -> tuple[float, bool]:
+    """Fit h(end + inward * delta) ~ delta^alpha for small delta; need alpha > -1.
+
+    inward is +1 at the lower support endpoint and -1 at the upper one.
+    """
+    scale = max(abs(float(d.quantile(0.5)) - end), 1e-6)
     delta = np.geomspace(1e-8, 1e-3, 64) * scale
-    vals = np.asarray(d.log_pdf(lo + delta), dtype=float)
+    vals = np.asarray(d.log_pdf(end + inward * delta), dtype=float)
     good = np.isfinite(vals)
     if good.sum() < 8:
         return math.nan, False
     alpha = float(np.polyfit(np.log(delta[good]), vals[good], 1)[0])
     return alpha, alpha > -1.0 + 1e-9
-
-
-def _upper_exponent(d: Distribution, hi: float, grid: np.ndarray) -> tuple[float, bool]:
-    scale = max(hi - float(d.quantile(0.5)), 1e-6)
-    delta = np.geomspace(1e-8, 1e-3, 64) * scale
-    vals = np.asarray(d.log_pdf(hi - delta), dtype=float)
-    good = np.isfinite(vals)
-    if good.sum() < 8:
-        return math.nan, False
-    beta = float(np.polyfit(np.log(delta[good]), vals[good], 1)[0])
-    return beta, beta > -1.0 + 1e-9
 
 
 def _hazard_ratio_test(d: Distribution) -> tuple[bool, dict]:

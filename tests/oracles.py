@@ -195,3 +195,84 @@ def per_edge_v_e_plus(field, dist, result):
         t_b = float(box.solve(w, src)[0][tgt])
         total += dist.p * (max(t_b - result.time, 0.0)) ** 2
     return total
+
+
+def _tensordot_increment(t, axis, p_i):
+    """t - E_i t with np.tensordot and np.expand_dims."""
+    mean = np.tensordot(np.array([1.0 - p_i, p_i]), np.moveaxis(t, axis, 0), axes=(0, 0))
+    return t - np.expand_dims(mean, axis=axis)
+
+
+def fresh_martingale_increments(table):
+    """Doob increments rebuilt from the table values on every call."""
+    t = table.tensor()
+    out = []
+    run = t
+    for j in range(1, table.n + 1):
+        p_j = table.p[j - 1]
+        nxt = np.tensordot(np.array([1.0 - p_j, p_j]), run, axes=(0, 0))
+        v_j = run - nxt[None, ...]
+        lead = (1,) * (j - 1)
+        out.append(np.broadcast_to(v_j.reshape(lead + v_j.shape), t.shape).copy())
+        run = nxt
+    return out
+
+
+def per_call_energy_decomposition(table, i):
+    """(terms, sum of terms, E (D_i f)^2) for one coordinate i, the per-call
+    way: fresh increments and a fresh Kronecker weight vector, each V_j
+    wrapped in its own ProductTable before D_i is applied."""
+    from fpplab import ProductTable
+
+    w = np.ones(1)
+    for pi in table.p:
+        w = np.kron(w, np.array([1.0 - pi, pi]))
+    w = w.reshape((2,) * table.n)
+    terms = []
+    for v in fresh_martingale_increments(table):
+        sub = ProductTable(table.p, v.ravel())
+        dv = _tensordot_increment(sub.tensor(), i - 1, sub.p[i - 1])
+        terms.append(float(np.sum(w * dv * dv)))
+    d = _tensordot_increment(table.tensor(), i - 1, table.p[i - 1])
+    return terms, float(np.sum(terms)), float(np.sum(w * d * d))
+
+
+def averaging_properties_oracle(m):
+    """The exhaustive g_m checks with a bit-by-bit popcount loop, as a dict
+    of the AveragingReport fields they determine."""
+    n = m * m
+    total = 1 << n
+    vals = np.arange(total, dtype=np.int64)
+    weight = np.zeros(total, dtype=np.int64)
+    for b in range(n):
+        weight += (vals >> b) & 1
+    order = np.lexsort((-vals, weight))
+    ranks = np.empty(total, dtype=np.int64)
+    ranks[order] = np.arange(1, total + 1)
+    k = -(-total // m)
+    g = ranks // k
+    diffs = set()
+    flips = 0
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        lo = vals[(vals & bit) == 0]
+        diffs.update(np.unique(g[lo | bit] - g[lo]).tolist())
+        flips += lo.size
+    counts = np.bincount(g, minlength=m + 1)
+    max_meas = counts.max() / total
+    return {
+        "m": m,
+        "n_bits": n,
+        "block_size": k,
+        "gradient_ok": diffs <= {0, 1},
+        "gradient_values": sorted(int(v) for v in diffs),
+        "bijection_ok": np.unique(ranks).size == total,
+        "monotone_in_weight_ok": bool(np.all(np.diff(weight[np.argsort(ranks)]) >= 0)),
+        "level_nondecreasing_ok": bool(np.all(np.diff(g[np.argsort(ranks)]) >= 0)),
+        "level_counts": [int(c) for c in counts],
+        "max_level_measure": float(max_meas),
+        "c_implied": float(max_meas * m),
+        "level_bound_ok": bool(max_meas <= 4.0 / m),
+        "checked_strings": total,
+        "checked_flips": flips,
+    }

@@ -8,6 +8,7 @@ from scipy import stats
 import fpplab as F
 from fpplab import DomainError, ResourceGuardError
 from fpplab.averaging import weight_reverse_lex_rank
+from oracles import averaging_properties_oracle
 
 
 def test_rank_endpoints():
@@ -193,3 +194,11 @@ def test_levels_calls_level_once_per_row(rng, monkeypatch):
     got = am.levels(bits)
     assert got.dtype == np.int64 and got.tolist() == want
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_verify_averaging_properties_matches_loop_popcount_oracle(m):
+    rep = F.verify_averaging_properties(m)
+    expected = averaging_properties_oracle(m)
+    assert {k: getattr(rep, k) for k in expected} == expected
+    assert np.array_equal(rep.level_counts, np.bincount(F.AveragingMap(m).level_table(), minlength=m + 1))

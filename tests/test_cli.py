@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -255,3 +256,46 @@ def test_report_from_rejects_config_values_it_used_to_coerce(key, value, tmp_pat
     assert _run(["report", "--from", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("fpplab: ") and str(bad) in err
+
+
+@pytest.mark.parametrize("cap", ("abc", "0", "-2"))
+def test_simulate_bad_worker_env_exits_2_before_sampling(cap, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FPPLAB_WORKERS", cap)
+    _forbid_sampling(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["simulate", "--dist", "exp:rate=1", "--n", "4", "--replicas", "4", "--out", str(out)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and "FPPLAB_WORKERS" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ("-3", "0"))
+def test_simulate_non_positive_workers_exit_2_before_sampling(workers, tmp_path, monkeypatch,
+                                                              capsys):
+    _forbid_sampling(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["simulate", "--dist", "exp:rate=1", "--n", "4", "--replicas", "4",
+            "--workers", workers, "--out", str(out)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and "workers" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["truncate-check", "--dist", "exp:rate=1", "--k", "10", "--c5", "inf"],
+        ["truncate-check", "--dist", "exp:rate=1", "--k", "10", "--c5", "1e308"],
+        ["classify", "--dist", "trunc(exp:rate=1;k=10,c5=1e308)"],
+    ),
+)
+def test_overflowing_truncation_scale_exits_2_naming_c5(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from an infinite grid
+        assert _run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and "c5" in err and "non-finite" not in err
+    assert not out.exists()

@@ -221,6 +221,26 @@ def test_truncate_custom_bump_and_validation():
         F.truncate(F.parse_spec("bernoulli:a=1,b=2,p=0.5"), 50, 1.0)
 
 
+@pytest.mark.parametrize(
+    "k,c5",
+    ((10, math.inf), (10, math.nan), (10, 1e308), (2, 1.25e308)),  # 2.1 c5 log 2 overflows
+)
+def test_truncate_rejects_non_finite_or_overflowing_scale(k, c5):
+    with pytest.raises(DomainError, match="c5"):
+        F.truncate(F.parse_spec("exp:rate=1"), k, c5)
+
+
+def test_truncate_accepts_the_largest_scale_whose_grid_fits():
+    nu = F.truncate(F.parse_spec("exp:rate=1"), 2, 1e308)
+    assert math.isfinite(1.05 * nu.top)
+    assert nu.domination_check(50)[2]
+
+
+def test_trunc_spec_rejects_an_overflowing_cut():
+    with pytest.raises(DomainError, match="c5"):
+        F.parse_spec("trunc(exp:rate=1;k=10,c5=1e308)")
+
+
 def test_truncated_quantile_accuracy_in_bump_region():
     base = F.parse_spec("exp:rate=1")
     nu = F.truncate(base, 10, 0.5)  # cut = 1.15, real mass beyond it

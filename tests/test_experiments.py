@@ -40,6 +40,36 @@ def test_config_rejects_non_integer_replicas():
     assert F.ExperimentConfig(dist_spec="exp:rate=1", replicas=np.int64(10)).replicas == 10
 
 
+@pytest.mark.parametrize("workers", (0, -3, 2.5, 2.0, "2", True))
+def test_config_rejects_workers_that_are_not_positive_integers(workers):
+    with pytest.raises(ConfigError, match="workers"):
+        F.ExperimentConfig(dist_spec="exp:rate=1", workers=workers)
+
+
+def test_config_accepts_positive_integer_workers():
+    assert F.ExperimentConfig(dist_spec="exp:rate=1", workers=None).workers is None
+    assert F.ExperimentConfig(dist_spec="exp:rate=1", workers=np.int64(3)).workers == 3
+
+
+@pytest.mark.parametrize("cap", ("abc", "0", "-1", "2.5", "²"))
+def test_resolve_workers_rejects_a_bad_environment_cap(cap, monkeypatch):
+    from fpplab.experiments import resolve_workers
+
+    monkeypatch.setenv("FPPLAB_WORKERS", cap)
+    with pytest.raises(ConfigError, match="FPPLAB_WORKERS"):
+        resolve_workers(2)
+
+
+def test_resolve_workers_applies_the_environment_cap(monkeypatch):
+    from fpplab.experiments import resolve_workers
+
+    monkeypatch.setenv("FPPLAB_WORKERS", " 3 ")
+    assert resolve_workers(8) == 3
+    assert resolve_workers(2) == 2
+    monkeypatch.setenv("FPPLAB_WORKERS", "")
+    assert resolve_workers(5) == 5
+
+
 def test_m_policy():
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", m_policy="auto")
     assert cfg.m_for(100) == 4

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import fpplab as F
-from fpplab import DomainError, ResourceGuardError, UnsupportedParameterError
+from fpplab import DomainError, ResourceGuardError, UnsupportedParameterError, funcineq
 
-from oracles import martingale_increments_oracle
+from oracles import martingale_increments_oracle, per_call_energy_decomposition
 
 
 def test_entropy_constant_is_zero():
@@ -145,6 +145,67 @@ def test_random_suite_all_pass():
     # worst-table echo is a lossless hex dump of the values
     vals = np.frombuffer(bytes.fromhex(rep.worst["values_hex"]), dtype="<f8")
     assert np.array_equal(vals, np.asarray(rep.worst["values"]))
+
+
+def _suite_sample(n_tables, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return list(funcineq._suite_tables(n_tables, (12, 5, 9), (0.1, 0.5, 0.9), rng))
+
+
+def test_energy_decomposition_matches_per_call_oracle_bit_for_bit():
+    tables = [t for _, t in _suite_sample(60, 20240917)]
+    assert any(t.n == 12 for t in tables)
+    assert any(np.unique(t.p).size > 1 for t in tables)
+    for t in tables:
+        for i in range(1, t.n + 1):
+            terms, lhs, rhs = per_call_energy_decomposition(t, i)
+            dec = F.verify_energy_decomposition(t, i)
+            assert dec.lhs_terms == terms, (t.n, list(t.p), i)
+            assert (dec.lhs, dec.rhs) == (lhs, rhs), (t.n, list(t.p), i)
+
+
+def test_cached_weights_and_increments_are_read_only(rng):
+    p = np.array([0.2, 0.5, 0.7])
+    vals = rng.random(8)
+    t = F.ProductTable(p, vals)
+    p[0], vals[0] = 0.9, 5.0  # the table keeps its own copies
+    assert t.p[0] == 0.2 and t.values[0] != 5.0
+    for a in (t.p, t.values):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    assert t.weights() is t.weights()
+    with pytest.raises(ValueError):
+        t.weights()[0] = 1.0
+    with pytest.raises(ValueError):
+        t.weight_tensor()[0, 0, 0] = 1.0
+    vs = F.martingale_increments(t)
+    assert all(a is b for a, b in zip(vs, F.martingale_increments(t)))
+    for v in vs:
+        with pytest.raises(ValueError):
+            v[...] = 0.0
+    vs.clear()  # the returned list is the caller's own
+    assert len(F.martingale_increments(t)) == 3
+
+
+def test_suite_table_computes_its_increments_once(monkeypatch):
+    calls = []
+    real = funcineq._doob_increments
+
+    def counting(table):
+        calls.append(table)
+        return real(table)
+
+    monkeypatch.setattr(funcineq, "_doob_increments", counting)
+    rep = F.run_random_suite(n_tables=40, ns=(2, 6, 9), seed=5)
+    assert rep.tables == 40 and rep.violations == 0
+    assert len(calls) == 40
+    assert len({id(t) for t in calls}) == 40
+
+
+@pytest.mark.parametrize("mode", ("first", "alll", "", None))
+def test_random_suite_checks_every_energy_coordinate(mode):
+    with pytest.raises(DomainError, match="energy_coordinates"):
+        F.run_random_suite(n_tables=3, ns=(3,), energy_coordinates=mode)
 
 
 # ---------------------------------------------------------------------------
