@@ -22,6 +22,10 @@ import numpy as np
 from .errors import DomainError, ResourceGuardError
 
 _EXHAUSTIVE_M_CAP = 4  # 2^(4^2) = 65536 table rows; m = 5 would be 33.5M
+# The rank table is compared with the combinadic rank string by string: on
+# every string when there are at most this many (m <= 3), else on a seeded
+# sample of this size (m = 4, where all 65536 would take most of a second).
+_RANK_CHECK_SAMPLE = 4096
 
 
 def _coerce_bits(x, expected_len: int | None = None) -> np.ndarray:
@@ -157,6 +161,7 @@ class AveragingReport:
     gradient_ok: bool
     gradient_values: list
     bijection_ok: bool
+    bijection_checked_strings: int
     monotone_in_weight_ok: bool
     level_nondecreasing_ok: bool
     level_counts: list
@@ -195,8 +200,18 @@ def verify_averaging_properties(m: int) -> AveragingReport:
         diffs.update(np.unique(d).tolist())
     gradient_ok = diffs <= {0, 1}
 
-    # rank bijection and orderings over the full space
-    bijection_ok = np.unique(ranks).size == vals.size
+    # the rank table against the combinadic rank, a bijection onto 1..2^n
+    if vals.size <= _RANK_CHECK_SAMPLE:
+        compared = vals
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence((m, 0xB17EC7)))
+        compared = np.sort(rng.choice(vals.size, size=_RANK_CHECK_SAMPLE, replace=False))
+    bijection_ok = all(
+        weight_reverse_lex_rank(format(v, f"0{n}b")) == r
+        for v, r in zip(compared.tolist(), ranks[compared].tolist())
+    )
+
+    # orderings over the full space
     by_rank = np.argsort(ranks)
     monotone_ok = bool(np.all(np.diff(weight[by_rank]) >= 0))
     level_nondecreasing = bool(np.all(np.diff(g[by_rank]) >= 0))
@@ -210,7 +225,8 @@ def verify_averaging_properties(m: int) -> AveragingReport:
         block_size=amap.block_size,
         gradient_ok=bool(gradient_ok),
         gradient_values=sorted(int(v) for v in diffs),
-        bijection_ok=bool(bijection_ok),
+        bijection_ok=bijection_ok,
+        bijection_checked_strings=int(compared.size),
         monotone_in_weight_ok=monotone_ok,
         level_nondecreasing_ok=level_nondecreasing,
         level_counts=[int(c) for c in counts],

@@ -546,12 +546,17 @@ class Truncated(Distribution):
     def _tail_quantile(self, u):
         lo = np.full(u.shape, self.cut)
         hi = np.full(u.shape, self.top)
-        # bisection is branch-free and robust to flat spots of the bump
+        # bisection is branch-free and robust to flat spots of the bump; a
+        # round that moves neither end is a fixed point, so stopping there
+        # gives the bits of the full 100 rounds (it comes at about round 53)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             below = self._cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
+            new_lo = np.where(below, mid, lo)
+            new_hi = np.where(below, hi, mid)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
         return 0.5 * (lo + hi)
 
     def domination_check(self, grid_points: int = 10_000) -> tuple[float, float, bool]:

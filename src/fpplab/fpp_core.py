@@ -2,8 +2,11 @@
 
 A LatticeBox indexes the vertices and edges of an axis-aligned box in Z^d
 (d = 2 or 3) once; weight fields and shortest-path solves then reuse that
-structure. Distances are exact Dijkstra runs on the compiled sparse-graph
-backend, with deterministic outputs for a fixed (spec, seed, replica).
+structure. Distances are exact Dijkstra runs, by a small C kernel compiled
+once per machine (scipy's csgraph when no compiler is present), with
+deterministic outputs for a fixed (spec, seed, replica). The geodesic is a
+function of the distances and weights alone, so it does not depend on how
+the solver broke ties.
 
 Single-edge perturbations exploit the breakpoint structure of the passage
 time: as a function of one edge weight y it is min(t0 + y, t_inf), where
@@ -18,7 +21,14 @@ and derivative checks are then closed-form arithmetic.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -32,6 +42,60 @@ from .distributions import Distribution, parse_spec
 from .errors import DomainError, UnsupportedKindError, UnsupportedParameterError
 
 TIE_REL_TOL = 1e-12
+_KERNEL_SOURCE = Path(__file__).with_name("_dijkstra.c")
+
+
+def _load_kernel():
+    """The compiled `fpp_dijkstra`, or None without a compiler or if the
+    build fails; LatticeBox.solve then runs scipy.
+
+    The library is cached per user, named by the machine type and the hash
+    of the source. The first import on a machine compiles it into a
+    temporary file next to that name and moves it into place, so
+    concurrent first imports do not race; later imports only load it.
+    """
+    try:
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+        digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()
+        lib = cache / "fpplab" / f"dijkstra-{platform.machine()}-{digest}.so"
+        if not lib.exists():
+            cc = shutil.which("cc") or shutil.which("gcc")
+            if cc is None:
+                return None
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".tmp")
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(_KERNEL_SOURCE)],
+                    check=True,
+                    capture_output=True,
+                )
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).fpp_dijkstra
+    except (OSError, RuntimeError, subprocess.CalledProcessError):
+        return None
+    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    fn.argtypes = [ctypes.c_int32, i32, i32, i32, f64, ctypes.c_int32, f64, i32]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_KERNEL = _load_kernel()
+
+
+def _scipy_solve(box: LatticeBox, weights: np.ndarray, source_index: int):
+    """LatticeBox.solve by scipy's csgraph: the fallback and the test oracle."""
+    data = weights[box.data_perm]
+    graph = csr_matrix(
+        (data, box._csr_indices, box._csr_indptr),
+        shape=(box.n_vertices, box.n_vertices),
+    )
+    return dijkstra(graph, directed=True, indices=source_index, return_predecessors=True)
 
 
 class LatticeBox:
@@ -80,7 +144,7 @@ class LatticeBox:
 
         rows = np.concatenate([self.edge_u, self.edge_v])
         cols = np.concatenate([self.edge_v, self.edge_u])
-        eids = np.concatenate([np.arange(self.n_edges), np.arange(self.n_edges)])
+        eids = np.tile(np.arange(self.n_edges, dtype=np.int32), 2)
         order = np.lexsort((cols, rows))
         self._csr_indptr = np.searchsorted(
             rows[order], np.arange(self.n_vertices + 1)
@@ -136,15 +200,27 @@ class LatticeBox:
 
     # solving -------------------------------------------------------------
     def solve(self, weights: np.ndarray, source_index: int):
-        """Full single-source Dijkstra; returns (dist, predecessors)."""
-        data = weights[self.data_perm]
-        graph = csr_matrix(
-            (data, self._csr_indices, self._csr_indptr),
-            shape=(self.n_vertices, self.n_vertices),
+        """Full single-source Dijkstra; returns (dist float64, pred int32).
+
+        As scipy's dijkstra: pred is -9999 at the source and at unreachable
+        vertices, where dist is inf.
+        """
+        if _KERNEL is None:
+            return _scipy_solve(self, weights, source_index)
+        w = np.ascontiguousarray(weights, dtype=np.float64)
+        if w.shape != (self.n_edges,):
+            raise DomainError(f"expected {self.n_edges} edge weights, got shape {w.shape}")
+        if not 0 <= source_index < self.n_vertices:
+            raise DomainError("source vertex index out of range")
+        dist = np.empty(self.n_vertices)
+        pred = np.empty(self.n_vertices, dtype=np.int32)
+        status = _KERNEL(
+            self.n_vertices, self._csr_indptr, self._csr_indices, self.data_perm,
+            w, int(source_index), dist, pred,
         )
-        return dijkstra(
-            graph, directed=True, indices=source_index, return_predecessors=True
-        )
+        if status != 0:
+            raise MemoryError("Dijkstra kernel could not allocate its heap")
+        return dist, pred
 
     def __eq__(self, other):
         return (
@@ -169,6 +245,8 @@ class WeightField:
     dist_spec: str
     master_seed: int
     replica: int
+    # the parsed dist_spec; generate() passes the law it sampled from
+    _law: Distribution | None = dataclass_field(default=None, repr=False, compare=False)
 
     @classmethod
     def generate(
@@ -185,10 +263,13 @@ class WeightField:
             dist_spec=dist.spec_string(),
             master_seed=int(master_seed),
             replica=int(replica),
+            _law=dist,
         )
 
     def distribution(self) -> Distribution:
-        return parse_spec(self.dist_spec)
+        if self._law is None:
+            self._law = parse_spec(self.dist_spec)
+        return self._law
 
     def export(self, path_prefix) -> tuple[Path, Path]:
         """Flat little-endian float64 in edge order plus a JSON sidecar."""
@@ -233,52 +314,54 @@ class GeodesicResult:
         return int(self.edge_ids.size)
 
 
-def _reconstruct(box: LatticeBox, pred: np.ndarray, src: int, tgt: int):
-    verts = [tgt]
-    v = tgt
-    while v != src:
-        u = int(pred[v])
-        if u < 0:
-            raise DomainError("target unreachable (disconnected weights?)")
-        verts.append(u)
-        v = u
-    verts.reverse()
-    eids = np.empty(len(verts) - 1, dtype=np.int64)
-    for i in range(len(verts) - 1):
-        a, b = verts[i], verts[i + 1]
-        lo_v, hi_v = (a, b) if a < b else (b, a)
-        axis = int(np.nonzero(box.strides == (hi_v - lo_v))[0][0])
-        eids[i] = box._eid_lookup[lo_v * box.d + axis]
-    return np.asarray(verts, dtype=np.int64), eids
+def _canonical_walk(box: LatticeBox, weights, dist, src: int, tgt: int) -> np.ndarray:
+    """The canonical geodesic, walked back from the target, source first.
 
-
-def _count_ties(
-    box: LatticeBox,
-    weights: np.ndarray,
-    dist: np.ndarray,
-    pred: np.ndarray,
-    path_vertices: np.ndarray,
-    time: float,
-) -> int:
-    """Alternative optimal in-edges at path vertices.
-
-    A second geodesic must rejoin the returned one somewhere, and at the
-    rejoin vertex two in-edges both achieve the optimal distance, so this
-    scan detects every multiplicity.
+    Each step takes the smallest-index neighbour u with dist[u] + w ==
+    dist[v] that the walk has not visited yet, so the path depends on dist
+    and the weights only, never on how the solver broke ties. On zero-weight
+    plateaus the walk can run into a dead end; it then backs up a step, so
+    it is a depth-first search over the tight arcs and always reaches the
+    source. Scalar reads: a step looks at 2d arcs, too few for array calls.
     """
-    tol = TIE_REL_TOL * max(time, 1.0)
-    ties = 0
-    indptr, indices = box._csr_indptr, box._csr_indices
-    for t in path_vertices[1:]:
-        t = int(t)
-        best = dist[t]
-        for jj in range(indptr[t], indptr[t + 1]):
-            u = int(indices[jj])
-            if u == int(pred[t]):
-                continue
-            if dist[u] + weights[box.data_perm[jj]] <= best + tol:
-                ties += 1
-    return ties
+    indptr, nbr, eid = box._csr_indptr.item, box._csr_indices.item, box.data_perm.item
+    d, w = dist.item, weights.item
+    path = [tgt]
+    seen = {tgt}
+    while path[-1] != src:
+        v = path[-1]
+        dv = d(v)
+        for j in range(indptr(v), indptr(v + 1)):
+            u = nbr(j)
+            if u not in seen and d(u) + w(eid(j)) == dv:
+                seen.add(u)
+                path.append(u)
+                break
+        else:
+            path.pop()
+    return np.asarray(path[::-1], dtype=np.int64)
+
+
+def _path_scan(box: LatticeBox, weights, dist, verts: np.ndarray, tol: float):
+    """Edge ids of a path and its tie count, from one gather over the arcs
+    into every path vertex after the source.
+
+    A tie is an in-arc other than the path's own that reaches a path vertex
+    within tol of its distance. A second geodesic must rejoin the path
+    somewhere, and at the rejoin vertex two in-arcs both achieve the
+    optimal distance, so the count detects every multiplicity.
+    """
+    heads, tails = verts[1:], verts[:-1]
+    start = box._csr_indptr[heads]
+    k = np.arange(2 * box.d)
+    valid = k < (box._csr_indptr[heads + 1] - start)[:, None]
+    slots = start[:, None] + np.where(valid, k, 0)
+    nbrs = box._csr_indices[slots]
+    reach = dist[nbrs] + weights[box.data_perm[slots]]
+    ties = int(np.count_nonzero(valid & (reach <= dist[heads][:, None] + tol))) - heads.size
+    step = (nbrs == tails[:, None]).argmax(axis=1)
+    eids = box.data_perm[slots[np.arange(heads.size), step]].astype(np.int64)
+    return eids, ties
 
 
 def passage_time(field: WeightField, u, v) -> GeodesicResult:
@@ -288,14 +371,12 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
     tgt = box.vertex_index(v)
     dist, pred = box.solve(field.weights, src)
     time = float(dist[tgt])
-    if src == tgt:
-        verts = np.array([src], dtype=np.int64)
-        eids = np.empty(0, dtype=np.int64)
-    else:
-        verts, eids = _reconstruct(box, pred, src, tgt)
+    if not math.isfinite(time):
+        raise DomainError("target unreachable (disconnected weights?)")
+    verts = _canonical_walk(box, field.weights, dist, src, tgt)
+    eids, ties = _path_scan(box, field.weights, dist, verts, TIE_REL_TOL * max(time, 1.0))
     bitset = np.zeros(box.n_edges, dtype=bool)
     bitset[eids] = True
-    ties = _count_ties(box, field.weights, dist, pred, verts, time)
     coords = np.stack(np.unravel_index(verts, box.shape), axis=1) + np.asarray(box.lo)
     return GeodesicResult(
         source=tuple(int(c) for c in u),

@@ -18,6 +18,7 @@ sqrt(x) gradient weight, uniform on [0,1]) are checked by quadrature.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -383,28 +384,24 @@ class SuiteReport:
 
 
 def _suite_tables(n_tables: int, ns, ps, rng: np.random.Generator):
-    """Random tables plus the adversarial families on every (n, p) cell."""
-    ns = list(ns)
-    ps = list(ps)
-    made = 0
+    """The first n_tables of the suite population: the adversarial families
+    on every (n, p) cell, then random tables."""
+    return itertools.islice(_suite_population(list(ns), list(ps), rng), n_tables)
+
+
+def _suite_population(ns, ps, rng: np.random.Generator):
     for n in ns:
         for p in ps:
             yield "dictator", ProductTable.dictator(n, p, 1)
-            made += 1
             yield "parity", ProductTable.parity(n, p)
-            made += 1
             yield "ball", ProductTable.hamming_ball(n, p, max(n // 3, 0))
-            made += 1
-            if made >= n_tables:
-                return
-    while made < n_tables:
+    while True:
         n = int(rng.choice(ns))
         p_scalar = float(rng.choice(ps))
         p = np.full(n, p_scalar)
         if rng.random() < 0.3:
             p = np.asarray(rng.choice(ps, size=n), dtype=float)
         yield "random", ProductTable.random(n, p, rng)
-        made += 1
 
 
 def run_random_suite(
@@ -425,6 +422,8 @@ def run_random_suite(
         raise DomainError(
             f'energy_coordinates must be "all", got {energy_coordinates!r}'
         )
+    if n_tables < 1:
+        raise DomainError(f"the suite needs at least one table, got {n_tables}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mp_min = math.inf
     fs_min = math.inf

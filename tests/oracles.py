@@ -276,3 +276,49 @@ def averaging_properties_oracle(m):
         "checked_strings": total,
         "checked_flips": flips,
     }
+
+
+def truncated_tail_quantile_100_rounds(nu, u):
+    """Truncated._tail_quantile as a fixed 100-round bisection, never
+    stopping early."""
+    lo = np.full(u.shape, nu.cut)
+    hi = np.full(u.shape, nu.top)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = nu._cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def path_weight(box, weights, path):
+    """Left-to-right weight sum of a vertex-coordinate path, checking that
+    consecutive vertices are lattice neighbours."""
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+        step = np.asarray(b) - np.asarray(a)
+        assert np.abs(step).sum() == 1, (a, b)
+        lo_c = min(a, b)
+        total += weights[box.edge_id(lo_c, int(np.flatnonzero(step)[0]))]
+    return total
+
+
+def loop_tie_count(box, weights, dist, path_coords, time, rel_tol):
+    """The tie count by a double loop: in-arcs, other than the path's own,
+    that reach a path vertex within rel_tol * max(time, 1) of its distance."""
+    tol = rel_tol * max(time, 1.0)
+    ties = 0
+    for prev, here in zip(path_coords, path_coords[1:]):
+        here = tuple(int(c) for c in here)
+        best = dist[box.vertex_index(here)]
+        for ax in range(box.d):
+            for step in (-1, 1):
+                c = list(here)
+                c[ax] += step
+                if not box.contains(c) or tuple(c) == tuple(int(x) for x in prev):
+                    continue
+                w = weights[box.edge_id(min(tuple(c), here), ax)]
+                if dist[box.vertex_index(c)] + w <= best + tol:
+                    ties += 1
+    return ties

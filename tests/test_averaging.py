@@ -202,3 +202,21 @@ def test_verify_averaging_properties_matches_loop_popcount_oracle(m):
     expected = averaging_properties_oracle(m)
     assert {k: getattr(rep, k) for k in expected} == expected
     assert np.array_equal(rep.level_counts, np.bincount(F.AveragingMap(m).level_table(), minlength=m + 1))
+
+
+@pytest.mark.parametrize("m, compared", ((2, 16), (3, 512), (4, 4096)))
+def test_bijection_compares_the_rank_table_with_the_combinadic(m, compared, monkeypatch):
+    rep = F.verify_averaging_properties(m)
+    assert rep.bijection_ok and rep.bijection_checked_strings == compared
+
+    # a table listing each weight class in ascending value order is still a
+    # permutation, but it is not the weight-reverse-lex rank
+    def ascending(n):
+        vals = np.arange(1 << n, dtype=np.int64)
+        weight = np.bitwise_count(vals).astype(np.int64)
+        ranks = np.empty(vals.size, dtype=np.int64)
+        ranks[np.lexsort((vals, weight))] = np.arange(1, vals.size + 1)
+        return weight, ranks
+
+    monkeypatch.setattr(F.averaging, "_rank_table", ascending)
+    assert not F.verify_averaging_properties(m).bijection_ok

@@ -54,6 +54,26 @@ def test_verify_ineq_stdout(capsys):
     assert doc["version"]
 
 
+def test_verify_ineq_checks_exactly_the_requested_tables(capsys):
+    rc = _run(["verify-ineq", "--n", "3", "--p", "0.5", "--tables", "2"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["tables"] == 2 == sum(doc["result"]["families"].values())
+
+
+@pytest.mark.parametrize("tables", ("0", "-1"))
+def test_verify_ineq_without_tables_is_a_config_error(tables, capsys, monkeypatch):
+    from fpplab import funcineq
+
+    def no_table_work(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(funcineq, "_suite_population", no_table_work)
+    rc = _run(["verify-ineq", "--n", "3", "--p", "0.5", "--tables", tables])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_classify_verdict(tmp_path):
     out = tmp_path / "verdict.json"
     rc = _run(["classify", "--dist", "gamma:a=1,b=1", "--out", str(out)])

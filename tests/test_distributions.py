@@ -8,6 +8,7 @@ from scipy import integrate, stats
 import fpplab as F
 from fpplab import DomainError, UnsupportedKindError
 from fpplab.distributions import CallableBump, HatBump
+from oracles import truncated_tail_quantile_100_rounds
 
 
 CONTINUOUS_SPECS = [
@@ -453,3 +454,18 @@ def test_domination_check_matches_a_direct_grid():
     assert support_ok
     with pytest.raises(DomainError):
         nu.domination_check(1)
+
+
+@pytest.mark.parametrize(
+    "spec", ("trunc(exp:rate=1;k=10,c5=0.5)", "trunc(gamma:a=2,b=1;k=50,c5=1)")
+)
+def test_truncated_tail_bisection_stops_at_its_fixed_point_bit_for_bit(spec):
+    nu = F.parse_spec(spec)
+    h_cut = float(nu.base.cdf(nu.cut))
+    rng = np.random.default_rng(5)
+    u = np.concatenate([
+        h_cut + (1.0 - h_cut) * rng.random(2000),
+        [np.nextafter(h_cut, 1.0), 0.5 * (1.0 + h_cut), np.nextafter(1.0, 0.0), 1.0],
+    ])
+    got = nu._tail_quantile(u)
+    assert got.tobytes() == truncated_tail_quantile_100_rounds(nu, u).tobytes()

@@ -328,6 +328,26 @@ def test_v_e_plus_bound_on_random_fields():
         assert val <= (dist.b - dist.a) ** 2 / dist.a * res.time + 1e-12
 
 
+def test_field_keeps_its_parsed_law(monkeypatch):
+    box = F.LatticeBox((0, 0), (4, 4))
+    dist = F.parse_spec("bernoulli:a=1,b=2,p=0.5")
+    field = F.WeightField.generate(box, dist, 3, 0)
+    parses = []
+    real = F.fpp_core.parse_spec
+
+    def counting(spec):
+        parses.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(F.fpp_core, "parse_spec", counting)
+    F.v_e_plus_bernoulli(field, (0, 0), (4, 4))
+    assert field.distribution() is dist and parses == []
+    # a field built by hand parses its spec once, on first use
+    plain = F.WeightField(box, np.full(box.n_edges, 2.0), "dirac:c=2", 0, 0)
+    assert plain.distribution() is plain.distribution()
+    assert plain.distribution().c == 2.0 and parses == ["dirac:c=2"]
+
+
 def test_v_e_plus_parameter_guards():
     box = F.LatticeBox((0, 0), (2, 1))
     f_zero = F.WeightField(box, np.ones(box.n_edges), "bernoulli:a=0,b=1,p=0.5", 0, 0)

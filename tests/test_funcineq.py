@@ -202,6 +202,19 @@ def test_suite_table_computes_its_increments_once(monkeypatch):
     assert len({id(t) for t in calls}) == 40
 
 
+@pytest.mark.parametrize("n_tables", (1, 2, 4, 5))
+def test_suite_stops_at_n_tables_inside_an_adversarial_cell(n_tables):
+    rep = F.run_random_suite(n_tables=n_tables, ns=(3,), ps=(0.5,))
+    assert rep.tables == n_tables == sum(rep.families.values())
+    assert rep.families.get("random", 0) == max(n_tables - 3, 0)
+
+
+@pytest.mark.parametrize("n_tables", (0, -2))
+def test_suite_needs_a_table(n_tables):
+    with pytest.raises(DomainError, match="at least one table"):
+        F.run_random_suite(n_tables=n_tables, ns=(3,), ps=(0.5,))
+
+
 @pytest.mark.parametrize("mode", ("first", "alll", "", None))
 def test_random_suite_checks_every_energy_coordinate(mode):
     with pytest.raises(DomainError, match="energy_coordinates"):

@@ -1,0 +1,207 @@
+"""The compiled Dijkstra behind LatticeBox.solve against scipy's csgraph, and
+the canonical geodesic, which must not depend on the solver."""
+
+import shutil
+
+import numpy as np
+import pytest
+
+import fpplab as F
+from fpplab import fpp_core, reporting
+from oracles import brute_force_passage_time, loop_tie_count, path_weight
+
+LAWS = (
+    "exp:rate=1",
+    "gamma:a=2,b=1",
+    "bernoulli:a=1,b=2,p=0.5",
+    "dirac:c=0",
+    "uniform:lo=0,hi=1",
+)
+BOXES = (((-12, -6), (24, 6)), ((-4, -3, -3), (9, 3, 3)))
+TWO_POINT = "bernoulli:a=1,b=2,p=0.5"
+
+needs_kernel = pytest.mark.skipif(
+    fpp_core._KERNEL is None, reason="no C compiler: LatticeBox.solve runs on scipy"
+)
+
+
+def _scipy_passage_time(monkeypatch, field, u, v):
+    with monkeypatch.context() as mp:
+        mp.setattr(fpp_core, "_KERNEL", None)
+        return F.passage_time(field, u, v)
+
+
+def test_compiled_backend_loads_when_a_compiler_is_present():
+    if shutil.which("cc") or shutil.which("gcc"):
+        assert fpp_core._KERNEL is not None
+
+
+def test_kernel_builds_into_the_user_cache_or_falls_back(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    if shutil.which("cc") or shutil.which("gcc"):
+        assert fpp_core._load_kernel() is not None
+        built = list((tmp_path / "fpplab").iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"
+        assert fpp_core._load_kernel() is not None  # loads the cached build
+        assert list((tmp_path / "fpplab").iterdir()) == built
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "none"))
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    assert fpp_core._load_kernel() is None
+    assert not (tmp_path / "none").exists()
+
+
+@needs_kernel
+@pytest.mark.parametrize("lohi", BOXES)
+@pytest.mark.parametrize("spec", LAWS)
+def test_compiled_dist_is_scipy_dist_byte_for_byte(spec, lohi):
+    box = F.LatticeBox(*lohi)
+    law = F.parse_spec(spec)
+    sources = (box.vertex_index(box.lo), box.vertex_index((0,) * box.d))
+    vertices = np.arange(box.n_vertices)
+    for rep in range(4):
+        w = F.WeightField.generate(box, law, 31, rep).weights
+        for src in sources:
+            dist, pred = box.solve(w, src)
+            ref, _ = fpp_core._scipy_solve(box, w, src)
+            assert dist.dtype == ref.dtype and dist.tobytes() == ref.tobytes()
+            assert pred.dtype == np.int32 and pred[src] == -9999
+            # every tree arc is tight, and every tree path ends at the source
+            v = vertices[vertices != src]
+            u = pred[v].astype(np.int64)
+            axis = np.argmax(np.abs(v - u)[:, None] == box.strides, axis=1)
+            eid = box._eid_lookup[np.minimum(u, v) * box.d + axis]
+            assert np.array_equal(dist[u] + w[eid], dist[v])
+            up = pred.astype(np.int64)
+            up[src] = src
+            for _ in range(box.n_vertices.bit_length()):
+                up = up[up]
+            assert np.all(up == src)
+
+
+@needs_kernel
+def test_canonical_geodesic_does_not_depend_on_the_solver(monkeypatch):
+    box = F.LatticeBox((-10, -10), (30, 10))
+    law = F.parse_spec(TWO_POINT)
+    probes = box.edges_near((0, 0), 1)
+    src, tgt = box.vertex_index((0, 0)), box.vertex_index((20, 0))
+    scipy_tree_differs = 0
+    for rep in range(20):
+        field = F.WeightField.generate(box, law, 8, rep)
+        ours = F.passage_time(field, (0, 0), (20, 0))
+        theirs = _scipy_passage_time(monkeypatch, field, (0, 0), (20, 0))
+        assert ours.time == theirs.time
+        assert np.array_equal(ours.path, theirs.path)
+        assert np.array_equal(ours.edge_ids, theirs.edge_ids)
+        assert ours.ties == theirs.ties and ours.unique == theirs.unique
+        assert np.array_equal(ours.edge_bitset[probes], theirs.edge_bitset[probes])
+        tree = [tgt]
+        while tree[-1] != src:
+            tree.append(int(theirs.source_pred[tree[-1]]))
+        canonical = (ours.path - np.asarray(box.lo)) @ box.strides
+        scipy_tree_differs += not np.array_equal(tree[::-1], canonical)
+    # scipy's own tree path is often not the canonical one on a two-point law
+    assert scipy_tree_differs >= 5
+
+
+def test_each_step_comes_from_the_smallest_index_tight_neighbour():
+    box = F.LatticeBox((-6, -6), (16, 6))
+    law = F.parse_spec(TWO_POINT)
+    for rep in range(10):
+        field = F.WeightField.generate(box, law, 12, rep)
+        res = F.passage_time(field, (0, 0), (10, 3))
+        dist = res.source_dist
+        for prev, here in zip(res.path, res.path[1:]):
+            v = box.vertex_index(tuple(here))
+            tight = []
+            for ax in range(box.d):
+                for step in (-1, 1):
+                    c = list(here)
+                    c[ax] += step
+                    if not box.contains(c):
+                        continue
+                    w = field.weights[box.edge_id(min(tuple(c), tuple(here)), ax)]
+                    u = box.vertex_index(c)
+                    if dist[u] + w == dist[v]:
+                        tight.append(u)
+            assert box.vertex_index(tuple(prev)) == min(tight)
+
+
+@pytest.mark.parametrize("spec", ("exp:rate=1", TWO_POINT, "dirac:c=1", "dirac:c=0"))
+def test_tie_count_matches_the_double_loop(spec):
+    box = F.LatticeBox((-5, -5, -2), (12, 5, 2))
+    law = F.parse_spec(spec)
+    for rep in range(6):
+        field = F.WeightField.generate(box, law, 21, rep)
+        res = F.passage_time(field, (0, 0, 0), (8, 3, 1))
+        assert res.ties == loop_tie_count(
+            box, field.weights, res.source_dist, res.path, res.time, F.fpp_core.TIE_REL_TOL
+        )
+
+
+@pytest.mark.parametrize("spec", ("exp:rate=1", TWO_POINT, "dirac:c=0", "uniform:lo=0,hi=1"))
+def test_canonical_path_is_optimal_on_tiny_boxes(spec):
+    law = F.parse_spec(spec)
+    for hi in ((2, 2), (3, 1), (1, 1, 1)):
+        lo = (0,) * len(hi)
+        box = F.LatticeBox(lo, hi)
+        far = (hi[0],) + (0,) * (len(hi) - 1)
+        for rep in range(6):
+            field = F.WeightField.generate(box, law, 5, rep)
+            for u, v in ((lo, hi), (hi, lo), (far, hi)):
+                res = F.passage_time(field, u, v)
+                best = brute_force_passage_time(box, field.weights, u, v)
+                assert tuple(res.path[0]) == u and tuple(res.path[-1]) == v
+                assert len({tuple(c) for c in res.path}) == len(res.path)
+                assert res.time == pytest.approx(best, rel=1e-12, abs=1e-15)
+                assert path_weight(box, field.weights, res.path) == pytest.approx(
+                    best, rel=1e-12, abs=1e-15
+                )
+
+
+@pytest.mark.parametrize("spec", ("dirac:c=0", "uniform:lo=0,hi=1"))
+def test_canonical_walk_terminates_on_zero_weight_plateaus(spec, monkeypatch):
+    box = F.LatticeBox((-6, -6, -2), (6, 6, 2))
+    law = F.parse_spec(spec)
+    for rep in range(3):
+        field = F.WeightField.generate(box, law, 2, rep)
+        if spec == "uniform:lo=0,hi=1":
+            field.weights[::3] = 0.0  # a plateau wide enough to dead-end the walk
+        res = F.passage_time(field, (0, 0, 0), (5, 3, -1))
+        assert tuple(res.path[0]) == (0, 0, 0) and tuple(res.path[-1]) == (5, 3, -1)
+        assert len({tuple(c) for c in res.path}) == len(res.path)
+        assert path_weight(box, field.weights, res.path) == pytest.approx(res.time, abs=1e-12)
+        theirs = _scipy_passage_time(monkeypatch, field, (0, 0, 0), (5, 3, -1))
+        assert np.array_equal(res.edge_ids, theirs.edge_ids) and res.ties == theirs.ties
+
+
+@needs_kernel
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("spec", ("exp:rate=1", TWO_POINT))
+def test_simulate_report_bytes_do_not_depend_on_the_backend(spec, workers, monkeypatch):
+    cfg = F.ExperimentConfig(
+        dist_spec=spec, dim=2, n_list=(8, 16), replicas=24,
+        master_seed=3, m_policy="auto", workers=workers,
+    )
+    ours = reporting.dumps(F.full_report(cfg, deterministic=True))
+    monkeypatch.setattr(fpp_core, "_KERNEL", None)
+    assert reporting.dumps(F.full_report(cfg, deterministic=True)) == ours
+
+
+@needs_kernel
+def test_batch_observables_do_not_depend_on_the_backend(monkeypatch):
+    cfg = F.ExperimentConfig(
+        dist_spec=TWO_POINT, dim=2, n_list=(12,), replicas=30,
+        master_seed=9, m_policy="auto", workers=1,
+    )
+    box = F.experiments.box_for(cfg, 12)
+    probes = [int(e) for e in box.edges_near((0, 0), 1)]
+
+    def batch():
+        return F.collect_batch(cfg, 12, m=2, want_edges=True, probe_ids=probes)
+
+    ours = batch()
+    monkeypatch.setattr(fpp_core, "_KERNEL", None)
+    theirs = batch()
+    for key in ("times", "geo_len", "ties", "presence"):
+        assert getattr(ours, key).tobytes() == getattr(theirs, key).tobytes(), key
+    assert all(np.array_equal(a, b) for a, b in zip(ours.geo_edges, theirs.geo_edges))
