@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--m-policy",
         default="none",
-        help="offset policy: none, auto (ceil(n^(1/4))), or an integer",
+        help="offset bound m that widens the box's transverse margin: none, auto "
+        "(ceil(n^(1/4))), or an integer; simulate itself solves at m=0",
     )
     sim.add_argument(
         "--margin", type=float, default=0.5, help="box margin factor per side"

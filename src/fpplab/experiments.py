@@ -13,11 +13,13 @@ truncation comparison, and geodesic length statistics.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -27,11 +29,16 @@ from ._version import __version__ as _pkg_version
 from .averaging import AveragingMap
 from .distributions import parse_spec, truncate
 from .errors import ConfigError, DomainError
+# perfbench's traced profile wraps these two names on this module, so the
+# replica worker must call them through it, not through fpp_core
 from .fpp_core import LatticeBox, WeightField, edge_breakpoint, passage_time
 from .neargamma import classify_nearly_gamma
 
 DEFAULT_N_GRID = (25, 50, 100, 200)
-DEFAULT_T_GRID = tuple(np.arange(0.25, 3.01, 0.25)) + tuple(np.arange(3.5, 6.01, 0.5))
+TAIL_T_GRID = tuple(np.arange(0.25, 3.01, 0.25)) + tuple(np.arange(3.5, 6.01, 0.5))
+TAIL_FIT_MIN_COUNT = 20  # exceedances a tail row needs to enter the rate fit
+PROBE_RADIUS = 1  # influence probes: the edges within this L1 radius of the origin
+BALL_MS = (2, 3, 4)  # geodesic_stats counts geodesic edges within d*m of the mid-path
 
 
 def _is_int(x) -> bool:
@@ -76,7 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
         if not isinstance(self.m_policy, str):
             raise ConfigError(f"m policy must be a string, got {self.m_policy!r}")
-        self.m_for(int(self.n_list[0]))  # validate the policy string
+        for n in self.n_list:  # the policy string, and its m against every margin
+            _margin_and_m(self, int(n))
 
     def m_for(self, n: int) -> int:
         if self.m_policy == "none":
@@ -115,30 +123,65 @@ def resolve_workers(requested: int | None) -> int:
     return max(int(n), 1)
 
 
-def box_for(cfg: ExperimentConfig, n: int) -> LatticeBox:
-    """Box with margin around the segment [0, n e1], sized for the m policy."""
+def _margin_and_m(cfg: ExperimentConfig, n: int) -> tuple[int, int]:
+    """Box margin and offset bound m for distance n; the margin must absorb m."""
     m = cfg.m_for(n)
     margin = int(math.ceil(cfg.margin_factor * n))
     if m > margin:
         raise ConfigError(
             f"margin {margin} cannot absorb offsets up to m={m}; enlarge margin_factor"
         )
+    return margin, m
+
+
+def box_for(cfg: ExperimentConfig, n: int) -> LatticeBox:
+    """Box with margin around the segment [0, n e1], sized for the m policy."""
+    margin, m = _margin_and_m(cfg, n)
     lo = tuple([-margin] * cfg.dim)
     hi = tuple([n + margin] + [margin + m] * (cfg.dim - 1))
     return LatticeBox(lo, hi)
 
 
 # ---------------------------------------------------------------------------
-# replica execution (module-level for pickling)
-
-_BOX_CACHE: dict = {}
+# replica execution: one (n, m) cell in, one ReplicaBatch out
 
 
+@dataclass
+class ReplicaBatch:
+    """Raw per-replica observables for one (n, m) cell."""
+
+    n: int
+    m: int
+    times: np.ndarray
+    geo_len: np.ndarray
+    ties: np.ndarray
+    presence: np.ndarray  # (replicas, n_probes) uint8
+    probe_ids: np.ndarray
+    geo_edges: list | None = None
+    seconds: float = 0.0
+    # exact probe influences of the first exact_replicas replicas, in order
+    exact_w: np.ndarray | None = None  # (exact_replicas, n_probes) W_{e,+}
+    exact_w_plus: list | None = None  # Lipschitz bound on W_+ per replica
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """What a worker needs to run any replica range of one (n, m) cell."""
+
+    spec: str
+    lo: tuple
+    hi: tuple
+    n: int
+    m: int
+    master_seed: int
+    want_edges: bool
+    probe_ids: tuple
+    exact_n: int
+
+
+@functools.cache
 def _cached_box(lo, hi) -> LatticeBox:
-    key = (lo, hi)
-    if key not in _BOX_CACHE:
-        _BOX_CACHE[key] = LatticeBox(lo, hi)
-    return _BOX_CACHE[key]
+    return LatticeBox(lo, hi)
 
 
 def _offset_bits(master_seed: int, replica: int, m: int, d: int) -> np.ndarray:
@@ -164,98 +207,46 @@ def _exact_probes(field, res, dist, probe_ids):
     return w_e, w_plus
 
 
-def _replica_chunk(args) -> list:
-    """One contiguous block of replicas; returns per-replica tuples.
+def _replica_chunk(cell: _Cell, r0: int, r1: int) -> ReplicaBatch:
+    """Replicas r0..r1-1 of a cell.
 
-    Replicas below exact_n also carry their exact probe influences, taken
-    from the field and geodesic already built here.
+    Replicas below cell.exact_n also carry their exact probe influences,
+    taken from the field and geodesic already built here.
     """
-    (spec, lo, hi, n, master_seed, r0, r1, m, want_edges, probe_ids, exact_n) = args
-    box = _cached_box(lo, hi)
-    dist = parse_spec(spec)
-    amap = AveragingMap(m) if m > 0 else None
-    probe_ids = np.asarray(probe_ids, dtype=np.int64)
-    out = []
+    box = _cached_box(cell.lo, cell.hi)
+    dist = parse_spec(cell.spec)
+    amap = AveragingMap(cell.m) if cell.m > 0 else None
+    probe_ids = np.asarray(cell.probe_ids, dtype=np.int64)
+    times, lengths, ties, presence, edges, exact = [], [], [], [], [], []
     for r in range(r0, r1):
-        field = WeightField.generate(box, dist, master_seed, r)
-        if m > 0:
-            bits = _offset_bits(master_seed, r, m, box.d)
-            z = amap.levels(bits)
+        field = WeightField.generate(box, dist, cell.master_seed, r)
+        if amap is not None:
+            z = amap.levels(_offset_bits(cell.master_seed, r, cell.m, box.d))
         else:
             z = np.zeros(box.d, dtype=np.int64)
-        u = tuple(int(c) for c in z)
-        v_arr = z.copy()
-        v_arr[0] += n
-        res = passage_time(field, u, tuple(int(c) for c in v_arr))
-        presence = res.edge_bitset[probe_ids] if probe_ids.size else np.empty(0, bool)
-        geo_edges = res.edge_ids if want_edges else None
-        out.append(
-            (
-                res.time,
-                res.length,
-                res.ties,
-                presence.astype(np.uint8),
-                geo_edges,
-                _exact_probes(field, res, dist, probe_ids) if r < exact_n else None,
-            )
-        )
-    return out
-
-
-def _run_replicas(
-    cfg: ExperimentConfig,
-    n: int,
-    m: int,
-    want_edges: bool = False,
-    probe_ids=(),
-    exact_replicas: int = 0,
-):
-    box = box_for(cfg, n)
-    reps = cfg.replicas
-    workers = resolve_workers(cfg.workers)
-    chunk = max(8, reps // (workers * 8) or 1)
-    ranges = [(r, min(r + chunk, reps)) for r in range(0, reps, chunk)]
-    argslist = [
-        (
-            cfg.dist_spec,
-            box.lo,
-            box.hi,
-            n,
-            cfg.master_seed,
-            r0,
-            r1,
-            m,
-            want_edges,
-            tuple(int(e) for e in probe_ids),
-            exact_replicas,
-        )
-        for (r0, r1) in ranges
-    ]
-    if workers <= 1 or len(argslist) <= 1:
-        chunks = [_replica_chunk(a) for a in argslist]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_replica_chunk, argslist))
-    flat = [item for ch in chunks for item in ch]
-    return box, flat
-
-
-@dataclass
-class ReplicaBatch:
-    """Raw per-replica observables for one (n, m) cell."""
-
-    n: int
-    m: int
-    times: np.ndarray
-    geo_len: np.ndarray
-    ties: np.ndarray
-    presence: np.ndarray  # (replicas, n_probes) uint8
-    probe_ids: np.ndarray
-    geo_edges: list | None = None
-    seconds: float = 0.0
-    # exact probe influences of the first exact_replicas replicas, in order
-    exact_w: np.ndarray | None = None  # (exact_replicas, n_probes) W_{e,+}
-    exact_w_plus: list | None = None  # Lipschitz bound on W_+ per replica
+        v = z.copy()
+        v[0] += cell.n
+        res = passage_time(field, tuple(int(c) for c in z), tuple(int(c) for c in v))
+        times.append(res.time)
+        lengths.append(res.length)
+        ties.append(res.ties)
+        presence.append(res.edge_bitset[probe_ids])
+        if cell.want_edges:
+            edges.append(res.edge_ids)
+        if r < cell.exact_n:
+            exact.append(_exact_probes(field, res, dist, probe_ids))
+    return ReplicaBatch(
+        n=cell.n,
+        m=cell.m,
+        times=np.array(times),
+        geo_len=np.array(lengths, dtype=float),
+        ties=np.array(ties, dtype=np.int64),
+        presence=np.array(presence, dtype=np.uint8),
+        probe_ids=probe_ids,
+        geo_edges=edges if cell.want_edges else None,
+        exact_w=np.array([w for w, _ in exact]).reshape(len(exact), probe_ids.size),
+        exact_w_plus=[w_plus for _, w_plus in exact],
+    )
 
 
 def collect_batch(
@@ -266,34 +257,50 @@ def collect_batch(
     probe_ids=(),
     exact_replicas: int = 0,
 ) -> ReplicaBatch:
+    """Every replica of the (n, m) cell, folded in replica order.
+
+    The replicas run in contiguous chunks, in this process for one worker
+    and in one process pool otherwise; the worker count changes no bit.
+    """
     t0 = _time.perf_counter()
-    m_eff = cfg.m_for(n) if m is None else m
-    box, flat = _run_replicas(
-        cfg,
-        n,
-        m_eff,
-        want_edges=want_edges,
-        probe_ids=probe_ids,
-        exact_replicas=exact_replicas,
-    )
-    exact = [f[5] for f in flat[:exact_replicas]]
-    elapsed = _time.perf_counter() - t0
-    return ReplicaBatch(
+    box = box_for(cfg, n)
+    cell = _Cell(
+        spec=cfg.dist_spec,
+        lo=box.lo,
+        hi=box.hi,
         n=n,
-        m=m_eff,
-        times=np.array([f[0] for f in flat]),
-        geo_len=np.array([f[1] for f in flat], dtype=float),
-        ties=np.array([f[2] for f in flat], dtype=np.int64),
-        presence=(
-            np.stack([f[3] for f in flat])
-            if probe_ids
-            else np.empty((len(flat), 0), dtype=np.uint8)
-        ),
-        probe_ids=np.asarray(probe_ids, dtype=np.int64),
-        geo_edges=[f[4] for f in flat] if want_edges else None,
-        seconds=elapsed,
-        exact_w=np.array([w for w, _ in exact]).reshape(len(exact), len(probe_ids)),
-        exact_w_plus=[w_plus for _, w_plus in exact],
+        m=cfg.m_for(n) if m is None else m,
+        master_seed=cfg.master_seed,
+        want_edges=want_edges,
+        probe_ids=tuple(int(e) for e in probe_ids),
+        exact_n=exact_replicas,
+    )
+    reps = cfg.replicas
+    workers = resolve_workers(cfg.workers)
+    size = max(8, reps // (workers * 8))
+    starts = range(0, reps, size)
+    stops = [min(r + size, reps) for r in starts]
+    if workers <= 1 or len(starts) <= 1:
+        parts = [_replica_chunk(cell, r0, r1) for r0, r1 in zip(starts, stops)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_replica_chunk, repeat(cell), starts, stops))
+
+    def cat(name):
+        return np.concatenate([getattr(p, name) for p in parts])
+
+    return ReplicaBatch(
+        n=cell.n,
+        m=cell.m,
+        times=cat("times"),
+        geo_len=cat("geo_len"),
+        ties=cat("ties"),
+        presence=cat("presence"),
+        probe_ids=parts[0].probe_ids,
+        geo_edges=[e for p in parts for e in p.geo_edges] if want_edges else None,
+        seconds=_time.perf_counter() - t0,
+        exact_w=cat("exact_w"),
+        exact_w_plus=[w for p in parts for w in p.exact_w_plus],
     )
 
 
@@ -351,15 +358,23 @@ def row_from_batch(batch: ReplicaBatch) -> ScalingRow:
     )
 
 
-def run_variance_scaling(cfg: ExperimentConfig, batches: dict | None = None):
-    """One ScalingRow per n; optionally fills `batches` for reuse."""
-    rows = []
+def _m0_batches(cfg: ExperimentConfig, batches: dict | None) -> dict:
+    """The m=0 batch of every n in cfg.n_list, keyed by n.
+
+    Cells missing from `batches` are collected and stored in it, so the
+    scaling readers given the same dict share their batches.
+    """
+    batches = {} if batches is None else batches
     for n in cfg.n_list:
-        batch = collect_batch(cfg, int(n), m=0)
-        if batches is not None:
-            batches[int(n)] = batch
-        rows.append(row_from_batch(batch))
-    return rows
+        if int(n) not in batches:
+            batches[int(n)] = collect_batch(cfg, int(n), m=0)
+    return batches
+
+
+def run_variance_scaling(cfg: ExperimentConfig, batches: dict | None = None):
+    """One ScalingRow per n, from the m=0 batches shared through `batches`."""
+    batches = _m0_batches(cfg, batches)
+    return [row_from_batch(batches[int(n)]) for n in cfg.n_list]
 
 
 @dataclass
@@ -467,16 +482,12 @@ def _count_ci(k: int, n: int, level: float = 0.95):
 
 
 def tail_profile(
-    cfg: ExperimentConfig,
-    n: int,
-    batch: ReplicaBatch | None = None,
-    t_grid=DEFAULT_T_GRID,
-    min_fit_count: int = 20,
+    cfg: ExperimentConfig, n: int, batch: ReplicaBatch | None = None
 ) -> TailProfile:
     """Empirical exceedance of |f - mean| over t * sqrt(n / log n).
 
     The exponential-rate fit uses only grid points with at least
-    `min_fit_count` exceedances; sparser rows are reported with exact
+    TAIL_FIT_MIN_COUNT exceedances; sparser rows are reported with exact
     binomial intervals and excluded from the fit.
     """
     if batch is None:
@@ -489,7 +500,7 @@ def tail_profile(
     scale = math.sqrt(n / math.log(n)) if n > 1 else 1.0
     rows = []
     flags = []
-    for t in t_grid:
+    for t in TAIL_T_GRID:
         thr = float(t) * scale
         k = int(np.sum(np.abs(times - center) > thr))
         lo, hi, method = _count_ci(k, reps)
@@ -504,7 +515,7 @@ def tail_profile(
                 method=method,
             )
         )
-    usable = [r for r in rows if r.count >= min_fit_count]
+    usable = [r for r in rows if r.count >= TAIL_FIT_MIN_COUNT]
     if any(r.count == 0 for r in rows):
         flags.append("grid-truncated")
     fit = None
@@ -572,7 +583,6 @@ def l_of_k(k_const: float, rs: float) -> float:
 def influence_diagnostics(
     cfg: ExperimentConfig,
     n: int,
-    probe_radius: int = 1,
     exact_replicas: int = 200,
 ) -> dict:
     """Paired influence run: identical weight seeds with m = 0 and with the
@@ -590,7 +600,7 @@ def influence_diagnostics(
     dist = parse_spec(cfg.dist_spec)
     m_auto = cfg.m_for(n) if cfg.m_policy != "none" else int(math.ceil(n**0.25))
     box = box_for(cfg, n)
-    probe_ids = [int(e) for e in box.edges_near(tuple([0] * cfg.dim), probe_radius)]
+    probe_ids = [int(e) for e in box.edges_near(tuple([0] * cfg.dim), PROBE_RADIUS)]
     exact_n = min(exact_replicas, cfg.replicas)
     out = {}
     for m in (0, m_auto):
@@ -699,13 +709,11 @@ def estimate_time_constant(
     cfg: ExperimentConfig, batches: dict | None = None
 ) -> TimeConstantReport:
     """f(n)/n along e1 with normal CIs plus mean-subadditivity checks."""
+    batches = _m0_batches(cfg, batches)
     rows = []
-    cache = batches if batches is not None else {}
     for n in cfg.n_list:
         n = int(n)
-        if n not in cache:
-            cache[n] = collect_batch(cfg, n, m=0)
-        t = cache[n].times
+        t = batches[n].times
         mu = float(t.mean())
         half = 1.959963984540054 * float(t.std(ddof=1)) / math.sqrt(t.size)
         rows.append(
@@ -831,10 +839,7 @@ class GeodesicStats:
 
 
 def geodesic_stats(
-    cfg: ExperimentConfig,
-    n: int,
-    ball_ms=(2, 3, 4),
-    batch: ReplicaBatch | None = None,
+    cfg: ExperimentConfig, n: int, batch: ReplicaBatch | None = None
 ) -> GeodesicStats:
     """Length moments plus geodesic counts in balls around a mid-path edge."""
     if batch is None or batch.geo_edges is None:
@@ -846,7 +851,7 @@ def geodesic_stats(
         np.stack(np.unravel_index(box.edge_u, box.shape), axis=1) + np.asarray(box.lo)
     )
     ball_counts = {}
-    for m in ball_ms:
+    for m in BALL_MS:
         radius = cfg.dim * m
         total = 0
         for eids in batch.geo_edges:

@@ -392,9 +392,7 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
     )
 
 
-def randomized_passage_time(
-    field: WeightField, a_bits: np.ndarray, v, return_result: bool = False
-):
+def randomized_passage_time(field: WeightField, a_bits: np.ndarray, v) -> float:
     """Passage time between the offset endpoints z(a) and v + z(a).
 
     a_bits has one row of m^2 bits per lattice axis; row i feeds the level
@@ -413,8 +411,7 @@ def randomized_passage_time(
     end = tuple(int(c) for c in (np.asarray(v, dtype=np.int64) + z))
     if not box.contains(start) or not box.contains(end):
         raise DomainError("offset endpoints fall outside the box; enlarge the margin")
-    res = passage_time(field, start, end)
-    return res if return_result else res.time
+    return passage_time(field, start, end).time
 
 
 def _solve_time(box: LatticeBox, weights: np.ndarray, src: int, tgt: int) -> float:

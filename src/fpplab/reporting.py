@@ -84,20 +84,13 @@ def write_svg_lines(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    log_y: bool = False,
-    width: int = 640,
-    height: int = 420,
 ) -> Path:
     """Minimal multi-series line chart, no external plotting dependency."""
     x = [float(v) for v in x]
     if not x or not series:
         raise DomainError("svg chart needs at least one point and one series")
-    margin = 56
+    width, height, margin = 640, 420, 56
     values = [float(v) for ys in series.values() for v in ys]
-    if log_y:
-        values = [math.log10(v) for v in values if v > 0]
-        if not values:
-            raise DomainError("log-scale chart needs positive values")
     x_min, x_max = min(x), max(x)
     y_min, y_max = min(values), max(values)
     if x_max == x_min:
@@ -109,8 +102,6 @@ def write_svg_lines(
         return margin + (v - x_min) / (x_max - x_min) * (width - 2 * margin)
 
     def sy(v):
-        if log_y:
-            v = math.log10(v)
         return height - margin - (v - y_min) / (y_max - y_min) * (height - 2 * margin)
 
     colors = ["#1f6feb", "#d73a49", "#22863a", "#b08800", "#6f42c1", "#e36209"]
@@ -140,11 +131,7 @@ def write_svg_lines(
             f'transform="rotate(-90 16 {height / 2:.0f})">{y_label}</text>'
         )
     for idx, (name, ys) in enumerate(sorted(series.items())):
-        pts = " ".join(
-            f"{sx(xv):.2f},{sy(float(yv)):.2f}"
-            for xv, yv in zip(x, ys)
-            if (not log_y) or float(yv) > 0
-        )
+        pts = " ".join(f"{sx(xv):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(x, ys))
         color = colors[idx % len(colors)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -181,6 +181,60 @@ def serial_exact_probe_influence(cfg, n, m, exact_n, probe_ids):
     return w_sq, s_sq_sum / max(exact_n, 1)
 
 
+def tuple_fold_batch(cfg, n, m, want_edges=False, probe_ids=(), exact_replicas=0):
+    """One (n, m) cell as the replica loop used to build it: a serial loop
+    of per-replica tuples, folded field by field into a ReplicaBatch."""
+    from fpplab import experiments as E
+
+    box = E.box_for(cfg, n)
+    dist = E.parse_spec(cfg.dist_spec)
+    amap = E.AveragingMap(m) if m > 0 else None
+    probe_ids = np.asarray(probe_ids, dtype=np.int64)
+    flat = []
+    for r in range(cfg.replicas):
+        field = E.WeightField.generate(box, dist, cfg.master_seed, r)
+        if m > 0:
+            z = amap.levels(E._offset_bits(cfg.master_seed, r, m, box.d))
+        else:
+            z = np.zeros(box.d, dtype=np.int64)
+        v = z.copy()
+        v[0] += n
+        res = E.passage_time(field, tuple(int(c) for c in z), tuple(int(c) for c in v))
+        presence = res.edge_bitset[probe_ids] if probe_ids.size else np.empty(0, bool)
+        exact = None
+        if r < exact_replicas:
+            w_e = np.zeros(len(probe_ids))
+            for j, eid in enumerate(probe_ids):
+                if res.edge_bitset[eid]:
+                    t0, t_inf = E.edge_breakpoint(field, res, int(eid))
+                    w_e[j] = dist.upper_mean(res.time - t0) - dist.upper_mean(t_inf - t0)
+            w_plus = float(
+                np.sum([dist.upper_mean(float(x)) for x in field.weights[res.edge_ids]])
+            )
+            exact = (w_e, w_plus)
+        flat.append(
+            (res.time, res.length, res.ties, presence.astype(np.uint8),
+             res.edge_ids if want_edges else None, exact)
+        )
+    exact = [f[5] for f in flat[:exact_replicas]]
+    return E.ReplicaBatch(
+        n=n,
+        m=m,
+        times=np.array([f[0] for f in flat]),
+        geo_len=np.array([f[1] for f in flat], dtype=float),
+        ties=np.array([f[2] for f in flat], dtype=np.int64),
+        presence=(
+            np.stack([f[3] for f in flat])
+            if probe_ids.size
+            else np.empty((len(flat), 0), dtype=np.uint8)
+        ),
+        probe_ids=probe_ids,
+        geo_edges=[f[4] for f in flat] if want_edges else None,
+        exact_w=np.array([w for w, _ in exact]).reshape(len(exact), len(probe_ids)),
+        exact_w_plus=[w_plus for _, w_plus in exact],
+    )
+
+
 def per_edge_v_e_plus(field, dist, result):
     """Two-point energy with one full solve per low geodesic edge raised to b."""
     box = field.box

@@ -147,19 +147,6 @@ def test_v_e_plus_lossless_spec_matches_brute_force_resampling():
 # solve counts
 
 
-@pytest.fixture
-def solve_counter(monkeypatch):
-    calls = []
-    original = F.LatticeBox.solve
-
-    def counting(self, weights, source_index):
-        calls.append(source_index)
-        return original(self, weights, source_index)
-
-    monkeypatch.setattr(F.LatticeBox, "solve", counting)
-    return calls
-
-
 def test_edge_breakpoint_costs_one_solve(solve_counter):
     box = F.LatticeBox((-2, -2), (8, 2))
     field = F.WeightField.generate(box, F.Exponential(1.0), 3, 1)

@@ -303,6 +303,19 @@ def test_simulate_non_positive_workers_exit_2_before_sampling(workers, tmp_path,
     assert not out.exists()
 
 
+def test_simulate_m_policy_beyond_a_margin_exits_2_before_sampling(tmp_path, monkeypatch,
+                                                                    capsys):
+    # n=40 fits m=5, but n=4 has margin ceil(0.5 * 4) = 2
+    _forbid_sampling(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["simulate", "--dist", "exp:rate=1", "--n", "40,4", "--m-policy", "5",
+            "--replicas", "50", "--workers", "1", "--out", str(out)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and "margin 2 cannot absorb offsets up to m=5" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     (

@@ -79,11 +79,14 @@ def test_m_policy():
 
 
 def test_box_too_small_for_m_policy_fails_before_sampling():
-    cfg = F.ExperimentConfig(
-        dist_spec="exp:rate=1", n_list=(4,), m_policy="8", margin_factor=0.5,
-        replicas=5,
-    )
-    with pytest.raises(ConfigError):
+    # n=4 has margin ceil(0.5 * 4) = 2; the config checks every n it lists
+    for n_list in ((4,), (40, 4)):
+        with pytest.raises(ConfigError, match="cannot absorb offsets up to m=8"):
+            F.ExperimentConfig(dist_spec="exp:rate=1", n_list=n_list, m_policy="8",
+                               margin_factor=0.5, replicas=5)
+    # an n outside n_list is still guarded where its box is built
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(40,), m_policy="8")
+    with pytest.raises(ConfigError, match="cannot absorb offsets up to m=8"):
         F.experiments.box_for(cfg, 4)
 
 
@@ -408,3 +411,76 @@ def test_config_accepts_numpy_integers():
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", dim=np.int64(2),
                              n_list=(np.int32(4),), master_seed=np.uint32(3))
     assert cfg.echo()["n_list"] == [4]
+
+
+# ---------------------------------------------------------------------------
+# the replica path against the per-replica tuple fold it replaced
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("m", (0, 2))
+@pytest.mark.parametrize("spec", ("exp:rate=1", "bernoulli:a=1,b=2,p=0.5"))
+def test_collect_batch_matches_the_tuple_fold(spec, m, workers):
+    from oracles import tuple_fold_batch
+
+    n = 12
+    # 40 replicas over 2 workers run as 5 chunks of 8
+    cfg = F.ExperimentConfig(dist_spec=spec, n_list=(n,), replicas=40,
+                             master_seed=23, m_policy="2", workers=workers)
+    probes = [int(e) for e in F.experiments.box_for(cfg, n).edges_near((0, 0), 1)]
+    got = F.collect_batch(cfg, n, m=m, want_edges=True, probe_ids=probes,
+                          exact_replicas=11)
+    want = tuple_fold_batch(cfg, n, m, want_edges=True, probe_ids=probes,
+                            exact_replicas=11)
+    assert (got.n, got.m) == (want.n, want.m)
+    for name in ("times", "geo_len", "ties", "presence", "probe_ids", "exact_w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert len(got.geo_edges) == len(want.geo_edges) == cfg.replicas
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.geo_edges, want.geo_edges))
+    assert got.exact_w_plus == want.exact_w_plus
+    assert len(got.exact_w_plus) == 11 and got.presence.any() and got.exact_w.any()
+
+
+def test_collect_batch_without_probes_keeps_empty_shapes():
+    cfg = F.ExperimentConfig(**TINY)
+    batch = F.collect_batch(cfg, 6, m=0)
+    assert batch.presence.shape == (cfg.replicas, 0) and batch.presence.dtype == np.uint8
+    assert batch.exact_w.shape == (0, 0) and batch.exact_w_plus == []
+    assert batch.probe_ids.dtype == np.int64 and batch.geo_edges is None
+
+
+# ---------------------------------------------------------------------------
+# batch sharing between the scaling readers
+
+
+def test_full_report_solves_each_replica_once(solve_counter):
+    cfg = F.ExperimentConfig(**TINY)
+    F.full_report(cfg)
+    assert len(solve_counter) == cfg.replicas * len(cfg.n_list)
+
+
+def test_time_constant_reuses_the_scaling_batches(solve_counter):
+    cfg = F.ExperimentConfig(**TINY)
+    batches: dict = {}
+    F.run_variance_scaling(cfg, batches=batches)
+    assert sorted(batches) == sorted(cfg.n_list)
+    solve_counter.clear()
+    F.estimate_time_constant(cfg, batches=batches)
+    assert solve_counter == []
+
+
+def test_full_report_collects_only_m0_cells(monkeypatch):
+    cfg = F.ExperimentConfig(**(TINY | dict(m_policy="auto")))
+    assert cfg.m_for(10) == 2
+    cells = []
+    original = F.experiments.collect_batch
+
+    def recording(cfg, n, m=None, **kwargs):
+        cells.append((n, m))
+        return original(cfg, n, m=m, **kwargs)
+
+    monkeypatch.setattr(F.experiments, "collect_batch", recording)
+    F.full_report(cfg)
+    assert cells == [(6, 0), (10, 0)]
