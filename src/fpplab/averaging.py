@@ -133,7 +133,10 @@ class OffsetSample:
     z: np.ndarray | None = None  # shape (d,), int
 
     def __post_init__(self):
-        levels = AveragingMap(math.isqrt(self.a.shape[1])).levels(self.a)
+        m = math.isqrt(self.a.shape[1])
+        if m * m != self.a.shape[1]:
+            raise DomainError("offset rows must hold a square number of bits")
+        levels = AveragingMap(m).levels(self.a)
         if self.z is None:
             object.__setattr__(self, "z", levels)
         elif not np.array_equal(levels, self.z):

@@ -26,12 +26,13 @@ import numpy as np
 from scipy import stats as _sstats
 
 from ._version import __version__ as _pkg_version
-from .averaging import AveragingMap
+from . import averaging
 from .distributions import parse_spec, truncate
 from .errors import ConfigError, DomainError
 # perfbench's traced profile wraps these two names on this module, so the
 # replica worker must call them through it, not through fpp_core
 from .fpp_core import LatticeBox, WeightField, edge_breakpoint, passage_time
+from .fpp_core import breakpoint_influence
 from .neargamma import classify_nearly_gamma
 
 DEFAULT_N_GRID = (25, 50, 100, 200)
@@ -39,6 +40,7 @@ TAIL_T_GRID = tuple(np.arange(0.25, 3.01, 0.25)) + tuple(np.arange(3.5, 6.01, 0.
 TAIL_FIT_MIN_COUNT = 20  # exceedances a tail row needs to enter the rate fit
 PROBE_RADIUS = 1  # influence probes: the edges within this L1 radius of the origin
 BALL_MS = (2, 3, 4)  # geodesic_stats counts geodesic edges within d*m of the mid-path
+_OFFSET_STREAM = 0x0FF5E7  # replica r draws its offset from SeedSequence((seed, r, this))
 
 
 def _is_int(x) -> bool:
@@ -84,7 +86,7 @@ class ExperimentConfig:
         if not isinstance(self.m_policy, str):
             raise ConfigError(f"m policy must be a string, got {self.m_policy!r}")
         for n in self.n_list:  # the policy string, and its m against every margin
-            _margin_and_m(self, int(n))
+            _margin_for(self, int(n), self.m_for(int(n)))
 
     def m_for(self, n: int) -> int:
         if self.m_policy == "none":
@@ -92,12 +94,9 @@ class ExperimentConfig:
         if self.m_policy == "auto":
             return int(math.ceil(n**0.25))
         try:
-            m = int(self.m_policy)
+            return int(self.m_policy)
         except ValueError as exc:
             raise ConfigError(f"bad m policy {self.m_policy!r}") from exc
-        if m < 0:
-            raise ConfigError("m must be nonnegative")
-        return m
 
     def echo(self) -> dict:
         return {
@@ -123,20 +122,23 @@ def resolve_workers(requested: int | None) -> int:
     return max(int(n), 1)
 
 
-def _margin_and_m(cfg: ExperimentConfig, n: int) -> tuple[int, int]:
-    """Box margin and offset bound m for distance n; the margin must absorb m."""
-    m = cfg.m_for(n)
+def _margin_for(cfg: ExperimentConfig, n: int, m: int) -> int:
+    """Box margin for distance n; it must absorb offsets up to m >= 0."""
+    if not _is_int(m) or m < 0:
+        raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
     margin = int(math.ceil(cfg.margin_factor * n))
     if m > margin:
         raise ConfigError(
             f"margin {margin} cannot absorb offsets up to m={m}; enlarge margin_factor"
         )
-    return margin, m
+    return margin
 
 
 def box_for(cfg: ExperimentConfig, n: int) -> LatticeBox:
-    """Box with margin around the segment [0, n e1], sized for the m policy."""
-    margin, m = _margin_and_m(cfg, n)
+    """Box with margin around the segment [0, n e1]; it holds offsets up to
+    the margin, so any m that `_margin_for` passes, not only the policy's."""
+    m = cfg.m_for(n)
+    margin = _margin_for(cfg, n, m)
     lo = tuple([-margin] * cfg.dim)
     hi = tuple([n + margin] + [margin + m] * (cfg.dim - 1))
     return LatticeBox(lo, hi)
@@ -184,13 +186,6 @@ def _cached_box(lo, hi) -> LatticeBox:
     return LatticeBox(lo, hi)
 
 
-def _offset_bits(master_seed: int, replica: int, m: int, d: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence((master_seed, replica, 0x0FF5E7))
-    )
-    return rng.integers(0, 2, size=(d, m * m), dtype=np.uint8)
-
-
 def _exact_probes(field, res, dist, probe_ids):
     """Exact W_{e,+} for the probe edges plus the Lipschitz bound on W_+."""
     w_e = np.zeros(len(probe_ids))
@@ -198,8 +193,7 @@ def _exact_probes(field, res, dist, probe_ids):
         if not res.edge_bitset[eid]:
             continue
         t0, t_inf = edge_breakpoint(field, res, int(eid))
-        level = res.time - t0
-        w_e[j] = dist.upper_mean(level) - dist.upper_mean(t_inf - t0)
+        w_e[j] = breakpoint_influence(dist, res.time, t0, t_inf)
     # 1-Lipschitz bound: resampling edge e can add at most (Y - x_e)+
     w_plus = float(
         np.sum([dist.upper_mean(float(x)) for x in field.weights[res.edge_ids]])
@@ -215,13 +209,15 @@ def _replica_chunk(cell: _Cell, r0: int, r1: int) -> ReplicaBatch:
     """
     box = _cached_box(cell.lo, cell.hi)
     dist = parse_spec(cell.spec)
-    amap = AveragingMap(cell.m) if cell.m > 0 else None
     probe_ids = np.asarray(cell.probe_ids, dtype=np.int64)
     times, lengths, ties, presence, edges, exact = [], [], [], [], [], []
     for r in range(r0, r1):
         field = WeightField.generate(box, dist, cell.master_seed, r)
-        if amap is not None:
-            z = amap.levels(_offset_bits(cell.master_seed, r, cell.m, box.d))
+        if cell.m > 0:
+            rng = np.random.default_rng(
+                np.random.SeedSequence((cell.master_seed, r, _OFFSET_STREAM))
+            )
+            z = averaging.sample_offset(rng, cell.m, box.d).z
         else:
             z = np.zeros(box.d, dtype=np.int64)
         v = z.copy()
@@ -252,7 +248,7 @@ def _replica_chunk(cell: _Cell, r0: int, r1: int) -> ReplicaBatch:
 def collect_batch(
     cfg: ExperimentConfig,
     n: int,
-    m: int | None = None,
+    m: int,
     want_edges: bool = False,
     probe_ids=(),
     exact_replicas: int = 0,
@@ -261,15 +257,17 @@ def collect_batch(
 
     The replicas run in contiguous chunks, in this process for one worker
     and in one process pool otherwise; the worker count changes no bit.
+    The box is `box_for(cfg, n)`, so an m beyond its margin is refused here.
     """
     t0 = _time.perf_counter()
+    _margin_for(cfg, n, m)
     box = box_for(cfg, n)
     cell = _Cell(
         spec=cfg.dist_spec,
         lo=box.lo,
         hi=box.hi,
         n=n,
-        m=cfg.m_for(n) if m is None else m,
+        m=m,
         master_seed=cfg.master_seed,
         want_edges=want_edges,
         probe_ids=tuple(int(e) for e in probe_ids),
@@ -373,6 +371,8 @@ def _m0_batches(cfg: ExperimentConfig, batches: dict | None) -> dict:
 
 def run_variance_scaling(cfg: ExperimentConfig, batches: dict | None = None):
     """One ScalingRow per n, from the m=0 batches shared through `batches`."""
+    if cfg.replicas < 3:  # before any sampling: the jackknife CI needs 3
+        raise ConfigError("the variance CI (a jackknife) needs at least 3 replicas")
     batches = _m0_batches(cfg, batches)
     return [row_from_batch(batches[int(n)]) for n in cfg.n_list]
 
@@ -585,12 +585,14 @@ def influence_diagnostics(
     n: int,
     exact_replicas: int = 200,
 ) -> dict:
-    """Paired influence run: identical weight seeds with m = 0 and with the
-    configured m policy (auto by default at m = ceil(n^(1/4))).
+    """Paired influence run: identical weight seeds with m = 0 and with a
+    randomized m >= 1, which is cfg.m_for(n) if that is at least 1 and
+    ceil(n^(1/4)) otherwise. That m is checked against the box margin
+    before any cell is collected.
 
     Edge-presence probabilities near the origin come from all replicas.
-    Exact per-probe influences W_{e,+} (mean excess in closed form at the
-    edge's breakpoint, one solve per probe edge on the geodesic) are
+    Exact per-probe influences W_{e,+} (`fpp_core.breakpoint_influence` at
+    the edge's breakpoint, one solve per probe edge on the geodesic) are
     averaged over the first `exact_replicas` replicas; the replica workers
     compute them from the field and geodesic they already hold, and they
     are folded in replica order. Whole-geodesic influence sums use the
@@ -598,12 +600,13 @@ def influence_diagnostics(
     for anyway.
     """
     dist = parse_spec(cfg.dist_spec)
-    m_auto = cfg.m_for(n) if cfg.m_policy != "none" else int(math.ceil(n**0.25))
+    m_rand = cfg.m_for(n) or int(math.ceil(n**0.25))
+    _margin_for(cfg, n, m_rand)
     box = box_for(cfg, n)
     probe_ids = [int(e) for e in box.edges_near(tuple([0] * cfg.dim), PROBE_RADIUS)]
     exact_n = min(exact_replicas, cfg.replicas)
     out = {}
-    for m in (0, m_auto):
+    for m in (0, m_rand):
         batch = collect_batch(
             cfg, n, m=m, probe_ids=probe_ids, exact_replicas=exact_n
         )
@@ -652,7 +655,7 @@ def influence_diagnostics(
             flags=flags,
         )
     base = out[0]
-    rand = out[m_auto]
+    rand = out[m_rand]
     return {
         "m0": base,
         "randomized": rand,
@@ -878,6 +881,8 @@ def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
     The fit and time constant are kept as their dataclasses; `reporting`
     serializes them field by field.
     """
+    if len(cfg.n_list) >= 3 and min(cfg.n_list) <= 1:  # refused before sampling
+        raise ConfigError("the n/log n model fit needs every n > 1")
     batches: dict = {}
     rows = run_variance_scaling(cfg, batches=batches)
     fit = fit_scaling(rows) if len(rows) >= 3 else None

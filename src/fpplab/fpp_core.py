@@ -37,7 +37,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from . import reporting
-from .averaging import AveragingMap
+from .averaging import OffsetSample
 from .distributions import Distribution, parse_spec
 from .errors import DomainError, UnsupportedKindError, UnsupportedParameterError
 
@@ -395,18 +395,16 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
 def randomized_passage_time(field: WeightField, a_bits: np.ndarray, v) -> float:
     """Passage time between the offset endpoints z(a) and v + z(a).
 
-    a_bits has one row of m^2 bits per lattice axis; row i feeds the level
-    function to give the offset coordinate z_i. The caller must have sized
-    the box so both endpoints fit, otherwise this raises DomainError.
+    a_bits has one row of m^2 bits per lattice axis, and z is the offset
+    `OffsetSample(a_bits)` encodes (z_i = g_m of row i), the same bits -> z
+    path as the Monte Carlo harness. The caller must have sized the box so
+    both endpoints fit, otherwise this raises DomainError.
     """
     a_bits = np.asarray(a_bits)
     box = field.box
     if a_bits.ndim != 2 or a_bits.shape[0] != box.d:
         raise DomainError(f"offset bits must have shape ({box.d}, m^2)")
-    m = math.isqrt(a_bits.shape[1])
-    if m * m != a_bits.shape[1]:
-        raise DomainError("offset rows must hold a square number of bits")
-    z = AveragingMap(m).levels(a_bits)
+    z = OffsetSample(a_bits).z
     start = tuple(int(c) for c in z)
     end = tuple(int(c) for c in (np.asarray(v, dtype=np.int64) + z))
     if not box.contains(start) or not box.contains(end):
@@ -531,25 +529,25 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     return t0, t_inf
 
 
-def edge_influence(
-    field: WeightField,
-    result: GeodesicResult,
-    eid: int,
-    dist: Distribution,
-    resamples: int,
-    rng: np.random.Generator | None = None,
-    method: str = "auto",
-) -> float:
-    """Expected positive change of the passage time when edge eid is
-    independently resampled from `dist`.
+def breakpoint_influence(dist: Distribution, time: float, t0: float, t_inf: float) -> float:
+    """W_{e,+} = E (min(t0 + Y, t_inf) - time)+ for Y ~ dist, in closed form.
 
-    Discrete laws integrate the two-point resample exactly. Continuous laws
-    default to Monte Carlo over antithetic quantile pairs ("mc"); method
-    "exact" integrates the breakpoint form in closed form via the mean
-    excess function instead.
+    With the edge's breakpoint (t0, t_inf) and time = min(t0 + x_e, t_inf),
+    the gain is (Y - (time - t0))+ - (Y - (t_inf - t0))+, so its mean is a
+    difference of two mean excesses, exact for every law.
     """
-    if resamples < 1:
-        raise DomainError("resamples must be >= 1")
+    return float(dist.upper_mean(time - t0) - dist.upper_mean(t_inf - t0))
+
+
+def edge_influence(
+    field: WeightField, result: GeodesicResult, eid: int, dist: Distribution
+) -> float:
+    """W_{e,+}: expected positive change of the passage time when edge eid
+    is independently resampled from `dist`.
+
+    Exact for every law: one breakpoint solve, then `breakpoint_influence`.
+    An edge off the returned geodesic costs nothing and gives 0.0.
+    """
     box = field.box
     if not (0 <= eid < box.n_edges):
         raise DomainError("edge index out of range")
@@ -558,31 +556,7 @@ def edge_influence(
         # and the positive part vanishes identically
         return 0.0
     t0, t_inf = edge_breakpoint(field, result, eid)
-    f_now = result.time
-
-    def gain(y):
-        return np.maximum(np.minimum(t0 + y, t_inf) - f_now, 0.0)
-
-    if not dist.continuous:
-        if dist.kind == "bernoulli":
-            return float(
-                (1.0 - dist.p) * gain(dist.a) + dist.p * gain(dist.b)
-            )
-        if dist.kind == "dirac":
-            return float(gain(dist.c))
-        raise UnsupportedKindError(f"cannot resample from kind {dist.kind}")
-    if method == "exact":
-        level = f_now - t0  # current effective weight, min(x_e, breakpoint)
-        y_inf = t_inf - t0
-        return float(dist.upper_mean(level) - dist.upper_mean(y_inf))
-    if rng is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((field.master_seed, field.replica, int(eid), 2718))
-        )
-    pairs = (resamples + 1) // 2
-    u = rng.random(pairs)
-    ys = np.concatenate([dist.quantile(u), dist.quantile(1.0 - u)])
-    return float(np.mean(gain(ys)))
+    return breakpoint_influence(dist, result.time, t0, t_inf)
 
 
 def v_e_plus_bernoulli(field: WeightField, u, v, result: GeodesicResult | None = None):

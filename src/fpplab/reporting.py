@@ -85,10 +85,12 @@ def write_svg_lines(
     x_label: str = "",
     y_label: str = "",
 ) -> Path:
-    """Minimal multi-series line chart, no external plotting dependency."""
+    """Minimal multi-series line chart, no external plotting dependency;
+    every series holds one y per x."""
     x = [float(v) for v in x]
-    if not x or not series:
-        raise DomainError("svg chart needs at least one point and one series")
+    if not x or not series or any(len(ys) != len(x) for ys in series.values()):
+        raise DomainError("svg chart needs at least one point and one series, "
+                          "and one y per x in every series")
     width, height, margin = 640, 420, 56
     values = [float(v) for ys in series.values() for v in ys]
     x_min, x_max = min(x), max(x)

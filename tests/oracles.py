@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from fpplab import AveragingMap
+
 
 def mp():
     import mpmath
@@ -144,6 +146,25 @@ def two_solve_breakpoint(field, result, eid):
     return t0, t_inf
 
 
+def seeded_offset(master_seed, replica, m, d):
+    """The randomized endpoint offset of one replica, drawn as the harness
+    first drew it: d rows of m^2 bits from SeedSequence((master_seed,
+    replica, 0x0FF5E7)), each row mapped through the level function g_m."""
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, replica, 0x0FF5E7)))
+    bits = rng.integers(0, 2, size=(d, m * m), dtype=np.uint8)
+    amap = AveragingMap(m)
+    return np.array([amap.level(row) for row in bits], dtype=np.int64)
+
+
+def antithetic_mc_influence(field, result, eid, dist, resamples, rng):
+    """W_{e,+} by Monte Carlo: the mean gain over `resamples` antithetic
+    quantile draws of the edge weight, with two-solve breakpoints."""
+    t0, t_inf = two_solve_breakpoint(field, result, eid)
+    u = rng.random((resamples + 1) // 2)
+    ys = np.concatenate([dist.quantile(u), dist.quantile(1.0 - u)])
+    return float(np.mean(np.maximum(np.minimum(t0 + ys, t_inf) - result.time, 0.0)))
+
+
 def serial_exact_probe_influence(cfg, n, m, exact_n, probe_ids):
     """Probe W_{e,+} squares and Lipschitz W_+ squares, each averaged over
     replicas 0..exact_n-1: every replica regenerated and re-solved serially,
@@ -157,9 +178,7 @@ def serial_exact_probe_influence(cfg, n, m, exact_n, probe_ids):
     for r in range(exact_n):
         field = E.WeightField.generate(box, dist, cfg.master_seed, r)
         if m > 0:
-            amap = E.AveragingMap(m)
-            bits = E._offset_bits(cfg.master_seed, r, m, box.d)
-            z = np.array([amap.level(row) for row in bits], dtype=np.int64)
+            z = seeded_offset(cfg.master_seed, r, m, box.d)
         else:
             z = np.zeros(box.d, dtype=np.int64)
         u = tuple(int(c) for c in z)
@@ -188,13 +207,12 @@ def tuple_fold_batch(cfg, n, m, want_edges=False, probe_ids=(), exact_replicas=0
 
     box = E.box_for(cfg, n)
     dist = E.parse_spec(cfg.dist_spec)
-    amap = E.AveragingMap(m) if m > 0 else None
     probe_ids = np.asarray(probe_ids, dtype=np.int64)
     flat = []
     for r in range(cfg.replicas):
         field = E.WeightField.generate(box, dist, cfg.master_seed, r)
         if m > 0:
-            z = amap.levels(E._offset_bits(cfg.master_seed, r, m, box.d))
+            z = seeded_offset(cfg.master_seed, r, m, box.d)
         else:
             z = np.zeros(box.d, dtype=np.int64)
         v = z.copy()

@@ -124,6 +124,11 @@ def test_sample_offset_zero_bits_is_origin():
         F.OffsetSample(a=np.zeros((2, 4), dtype=np.uint8), z=np.array([1, 0]))
 
 
+def test_offset_sample_rejects_rows_of_a_non_square_length():
+    with pytest.raises(DomainError, match="square"):
+        F.OffsetSample(a=np.zeros((2, 3), dtype=np.uint8))
+
+
 def test_sample_offset_distribution(rng):
     m, d, draws = 3, 2, 100_000
     counts = {}

@@ -332,3 +332,21 @@ def test_overflowing_truncation_scale_exits_2_naming_c5(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fpplab: ") and "c5" in err and "non-finite" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    (
+        (["--n", "5,10,20", "--replicas", "2"], "at least 3 replicas"),
+        (["--n", "1,2,3", "--replicas", "4"], "n > 1"),
+    ),
+)
+def test_simulate_refuses_a_report_it_cannot_finish_before_sampling(argv, message, tmp_path,
+                                                                    monkeypatch, capsys):
+    _forbid_sampling(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["simulate", "--dist", "exp:rate=1", "--workers", "1", "--out", str(out)] + argv
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and message in err
+    assert not out.exists()

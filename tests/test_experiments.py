@@ -484,3 +484,67 @@ def test_full_report_collects_only_m0_cells(monkeypatch):
     monkeypatch.setattr(F.experiments, "collect_batch", recording)
     F.full_report(cfg)
     assert cells == [(6, 0), (10, 0)]
+
+
+# ---------------------------------------------------------------------------
+# configs refused before any field is sampled
+
+
+def _forbid_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a field before the config was checked")
+
+    monkeypatch.setattr(F.WeightField, "generate", no_sampling)
+
+
+@pytest.mark.parametrize("n,margin_factor", ((10, 0.1), (2, 0.5)))
+def test_influence_diagnostics_checks_its_randomized_m_before_sampling(n, margin_factor,
+                                                                       monkeypatch):
+    # policy "none" randomizes at m = ceil(n^(1/4)) = 2, beyond the margin of 1
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(n,), replicas=20, workers=1,
+                             margin_factor=margin_factor)
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(ConfigError, match="margin 1 cannot absorb offsets up to m=2"):
+        F.influence_diagnostics(cfg, n)
+
+
+def test_collect_batch_refuses_an_m_its_box_cannot_hold(monkeypatch):
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(10,), replicas=20, workers=1,
+                             margin_factor=0.1)
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(ConfigError, match="margin 1 cannot absorb offsets up to m=2"):
+        F.collect_batch(cfg, 10, 2)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        F.collect_batch(cfg, 10, -1)
+
+
+def test_scaling_refuses_runs_it_cannot_finish_before_sampling(monkeypatch):
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(ConfigError, match="at least 3 replicas"):
+        F.run_variance_scaling(F.ExperimentConfig(**(TINY | dict(replicas=2))))
+    with pytest.raises(ConfigError, match="n > 1"):
+        F.full_report(F.ExperimentConfig(**(TINY | dict(n_list=(1, 2, 3)))))
+
+
+def test_full_report_without_a_fit_accepts_n_1():
+    doc = F.full_report(F.ExperimentConfig(**(TINY | dict(n_list=(1, 2)))))
+    assert doc["fit"] is None and [r["n"] for r in doc["rows"]] == [1, 2]
+
+
+@pytest.mark.parametrize("policy,m_rand", (("0", 2), ("none", 2), ("auto", 2), ("1", 1)))
+def test_influence_diagnostics_collects_m0_and_one_randomized_cell(policy, m_rand,
+                                                                    monkeypatch):
+    # the randomized m is cfg.m_for(n) when that is >= 1, else ceil(16^(1/4)) = 2
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(16,), replicas=12,
+                             master_seed=3, m_policy=policy, workers=1)
+    cells = []
+    original = F.experiments.collect_batch
+
+    def recording(cfg, n, m, **kwargs):
+        cells.append(m)
+        return original(cfg, n, m, **kwargs)
+
+    monkeypatch.setattr(F.experiments, "collect_batch", recording)
+    out = F.influence_diagnostics(cfg, 16, exact_replicas=4)
+    assert cells == [0, m_rand]
+    assert (out["m0"].m, out["randomized"].m) == (0, m_rand)

@@ -6,7 +6,7 @@ import pytest
 import fpplab as F
 from fpplab import DomainError, UnsupportedParameterError
 
-from oracles import brute_force_passage_time
+from oracles import antithetic_mc_influence, brute_force_passage_time
 
 
 def _field(box, spec, seed, replica=0):
@@ -252,20 +252,22 @@ def test_edge_influence_off_geodesic_is_zero():
     res = F.passage_time(field, (0, 0), (4, 0))
     corner = box.edge_id((-2, -2), 0)
     assert not res.edge_bitset[corner]
-    assert F.edge_influence(field, res, corner, field.distribution(), 10) == 0.0
+    assert F.edge_influence(field, res, corner, field.distribution()) == 0.0
+    with pytest.raises(DomainError):
+        F.edge_influence(field, res, box.n_edges, field.distribution())
 
 
 def test_edge_influence_mc_matches_exact(rng):
+    # the closed form against the antithetic Monte Carlo it replaced
     box = F.LatticeBox((-2, -2), (6, 2))
-    dist = F.parse_spec("exp:rate=1")
-    field = F.WeightField.generate(box, dist, 13, 4)
-    res = F.passage_time(field, (0, 0), (4, 0))
-    for eid in res.edge_ids[:3]:
-        exact = F.edge_influence(field, res, int(eid), dist, 1, method="exact")
-        mc = F.edge_influence(field, res, int(eid), dist, 200_000, rng=rng)
-        assert mc == pytest.approx(exact, rel=0.03, abs=1e-4)
-    with pytest.raises(DomainError):
-        F.edge_influence(field, res, int(res.edge_ids[0]), dist, 0)
+    for spec in ("exp:rate=1", "gamma:a=2,b=1"):
+        dist = F.parse_spec(spec)
+        field = F.WeightField.generate(box, dist, 13, 4)
+        res = F.passage_time(field, (0, 0), (4, 0))
+        for eid in res.edge_ids[:3]:
+            exact = F.edge_influence(field, res, int(eid), dist)
+            mc = antithetic_mc_influence(field, res, int(eid), dist, 200_000, rng)
+            assert mc == pytest.approx(exact, rel=0.03, abs=1e-4), spec
 
 
 def test_edge_influence_bernoulli_two_point():
@@ -275,7 +277,7 @@ def test_edge_influence_bernoulli_two_point():
     res = F.passage_time(field, (0, 0), (2, 0))
     for eid in res.edge_ids:
         eid = int(eid)
-        w = F.edge_influence(field, res, eid, dist, 1)
+        w = F.edge_influence(field, res, eid, dist)
         # exact two-point integral recomputed by hand
         t0, t_inf = F.edge_breakpoint(field, res, eid)
         by_hand = 0.5 * max(min(t0 + 1.0, t_inf) - res.time, 0.0) + 0.5 * max(
@@ -285,7 +287,7 @@ def test_edge_influence_bernoulli_two_point():
     # resampling a geodesic edge can add at most E(Y) on average
     ey = dist.mean()
     for eid in res.edge_ids:
-        assert F.edge_influence(field, res, int(eid), dist, 1) <= ey + 1e-12
+        assert F.edge_influence(field, res, int(eid), dist) <= ey + 1e-12
 
 
 def test_edge_influence_dirac_resampling_changes_nothing():
@@ -293,7 +295,7 @@ def test_edge_influence_dirac_resampling_changes_nothing():
     field = F.WeightField(box, np.full(box.n_edges, 2.0), "dirac:c=2", 0, 0)
     res = F.passage_time(field, (0, 0), (3, 0))
     for eid in range(box.n_edges):
-        assert F.edge_influence(field, res, eid, field.distribution(), 5) == 0.0
+        assert F.edge_influence(field, res, eid, field.distribution()) == 0.0
 
 
 # ---------------------------------------------------------------------------

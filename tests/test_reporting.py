@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fpplab import DomainError, ExperimentConfig, full_report
 from fpplab.experiments import SCALING_CSV_HEADER
-from fpplab.reporting import dumps, format_cell
+from fpplab.reporting import dumps, format_cell, write_svg_lines
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -122,3 +122,50 @@ def test_full_report_sections_keep_their_fields():
     assert set(doc["time_constant"]) == {"direction", "rows", "subadditivity",
                                          "nonincreasing_within_ci"}
     assert all(set(r) == set(SCALING_CSV_HEADER) for r in doc["rows"])
+
+
+# ---------------------------------------------------------------------------
+# SVG chart
+
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def test_svg_chart_parses_with_one_polyline_per_series(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    x = [5, 10, 20, 40]
+    series = {"var/n": [0.31, 0.25, 0.22, 0.2], "mean/n": [1.1, 1.0, 0.95, 0.93]}
+    labels = dict(title="passage time scaling", x_label="n", y_label="value")
+    a = write_svg_lines(tmp_path / "a.svg", x, series, **labels)
+    b = write_svg_lines(tmp_path / "b.svg", x, series, **labels)
+    assert a.read_bytes() == b.read_bytes()
+    root = ET.parse(a).getroot()
+    assert root.tag == _SVG + "svg"
+    vx, vy, vw, vh = (float(v) for v in root.get("viewBox").split())
+    lines = root.findall(_SVG + "polyline")
+    assert len(lines) == len(series)
+    for line in lines:
+        points = [tuple(map(float, p.split(","))) for p in line.get("points").split()]
+        assert len(points) == len(x)
+        assert all(vx <= px <= vx + vw and vy <= py <= vy + vh for px, py in points)
+    texts = {t.text for t in root.iter(_SVG + "text")}
+    assert {"passage time scaling", "n", "value", "mean/n", "var/n"} <= texts
+
+
+def test_svg_chart_renders_a_constant_series(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    path = write_svg_lines(tmp_path / "c.svg", [1, 2, 3], {"c": [4.0, 4.0, 4.0]})
+    (line,) = ET.parse(path).getroot().findall(_SVG + "polyline")
+    points = line.get("points").split()
+    assert len(points) == 3 and len({p.split(",")[1] for p in points}) == 1
+
+
+@pytest.mark.parametrize(
+    "x,series",
+    (([], {"a": []}), ([1, 2], {}), ([1, 2], {"a": []}), ([1, 2], {"a": [1.0, 2.0], "b": [3.0]})),
+)
+def test_svg_chart_rejects_empty_or_ragged_input(x, series, tmp_path):
+    with pytest.raises(DomainError):
+        write_svg_lines(tmp_path / "e.svg", x, series)
+    assert not (tmp_path / "e.svg").exists()
