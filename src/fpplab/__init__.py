@@ -33,7 +33,6 @@ from .distributions import (
     Exponential,
     Gamma,
     HalfNormal,
-    HatBump,
     Tabulated,
     Truncated,
     Uniform,

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags so real flags override."""
     if "--config" not in argv:
         return argv
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
     except ResourceGuardError as exc:

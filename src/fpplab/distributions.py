@@ -9,7 +9,6 @@ numpy arrays; scalars in give scalars out.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 from scipy import special, stats
@@ -40,12 +39,24 @@ def _fmt(x: float) -> str:
     return short if float(short) == x else repr(float(x))
 
 
-class _ArrayFunctions:
-    """Public pdf/cdf/sf over the array kernels _pdf/_cdf/_sf.
+class Distribution:
+    """Abstract one-dimensional edge-time law.
 
-    A Python or numpy scalar in gives a float out; an array in gives an
-    array of the same shape out. _sf defaults to 1 - _cdf.
+    A law implements the array kernels _cdf and _quantile, plus _pdf when
+    it has a density. The log forms, _sf and _isf default to log(_pdf),
+    log(_cdf), 1 - _cdf, log(_sf) and _quantile(1 - q); a law overrides a
+    kernel only where it has a more accurate closed form. The public
+    methods take a Python or numpy scalar to a float and an array to an
+    array of the same shape.
     """
+
+    kind: str = "abstract"
+    continuous: bool = True
+    density_continuous: bool = True  # h continuous on {h > 0}; discrete kinds N/A
+
+    @property
+    def support(self) -> tuple[float, float]:
+        raise NotImplementedError
 
     def pdf(self, y):
         arr, scalar = _as_float_array(y)
@@ -58,27 +69,6 @@ class _ArrayFunctions:
     def sf(self, y):
         arr, scalar = _as_float_array(y)
         return _ret(self._sf(arr), scalar)
-
-    def _sf(self, arr):
-        return 1.0 - self._cdf(arr)
-
-
-class Distribution(_ArrayFunctions):
-    """Abstract one-dimensional edge-time law.
-
-    A law implements the array kernels _cdf and _quantile, plus _pdf when
-    it has a density. The log forms, _sf and _isf default to log(_pdf),
-    log(_cdf), 1 - _cdf, log(_sf) and _quantile(1 - q); a law overrides a
-    kernel only where it has a more accurate closed form.
-    """
-
-    kind: str = "abstract"
-    continuous: bool = True
-    density_continuous: bool = True  # h continuous on {h > 0}; discrete kinds N/A
-
-    @property
-    def support(self) -> tuple[float, float]:
-        raise NotImplementedError
 
     def log_pdf(self, y):
         arr, scalar = _as_float_array(y)
@@ -110,6 +100,9 @@ class Distribution(_ArrayFunctions):
     def _quantile(self, arr):
         raise NotImplementedError
 
+    def _sf(self, arr):
+        return 1.0 - self._cdf(arr)
+
     def _log_pdf(self, arr):
         return _log(self._pdf(arr))
 
@@ -129,6 +122,16 @@ class Distribution(_ArrayFunctions):
         """E[(Y - c)+], the mean excess over level c."""
         raise NotImplementedError
 
+    def _sf_integral(self, c: float, lo: float, hi: float, points: int) -> float:
+        """E[(Y - c)+] for a law on [lo, hi]: (lo - c)+ plus the trapezoid
+        rule for the integral of sf over [max(c, lo), hi] on `points` nodes."""
+        below = max(lo - c, 0.0)
+        start = max(c, lo)
+        if start >= hi:
+            return below
+        grid = np.linspace(start, hi, points)
+        return below + float(np.trapezoid(self._sf(grid), grid))
+
     def exp_moment_rate(self) -> float:
         """A rate delta with E[exp(delta Y)] finite, used by diagnostics."""
         raise NotImplementedError
@@ -139,7 +142,15 @@ class Distribution(_ArrayFunctions):
         return self.quantile(u)
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """The `parse_spec` text of this law, from its entry in `_SPECS`."""
+        for head, (cls, names) in _SPECS.items():
+            if isinstance(self, cls):
+                break
+        else:
+            raise NotImplementedError(f"{self.kind} has no spec grammar")
+        if not names:
+            return head
+        return head + ":" + ",".join(f"{k}={_fmt(getattr(self, k))}" for k in names)
 
     def __repr__(self) -> str:
         return f"<Distribution {self.spec_string()}>"
@@ -200,9 +211,6 @@ class Gamma(Distribution):
     def exp_moment_rate(self):
         return self.b / 2.0
 
-    def spec_string(self):
-        return f"gamma:a={_fmt(self.a)},b={_fmt(self.b)}"
-
 
 class Exponential(Distribution):
     """Exponential law; closed forms throughout."""
@@ -254,9 +262,6 @@ class Exponential(Distribution):
     def exp_moment_rate(self):
         return self.rate / 2.0
 
-    def spec_string(self):
-        return f"exp:rate={_fmt(self.rate)}"
-
 
 class Uniform(Distribution):
     kind = "uniform"
@@ -302,9 +307,6 @@ class Uniform(Distribution):
 
     def exp_moment_rate(self):
         return 1.0
-
-    def spec_string(self):
-        return f"uniform:lo={_fmt(self.lo)},hi={_fmt(self.hi)}"
 
 
 class HalfNormal(Distribution):
@@ -357,9 +359,6 @@ class HalfNormal(Distribution):
     def exp_moment_rate(self):
         return 1.0
 
-    def spec_string(self):
-        return "halfnormal"
-
 
 class Bernoulli(Distribution):
     """Two-point law: value a with probability 1-p, value b with probability p."""
@@ -395,9 +394,6 @@ class Bernoulli(Distribution):
     def exp_moment_rate(self):
         return 1.0
 
-    def spec_string(self):
-        return f"bernoulli:a={_fmt(self.a)},b={_fmt(self.b)},p={_fmt(self.p)}"
-
 
 class Dirac(Distribution):
     """Point mass; handy as a deterministic edge-time baseline."""
@@ -427,59 +423,27 @@ class Dirac(Distribution):
     def exp_moment_rate(self):
         return 1.0
 
-    def spec_string(self):
-        return f"dirac:c={_fmt(self.c)}"
+
+# the C1 hat 6 s (1 - s) on [0, 1] that carries a truncated law's tail mass
+def _hat_pdf(s):
+    return np.where((s >= 0) & (s <= 1), 6.0 * s * (1.0 - s), 0.0)
 
 
-class HatBump(_ArrayFunctions):
-    """Default repatriation bump: the C1 hat 6 s (1 - s) on [0, 1]."""
-
-    def _pdf(self, arr):
-        return np.where((arr >= 0) & (arr <= 1), 6.0 * arr * (1.0 - arr), 0.0)
-
-    def _cdf(self, arr):
-        sc = np.clip(arr, 0.0, 1.0)
-        return sc * sc * (3.0 - 2.0 * sc)
-
-    def _sf(self, arr):
-        sc = np.clip(arr, 0.0, 1.0)
-        return (1.0 - sc) ** 2 * (1.0 + 2.0 * sc)
+def _hat_cdf(s):
+    sc = np.clip(s, 0.0, 1.0)
+    return sc * sc * (3.0 - 2.0 * sc)
 
 
-class CallableBump(_ArrayFunctions):
-    """Wraps a user density on [0, 1]; CDF by dense trapezoid accumulation."""
-
-    def __init__(self, fn: Callable, gridsize: int = 8193):
-        self._fn = fn
-        self._xs = np.linspace(0.0, 1.0, gridsize)
-        vals = np.asarray(fn(self._xs), dtype=float)
-        mass_in = float(np.trapezoid(vals, self._xs))
-        probes = np.array([-0.5, -1e-6, 1.0 + 1e-6, 1.5])
-        outside = np.max(np.abs(np.asarray(fn(probes), dtype=float)))
-        if outside > 0 or abs(mass_in - 1.0) > 1e-6:
-            raise DomainError("bump must be a density supported in [0, 1]")
-        ends = np.abs(np.asarray(fn(np.array([0.0, 1.0])), dtype=float))
-        if np.max(ends) > 1e-9:
-            raise DomainError("a continuous bump supported in [0, 1] must vanish at 0 and 1")
-        if np.any(vals < 0):
-            raise DomainError("bump density must be nonnegative")
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(self._xs))]
-        )
-        self._cum = cum / cum[-1]
-
-    def _pdf(self, arr):
-        return np.where((arr >= 0) & (arr <= 1), self._fn(np.clip(arr, 0, 1)), 0.0)
-
-    def _cdf(self, arr):
-        return np.interp(arr, self._xs, self._cum, left=0.0, right=1.0)
+def _hat_sf(s):
+    sc = np.clip(s, 0.0, 1.0)
+    return (1.0 - sc) ** 2 * (1.0 + 2.0 * sc)
 
 
 class Truncated(Distribution):
     """Bounded-support modification of a base law on [0, +inf).
 
     Below T = c5*log(k) it agrees with the base; the base's mass beyond 2T
-    is spread continuously over [T, 2T] with a bump density, so the result
+    is spread continuously over [T, 2T] with the hat density, so the result
     is supported in [0, 2T], matches the base CDF up to T, and dominates
     the base CDF everywhere (hence is stochastically smaller).
     """
@@ -487,7 +451,7 @@ class Truncated(Distribution):
     kind = "truncated"
     continuous = True
 
-    def __init__(self, base: Distribution, k: int, c5: float, bump=None):
+    def __init__(self, base: Distribution, k: int, c5: float):
         if not isinstance(k, (int, np.integer)) or k < 2:
             raise DomainError("truncation index k must be an integer >= 2")
         if not (math.isfinite(c5) and c5 > 0):
@@ -503,12 +467,6 @@ class Truncated(Distribution):
         self.top = 2.0 * self.cut
         if not math.isfinite(1.05 * self.top):  # the end of the domination grid
             raise DomainError(f"c5 = {c5!r} is too large: 2.1 c5 log k overflows")
-        if bump is None:
-            self.bump = HatBump()
-        elif isinstance(bump, (HatBump, CallableBump)):
-            self.bump = bump
-        else:
-            self.bump = CallableBump(bump)
         self.tail_mass = float(base.sf(self.top))
 
     @property
@@ -519,19 +477,19 @@ class Truncated(Distribution):
         return (y - self.cut) / self.cut
 
     def _pdf(self, arr):
-        out = self.base.pdf(arr) + self.bump.pdf(self._s(arr)) * (
+        out = self.base.pdf(arr) + _hat_pdf(self._s(arr)) * (
             self.tail_mass / self.cut
         )
         return np.where(arr <= self.top, out, 0.0)
 
     def _cdf(self, arr):
-        out = self.base.cdf(arr) + self.tail_mass * self.bump.cdf(self._s(arr))
+        out = self.base.cdf(arr) + self.tail_mass * _hat_cdf(self._s(arr))
         return np.where(arr >= self.top, 1.0, out)
 
     def _sf(self, arr):
         # base.sf(y) - base.sf(2T) avoids cancellation: both terms are tail-sized
         out = (np.asarray(self.base.sf(arr)) - self.tail_mass) + (
-            self.tail_mass * self.bump.sf(self._s(arr))
+            self.tail_mass * _hat_sf(self._s(arr))
         )
         return np.where(arr >= self.top, 0.0, np.maximum(out, 0.0))
 
@@ -546,7 +504,7 @@ class Truncated(Distribution):
     def _tail_quantile(self, u):
         lo = np.full(u.shape, self.cut)
         hi = np.full(u.shape, self.top)
-        # bisection is branch-free and robust to flat spots of the bump; a
+        # bisection is branch-free and robust to flat spots of the hat; a
         # round that moves neither end is a fixed point, so stopping there
         # gives the bits of the full 100 rounds (it comes at about round 53)
         for _ in range(100):
@@ -578,14 +536,11 @@ class Truncated(Distribution):
         return max_defect, below_cut_error, support_ok
 
     def mean(self):
-        grid = np.linspace(0.0, self.top, 20001)
-        return float(np.trapezoid(self._sf(grid), grid))
+        return self.upper_mean(0.0)
 
     def upper_mean(self, c):
-        if c >= self.top:
-            return 0.0
-        grid = np.linspace(max(c, 0.0), self.top, 20001)
-        return float(np.trapezoid(self._sf(grid), grid))
+        # sf is 1 on [0, support[0]], so the quadrature may start at 0
+        return self._sf_integral(c, 0.0, self.top, 20001)
 
     def exp_moment_rate(self):
         return 1.0  # bounded support
@@ -649,13 +604,14 @@ class Tabulated(Distribution):
         return x0 + np.clip(d, 0.0, dx)
 
     def mean(self):
-        return float(np.trapezoid(self.xs * self.hs, self.xs))
+        # x h(x) is quadratic on each segment: Simpson's rule is exact there
+        x0, x1, h0, h1 = self.xs[:-1], self.xs[1:], self.hs[:-1], self.hs[1:]
+        seg = (x1 - x0) * (x0 * (2.0 * h0 + h1) + x1 * (h0 + 2.0 * h1))
+        return float(np.sum(seg)) / 6.0
 
     def upper_mean(self, c):
-        grid = np.linspace(max(c, self.xs[0]), self.xs[-1], 4001)
-        if grid[0] >= grid[-1]:
-            return 0.0
-        return float(np.trapezoid(self._sf(grid), grid))
+        lo, hi = self.support
+        return self._sf_integral(c, lo, hi, 4001)
 
     def exp_moment_rate(self):
         return 1.0
@@ -679,10 +635,10 @@ def lsi_constant_bernoulli(p: float) -> float:
     return 2.0 * math.atanh(u) / u
 
 
-def truncate(base: Distribution, k: int, c5: float, bump=None) -> Truncated:
+def truncate(base: Distribution, k: int, c5: float) -> Truncated:
     """Bounded-support version of `base`: equal below c5*log k, supported in
     [0, 2*c5*log k], stochastically smaller than the base."""
-    return Truncated(base, k, c5, bump)
+    return Truncated(base, k, c5)
 
 
 def default_c5(d: int, delta: float) -> float:
@@ -690,6 +646,18 @@ def default_c5(d: int, delta: float) -> float:
     if not delta > 0:
         raise DomainError("delta must be positive")
     return 4.0 * d / delta
+
+
+# spec head -> (law, its parameter names in spec and constructor order);
+# parse_spec reads a spec through this table and spec_string writes one
+_SPECS = {
+    "gamma": (Gamma, ("a", "b")),
+    "exp": (Exponential, ("rate",)),
+    "uniform": (Uniform, ("lo", "hi")),
+    "halfnormal": (HalfNormal, ()),
+    "bernoulli": (Bernoulli, ("a", "b", "p")),
+    "dirac": (Dirac, ("c",)),
+}
 
 
 def parse_spec(spec: str) -> Distribution:
@@ -705,34 +673,21 @@ def parse_spec(spec: str) -> Distribution:
         if ";" not in inner:
             raise DomainError(f"malformed truncation spec: {spec!r}")
         base_part, arg_part = inner.rsplit(";", 1)
-        args = _parse_kv(arg_part, {"k", "c5"})
+        args = _parse_kv(arg_part, ("k", "c5"))
         if not args["k"].is_integer():
             raise DomainError(f"truncation index k must be an integer: {spec!r}")
         return Truncated(parse_spec(base_part), int(args["k"]), args["c5"])
-    if spec == "halfnormal":
-        return HalfNormal()
-    if ":" not in spec:
+    head, colon, rest = spec.partition(":")
+    if head not in _SPECS:
+        raise DomainError(f"unrecognized distribution kind: {head!r}")
+    law, names = _SPECS[head]
+    if bool(colon) != bool(names):  # a colon exactly when there are parameters
         raise DomainError(f"unrecognized distribution spec: {spec!r}")
-    head, rest = spec.split(":", 1)
-    if head == "gamma":
-        kv = _parse_kv(rest, {"a", "b"})
-        return Gamma(kv["a"], kv["b"])
-    if head == "exp":
-        kv = _parse_kv(rest, {"rate"})
-        return Exponential(kv["rate"])
-    if head == "uniform":
-        kv = _parse_kv(rest, {"lo", "hi"})
-        return Uniform(kv["lo"], kv["hi"])
-    if head == "bernoulli":
-        kv = _parse_kv(rest, {"a", "b", "p"})
-        return Bernoulli(kv["a"], kv["b"], kv["p"])
-    if head == "dirac":
-        kv = _parse_kv(rest, {"c"})
-        return Dirac(kv["c"])
-    raise DomainError(f"unrecognized distribution kind: {head!r}")
+    kv = _parse_kv(rest, names) if names else {}
+    return law(*(kv[k] for k in names))
 
 
-def _parse_kv(text: str, expected: set[str]) -> dict[str, float]:
+def _parse_kv(text: str, expected: tuple[str, ...]) -> dict[str, float]:
     """Parameters as finite floats; anything else is a DomainError."""
     out = {}
     for piece in text.split(","):
@@ -749,7 +704,7 @@ def _parse_kv(text: str, expected: set[str]) -> dict[str, float]:
         if not math.isfinite(num):
             raise DomainError(f"parameter {key} must be finite, got {val.strip()!r}")
         out[key] = num
-    missing = expected - set(out)
+    missing = set(expected) - set(out)
     if missing:
         raise DomainError(f"missing parameters: {sorted(missing)}")
     return out

@@ -27,7 +27,7 @@ from scipy import stats as _sstats
 
 from ._version import __version__ as _pkg_version
 from . import averaging
-from .distributions import parse_spec, truncate
+from .distributions import default_c5, parse_spec, truncate
 from .errors import ConfigError, DomainError
 # perfbench's traced profile wraps these two names on this module, so the
 # replica worker must call them through it, not through fpp_core
@@ -41,6 +41,7 @@ TAIL_FIT_MIN_COUNT = 20  # exceedances a tail row needs to enter the rate fit
 PROBE_RADIUS = 1  # influence probes: the edges within this L1 radius of the origin
 BALL_MS = (2, 3, 4)  # geodesic_stats counts geodesic edges within d*m of the mid-path
 _OFFSET_STREAM = 0x0FF5E7  # replica r draws its offset from SeedSequence((seed, r, this))
+_Z95 = 1.959963984540054  # the standard normal 0.975 quantile, norm.ppf(0.975)
 
 
 def _is_int(x) -> bool:
@@ -306,8 +307,8 @@ def collect_batch(
 # variance scaling
 
 
-def jackknife_variance_ci(x: np.ndarray, level: float = 0.95):
-    """Sample variance with a leave-one-out jackknife normal CI."""
+def jackknife_variance_ci(x: np.ndarray):
+    """Sample variance with a leave-one-out jackknife normal 95% CI."""
     x = np.asarray(x, dtype=float)
     r = x.size
     if r < 3:
@@ -317,8 +318,7 @@ def jackknife_variance_ci(x: np.ndarray, level: float = 0.95):
     s2 = float(np.dot(x, x))
     vi = (s2 - x**2 - (s1 - x) ** 2 / (r - 1)) / (r - 2)
     se = math.sqrt((r - 1) / r * float(np.sum((vi - vi.mean()) ** 2)))
-    z = _sstats.norm.ppf(0.5 + level / 2)
-    return v, max(v - z * se, 0.0), v + z * se
+    return v, max(v - _Z95 * se, 0.0), v + _Z95 * se
 
 
 @dataclass
@@ -468,13 +468,12 @@ class TailProfile:
     flags: list
 
 
-def _count_ci(k: int, n: int, level: float = 0.95):
-    """Normal CI for counts >= 20, Clopper-Pearson below."""
-    alpha = 1.0 - level
+def _count_ci(k: int, n: int):
+    """95% CI: normal for counts >= 20, Clopper-Pearson below."""
+    alpha = 1.0 - 0.95
     p = k / n
     if k >= 20:
-        z = _sstats.norm.ppf(1 - alpha / 2)
-        half = z * math.sqrt(max(p * (1 - p), 1e-300) / n)
+        half = _Z95 * math.sqrt(max(p * (1 - p), 1e-300) / n)
         return max(p - half, 0.0), min(p + half, 1.0), "normal"
     lo = 0.0 if k == 0 else float(_sstats.beta.ppf(alpha / 2, k, n - k + 1))
     hi = 1.0 if k == n else float(_sstats.beta.ppf(1 - alpha / 2, k + 1, n - k))
@@ -680,7 +679,7 @@ def _k_const(cfg, dist, mean_f, m, n, flags) -> float:
     else:
         flags.append("no energy constant for this kind; using 1.0")
         c_e = 1.0
-    c5 = 4.0 * cfg.dim / dist.exp_moment_rate()
+    c5 = default_c5(cfg.dim, dist.exp_moment_rate())
     d_const = (c5**2) * m * (math.log(n) ** 2) if m > 0 else 0.0
     return 4.0 * c_e * mean_f + d_const * (1.0 + 2.0 / c_e)
 
@@ -881,8 +880,14 @@ def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
     The fit and time constant are kept as their dataclasses; `reporting`
     serializes them field by field.
     """
-    if len(cfg.n_list) >= 3 and min(cfg.n_list) <= 1:  # refused before sampling
-        raise ConfigError("the n/log n model fit needs every n > 1")
+    if len(cfg.n_list) >= 3:  # a fit will run: refuse what it cannot fit before sampling
+        if min(cfg.n_list) <= 1:
+            raise ConfigError("the n/log n model fit needs every n > 1")
+        lo, hi = parse_spec(cfg.dist_spec).support
+        if lo == hi:
+            raise ConfigError(
+                f"the model fit needs a positive variance; {cfg.dist_spec!r} has one point"
+            )
     batches: dict = {}
     rows = run_variance_scaling(cfg, batches=batches)
     fit = fit_scaling(rows) if len(rows) >= 3 else None

@@ -77,6 +77,13 @@ def write_csv(header: list[str], rows, path) -> Path:
     return path
 
 
+def _svg_text(s) -> str:
+    """SVG character data: &, < and > escaped, as xml.sax.saxutils.escape
+    does. That module imports urllib.request and html imports its entity
+    tables; either adds MiBs to every process that writes a report."""
+    return str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_svg_lines(
     path,
     x,
@@ -86,7 +93,7 @@ def write_svg_lines(
     y_label: str = "",
 ) -> Path:
     """Minimal multi-series line chart, no external plotting dependency;
-    every series holds one y per x."""
+    every series holds one y per x. Title, labels and names are text, not markup."""
     x = [float(v) for v in x]
     if not x or not series or any(len(ys) != len(x) for ys in series.values()):
         raise DomainError("svg chart needs at least one point and one series, "
@@ -119,18 +126,18 @@ def write_svg_lines(
     if title:
         parts.append(
             f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{_svg_text(title)}</text>'
         )
     if x_label:
         parts.append(
             f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
+            f'font-family="sans-serif" font-size="12">{_svg_text(x_label)}</text>'
         )
     if y_label:
         parts.append(
             f'<text x="16" y="{height / 2:.0f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {height / 2:.0f})">{y_label}</text>'
+            f'transform="rotate(-90 16 {height / 2:.0f})">{_svg_text(y_label)}</text>'
         )
     for idx, (name, ys) in enumerate(sorted(series.items())):
         pts = " ".join(f"{sx(xv):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(x, ys))
@@ -140,7 +147,7 @@ def write_svg_lines(
         )
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 14 * idx + 10}" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>'
+            f'font-family="sans-serif" font-size="11" fill="{color}">{_svg_text(name)}</text>'
         )
     parts.append("</svg>")
     path = Path(path)

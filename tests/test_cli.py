@@ -339,6 +339,10 @@ def test_overflowing_truncation_scale_exits_2_naming_c5(argv, tmp_path, capsys):
     (
         (["--n", "5,10,20", "--replicas", "2"], "at least 3 replicas"),
         (["--n", "1,2,3", "--replicas", "4"], "n > 1"),
+        # a later --dist replaces exp:rate=1; a one-point law has no variance to fit
+        (["--dist", "dirac:c=1", "--n", "5,10,20", "--replicas", "4"], "has one point"),
+        (["--dist", "bernoulli:a=1,b=1,p=0.5", "--n", "5,10,20", "--replicas", "4"],
+         "has one point"),
     ),
 )
 def test_simulate_refuses_a_report_it_cannot_finish_before_sampling(argv, message, tmp_path,

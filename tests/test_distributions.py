@@ -7,7 +7,6 @@ from scipy import integrate, stats
 
 import fpplab as F
 from fpplab import DomainError, UnsupportedKindError
-from fpplab.distributions import CallableBump, HatBump
 from oracles import truncated_tail_quantile_100_rounds
 
 
@@ -209,15 +208,8 @@ def test_truncate_randomized_postconditions(rng):
 
 def test_truncate_custom_bump_and_validation():
     base = F.parse_spec("exp:rate=1")
-    tri = lambda s: np.where((np.asarray(s) >= 0) & (np.asarray(s) <= 1),
-                             2.0 * (1.0 - np.abs(2.0 * np.asarray(s) - 1.0)), 0.0)
-    nu = F.truncate(base, 50, 1.0, bump=tri)
-    xs = np.linspace(0, nu.top, 3000)
-    assert (np.asarray(base.cdf(xs)) - np.asarray(nu.cdf(xs))).max() <= 1e-12
     with pytest.raises(DomainError):
         F.truncate(base, 1, 1.0)
-    with pytest.raises(DomainError):
-        F.truncate(base, 50, 1.0, bump=lambda s: np.full_like(np.asarray(s, dtype=float), 0.5))
     with pytest.raises(UnsupportedKindError):
         F.truncate(F.parse_spec("bernoulli:a=1,b=2,p=0.5"), 50, 1.0)
 
@@ -366,11 +358,6 @@ def test_default_c5():
 # scalar/array contract of every public method
 
 
-def _quintic_bump(s):
-    s = np.asarray(s, dtype=float)
-    return np.where((s >= 0) & (s <= 1), 30.0 * s * s * (1 - s) * (1 - s), 0.0)
-
-
 CONTRACT_LAWS = {
     "gamma": F.parse_spec("gamma:a=2,b=1"),
     "exp": F.parse_spec("exp:rate=1.5"),
@@ -380,10 +367,9 @@ CONTRACT_LAWS = {
     "dirac": F.parse_spec("dirac:c=1.5"),
     "tabulated": F.Tabulated([0.0, 1.0, 1.5, 2.0, 4.0], [0.0, 2.0, 0.5, 1.0, 0.0]),
     "trunc-hat": F.parse_spec("trunc(exp:rate=1;k=10,c5=0.5)"),
-    "trunc-callable": F.truncate(F.parse_spec("exp:rate=1"), 10, 0.5, bump=_quintic_bump),
 }
 # laws whose isf is quantile(1 - q) rather than a closed form
-ISF_BY_QUANTILE = ("uniform", "bernoulli", "dirac", "tabulated", "trunc-hat", "trunc-callable")
+ISF_BY_QUANTILE = ("uniform", "bernoulli", "dirac", "tabulated", "trunc-hat")
 
 # interior points, support ends, the bump region, deep tails and outside values
 Y_GRID = np.array([
@@ -431,16 +417,18 @@ def test_isf_defaults_to_quantile_of_complement(name):
             assert _same_bits(d.isf(float(q)), d.quantile(1.0 - float(q)))
 
 
-@pytest.mark.parametrize("bump", [HatBump(), CallableBump(_quintic_bump)])
-@pytest.mark.parametrize("method", ("pdf", "cdf", "sf"))
-def test_bump_scalar_and_array_calls_agree(bump, method):
-    s = np.array([[-1.0, 0.0, 1e-300, 0.25, 0.5], [0.75, 1 - 1e-12, 1.0, 1.5, np.inf]])
-    fn = getattr(bump, method)
-    arr = fn(s)
-    assert isinstance(arr, np.ndarray) and arr.shape == s.shape
-    for idx in np.ndindex(s.shape):
-        val = fn(float(s[idx]))
-        assert type(val) is float and _same_bits(val, arr[idx]), (method, s[idx])
+@pytest.mark.parametrize("name", [k for k, d in CONTRACT_LAWS.items() if d.continuous])
+def test_upper_mean_below_the_support_is_mean_minus_level(name):
+    d = CONTRACT_LAWS[name]
+    c = d.support[0] - 1.0
+    assert d.upper_mean(c) == pytest.approx(d.mean() - c, rel=1e-12)
+
+
+def test_tabulated_upper_mean_matches_the_uniform_closed_form():
+    tab, uni = F.Tabulated([1.0, 2.0], [1.0, 1.0]), F.Uniform(1.0, 2.0)
+    assert tab.mean() == uni.mean()
+    for c in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
+        assert tab.upper_mean(c) == pytest.approx(uni.upper_mean(c), abs=1e-6)
 
 
 def test_domination_check_matches_a_direct_grid():

@@ -134,8 +134,9 @@ def test_svg_chart_parses_with_one_polyline_per_series(tmp_path):
     import xml.etree.ElementTree as ET
 
     x = [5, 10, 20, 40]
-    series = {"var/n": [0.31, 0.25, 0.22, 0.2], "mean/n": [1.1, 1.0, 0.95, 0.93]}
-    labels = dict(title="passage time scaling", x_label="n", y_label="value")
+    series = {"var/n": [0.31, 0.25, 0.22, 0.2], "mean/n": [1.1, 1.0, 0.95, 0.93],
+              "a & b": [0.5, 0.5, 0.4, 0.3]}
+    labels = dict(title="x<y", x_label="n", y_label="value")
     a = write_svg_lines(tmp_path / "a.svg", x, series, **labels)
     b = write_svg_lines(tmp_path / "b.svg", x, series, **labels)
     assert a.read_bytes() == b.read_bytes()
@@ -149,7 +150,7 @@ def test_svg_chart_parses_with_one_polyline_per_series(tmp_path):
         assert len(points) == len(x)
         assert all(vx <= px <= vx + vw and vy <= py <= vy + vh for px, py in points)
     texts = {t.text for t in root.iter(_SVG + "text")}
-    assert {"passage time scaling", "n", "value", "mean/n", "var/n"} <= texts
+    assert {"x<y", "n", "value", "mean/n", "var/n", "a & b"} <= texts
 
 
 def test_svg_chart_renders_a_constant_series(tmp_path):
