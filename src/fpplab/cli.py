@@ -166,6 +166,10 @@ def _cmd_simulate(args) -> int:
     unknown = formats - {"csv", "json"}
     if unknown:
         raise FppLabError(f"unknown output format(s): {sorted(unknown)}")
+    if not formats:
+        raise FppLabError(
+            f"--format names no output, got {args.format!r}: use csv, json or both"
+        )
     cfg = experiments.ExperimentConfig(
         dist_spec=args.dist,
         dim=args.dim,
@@ -270,6 +274,47 @@ def _cmd_truncate_check(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _first_difference(a, b, path: str = ""):
+    """The JSON path of the first place two parsed documents differ, with
+    the value at that path in each; None when they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                return sub, a.get(key, "<missing>"), b.get(key, "<missing>")
+            diff = _first_difference(a[key], b[key], sub)
+            if diff:
+                return diff
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff = _first_difference(x, y, f"{path}[{i}]")
+            if diff:
+                return diff
+        if len(a) != len(b):
+            return f"{path}.length", len(a), len(b)
+        return None
+    if type(a) is not type(b) or a != b:
+        return path or "<root>", a, b
+    return None
+
+
+def _mismatch_message(regenerated: str, original: str) -> str:
+    import numpy
+    import scipy
+
+    diff = _first_difference(json.loads(regenerated), json.loads(original))
+    if diff is None:
+        where = "the documents parse equal; only their formatting differs"
+    else:
+        path, new, old = diff
+        where = f"first difference at {path}: regenerated {new!r}, file {old!r}"
+    return (
+        f"report mismatch: {where} "
+        f"(fpplab {__version__}, numpy {numpy.__version__}, scipy {scipy.__version__})"
+    )
+
+
 def _cmd_report(args) -> int:
     source = Path(args.source)
     if not source.is_file():
@@ -300,7 +345,7 @@ def _cmd_report(args) -> int:
     else:
         sys.stdout.write(regenerated)
     if args.check and regenerated != original:
-        print("report mismatch: regenerated bytes differ", file=sys.stderr)
+        print(_mismatch_message(regenerated, original), file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
 
 from .errors import DomainError, UnsupportedKindError
 
@@ -167,6 +166,8 @@ class Gamma(Distribution):
             raise DomainError("gamma requires a > 0 and b > 0")
         self.a = float(a)
         self.b = float(b)
+        from scipy import stats
+
         self._frozen = stats.gamma(self.a, scale=1.0 / self.b)
 
     @property
@@ -203,6 +204,8 @@ class Gamma(Distribution):
     def upper_mean(self, c):
         if c <= 0:
             return self.mean() - c
+        from scipy import stats
+
         # E(Y-c)+ = (a/b) S_{a+1}(c) - c S_a(c), both tails at the same rate
         s_a1 = stats.gamma.sf(c, self.a + 1.0, scale=1.0 / self.b)
         s_a = self._frozen.sf(c)
@@ -327,18 +330,26 @@ class HalfNormal(Distribution):
         return np.where(arr >= 0, math.log(self._C) - 0.5 * arr * arr, -np.inf)
 
     def _cdf(self, arr):
+        from scipy import special
+
         return np.where(arr >= 0, special.erf(np.maximum(arr, 0.0) / math.sqrt(2)), 0.0)
 
     def _sf(self, arr):
+        from scipy import special
+
         return np.where(arr >= 0, special.erfc(np.maximum(arr, 0.0) / math.sqrt(2)), 1.0)
 
     def _log_sf(self, arr):
+        from scipy import special
+
         # sf(y) = 2 G(-y); log_ndtr keeps the deep tail exact
         return np.where(
             arr >= 0, math.log(2.0) + special.log_ndtr(-np.maximum(arr, 0.0)), 0.0
         )
 
     def _quantile(self, arr):
+        from scipy import special
+
         near1 = arr > 0.5
         out = np.empty_like(arr)
         out[~near1] = special.erfinv(arr[~near1]) * math.sqrt(2)
@@ -346,6 +357,8 @@ class HalfNormal(Distribution):
         return out
 
     def _isf(self, arr):
+        from scipy import special
+
         return special.erfcinv(arr) * math.sqrt(2)
 
     def mean(self):

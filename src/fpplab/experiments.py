@@ -23,7 +23,6 @@ from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
-from scipy import stats as _sstats
 
 from ._version import __version__ as _pkg_version
 from . import averaging
@@ -406,7 +405,7 @@ def fit_scaling(rows) -> FitReport:
     sig = np.zeros(len(rows))
     for i, r in enumerate(rows):
         if r.var_hi > r.var_lo > 0:
-            sig[i] = (math.log(r.var_hi) - math.log(r.var_lo)) / (2 * 1.959963984540054)
+            sig[i] = (math.log(r.var_hi) - math.log(r.var_lo)) / (2 * _Z95)
     out = {}
     for label, shape in (("linear", n), ("linear-over-log", n / np.log(n))):
         logc = float(np.mean(logv - np.log(shape)))
@@ -475,8 +474,10 @@ def _count_ci(k: int, n: int):
     if k >= 20:
         half = _Z95 * math.sqrt(max(p * (1 - p), 1e-300) / n)
         return max(p - half, 0.0), min(p + half, 1.0), "normal"
-    lo = 0.0 if k == 0 else float(_sstats.beta.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_sstats.beta.ppf(1 - alpha / 2, k + 1, n - k))
+    from scipy import stats
+
+    lo = 0.0 if k == 0 else float(stats.beta.ppf(alpha / 2, k, n - k + 1))
+    hi = 1.0 if k == n else float(stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
     return lo, hi, "clopper-pearson"
 
 
@@ -717,7 +718,7 @@ def estimate_time_constant(
         n = int(n)
         t = batches[n].times
         mu = float(t.mean())
-        half = 1.959963984540054 * float(t.std(ddof=1)) / math.sqrt(t.size)
+        half = _Z95 * float(t.std(ddof=1)) / math.sqrt(t.size)
         rows.append(
             TimeConstantRow(
                 n=n,

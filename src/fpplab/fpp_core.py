@@ -33,8 +33,6 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from . import reporting
 from .averaging import OffsetSample
@@ -90,6 +88,9 @@ _KERNEL = _load_kernel()
 
 def _scipy_solve(box: LatticeBox, weights: np.ndarray, source_index: int):
     """LatticeBox.solve by scipy's csgraph: the fallback and the test oracle."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     data = weights[box.data_perm]
     graph = csr_matrix(
         (data, box._csr_indices, box._csr_indptr),

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import Distribution, Gamma, Uniform, lsi_constant_bernoulli
 from .errors import (
@@ -306,6 +305,8 @@ def verify_energy_decomposition(table: ProductTable, i: int) -> EnergyDecomposit
 
 
 def _quad(fn: Callable, a: float, b: float, rel_tol: float = 1e-10) -> float:
+    from scipy import integrate
+
     val, err = integrate.quad(fn, a, b, epsabs=1e-13, epsrel=rel_tol, limit=400)
     if not math.isfinite(val) or err > max(1e-8, 1e-6 * abs(val)):
         raise NumericError(f"quadrature failed: value {val}, error estimate {err}")

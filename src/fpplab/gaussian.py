@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -43,6 +42,8 @@ def gauss_cdf(x):
     The lower tail is 0.5*erfc(|x|/sqrt(2)), which is relatively accurate
     down to the underflow threshold near x = -38.
     """
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     tail = 0.5 * special.erfc(np.abs(x) / _SQRT2)
     out = np.where(x < 0, tail, 1.0 - tail)
@@ -56,6 +57,8 @@ def gauss_sf(x):
 
 def gauss_log_cdf(x):
     """log G(x) without underflow in the lower tail."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     out = special.log_ndtr(x)
     return out if out.ndim else float(out)
@@ -70,6 +73,8 @@ def gauss_quantile_from_log_cdf(logp):
     logp = np.asarray(logp, dtype=float)
     if np.any(logp >= 0.0):
         raise DomainError("log probability must be negative")
+    from scipy import special
+
     x = special.ndtri_exp(logp)
     for _ in range(2):
         log_g = special.log_ndtr(x)

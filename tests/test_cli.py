@@ -150,7 +150,7 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert doc["config"]["master_seed"] == 3
 
 
-def test_report_roundtrip_and_check(tmp_path):
+def test_report_roundtrip_and_check(tmp_path, capsys):
     src = tmp_path / "run"
     assert _run(["simulate", "--dist", "exp:rate=1", "--n", "5,8", "--replicas",
                  "8", "--seed", "9", "--format", "json", "--out", str(src)]) == 0
@@ -162,8 +162,12 @@ def test_report_roundtrip_and_check(tmp_path):
     doc = json.loads(report.read_text())
     doc["rows"][0]["mean"] = 0.0
     report.write_text(json.dumps(doc))
+    capsys.readouterr()
     rc = _run(["report", "--from", str(report), "--check", "--out", str(tmp_path / "t")])
     assert rc == 1
+    err = capsys.readouterr().err
+    assert "rows[0].mean" in err and "file 0.0" in err
+    assert "fpplab " in err and "numpy " in err and "scipy " in err
 
 
 def test_report_with_control_character_in_spec_stays_valid_json(tmp_path):
@@ -236,6 +240,10 @@ def _forbid_sampling(monkeypatch):
         ["simulate", "--dist", "exp:rate=1", "--n", "4", "--seed", "-1"],
         ["simulate", "--dist", "exp:rate=1", "--n", "4", "--margin", "nan"],
         ["simulate", "--dist", "exp:rate=1", "--n", "4", "--format", "txt"],
+        ["simulate", "--dist", "exp:rate=1", "--n", "5,10,20", "--replicas", "4",
+         "--format", ""],
+        ["simulate", "--dist", "exp:rate=1", "--n", "5,10,20", "--replicas", "4",
+         "--format", ","],
         ["verify-ineq", "--n", "3", "--p", "abc"],
         ["truncate-check", "--dist", "exp:rate=1", "--k", "10", "--c5", "1", "--grid", "0"],
         ["classify", "--config", "{tmp}"],  # a directory
