@@ -156,7 +156,15 @@ class Distribution:
 
 
 class Gamma(Distribution):
-    """Gamma law with shape a and rate b (density ~ y^(a-1) e^(-b y))."""
+    """Gamma law with shape a and rate b (density ~ y^(a-1) e^(-b y)).
+
+    The kernels are those of scipy's frozen gamma distribution, written out
+    on scipy.special so that they give its bits: y is standardized as
+    y / scale with scale = 1 / b, quantiles come back as q-inverse * scale,
+    the support rules at 0 and +inf are its rules, and the log CDF and log
+    SF switch at the median from the log of one tail to log1p of minus the
+    other. So at y = +inf the density is nan for a > 1, as there.
+    """
 
     kind = "gamma"
     continuous = True
@@ -166,37 +174,74 @@ class Gamma(Distribution):
             raise DomainError("gamma requires a > 0 and b > 0")
         self.a = float(a)
         self.b = float(b)
-        from scipy import stats
-
-        self._frozen = stats.gamma(self.a, scale=1.0 / self.b)
+        self._scale = 1.0 / self.b
 
     @property
     def support(self):
         return (0.0, math.inf)
 
+    def _log_kernel(self, x):
+        from scipy import special
+
+        return special.xlogy(self.a - 1.0, x) - x - special.gammaln(self.a)
+
     def _pdf(self, arr):
-        return self._frozen.pdf(arr)
+        x = arr / self._scale
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = np.exp(self._log_kernel(x)) / self._scale
+        return np.where(x < 0, 0.0, out)
 
     def _log_pdf(self, arr):
-        return self._frozen.logpdf(arr)
+        x = arr / self._scale
+        with np.errstate(invalid="ignore"):
+            out = self._log_kernel(x) - np.log(self._scale)
+        return np.where(x < 0, -np.inf, out)
 
     def _cdf(self, arr):
-        return self._frozen.cdf(arr)
+        from scipy import special
 
-    def _log_cdf(self, arr):
-        return self._frozen.logcdf(arr)
+        x = arr / self._scale
+        return np.where(x <= 0, 0.0, special.gammainc(self.a, x))
 
     def _sf(self, arr):
-        return self._frozen.sf(arr)
+        from scipy import special
+
+        x = arr / self._scale
+        return np.where(x <= 0, 1.0, special.gammaincc(self.a, x))
+
+    def _log_cdf(self, arr):
+        from scipy import special
+
+        x = arr / self._scale
+        with np.errstate(divide="ignore"):
+            out = np.where(
+                x < special.gammaincinv(self.a, 0.5),
+                np.log(self._cdf(arr)),
+                np.log1p(-self._sf(arr)),
+            )
+        return np.where(x <= 0, -np.inf, np.where(x == np.inf, 0.0, out))
 
     def _log_sf(self, arr):
-        return self._frozen.logsf(arr)
+        from scipy import special
+
+        x = arr / self._scale
+        with np.errstate(divide="ignore"):
+            out = np.where(
+                x > special.gammaincinv(self.a, 0.5),
+                np.log(self._sf(arr)),
+                np.log1p(-self._cdf(arr)),
+            )
+        return np.where(x <= 0, 0.0, out)
 
     def _quantile(self, arr):
-        return self._frozen.ppf(arr)
+        from scipy import special
+
+        return special.gammaincinv(self.a, arr) * self._scale
 
     def _isf(self, arr):
-        return self._frozen.isf(arr)
+        from scipy import special
+
+        return special.gammainccinv(self.a, arr) * self._scale
 
     def mean(self):
         return self.a / self.b
@@ -204,11 +249,12 @@ class Gamma(Distribution):
     def upper_mean(self, c):
         if c <= 0:
             return self.mean() - c
-        from scipy import stats
+        from scipy import special
 
         # E(Y-c)+ = (a/b) S_{a+1}(c) - c S_a(c), both tails at the same rate
-        s_a1 = stats.gamma.sf(c, self.a + 1.0, scale=1.0 / self.b)
-        s_a = self._frozen.sf(c)
+        x = c / self._scale
+        s_a1 = special.gammaincc(self.a + 1.0, x)
+        s_a = special.gammaincc(self.a, x)
         return float((self.a / self.b) * s_a1 - c * s_a)
 
     def exp_moment_rate(self):

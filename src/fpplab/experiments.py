@@ -474,10 +474,10 @@ def _count_ci(k: int, n: int):
     if k >= 20:
         half = _Z95 * math.sqrt(max(p * (1 - p), 1e-300) / n)
         return max(p - half, 0.0), min(p + half, 1.0), "normal"
-    from scipy import stats
+    from scipy import special
 
-    lo = 0.0 if k == 0 else float(stats.beta.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi, "clopper-pearson"
 
 
@@ -599,6 +599,8 @@ def influence_diagnostics(
     1-Lipschitz upper bound, which is what the diagnostics r and s stand in
     for anyway.
     """
+    if not (_is_int(exact_replicas) and exact_replicas >= 1):
+        raise ConfigError(f"exact_replicas must be an integer >= 1, got {exact_replicas!r}")
     dist = parse_spec(cfg.dist_spec)
     m_rand = cfg.m_for(n) or int(math.ceil(n**0.25))
     _margin_for(cfg, n, m_rand)
@@ -615,8 +617,8 @@ def influence_diagnostics(
         for w_e, w_plus in zip(batch.exact_w, batch.exact_w_plus):
             w_sq += w_e**2
             s_sq_sum += w_plus**2
-        w_sq /= max(exact_n, 1)
-        s_sq = s_sq_sum / max(exact_n, 1)
+        w_sq /= exact_n
+        s_sq = s_sq_sum / exact_n
         mean_f = float(batch.times.mean())
         ey = dist.mean()
         s_bound = ey * math.sqrt(float((batch.geo_len**2).mean()))
@@ -781,12 +783,15 @@ def truncation_experiment(
     pointwise no larger; distances inherit the ordering exactly, and both
     facts are asserted per replica, not assumed.
     """
+    reps = replicas if replicas is not None else min(cfg.replicas, 1000)
+    if not (_is_int(reps) and reps >= 1):
+        raise ConfigError(f"replicas must be an integer >= 1, got {reps!r}")
+    reps = int(reps)
     base = parse_spec(cfg.dist_spec)
     if not base.continuous:
         raise ConfigError("truncation comparison needs a continuous base law")
     nu_k = truncate(base, k, c5)
     n = int(n if n is not None else min(cfg.n_list))
-    reps = int(replicas if replicas is not None else min(cfg.replicas, 1000))
 
     grid_max_defect, _, _ = nu_k.domination_check(grid_points)
     grid_ok = bool(grid_max_defect <= 1e-12)

@@ -206,13 +206,13 @@ class LatticeBox:
         As scipy's dijkstra: pred is -9999 at the source and at unreachable
         vertices, where dist is inf.
         """
-        if _KERNEL is None:
-            return _scipy_solve(self, weights, source_index)
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if w.shape != (self.n_edges,):
             raise DomainError(f"expected {self.n_edges} edge weights, got shape {w.shape}")
         if not 0 <= source_index < self.n_vertices:
             raise DomainError("source vertex index out of range")
+        if _KERNEL is None:
+            return _scipy_solve(self, w, source_index)
         dist = np.empty(self.n_vertices)
         pred = np.empty(self.n_vertices, dtype=np.int32)
         status = _KERNEL(

@@ -457,3 +457,59 @@ def test_truncated_tail_bisection_stops_at_its_fixed_point_bit_for_bit(spec):
     ])
     got = nu._tail_quantile(u)
     assert got.tobytes() == truncated_tail_quantile_100_rounds(nu, u).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the gamma law on scipy.special against scipy.stats.gamma, bit for bit
+
+GAMMA_X_EDGES = np.array([-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 1.0,
+                          1e300, np.inf, np.nan])
+GAMMA_Q_EDGES = np.array([-0.5, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1 - 2**-53, 1.0, 1.5,
+                          np.nan])
+
+
+def _bit_mismatches(got, want):
+    """Indices where two float arrays differ in bits; any nan matches any nan."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    both_nan = np.isnan(got) & np.isnan(want)
+    return np.flatnonzero((got.view(np.int64) != want.view(np.int64)) & ~both_nan)
+
+
+@pytest.mark.parametrize("a,b", ((0.1, 2.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0),
+                                 (2.0, 3.0), (7.5, 0.25)))
+def test_gamma_kernels_are_scipy_stats_bit_for_bit(a, b):
+    law, oracle = F.Gamma(a, b), stats.gamma(a, scale=1.0 / b)
+    rng = np.random.default_rng(int(100 * a + b))
+    mean = a / b
+    y = np.concatenate([
+        GAMMA_X_EDGES,
+        rng.exponential(3.0 * mean, 50_000),
+        mean * 10.0 ** rng.uniform(-300.0, 3.0, 50_000),
+    ])
+    q = np.concatenate([
+        GAMMA_Q_EDGES,
+        rng.random(50_000),
+        10.0 ** rng.uniform(-300.0, 0.0, 25_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 25_000),
+    ])
+    pairs = {
+        "pdf": (law.pdf(y), oracle.pdf),
+        "log_pdf": (law.log_pdf(y), oracle.logpdf),
+        "cdf": (law.cdf(y), oracle.cdf),
+        "sf": (law.sf(y), oracle.sf),
+        "log_cdf": (law.log_cdf(y), oracle.logcdf),
+        "log_sf": (law.log_sf(y), oracle.logsf),
+        "quantile": (law.quantile(q), oracle.ppf),
+        "isf": (law.isf(q), oracle.isf),
+    }
+    for name, (got, kernel) in pairs.items():
+        points = q if name in ("quantile", "isf") else y
+        with np.errstate(all="ignore"):  # stats warns at +inf for a > 1
+            want = kernel(points)
+        bad = _bit_mismatches(got, want)[:3]
+        assert bad.size == 0, (name, points[bad], got[bad], want[bad])
+    levels = np.concatenate([[5e-324, 1e-300, 0.5, 1.0, 1e300], rng.exponential(3.0 * mean, 2000)])
+    got = np.array([law.upper_mean(float(c)) for c in levels])
+    want = (a / b) * stats.gamma.sf(levels, a + 1.0, scale=1.0 / b) - levels * oracle.sf(levels)
+    bad = _bit_mismatches(got, want)[:3]
+    assert bad.size == 0, ("upper_mean", levels[bad], got[bad], want[bad])

@@ -219,6 +219,21 @@ def test_tail_profile_exponential_synthetic():
         assert r.p_lo <= r.p_hat <= r.p_hi
 
 
+@pytest.mark.parametrize("n", (150, 1000, 2000, 5000))
+def test_clopper_pearson_is_scipy_stats_beta_ppf_bit_for_bit(n):
+    from scipy import stats
+
+    alpha = 1.0 - 0.95
+    for k in range(20):
+        lo, hi, method = F.experiments._count_ci(k, n)
+        assert method == "clopper-pearson"
+        want_lo = 0.0 if k == 0 else float(stats.beta.ppf(alpha / 2, k, n - k + 1))
+        want_hi = float(stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
+        assert (lo, hi) == (want_lo, want_hi), (k, n)
+        assert np.float64(lo).tobytes() == np.float64(want_lo).tobytes()
+    assert F.experiments._count_ci(20, n)[2] == "normal"
+
+
 def test_tail_profile_needs_replicas():
     cfg = F.ExperimentConfig(**{**TINY, "replicas": 24})
     with pytest.raises(ConfigError):
@@ -506,6 +521,32 @@ def test_influence_diagnostics_checks_its_randomized_m_before_sampling(n, margin
     _forbid_sampling(monkeypatch)
     with pytest.raises(ConfigError, match="margin 1 cannot absorb offsets up to m=2"):
         F.influence_diagnostics(cfg, n)
+
+
+@pytest.mark.parametrize("exact", (0, -5, 2.5, 10.0, True, "10"))
+def test_influence_diagnostics_refuses_a_bad_exact_replica_count_before_sampling(exact,
+                                                                                 monkeypatch):
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(16,), replicas=12, workers=1)
+    _forbid_sampling(monkeypatch)
+    monkeypatch.setattr(F.experiments, "collect_batch", None)  # no cell is collected
+    with pytest.raises(ConfigError, match="exact_replicas must be an integer >= 1"):
+        F.influence_diagnostics(cfg, 16, exact_replicas=exact)
+
+
+@pytest.mark.parametrize("replicas", (0, -3, 1.5, False))
+def test_truncation_experiment_refuses_a_bad_replica_count_before_sampling(replicas,
+                                                                           monkeypatch):
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(6,), replicas=10, workers=1)
+    monkeypatch.setattr(F.experiments, "box_for", None)  # nor is a box built
+    monkeypatch.setattr(F.experiments, "truncate", None)
+    with pytest.raises(ConfigError, match="replicas must be an integer >= 1"):
+        F.truncation_experiment(cfg, k=10, c5=0.5, replicas=replicas)
+
+
+def test_truncation_experiment_runs_on_one_replica():
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(6,), replicas=10, workers=1)
+    rep = F.truncation_experiment(cfg, k=10, c5=0.5, replicas=1)
+    assert rep.replicas == 1 and rep.gap_max == rep.gap_mean >= 0.0
 
 
 def test_collect_batch_refuses_an_m_its_box_cannot_hold(monkeypatch):

@@ -50,6 +50,25 @@ def test_kernel_builds_into_the_user_cache_or_falls_back(tmp_path, monkeypatch):
     assert not (tmp_path / "none").exists()
 
 
+@pytest.mark.parametrize("kernel", ("compiled", "scipy"))
+def test_solve_checks_its_input_on_either_backend(kernel, monkeypatch):
+    if kernel == "scipy":
+        monkeypatch.setattr(fpp_core, "_KERNEL", None)
+    elif fpp_core._KERNEL is None:
+        pytest.skip("no C compiler: LatticeBox.solve runs on scipy")
+    box = F.LatticeBox((0, 0), (3, 3))  # 16 vertices, 24 edges
+    w = np.ones(box.n_edges)
+    with pytest.raises(F.DomainError, match="expected 24 edge weights"):
+        box.solve(np.ones(29), 0)
+    with pytest.raises(F.DomainError, match="expected 24 edge weights"):
+        box.solve(w.reshape(4, 6), 0)
+    for source in (999, 16, -1):
+        with pytest.raises(F.DomainError, match="out of range"):
+            box.solve(w, source)
+    dist, pred = box.solve(w, 0)
+    assert dist[box.vertex_index((3, 3))] == 6.0 and pred[0] == -9999
+
+
 @needs_kernel
 @pytest.mark.parametrize("lohi", BOXES)
 @pytest.mark.parametrize("spec", LAWS)
