@@ -9,6 +9,7 @@ numpy arrays; scalars in give scalars out.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,6 +250,8 @@ class Gamma(Distribution):
     def upper_mean(self, c):
         if c <= 0:
             return self.mean() - c
+        if c == math.inf:  # c * S_a(c) would be inf * 0
+            return 0.0
         from scipy import special
 
         # E(Y-c)+ = (a/b) S_{a+1}(c) - c S_a(c), both tails at the same rate
@@ -413,6 +416,8 @@ class HalfNormal(Distribution):
     def upper_mean(self, c):
         if c <= 0:
             return self.mean() - c
+        if c == math.inf:  # c * sf(c) would be inf * 0
+            return 0.0
         return self._C * math.exp(-0.5 * c * c) - c * float(self.sf(c))
 
     def exp_moment_rate(self):
@@ -498,6 +503,21 @@ def _hat_sf(s):
     return (1.0 - sc) ** 2 * (1.0 + 2.0 * sc)
 
 
+_DOMINATION_TOL = 1e-12  # the rounding every domination comparison allows
+
+
+class _DominationCheck(NamedTuple):
+    max_defect: float  # max of H_base - H_k: domination needs <= 0
+    equal_below_cut_max_error: float  # max |H_base - H_k| at or below the cut: 0
+    support_ok: bool  # H_k reaches 1 at the top
+
+    @property
+    def dominates(self) -> bool:
+        """The one verdict: all three hold up to the rounding allowance."""
+        tol = _DOMINATION_TOL
+        return self.max_defect <= tol and self.equal_below_cut_max_error <= tol and self.support_ok
+
+
 class Truncated(Distribution):
     """Bounded-support modification of a base law on [0, +inf).
 
@@ -576,13 +596,9 @@ class Truncated(Distribution):
             lo, hi = new_lo, new_hi
         return 0.5 * (lo + hi)
 
-    def domination_check(self, grid_points: int = 10_000) -> tuple[float, float, bool]:
-        """Compare this CDF with the base's on an even grid over [0, 1.05 top].
-
-        Returns (max of H_base - H_k, which domination needs <= 0 up to
-        rounding; max |H_base - H_k| at or below the cut, which should be
-        0; whether H_k reaches 1 at the top).
-        """
+    def domination_check(self, grid_points: int = 10_000) -> _DominationCheck:
+        """Compare this CDF with the base's on an even grid over [0, 1.05 top];
+        `.dominates` is the verdict, each comparison up to 1e-12 rounding."""
         if grid_points < 2:
             raise DomainError(f"the comparison grid needs at least 2 points, got {grid_points}")
         grid = np.linspace(0.0, self.top * 1.05, grid_points)
@@ -591,8 +607,8 @@ class Truncated(Distribution):
         below = grid <= self.cut
         max_defect = float((h_base - h_k).max())
         below_cut_error = float(np.abs(h_base[below] - h_k[below]).max())
-        support_ok = bool(abs(float(self.cdf(self.top)) - 1.0) <= 1e-12)
-        return max_defect, below_cut_error, support_ok
+        support_ok = bool(abs(float(self.cdf(self.top)) - 1.0) <= _DOMINATION_TOL)
+        return _DominationCheck(max_defect, below_cut_error, support_ok)
 
     def mean(self):
         return self.upper_mean(0.0)

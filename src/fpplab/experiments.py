@@ -18,7 +18,7 @@ import math
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from numbers import Integral, Real
 
@@ -160,7 +160,7 @@ class ReplicaBatch:
     presence: np.ndarray  # (replicas, n_probes) uint8
     probe_ids: np.ndarray
     geo_edges: list | None = None
-    seconds: float = 0.0
+    seconds: float = 0.0  # collect_batch's wall time; never written to a report
     # exact probe influences of the first exact_replicas replicas, in order
     exact_w: np.ndarray | None = None  # (exact_replicas, n_probes) W_{e,+}
     exact_w_plus: list | None = None  # Lipschitz bound on W_+ per replica
@@ -330,11 +330,6 @@ class ScalingRow:
     geo_len_mean: float
     geo_len_sq_mean: float
     ties: int
-    seconds: float
-
-    def summary(self, deterministic: bool = True) -> dict:
-        """The fields, with the wall time zeroed in deterministic output."""
-        return dict(vars(self), seconds=0.0 if deterministic else self.seconds)
 
 
 SCALING_CSV_HEADER = [f.name for f in fields(ScalingRow)]
@@ -351,7 +346,6 @@ def row_from_batch(batch: ReplicaBatch) -> ScalingRow:
         geo_len_mean=float(batch.geo_len.mean()),
         geo_len_sq_mean=float((batch.geo_len**2).mean()),
         ties=int(np.count_nonzero(batch.ties)),
-        seconds=batch.seconds,
     )
 
 
@@ -793,8 +787,7 @@ def truncation_experiment(
     nu_k = truncate(base, k, c5)
     n = int(n if n is not None else min(cfg.n_list))
 
-    grid_max_defect, _, _ = nu_k.domination_check(grid_points)
-    grid_ok = bool(grid_max_defect <= 1e-12)
+    grid = nu_k.domination_check(grid_points)
 
     box = box_for(cfg, n)
     src = box.vertex_index(tuple([0] * cfg.dim))
@@ -821,8 +814,8 @@ def truncation_experiment(
         k=int(k),
         c5=float(c5),
         cut=nu_k.cut,
-        grid_ok=grid_ok,
-        grid_max_defect=grid_max_defect,
+        grid_ok=grid.dominates,
+        grid_max_defect=grid.max_defect,
         coupling_violations=coupling_viol,
         distance_violations=dist_viol,
         replicas=reps,
@@ -883,9 +876,11 @@ def geodesic_stats(
 def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
     """Scaling rows, model fit and time-constant report as one document.
 
-    The fit and time constant are kept as their dataclasses; `reporting`
-    serializes them field by field.
+    Format 2: rows are plain dicts with no wall time (see `ReplicaBatch.seconds`);
+    `reporting` serializes the fit and time-constant dataclasses field by field.
     """
+    if deterministic is not True:
+        raise ConfigError("full_report writes no wall times; cell times are ReplicaBatch.seconds")
     if len(cfg.n_list) >= 3:  # a fit will run: refuse what it cannot fit before sampling
         if min(cfg.n_list) <= 1:
             raise ConfigError("the n/log n model fit needs every n > 1")
@@ -901,7 +896,8 @@ def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
     return {
         "version": _pkg_version,
         "config": cfg.echo(),
-        "rows": [r.summary(deterministic) for r in rows],
+        "format": 2,
+        "rows": [asdict(r) for r in rows],
         "fit": fit,
         "time_constant": tc,
     }

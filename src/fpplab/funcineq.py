@@ -317,19 +317,22 @@ def _xlogx(v: float) -> float:
     return v * math.log(v) if v > 0.0 else 0.0
 
 
+def _lsi_report(name, f, fprime, dens, lo, hi, weight, const) -> IneqReport:
+    """Ent(f^2) against const * E[weight f'^2] under density dens on [lo, hi]."""
+    ef2 = _quad(lambda x: f(x) ** 2 * dens(x), lo, hi)
+    eflogf = _quad(lambda x: _xlogx(f(x) ** 2) * dens(x), lo, hi)
+    rhs = const * _quad(lambda x: weight(x) * fprime(x) ** 2 * dens(x), lo, hi)
+    return IneqReport(name=name, lhs=eflogf - _xlogx(ef2), rhs=rhs)
+
+
 def gaussian_lsi_check(f: Callable, fprime: Callable) -> IneqReport:
     """Ent_gamma(f^2) <= 2 E_gamma(f'^2) by adaptive quadrature on [-12, 12].
 
     The Gaussian mass beyond |x| = 12 is below 1e-32, inside the slack
     tolerance for any f of subexponential growth.
     """
-    lo, hi = -12.0, 12.0
     g = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    ef2 = _quad(lambda x: f(x) ** 2 * g(x), lo, hi)
-    eflogf = _quad(lambda x: _xlogx(f(x) ** 2) * g(x), lo, hi)
-    lhs = eflogf - _xlogx(ef2)
-    rhs = 2.0 * _quad(lambda x: fprime(x) ** 2 * g(x), lo, hi)
-    return IneqReport(name="gaussian-lsi", lhs=lhs, rhs=rhs)
+    return _lsi_report("gaussian-lsi", f, fprime, g, -12.0, 12.0, lambda x: 1.0, 2.0)
 
 
 def onedim_lsi_check(dist: Distribution, f: Callable, fprime: Callable) -> IneqReport:
@@ -345,24 +348,14 @@ def onedim_lsi_check(dist: Distribution, f: Callable, fprime: Callable) -> IneqR
                 "gamma log-Sobolev constant 4/b needs shape a >= 1/2"
             )
         hi = float(dist.quantile(1.0 - 1e-14)) + 10.0 / dist.b
-        dens = dist.pdf
-        ef2 = _quad(lambda x: f(x) ** 2 * dens(x), 0.0, hi)
-        eflogf = _quad(lambda x: _xlogx(f(x) ** 2) * dens(x), 0.0, hi)
-        lhs = eflogf - _xlogx(ef2)
-        rhs = (4.0 / dist.b) * _quad(
-            lambda x: x * fprime(x) ** 2 * dens(x), 0.0, hi
-        )
-        return IneqReport(name="gamma-lsi", lhs=lhs, rhs=rhs)
+        return _lsi_report("gamma-lsi", f, fprime, dist.pdf, 0.0, hi, lambda x: x, 4.0 / dist.b)
     if isinstance(dist, Uniform):
         if not (dist.lo == 0.0 and dist.hi == 1.0):
             raise UnsupportedParameterError(
                 "the 2/pi^2 constant applies to the uniform law on [0, 1]"
             )
-        ef2 = _quad(lambda x: f(x) ** 2, 0.0, 1.0)
-        eflogf = _quad(lambda x: _xlogx(f(x) ** 2), 0.0, 1.0)
-        lhs = eflogf - _xlogx(ef2)
-        rhs = (2.0 / math.pi**2) * _quad(lambda x: fprime(x) ** 2, 0.0, 1.0)
-        return IneqReport(name="uniform-lsi", lhs=lhs, rhs=rhs)
+        one = lambda x: 1.0
+        return _lsi_report("uniform-lsi", f, fprime, one, 0.0, 1.0, one, 2.0 / math.pi**2)
     raise UnsupportedParameterError(
         f"one-dimensional check supports gamma and uniform[0,1], got {dist.kind}"
     )

@@ -1,10 +1,15 @@
 import json
+import random
 import warnings
+from pathlib import Path
 
 import pytest
 
+from fpplab import experiments, reporting
 from fpplab.cli import build_parser, main
-from fpplab.distributions import Distribution
+from fpplab.distributions import Distribution, Truncated
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(argv):
@@ -18,8 +23,7 @@ def _run(argv):
 def test_every_subcommand_has_help_listing_all_flags(capsys):
     expected_flags = {
         "simulate": ["--dist", "--dim", "--n", "--replicas", "--seed", "--m-policy",
-                     "--margin", "--workers", "--format", "--svg",
-                     "--timing-in-output", "--config", "--out"],
+                     "--margin", "--workers", "--format", "--svg", "--config", "--out"],
         "verify-ineq": ["--n", "--p", "--tables", "--seed", "--config", "--out"],
         "classify": ["--dist", "--config", "--out"],
         "gm-check": ["--m", "--config", "--out"],
@@ -105,6 +109,20 @@ def test_truncate_check(capsys):
     assert doc["report"]["support_ok"] is True
 
 
+def test_truncate_check_and_the_truncation_experiment_share_one_verdict(monkeypatch, capsys):
+    real = Truncated.domination_check
+
+    def unequal_below_the_cut(self, grid_points=10_000):
+        return real(self, grid_points)._replace(equal_below_cut_max_error=1e-9)
+
+    monkeypatch.setattr(Truncated, "domination_check", unequal_below_the_cut)
+    assert _run(["truncate-check", "--dist", "exp:rate=1", "--k", "10", "--c5", "0.5"]) == 1
+    assert json.loads(capsys.readouterr().out)["report"]["dominates"] is False
+    cfg = experiments.ExperimentConfig(dist_spec="exp:rate=1", n_list=(4,), replicas=3,
+                                       workers=1)
+    assert not experiments.truncation_experiment(cfg, k=10, c5=0.5, replicas=1).grid_ok
+
+
 def test_config_errors_exit_2(capsys):
     assert _run(["classify", "--dist", "wat:x=1"]) == 2
     assert _run(["simulate", "--dist", "exp:rate=1", "--replicas", "1", "--n", "4"]) == 2
@@ -145,7 +163,7 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "scaling.svg").exists()
     header = (a / "scaling.csv").read_text().splitlines()[0]
-    assert header == "n,mean,var,var_lo,var_hi,geo_len_mean,geo_len_sq_mean,ties,seconds"
+    assert header == "n,mean,var,var_lo,var_hi,geo_len_mean,geo_len_sq_mean,ties"
     doc = json.loads((a / "report.json").read_text())
     assert doc["config"]["master_seed"] == 3
 
@@ -168,6 +186,49 @@ def test_report_roundtrip_and_check(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rows[0].mean" in err and "file 0.0" in err
     assert "fpplab " in err and "numpy " in err and "scipy " in err
+
+
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_simulate_outputs_hold_no_wall_time(workers, tmp_path, monkeypatch):
+    args = ["simulate", "--dist", "exp:rate=1", "--n", "5,8,12", "--replicas", "10",
+            "--seed", "3", "--workers", workers, "--svg"]
+    plain, jumpy = tmp_path / "plain", tmp_path / "jumpy"
+    assert _run(args + ["--out", str(plain)]) == 0
+    rng = random.Random(int(workers))
+    clock = [0.0]
+
+    def jumpy_clock():
+        clock[0] += rng.choice((1e-9, 1.0, 3600.0)) * rng.random()
+        return clock[0]
+
+    monkeypatch.setattr(experiments._time, "perf_counter", jumpy_clock)
+    assert _run(args + ["--out", str(jumpy)]) == 0
+    assert clock[0] > 0.0  # the run did read the patched clock
+    for name in ("report.json", "scaling.csv", "scaling.svg"):
+        assert (plain / name).read_bytes() == (jumpy / name).read_bytes()
+
+
+def test_simulate_timing_in_output_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _run(["simulate", "--dist", "exp:rate=1", "--n", "5", "--replicas", "4",
+              "--timing-in-output", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_report_check_names_a_format_1_report(tmp_path, capsys):
+    golden = GOLDEN / "exp" / "report.json"
+    assert _run(["report", "--from", str(golden), "--check", "--out", str(tmp_path / "a")]) == 0
+    old = json.loads(golden.read_text())
+    assert old.pop("format") == 2
+    for row in old["rows"]:  # format 1 rows carried an always-zero wall time
+        row["seconds"] = 0.0
+    source = tmp_path / "format1.json"
+    source.write_text(reporting.dumps(old), encoding="utf-8")
+    capsys.readouterr()
+    assert _run(["report", "--from", str(source), "--check", "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert "format 1 report; regenerate it" in err and "first difference" not in err
 
 
 def test_report_with_control_character_in_spec_stays_valid_json(tmp_path):

@@ -424,6 +424,15 @@ def test_upper_mean_below_the_support_is_mean_minus_level(name):
     assert d.upper_mean(c) == pytest.approx(d.mean() - c, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(CONTRACT_LAWS))
+def test_upper_mean_at_infinity_is_zero(name):
+    # E[(Y - c)+] at c = +inf, for every built-in kind plus a trunc(...) and a tabulated law
+    assert set(F.distributions._SPECS) <= set(CONTRACT_LAWS)
+    value = CONTRACT_LAWS[name].upper_mean(math.inf)
+    assert type(value) is float and value == 0.0
+
+
 def test_tabulated_upper_mean_matches_the_uniform_closed_form():
     tab, uni = F.Tabulated([1.0, 2.0], [1.0, 1.0]), F.Uniform(1.0, 2.0)
     assert tab.mean() == uni.mean()
@@ -434,12 +443,19 @@ def test_tabulated_upper_mean_matches_the_uniform_closed_form():
 def test_domination_check_matches_a_direct_grid():
     base = F.parse_spec("exp:rate=1")
     nu = F.truncate(base, 10, 0.5)
-    max_defect, below_cut_error, support_ok = nu.domination_check(5000)
+    check = nu.domination_check(5000)
+    max_defect, below_cut_error, support_ok = check
     grid = np.linspace(0.0, 1.05 * nu.top, 5000)
     defect = np.asarray(base.cdf(grid)) - np.asarray(nu.cdf(grid))
     assert max_defect == defect.max() <= 1e-12
     assert below_cut_error == np.abs(defect[grid <= nu.cut]).max() == 0.0
     assert support_ok
+    # the verdict needs all three, each up to 1e-12 rounding
+    assert check.dominates
+    assert check._replace(max_defect=1e-12, equal_below_cut_max_error=1e-12).dominates
+    for bad in (dict(max_defect=2e-12), dict(equal_below_cut_max_error=2e-12),
+                dict(support_ok=False), dict(max_defect=math.nan)):
+        assert not check._replace(**bad).dominates, bad
     with pytest.raises(DomainError):
         nu.domination_check(1)
 

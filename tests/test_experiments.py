@@ -123,7 +123,8 @@ def test_scaling_rows_shape():
     for r in rows:
         assert r.var_lo <= r.var <= r.var_hi
         assert r.var >= 0.0
-        assert r.seconds > 0.0
+    assert not hasattr(rows[0], "seconds") and not hasattr(rows[0], "summary")
+    assert F.collect_batch(cfg, 6, m=0).seconds > 0.0  # cell times live on the batch
 
 
 def test_worker_count_does_not_change_results():
@@ -147,7 +148,7 @@ def _rows(ns, var_fn, rel_ci=0.0):
             ScalingRow(
                 n=n, mean=0.0, var=v,
                 var_lo=v * (1 - rel_ci), var_hi=v * (1 + rel_ci),
-                geo_len_mean=0.0, geo_len_sq_mean=0.0, ties=0, seconds=0.0,
+                geo_len_mean=0.0, geo_len_sq_mean=0.0, ties=0,
             )
         )
     return out
@@ -342,7 +343,7 @@ def test_l_of_k_guard():
 # full report
 
 
-def test_full_report_deterministic_and_complete():
+def test_full_report_deterministic_and_complete(monkeypatch):
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", dim=2, n_list=(5, 8, 12),
                              replicas=12, master_seed=4, workers=1)
     from fpplab import reporting
@@ -356,9 +357,13 @@ def test_full_report_deterministic_and_complete():
     assert doc1["config"]["dist_spec"] == "exp:rate=1"
     assert len(doc1["rows"]) == 3
     assert doc1["fit"] is not None
-    assert all(r["seconds"] == 0.0 for r in doc1["rows"])
-    doc3 = F.full_report(cfg, deterministic=False)
-    assert any(r["seconds"] > 0.0 for r in doc3["rows"])
+    assert doc1["format"] == 2
+    assert all(set(r) == set(F.experiments.SCALING_CSV_HEADER) for r in doc1["rows"])
+    assert not any("seconds" in r for r in doc1["rows"])
+    # asking for wall times is refused before any field is sampled
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(ConfigError, match="no wall times"):
+        F.full_report(cfg, deterministic=False)
 
 
 def test_randomized_passage_time_preserves_the_mean():

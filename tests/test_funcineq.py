@@ -273,6 +273,26 @@ def test_onedim_lsi_uniform():
         F.onedim_lsi_check(F.HalfNormal(), lambda x: x, lambda x: 1.0)
 
 
+# (check, its bits as the three-call quadratures of each case first gave them)
+_LSI_BITS = [
+    (lambda: F.gaussian_lsi_check(lambda x: x, lambda x: 1.0),
+     "gaussian-lsi", "0x1.7593004960ff9p-1", "0x1.0000000000001p+1"),
+    (lambda: F.onedim_lsi_check(F.Gamma(2.5, 0.5), lambda x: math.sqrt(1 + x),
+                                lambda x: 0.5 / math.sqrt(1 + x)),
+     "gamma-lsi", "0x1.8903af06f4960p-1", "0x1.9018ec75c5049p+0"),
+    (lambda: F.onedim_lsi_check(F.Uniform(0.0, 1.0), lambda x: 1 + x * x, lambda x: 2 * x),
+     "uniform-lsi", "0x1.760280217fd58p-3", "0x1.14aca416c84c1p-2"),
+]
+
+
+@pytest.mark.parametrize("check, name, lhs, rhs", _LSI_BITS,
+                         ids=[case[1] for case in _LSI_BITS])
+def test_lsi_checks_keep_their_quadrature_bits(check, name, lhs, rhs):
+    rep = check()
+    assert rep.name == name
+    assert (rep.lhs.hex(), rep.rhs.hex()) == (lhs, rhs)
+
+
 from hypothesis import given, settings, strategies as st
 
 

@@ -116,7 +116,8 @@ def test_full_report_sections_keep_their_fields():
     cfg = ExperimentConfig(dist_spec="exp:rate=1", dim=2, n_list=(5, 8, 12),
                            replicas=12, master_seed=4, workers=1)
     doc = json.loads(dumps(full_report(cfg)))
-    assert set(doc) == {"version", "config", "rows", "fit", "time_constant"}
+    assert set(doc) == {"version", "config", "format", "rows", "fit", "time_constant"}
+    assert doc["format"] == 2
     assert set(doc["fit"]) == {"c_linear", "rss_linear", "c_over_log",
                                "rss_over_log", "preferred", "noise_floor"}
     assert set(doc["time_constant"]) == {"direction", "rows", "subadditivity",
