@@ -45,14 +45,18 @@ def _coerce_bits(x, expected_len: int | None = None) -> np.ndarray:
 
 
 def weight_reverse_lex_rank(bits) -> int:
-    """1-based rank under (weight ascending, value descending) order.
+    """1-based rank under (weight ascending, value descending) order."""
+    return _combinadic_rank(_coerce_bits(bits))
+
+
+def _combinadic_rank(b: np.ndarray) -> int:
+    """weight_reverse_lex_rank of a validated uint8 bit vector.
 
     Computed combinatorially with exact integers: full weight classes below
     this one, plus the count of same-weight strings of larger value. The
     latter is a combinadic sum over the zero positions: a string that
     agrees on the prefix and has a 1 where this one has a 0 is larger.
     """
-    b = _coerce_bits(bits)
     n = b.size
     w = int(b.sum())
     rank = 1 + sum(math.comb(n, j) for j in range(w))
@@ -98,8 +102,7 @@ class AveragingMap:
         return -(-total // self.m)
 
     def rank(self, bits) -> int:
-        b = _coerce_bits(bits, self.n_bits)
-        return weight_reverse_lex_rank(b)
+        return _combinadic_rank(_coerce_bits(bits, self.n_bits))
 
     def level(self, bits) -> int:
         """g_m = floor(rank / k); values lie in {0, ..., m}."""

@@ -289,24 +289,22 @@ def _first_difference(a, b, path: str = ""):
     return None
 
 
-def _mismatch_message(regenerated: str, original: str) -> str:
+def _mismatch_message(where: str) -> str:
     import numpy
     import scipy
 
-    doc, file_doc = json.loads(regenerated), json.loads(original)
-    fmt = file_doc.get("format", 1)  # format 1 reports carry no key
-    diff = _first_difference(doc, file_doc)
-    if fmt != doc["format"]:
-        where = f"format {fmt} report; regenerate it"
-    elif diff is None:
-        where = "the documents parse equal; only their formatting differs"
-    else:
-        path, new, old = diff
-        where = f"first difference at {path}: regenerated {new!r}, file {old!r}"
     return (
         f"report mismatch: {where} "
         f"(fpplab {__version__}, numpy {numpy.__version__}, scipy {scipy.__version__})"
     )
+
+
+def _where_they_differ(regenerated: str, original: str) -> str:
+    diff = _first_difference(json.loads(regenerated), json.loads(original))
+    if diff is None:
+        return "the documents parse equal; only their formatting differs"
+    path, new, old = diff
+    return f"first difference at {path}: regenerated {new!r}, file {old!r}"
 
 
 def _cmd_report(args) -> int:
@@ -315,7 +313,8 @@ def _cmd_report(args) -> int:
         raise FppLabError(f"report not found: {source}")
     try:
         original = source.read_text(encoding="utf-8")
-        c = json.loads(original)["config"]
+        doc = json.loads(original)
+        c = doc["config"]
         cfg = experiments.ExperimentConfig(
             dist_spec=c["dist_spec"],
             dim=c["dim"],
@@ -331,6 +330,10 @@ def _cmd_report(args) -> int:
             f"{source} is not a report with a readable embedded config: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
+    fmt = doc.get("format", 1)  # format 1 reports carry no key
+    if args.check and fmt != experiments.REPORT_FORMAT:
+        print(_mismatch_message(f"format {fmt} report; regenerate it"), file=sys.stderr)
+        return EXIT_VIOLATION
     regenerated = reporting.dumps(experiments.full_report(cfg))
     if args.out:
         out_dir = Path(args.out)
@@ -339,7 +342,7 @@ def _cmd_report(args) -> int:
     else:
         sys.stdout.write(regenerated)
     if args.check and regenerated != original:
-        print(_mismatch_message(regenerated, original), file=sys.stderr)
+        print(_mismatch_message(_where_they_differ(regenerated, original)), file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 

@@ -40,6 +40,7 @@ TAIL_FIT_MIN_COUNT = 20  # exceedances a tail row needs to enter the rate fit
 PROBE_RADIUS = 1  # influence probes: the edges within this L1 radius of the origin
 BALL_MS = (2, 3, 4)  # geodesic_stats counts geodesic edges within d*m of the mid-path
 _OFFSET_STREAM = 0x0FF5E7  # replica r draws its offset from SeedSequence((seed, r, this))
+REPORT_FORMAT = 2  # the "format" key of report.json; format 1 reports carry none
 _Z95 = 1.959963984540054  # the standard normal 0.975 quantile, norm.ppf(0.975)
 
 
@@ -601,6 +602,8 @@ def influence_diagnostics(
     box = box_for(cfg, n)
     probe_ids = [int(e) for e in box.edges_near(tuple([0] * cfg.dim), PROBE_RADIUS)]
     exact_n = min(exact_replicas, cfg.replicas)
+    c_e, law_flags = _energy_constant(dist)
+    c5 = default_c5(cfg.dim, dist.exp_moment_rate())
     out = {}
     for m in (0, m_rand):
         batch = collect_batch(
@@ -618,8 +621,10 @@ def influence_diagnostics(
         s_bound = ey * math.sqrt(float((batch.geo_len**2).mean()))
         r_hat = float(np.sqrt(w_sq.max())) if len(probe_ids) else 0.0
         s_hat = math.sqrt(s_sq)
-        flags = []
-        k_const = _k_const(cfg, dist, mean_f, m, n, flags)
+        flags = list(law_flags)
+        # K = 4 C E(F) + D (1 + 2/C): only D and E(F) depend on the cell
+        d_const = (c5**2) * m * (math.log(n) ** 2) if m > 0 else 0.0
+        k_const = 4.0 * c_e * mean_f + d_const * (1.0 + 2.0 / c_e)
         rs = r_hat * s_hat
         l_val = None
         defined = k_const > math.e * rs and rs > 0
@@ -660,25 +665,21 @@ def influence_diagnostics(
     }
 
 
-def _k_const(cfg, dist, mean_f, m, n, flags) -> float:
-    """Stand-in for the energy constant: 4 C E(F) + D (1 + 2/C)."""
+def _energy_constant(dist) -> tuple[float, list]:
+    """The law's energy constant C and the flags it raises; a law without
+    one stands in 1.0 and says so."""
     if dist.kind == "bernoulli":
+        if dist.a == 0:
+            return 1.0, ["two-point law with a = 0 has no energy constant; using 1.0"]
         from .distributions import lsi_constant_bernoulli
 
-        c_e = lsi_constant_bernoulli(dist.p) * (dist.b - dist.a) ** 2 / (4 * dist.a)
-    elif dist.continuous:
+        return lsi_constant_bernoulli(dist.p) * (dist.b - dist.a) ** 2 / (4 * dist.a), []
+    if dist.continuous:
         verdict = classify_nearly_gamma(dist)
         if not verdict.direct_pass:
-            flags.append("edge law failed the direct nearly-gamma check")
-            c_e = 1.0
-        else:
-            c_e = verdict.bound_a
-    else:
-        flags.append("no energy constant for this kind; using 1.0")
-        c_e = 1.0
-    c5 = default_c5(cfg.dim, dist.exp_moment_rate())
-    d_const = (c5**2) * m * (math.log(n) ** 2) if m > 0 else 0.0
-    return 4.0 * c_e * mean_f + d_const * (1.0 + 2.0 / c_e)
+            return 1.0, ["edge law failed the direct nearly-gamma check"]
+        return verdict.bound_a, []
+    return 1.0, ["no energy constant for this kind; using 1.0"]
 
 
 # ---------------------------------------------------------------------------
@@ -848,16 +849,11 @@ def geodesic_stats(
     box = box_for(cfg, n)
     center = [0] * cfg.dim
     center[0] = n // 2
-    lo_coords = (
-        np.stack(np.unravel_index(box.edge_u, box.shape), axis=1) + np.asarray(box.lo)
-    )
     ball_counts = {}
     for m in BALL_MS:
-        radius = cfg.dim * m
-        total = 0
-        for eids in batch.geo_edges:
-            d1 = np.abs(lo_coords[eids] - np.asarray(center)).sum(axis=1)
-            total += int(np.count_nonzero(d1 <= radius))
+        in_ball = np.zeros(box.n_edges, dtype=bool)
+        in_ball[box.edges_near(center, cfg.dim * m)] = True
+        total = sum(int(np.count_nonzero(in_ball[eids])) for eids in batch.geo_edges)
         ball_counts[int(m)] = total / len(batch.geo_edges)
     return GeodesicStats(
         n=n,
@@ -896,7 +892,7 @@ def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
     return {
         "version": _pkg_version,
         "config": cfg.echo(),
-        "format": 2,
+        "format": REPORT_FORMAT,
         "rows": [asdict(r) for r in rows],
         "fit": fit,
         "time_constant": tc,

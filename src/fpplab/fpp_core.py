@@ -307,8 +307,8 @@ class GeodesicResult:
     unique: bool
     ties: int
     # the source solve behind the path, reused by geodesic_breakpoints
-    source_dist: np.ndarray | None = dataclass_field(default=None, repr=False)
-    source_pred: np.ndarray | None = dataclass_field(default=None, repr=False)
+    source_dist: np.ndarray = dataclass_field(repr=False)
+    source_pred: np.ndarray = dataclass_field(repr=False)
 
     @property
     def length(self) -> int:
@@ -413,16 +413,19 @@ def randomized_passage_time(field: WeightField, a_bits: np.ndarray, v) -> float:
     return passage_time(field, start, end).time
 
 
-def _solve_time(box: LatticeBox, weights: np.ndarray, src: int, tgt: int) -> float:
-    dist, _ = box.solve(weights, src)
-    return float(dist[tgt])
-
-
-def _priced_out_time(field: WeightField, eid: int, src: int, tgt: int) -> float:
-    """Passage time with edge eid priced above every self-avoiding path."""
+def _time_with(field: WeightField, result: GeodesicResult, eid: int, y) -> float:
+    """Passage time between result's endpoints with edge eid set to y: the
+    one breakpoint solve."""
+    box = field.box
     w = field.weights.copy()
-    w[eid] = float(field.weights.sum()) + 1.0
-    return _solve_time(field.box, w, src, tgt)
+    w[eid] = y
+    dist, _ = box.solve(w, box.vertex_index(result.source))
+    return float(dist[box.vertex_index(result.target)])
+
+
+def _priced_out(field: WeightField) -> float:
+    """An edge weight above every self-avoiding path."""
+    return float(field.weights.sum()) + 1.0
 
 
 def _path_sums(wpath: np.ndarray, positions, value: float) -> np.ndarray:
@@ -445,18 +448,13 @@ def edge_breakpoint(field: WeightField, result: GeodesicResult, eid: int):
     the geodesic t0 is the geodesic re-summed with the edge at zero, off
     it t_inf is result.time.
     """
-    box = field.box
-    if not (0 <= eid < box.n_edges):
+    if not (0 <= eid < field.box.n_edges):
         raise DomainError("edge index out of range")
-    src = box.vertex_index(result.source)
-    tgt = box.vertex_index(result.target)
     if result.edge_bitset[eid]:
         i = int(np.flatnonzero(result.edge_ids == eid)[0])
         t0 = float(_path_sums(field.weights[result.edge_ids], [i], 0.0)[0])
-        return t0, _priced_out_time(field, eid, src, tgt)
-    w0 = field.weights.copy()
-    w0[eid] = 0.0
-    return _solve_time(box, w0, src, tgt), result.time
+        return t0, _time_with(field, result, eid, _priced_out(field))
+    return _time_with(field, result, eid, 0.0), result.time
 
 
 def _geodesic_labels(pred: np.ndarray, path_pos: np.ndarray, verts: np.ndarray):
@@ -498,10 +496,7 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     if n_path == 0:
         return np.empty(0), np.empty(0)
     verts = (result.path - np.asarray(box.lo)) @ box.strides
-    if result.source_dist is None:
-        ds, pred_s = box.solve(w, int(verts[0]))
-    else:
-        ds, pred_s = result.source_dist, result.source_pred
+    ds, pred_s = result.source_dist, result.source_pred
     dt, pred_t = box.solve(w, int(verts[-1]))
     path_pos = np.full(box.n_vertices, -1, dtype=np.int64)
     path_pos[verts] = np.arange(n_path + 1)
@@ -524,9 +519,8 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
 
     wpath = w[result.edge_ids]
     t0 = _path_sums(wpath, np.arange(n_path), 0.0)
-    src, tgt = int(verts[0]), int(verts[-1])
     for i in np.flatnonzero(np.isinf(t_inf) | (wpath == 0.0)):
-        t_inf[i] = _priced_out_time(field, int(result.edge_ids[i]), src, tgt)
+        t_inf[i] = _time_with(field, result, int(result.edge_ids[i]), _priced_out(field))
     return t0, t_inf
 
 
@@ -560,7 +554,7 @@ def edge_influence(
     return breakpoint_influence(dist, result.time, t0, t_inf)
 
 
-def v_e_plus_bernoulli(field: WeightField, u, v, result: GeodesicResult | None = None):
+def v_e_plus_bernoulli(field: WeightField, u, v):
     """Sum over edges of the squared positive resample increments for a
     two-point edge law with 0 < a < b.
 
@@ -579,8 +573,7 @@ def v_e_plus_bernoulli(field: WeightField, u, v, result: GeodesicResult | None =
         )
     if not dist.a < dist.b:
         raise UnsupportedParameterError("two-point law needs a < b")
-    if result is None:
-        result = passage_time(field, u, v)
+    result = passage_time(field, u, v)
     _, t_inf = geodesic_breakpoints(field, result)
     wpath = field.weights[result.edge_ids]
     low = np.flatnonzero(wpath == dist.a)
@@ -620,14 +613,8 @@ def geodesic_derivative_check(
         raise DomainError("epsilon must be positive")
     if not result.unique:
         return DerivativeCheck(edge=int(eid), inconclusive=True)
-    box = field.box
-    src = box.vertex_index(result.source)
-    tgt = box.vertex_index(result.target)
     in_geo = bool(result.edge_bitset[eid])
-    wp = field.weights.copy()
-    wp[eid] = wp[eid] + epsilon
-    bumped = _solve_time(box, wp, src, tgt)
-    delta = bumped - result.time
+    delta = _time_with(field, result, eid, field.weights[eid] + epsilon) - result.time
     expected = epsilon if in_geo else 0.0
 
     t0, t_inf = edge_breakpoint(field, result, eid)
@@ -636,9 +623,7 @@ def geodesic_derivative_check(
     times = []
     max_err = 0.0
     for y in probes:
-        wq = field.weights.copy()
-        wq[eid] = y
-        t_y = _solve_time(box, wq, src, tgt)
+        t_y = _time_with(field, result, eid, y)
         times.append(t_y)
         max_err = max(max_err, abs(t_y - min(t0 + y, t_inf)))
     shape_ok = max_err <= 1e-9 * max(t_inf, 1.0)

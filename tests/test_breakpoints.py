@@ -215,13 +215,24 @@ def test_geodesic_breakpoints_reuses_the_source_solve(solve_counter):
     field = F.WeightField.generate(box, F.Exponential(1.0), 3, 2)
     res = F.passage_time(field, (0, 0), (6, 0))
     solve_counter.clear()
-    with_tree = F.geodesic_breakpoints(field, res)
+    F.geodesic_breakpoints(field, res)
     assert len(solve_counter) == 1
-    bare = F.GeodesicResult(
-        res.source, res.target, res.time, res.path, res.edge_ids,
-        res.edge_bitset, res.unique, res.ties,
-    )
-    without_tree = F.geodesic_breakpoints(field, bare)
-    assert len(solve_counter) == 3
-    for a, b in zip(with_tree, without_tree):
-        assert a.tobytes() == b.tobytes()
+    # the record always carries its source tree: one without it cannot be built
+    with pytest.raises(TypeError):
+        F.GeodesicResult(
+            res.source, res.target, res.time, res.path, res.edge_ids,
+            res.edge_bitset, res.unique, res.ties,
+        )
+
+
+def test_derivative_check_costs_seven_solves(solve_counter):
+    """1 bump, 1 breakpoint and 5 sweep points, each one solve."""
+    box = F.LatticeBox((-2, -2), (8, 2))
+    field = F.WeightField.generate(box, F.Exponential(1.0), 3, 2)
+    res = F.passage_time(field, (0, 0), (6, 0))
+    assert res.unique
+    for eid in (int(res.edge_ids[2]), int(np.flatnonzero(~res.edge_bitset)[0])):
+        solve_counter.clear()
+        chk = F.geodesic_derivative_check(field, res, eid, 1e-6)
+        assert not chk.inconclusive and chk.shape_ok
+        assert len(solve_counter) == 7

@@ -231,6 +231,24 @@ def test_report_check_names_a_format_1_report(tmp_path, capsys):
     assert "format 1 report; regenerate it" in err and "first difference" not in err
 
 
+def test_report_check_answers_a_format_1_report_before_regenerating(tmp_path, capsys,
+                                                                    monkeypatch):
+    old = json.loads((GOLDEN / "exp" / "report.json").read_text())
+    del old["format"]
+    source = tmp_path / "format1.json"
+    source.write_text(reporting.dumps(old), encoding="utf-8")
+
+    def no_run(cfg):
+        raise AssertionError("full_report ran")
+
+    monkeypatch.setattr(experiments, "full_report", no_run)
+    capsys.readouterr()
+    assert _run(["report", "--from", str(source), "--check", "--out", str(tmp_path / "b")]) == 1
+    out, err = capsys.readouterr()
+    assert "format 1 report; regenerate it" in err and out == ""
+    assert not (tmp_path / "b").exists()
+
+
 def test_report_with_control_character_in_spec_stays_valid_json(tmp_path):
     # float() strips the form feed, so the spec parses; the config echo must
     # still be valid JSON that report --from can read back

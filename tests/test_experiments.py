@@ -332,6 +332,33 @@ def test_influence_diagnostics_dirac_degenerate():
     assert any("l(K) undefined" in f for f in base.flags)
 
 
+def test_influence_diagnostics_flags_a_two_point_law_at_zero():
+    # a = 0 has no two-point energy constant (it divides by a): C = 1.0, flagged
+    cfg = F.ExperimentConfig(dist_spec="bernoulli:a=0,b=1,p=0.5", dim=2, n_list=(8,),
+                             replicas=40, master_seed=2, workers=1)
+    out = F.influence_diagnostics(cfg, 8, exact_replicas=10)
+    for key in ("m0", "randomized"):
+        diag = out[key]
+        assert "a = 0" in diag.flags[0]
+        assert math.isfinite(diag.k_const) and diag.k_const > 0.0
+    assert out["m0"].k_const == 4.0 * out["m0"].mean_f
+
+
+def test_influence_diagnostics_classifies_the_law_once(monkeypatch):
+    calls = []
+    original = F.experiments.classify_nearly_gamma
+
+    def counting(dist):
+        calls.append(dist)
+        return original(dist)
+
+    monkeypatch.setattr(F.experiments, "classify_nearly_gamma", counting)
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(16,), replicas=12,
+                             master_seed=3, workers=1)
+    F.influence_diagnostics(cfg, 16, exact_replicas=4)
+    assert len(calls) == 1
+
+
 def test_l_of_k_guard():
     with pytest.raises(DomainError):
         F.l_of_k(1.0, 1.0)
