@@ -12,7 +12,16 @@
  * is the minimum of dist[u] + w over its in-arcs, one IEEE addition each,
  * so dist does not depend on the order in which equal keys leave the heap.
  *
- * Build: cc -O3 -shared -fPIC _dijkstra.c -o _dijkstra.so
+ * With a target tgt >= 0 the solve stops at the target's tie horizon: once
+ * tgt leaves the heap at key T, the limit is T + rel_tol * max(T, 1), and
+ * the solve ends when the heap top exceeds it. The vertices still queued
+ * then read as unreachable, so the settled set is exactly {dist <= limit}
+ * and those distances are the full solve's, bit for bit. tgt = -1 solves
+ * the whole box.
+ *
+ * Build: cc -O3 -ffp-contract=off -shared -fPIC _dijkstra.c -o _dijkstra.so
+ * (no fused multiply-add, so the limit is the same two IEEE operations as
+ * the tie tolerance in fpp_core).
  */
 
 #include <math.h>
@@ -64,7 +73,7 @@ static void sift_down(slot_t *heap, int32_t *pos, int32_t size, int32_t i, slot_
 /* Returns 0, or -1 when the work arrays cannot be allocated. */
 int fpp_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
                  const int32_t *perm, const double *w, int32_t src,
-                 double *dist, int32_t *pred)
+                 int32_t tgt, double rel_tol, double *dist, int32_t *pred)
 {
     slot_t *heap = malloc(((size_t)n + 4) * sizeof(slot_t));
     int32_t *pos = malloc(((size_t)n + 1) * sizeof(int32_t));
@@ -85,10 +94,15 @@ int fpp_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     heap[0].v = src;
     pos[src] = 0;
     int32_t size = 1;
+    double limit = INFINITY;
 
     while (size > 0) {
         int32_t u = heap[0].v;
         double du = heap[0].key;
+        if (du > limit)
+            break;
+        if (u == tgt)
+            limit = du + rel_tol * fmax(du, 1.0);
         pos[u] = SETTLED;
         slot_t last = heap[--size];
         heap[size].key = INFINITY;
@@ -106,6 +120,10 @@ int fpp_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
                 sift_up(heap, pos, pos[v] == UNSEEN ? size++ : pos[v], s);
             }
         }
+    }
+    for (int32_t i = 0; i < size; i++) {
+        dist[heap[i].v] = INFINITY;
+        pred[heap[i].v] = NO_PRED;
     }
     free(heap);
     free(pos);

@@ -25,9 +25,11 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
-def _add_common(sub: argparse.ArgumentParser):
+def _add_common(
+    sub: argparse.ArgumentParser, out_help="output file or directory (default: stdout)"
+):
     sub.add_argument("--config", help="flat key=value file supplying flag defaults")
-    sub.add_argument("--out", help="output file or directory (default: stdout)")
+    sub.add_argument("--out", help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="csv,json", help="outputs to write: csv, json or both"
     )
     sim.add_argument("--svg", action="store_true", help="also render an SVG chart")
-    _add_common(sim)
+    _add_common(
+        sim,
+        out_help="directory for scaling.csv, report.json and scaling.svg "
+        "(default: the current directory)",
+    )
 
     ver = subs.add_parser(
         "verify-ineq", help="exact product-space inequality suite on random tables"

@@ -79,6 +79,8 @@ class ExperimentConfig:
             )
         if not self.n_list or not all(_is_int(n) and n >= 1 for n in self.n_list):
             raise ConfigError(f"all distances n must be integers >= 1, got {self.n_list!r}")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ConfigError(f"distances n must be distinct, got {self.n_list!r}")
         m = self.margin_factor
         if isinstance(m, bool) or not isinstance(m, Real) or not (math.isfinite(m) and m > 0):
             raise ConfigError(f"margin factor must be finite and positive, got {m!r}")
@@ -135,14 +137,19 @@ def _margin_for(cfg: ExperimentConfig, n: int, m: int) -> int:
     return margin
 
 
-def box_for(cfg: ExperimentConfig, n: int) -> LatticeBox:
-    """Box with margin around the segment [0, n e1]; it holds offsets up to
-    the margin, so any m that `_margin_for` passes, not only the policy's."""
+def _box_corners(cfg: ExperimentConfig, n: int) -> tuple[tuple, tuple]:
+    """(lo, hi) of `box_for(cfg, n)`, without building the box."""
     m = cfg.m_for(n)
     margin = _margin_for(cfg, n, m)
     lo = tuple([-margin] * cfg.dim)
     hi = tuple([n + margin] + [margin + m] * (cfg.dim - 1))
-    return LatticeBox(lo, hi)
+    return lo, hi
+
+
+def box_for(cfg: ExperimentConfig, n: int) -> LatticeBox:
+    """Box with margin around the segment [0, n e1]; it holds offsets up to
+    the margin, so any m that `_margin_for` passes, not only the policy's."""
+    return LatticeBox(*_box_corners(cfg, n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +265,16 @@ def collect_batch(
 
     The replicas run in contiguous chunks, in this process for one worker
     and in one process pool otherwise; the worker count changes no bit.
-    The box is `box_for(cfg, n)`, so an m beyond its margin is refused here.
+    The box is `box_for(cfg, n)`, so an m beyond its margin is refused here;
+    it is built only where the replicas run.
     """
     t0 = _time.perf_counter()
     _margin_for(cfg, n, m)
-    box = box_for(cfg, n)
+    lo, hi = _box_corners(cfg, n)
     cell = _Cell(
         spec=cfg.dist_spec,
-        lo=box.lo,
-        hi=box.hi,
+        lo=lo,
+        hi=hi,
         n=n,
         m=m,
         master_seed=cfg.master_seed,
@@ -806,8 +814,8 @@ def truncation_experiment(
         x = np.asarray(base.quantile(u))
         x_t = np.asarray(nu_k.quantile(u))
         coupling_viol += int(np.count_nonzero(x_t > x))
-        d_full = box.solve(x, src)[0][tgt]
-        d_trunc = box.solve(x_t, src)[0][tgt]
+        d_full = box.solve(x, src, tgt)[0][tgt]
+        d_trunc = box.solve(x_t, src, tgt)[0][tgt]
         if d_trunc > d_full:
             dist_viol += 1
         gaps[r] = d_full - d_trunc

@@ -4,9 +4,10 @@ A LatticeBox indexes the vertices and edges of an axis-aligned box in Z^d
 (d = 2 or 3) once; weight fields and shortest-path solves then reuse that
 structure. Distances are exact Dijkstra runs, by a small C kernel compiled
 once per machine (scipy's csgraph when no compiler is present), with
-deterministic outputs for a fixed (spec, seed, replica). The geodesic is a
-function of the distances and weights alone, so it does not depend on how
-the solver broke ties.
+deterministic outputs for a fixed (spec, seed, replica). A solve that only
+needs one target's time stops at the target's tie horizon. The geodesic is
+a function of the distances and weights alone, so it does not depend on
+how the solver broke ties.
 
 Single-edge perturbations exploit the breakpoint structure of the passage
 time: as a function of one edge weight y it is min(t0 + y, t_inf), where
@@ -14,7 +15,7 @@ t0 is the passage time with that edge free and t_inf the time with it
 priced out. One of the two is free: on the geodesic t0 is the geodesic
 re-summed with the edge at zero, off it t_inf is the passage time itself.
 So a single-edge breakpoint costs one solve, and the breakpoints of every
-geodesic edge together cost one solve from the target plus a sweep over
+geodesic edge together cost a full solve from each end plus a sweep over
 the edges (replacement paths). Influence integrals, the two-point energy
 and derivative checks are then closed-form arithmetic.
 """
@@ -65,7 +66,8 @@ def _load_kernel():
             os.close(fd)
             try:
                 subprocess.run(
-                    [cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(_KERNEL_SOURCE)],
+                    [cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", "-o", tmp,
+                     str(_KERNEL_SOURCE)],
                     check=True,
                     capture_output=True,
                 )
@@ -76,9 +78,9 @@ def _load_kernel():
         fn = ctypes.CDLL(str(lib)).fpp_dijkstra
     except (OSError, RuntimeError, subprocess.CalledProcessError):
         return None
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_int32, i32, i32, i32, f64, ctypes.c_int32, f64, i32]
+    # arrays go in as raw addresses; LatticeBox.solve owns their dtype and layout
+    ptr, i32 = ctypes.c_void_p, ctypes.c_int32
+    fn.argtypes = [i32, ptr, ptr, ptr, ptr, i32, i32, ctypes.c_double, ptr, ptr]
     fn.restype = ctypes.c_int
     return fn
 
@@ -87,7 +89,8 @@ _KERNEL = _load_kernel()
 
 
 def _scipy_solve(box: LatticeBox, weights: np.ndarray, source_index: int):
-    """LatticeBox.solve by scipy's csgraph: the fallback and the test oracle."""
+    """The full LatticeBox.solve by scipy's csgraph: the fallback and the
+    test oracle."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
@@ -200,24 +203,40 @@ class LatticeBox:
         return np.nonzero(dist <= radius)[0]
 
     # solving -------------------------------------------------------------
-    def solve(self, weights: np.ndarray, source_index: int):
-        """Full single-source Dijkstra; returns (dist float64, pred int32).
+    def solve(
+        self, weights: np.ndarray, source_index: int, target_index: int | None = None
+    ):
+        """Single-source Dijkstra; returns (dist float64, pred int32).
 
         As scipy's dijkstra: pred is -9999 at the source and at unreachable
-        vertices, where dist is inf.
+        vertices, where dist is inf. Without a target the whole box is
+        solved. With one, the solve stops at the target's tie horizon
+        T + TIE_REL_TOL * max(T, 1), T the target's distance: dist and pred
+        are the full solve's where dist <= that limit, and every vertex
+        beyond it reads as unreachable.
         """
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if w.shape != (self.n_edges,):
             raise DomainError(f"expected {self.n_edges} edge weights, got shape {w.shape}")
         if not 0 <= source_index < self.n_vertices:
             raise DomainError("source vertex index out of range")
+        if target_index is not None and not 0 <= target_index < self.n_vertices:
+            raise DomainError("target vertex index out of range")
         if _KERNEL is None:
-            return _scipy_solve(self, w, source_index)
+            dist, pred = _scipy_solve(self, w, source_index)
+            if target_index is not None:
+                t = float(dist[target_index])
+                beyond = dist > t + TIE_REL_TOL * max(t, 1.0)
+                dist[beyond] = np.inf
+                pred[beyond] = -9999
+            return dist, pred
         dist = np.empty(self.n_vertices)
         pred = np.empty(self.n_vertices, dtype=np.int32)
         status = _KERNEL(
-            self.n_vertices, self._csr_indptr, self._csr_indices, self.data_perm,
-            w, int(source_index), dist, pred,
+            self.n_vertices, self._csr_indptr.ctypes.data, self._csr_indices.ctypes.data,
+            self.data_perm.ctypes.data, w.ctypes.data, int(source_index),
+            -1 if target_index is None else int(target_index), TIE_REL_TOL,
+            dist.ctypes.data, pred.ctypes.data,
         )
         if status != 0:
             raise MemoryError("Dijkstra kernel could not allocate its heap")
@@ -306,9 +325,6 @@ class GeodesicResult:
     edge_bitset: np.ndarray  # (E,) bool membership mask
     unique: bool
     ties: int
-    # the source solve behind the path, reused by geodesic_breakpoints
-    source_dist: np.ndarray = dataclass_field(repr=False)
-    source_pred: np.ndarray = dataclass_field(repr=False)
 
     @property
     def length(self) -> int:
@@ -370,7 +386,7 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
     box = field.box
     src = box.vertex_index(u)
     tgt = box.vertex_index(v)
-    dist, pred = box.solve(field.weights, src)
+    dist, _ = box.solve(field.weights, src, tgt)
     time = float(dist[tgt])
     if not math.isfinite(time):
         raise DomainError("target unreachable (disconnected weights?)")
@@ -388,8 +404,6 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
         edge_bitset=bitset,
         unique=(ties == 0),
         ties=ties,
-        source_dist=dist,
-        source_pred=pred,
     )
 
 
@@ -419,8 +433,9 @@ def _time_with(field: WeightField, result: GeodesicResult, eid: int, y) -> float
     box = field.box
     w = field.weights.copy()
     w[eid] = y
-    dist, _ = box.solve(w, box.vertex_index(result.source))
-    return float(dist[box.vertex_index(result.target)])
+    tgt = box.vertex_index(result.target)
+    dist, _ = box.solve(w, box.vertex_index(result.source), tgt)
+    return float(dist[tgt])
 
 
 def _priced_out(field: WeightField) -> float:
@@ -484,8 +499,9 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     (x, y) with lab_s(x) < lab_t(y) then offers the detour
     ds[x] + w + dt[y] to path edges lab_s(x) .. lab_t(y) - 1, and the
     cheapest offer to an edge is its t_inf. The offers are reduced through
-    an (L+1) x (L+1) table and two running-minimum scans, so this costs one
-    solve from the target beyond the source solve on `result`.
+    an (L+1) x (L+1) table and two running-minimum scans, so this costs two
+    full solves, one from each end: a detour can pass vertices farther
+    than the target, beyond the horizon where `passage_time` stops.
 
     The labels need a positive weight on the edge itself; free geodesic
     edges and bridges (no offer at all) fall back to a re-solve.
@@ -496,7 +512,7 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     if n_path == 0:
         return np.empty(0), np.empty(0)
     verts = (result.path - np.asarray(box.lo)) @ box.strides
-    ds, pred_s = result.source_dist, result.source_pred
+    ds, pred_s = box.solve(w, int(verts[0]))
     dt, pred_t = box.solve(w, int(verts[-1]))
     path_pos = np.full(box.n_vertices, -1, dtype=np.int64)
     path_pos[verts] = np.arange(n_path + 1)
@@ -561,7 +577,8 @@ def v_e_plus_bernoulli(field: WeightField, u, v):
     Only geodesic edges currently at the low value can contribute: any
     other edge admits a route around it at the current cost. Raising a low
     edge to b gives min(geodesic with that edge at b, t_inf), with t_inf
-    from geodesic_breakpoints, so a field costs two solves. Returns
+    from geodesic_breakpoints, so a field costs three solves: the stopped
+    passage-time solve and two full ones. Returns
     (value, result) so callers can reuse the passage-time solve.
     """
     dist = field.distribution()

@@ -16,13 +16,14 @@ def rng():
 
 @pytest.fixture
 def solve_counter(monkeypatch):
-    """Source index of every LatticeBox.solve call made in this process."""
+    """(source_index, target_index) of every LatticeBox.solve call made in
+    this process; target_index is None for a full solve."""
     calls = []
     original = F.LatticeBox.solve
 
-    def counting(self, weights, source_index):
-        calls.append(source_index)
-        return original(self, weights, source_index)
+    def counting(self, weights, source_index, target_index=None):
+        calls.append((source_index, target_index))
+        return original(self, weights, source_index, target_index)
 
     monkeypatch.setattr(F.LatticeBox, "solve", counting)
     return calls

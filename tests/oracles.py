@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fpplab import AveragingMap
+from fpplab import AveragingMap, GeodesicResult, fpp_core
 
 
 def mp():
@@ -130,6 +130,32 @@ def martingale_increments_oracle(table):
     for j in range(1, n + 1):
         increments.append(cond_exp(j) - cond_exp(j + 1))
     return increments
+
+
+def full_solve_passage_time(field, u, v):
+    """passage_time from a full solve of the box: the canonical walk and the
+    tie scan over every distance, not only those inside the tie horizon."""
+    box = field.box
+    src, tgt = box.vertex_index(u), box.vertex_index(v)
+    dist, _ = box.solve(field.weights, src)
+    time = float(dist[tgt])
+    verts = fpp_core._canonical_walk(box, field.weights, dist, src, tgt)
+    eids, ties = fpp_core._path_scan(
+        box, field.weights, dist, verts, fpp_core.TIE_REL_TOL * max(time, 1.0)
+    )
+    bitset = np.zeros(box.n_edges, dtype=bool)
+    bitset[eids] = True
+    coords = np.stack(np.unravel_index(verts, box.shape), axis=1) + np.asarray(box.lo)
+    return GeodesicResult(
+        source=tuple(int(c) for c in u),
+        target=tuple(int(c) for c in v),
+        time=time,
+        path=coords,
+        edge_ids=eids,
+        edge_bitset=bitset,
+        unique=(ties == 0),
+        ties=ties,
+    )
 
 
 def two_solve_breakpoint(field, result, eid):

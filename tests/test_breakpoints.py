@@ -151,21 +151,24 @@ def test_edge_breakpoint_costs_one_solve(solve_counter):
     box = F.LatticeBox((-2, -2), (8, 2))
     field = F.WeightField.generate(box, F.Exponential(1.0), 3, 1)
     res = F.passage_time(field, (0, 0), (6, 0))
+    assert solve_counter == [(box.vertex_index((0, 0)), box.vertex_index((6, 0)))]
     off = int(np.flatnonzero(~res.edge_bitset)[0])
     for eid in (int(res.edge_ids[2]), off):
         solve_counter.clear()
         F.edge_breakpoint(field, res, eid)
-        assert len(solve_counter) == 1
+        assert solve_counter == [(box.vertex_index((0, 0)), box.vertex_index((6, 0)))]
 
 
-def test_v_e_plus_costs_two_solves_per_field(solve_counter):
+def test_v_e_plus_costs_three_solves_per_field(solve_counter):
+    """The stopped passage-time solve, then a full solve from each end."""
     box = F.LatticeBox((0, 0), (10, 10))
     dist = F.parse_spec("bernoulli:a=1,b=2,p=0.5")
+    src, tgt = box.vertex_index((0, 0)), box.vertex_index((10, 10))
     for rep in range(20):
         field = F.WeightField.generate(box, dist, 1789, rep)
         solve_counter.clear()
         F.v_e_plus_bernoulli(field, (0, 0), (10, 10))
-        assert len(solve_counter) == 2
+        assert solve_counter == [(src, tgt), (src, None), (tgt, None)]
 
 
 def test_influence_diagnostics_solves_batch_plus_probe_edges(solve_counter):
@@ -183,6 +186,7 @@ def test_influence_diagnostics_solves_batch_plus_probe_edges(solve_counter):
     solve_counter.clear()
     F.influence_diagnostics(cfg, 12, exact_replicas=exact_n)
     assert len(solve_counter) == expected
+    assert all(tgt is not None for _, tgt in solve_counter)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +214,13 @@ def test_influence_diagnostics_matches_serial_oracle(spec, workers):
         assert np.any(w_sq > 0)
 
 
-def test_geodesic_breakpoints_reuses_the_source_solve(solve_counter):
+def test_geodesic_breakpoints_makes_two_full_solves(solve_counter):
     box = F.LatticeBox((-2, -2), (8, 2))
     field = F.WeightField.generate(box, F.Exponential(1.0), 3, 2)
     res = F.passage_time(field, (0, 0), (6, 0))
     solve_counter.clear()
     F.geodesic_breakpoints(field, res)
-    assert len(solve_counter) == 1
-    # the record always carries its source tree: one without it cannot be built
-    with pytest.raises(TypeError):
-        F.GeodesicResult(
-            res.source, res.target, res.time, res.path, res.edge_ids,
-            res.edge_bitset, res.unique, res.ties,
-        )
+    assert solve_counter == [(box.vertex_index((0, 0)), None), (box.vertex_index((6, 0)), None)]
 
 
 def test_derivative_check_costs_seven_solves(solve_counter):
@@ -235,4 +233,4 @@ def test_derivative_check_costs_seven_solves(solve_counter):
         solve_counter.clear()
         chk = F.geodesic_derivative_check(field, res, eid, 1e-6)
         assert not chk.inconclusive and chk.shape_ok
-        assert len(solve_counter) == 7
+        assert solve_counter == [(box.vertex_index((0, 0)), box.vertex_index((6, 0)))] * 7

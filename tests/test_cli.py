@@ -39,6 +39,13 @@ def test_every_subcommand_has_help_listing_all_flags(capsys):
             assert flag in text, (cmd, flag)
 
 
+def test_simulate_out_help_names_the_directory_it_writes(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["simulate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default: the current directory" in text and "stdout" not in text
+
+
 def test_unknown_flags_are_errors():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["classify", "--dist", "halfnormal", "--frob", "1"])
@@ -430,6 +437,7 @@ def test_overflowing_truncation_scale_exits_2_naming_c5(argv, tmp_path, capsys):
         (["--dist", "dirac:c=1", "--n", "5,10,20", "--replicas", "4"], "has one point"),
         (["--dist", "bernoulli:a=1,b=1,p=0.5", "--n", "5,10,20", "--replicas", "4"],
          "has one point"),
+        (["--n", "5,5,5", "--replicas", "3"], "distinct"),
     ),
 )
 def test_simulate_refuses_a_report_it_cannot_finish_before_sampling(argv, message, tmp_path,

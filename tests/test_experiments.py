@@ -25,6 +25,13 @@ def test_config_validation():
         F.ExperimentConfig(dist_spec="exp:rate=1", m_policy="sometimes")
 
 
+def test_config_rejects_repeated_distances():
+    with pytest.raises(ConfigError, match="distinct"):
+        F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(5, 5, 5), replicas=3)
+    with pytest.raises(ConfigError, match="distinct"):
+        F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(10, 20, np.int64(10)))
+
+
 @pytest.mark.parametrize(
     "spec", ("bernoulli:a=-1,b=2,p=0.5", "uniform:lo=-1,hi=1", "dirac:c=-0.5")
 )
@@ -506,6 +513,15 @@ def test_full_report_solves_each_replica_once(solve_counter):
     cfg = F.ExperimentConfig(**TINY)
     F.full_report(cfg)
     assert len(solve_counter) == cfg.replicas * len(cfg.n_list)
+    assert all(tgt is not None for _, tgt in solve_counter)
+
+
+def test_truncation_experiment_solves_to_its_target(solve_counter):
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", dim=2, n_list=(6,),
+                             replicas=4, master_seed=5, workers=1)
+    F.truncation_experiment(cfg, k=10, c5=0.5, n=6, replicas=4)
+    box = F.experiments.box_for(cfg, 6)
+    assert solve_counter == [(box.vertex_index((0, 0)), box.vertex_index((6, 0)))] * 8
 
 
 def test_time_constant_reuses_the_scaling_batches(solve_counter):

@@ -8,7 +8,12 @@ import pytest
 
 import fpplab as F
 from fpplab import fpp_core, reporting
-from oracles import brute_force_passage_time, loop_tie_count, path_weight
+from oracles import (
+    brute_force_passage_time,
+    full_solve_passage_time,
+    loop_tie_count,
+    path_weight,
+)
 
 LAWS = (
     "exp:rate=1",
@@ -23,6 +28,15 @@ TWO_POINT = "bernoulli:a=1,b=2,p=0.5"
 needs_kernel = pytest.mark.skipif(
     fpp_core._KERNEL is None, reason="no C compiler: LatticeBox.solve runs on scipy"
 )
+
+
+@pytest.fixture(params=("compiled", "scipy"))
+def backend(request, monkeypatch):
+    """Runs a test on the compiled kernel and on the scipy fallback."""
+    if request.param == "scipy":
+        monkeypatch.setattr(fpp_core, "_KERNEL", None)
+    elif fpp_core._KERNEL is None:
+        pytest.skip("no C compiler: LatticeBox.solve runs on scipy")
 
 
 def _scipy_passage_time(monkeypatch, field, u, v):
@@ -50,12 +64,7 @@ def test_kernel_builds_into_the_user_cache_or_falls_back(tmp_path, monkeypatch):
     assert not (tmp_path / "none").exists()
 
 
-@pytest.mark.parametrize("kernel", ("compiled", "scipy"))
-def test_solve_checks_its_input_on_either_backend(kernel, monkeypatch):
-    if kernel == "scipy":
-        monkeypatch.setattr(fpp_core, "_KERNEL", None)
-    elif fpp_core._KERNEL is None:
-        pytest.skip("no C compiler: LatticeBox.solve runs on scipy")
+def test_solve_checks_its_input_on_either_backend(backend):
     box = F.LatticeBox((0, 0), (3, 3))  # 16 vertices, 24 edges
     w = np.ones(box.n_edges)
     with pytest.raises(F.DomainError, match="expected 24 edge weights"):
@@ -67,6 +76,77 @@ def test_solve_checks_its_input_on_either_backend(kernel, monkeypatch):
             box.solve(w, source)
     dist, pred = box.solve(w, 0)
     assert dist[box.vertex_index((3, 3))] == 6.0 and pred[0] == -9999
+
+
+def test_solve_checks_its_target_on_either_backend(backend):
+    box = F.LatticeBox((0, 0), (3, 3))  # 16 vertices
+    w = np.ones(box.n_edges)
+    for target in (999, 16, -1):
+        with pytest.raises(F.DomainError, match="target vertex index out of range"):
+            box.solve(w, 0, target)
+    dist, pred = box.solve(w, 0, 15)
+    assert dist[15] == 6.0 and pred[0] == -9999
+
+
+@pytest.mark.parametrize("lohi", BOXES)
+@pytest.mark.parametrize("spec", LAWS)
+def test_stopped_solve_is_the_full_solve_inside_the_tie_horizon(spec, lohi, backend):
+    """dist and pred are the full solve's bytes where dist <= T + tol, and
+    read as unreachable beyond."""
+    box = F.LatticeBox(*lohi)
+    law = F.parse_spec(spec)
+    src = box.vertex_index((0,) * box.d)
+    near = box.vertex_index((3,) + (1,) * (box.d - 1))
+    targets = (box.vertex_index(box.hi), near, box.vertex_index(box.lo), src)
+    for rep in range(3):
+        w = F.WeightField.generate(box, law, 43, rep).weights
+        full_dist, full_pred = box.solve(w, src)
+        for tgt in targets:
+            dist, pred = box.solve(w, src, tgt)
+            t = full_dist[tgt]
+            inside = full_dist <= t + fpp_core.TIE_REL_TOL * max(t, 1.0)
+            assert dist.dtype == np.float64 and pred.dtype == np.int32
+            assert dist[inside].tobytes() == full_dist[inside].tobytes()
+            assert pred[inside].tobytes() == full_pred[inside].tobytes()
+            assert np.all(dist[~inside] == np.inf) and np.all(pred[~inside] == -9999)
+            if tgt != box.vertex_index(box.hi) and spec != "dirac:c=0":
+                assert not inside.all()  # the solve really stopped
+
+
+def test_a_vertex_exactly_at_the_tie_horizon_is_settled(backend):
+    """The horizon T + tol is inclusive: (0, 1) sits exactly on it."""
+    box = F.LatticeBox((0, 0), (2, 1))
+    limit = 1.0 + fpp_core.TIE_REL_TOL * max(1.0, 1.0)
+    w = np.full(box.n_edges, 5.0)
+    w[box.edge_id((0, 0), 0)] = 1.0  # the target (1, 0) at T = 1
+    w[box.edge_id((0, 0), 1)] = limit
+    src, tgt, rim = (box.vertex_index(c) for c in ((0, 0), (1, 0), (0, 1)))
+    dist, pred = box.solve(w, src, tgt)
+    assert dist[tgt] == 1.0 and dist[rim] == limit and pred[rim] == src
+    assert np.count_nonzero(np.isfinite(dist)) == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ("dirac:c=0", "bernoulli:a=0,b=1,p=0.4", TWO_POINT, "exp:rate=1", "uniform:lo=0,hi=1"),
+)
+def test_passage_time_is_the_full_solve_record(spec, backend):
+    law = F.parse_spec(spec)
+    for lo, hi, u, v in (
+        ((-8, -8), (24, 8), (0, 0), (16, 0)),
+        ((-8, -8), (24, 8), (5, 2), (-3, -6)),
+        ((-3, -3, -3), (9, 3, 3), (0, 0, 0), (6, 2, -1)),
+    ):
+        box = F.LatticeBox(lo, hi)
+        for rep in range(4):
+            field = F.WeightField.generate(box, law, 61, rep)
+            ours = F.passage_time(field, u, v)
+            ref = full_solve_passage_time(field, u, v)
+            assert ours.time == ref.time
+            assert np.array_equal(ours.path, ref.path)
+            assert ours.edge_ids.tobytes() == ref.edge_ids.tobytes()
+            assert ours.edge_bitset.tobytes() == ref.edge_bitset.tobytes()
+            assert ours.ties == ref.ties and ours.unique == ref.unique
 
 
 @needs_kernel
@@ -113,9 +193,10 @@ def test_canonical_geodesic_does_not_depend_on_the_solver(monkeypatch):
         assert np.array_equal(ours.edge_ids, theirs.edge_ids)
         assert ours.ties == theirs.ties and ours.unique == theirs.unique
         assert np.array_equal(ours.edge_bitset[probes], theirs.edge_bitset[probes])
+        _, scipy_pred = fpp_core._scipy_solve(box, field.weights, src)
         tree = [tgt]
         while tree[-1] != src:
-            tree.append(int(theirs.source_pred[tree[-1]]))
+            tree.append(int(scipy_pred[tree[-1]]))
         canonical = (ours.path - np.asarray(box.lo)) @ box.strides
         scipy_tree_differs += not np.array_equal(tree[::-1], canonical)
     # scipy's own tree path is often not the canonical one on a two-point law
@@ -128,7 +209,7 @@ def test_each_step_comes_from_the_smallest_index_tight_neighbour():
     for rep in range(10):
         field = F.WeightField.generate(box, law, 12, rep)
         res = F.passage_time(field, (0, 0), (10, 3))
-        dist = res.source_dist
+        dist, _ = box.solve(field.weights, box.vertex_index((0, 0)))
         for prev, here in zip(res.path, res.path[1:]):
             v = box.vertex_index(tuple(here))
             tight = []
@@ -152,8 +233,9 @@ def test_tie_count_matches_the_double_loop(spec):
     for rep in range(6):
         field = F.WeightField.generate(box, law, 21, rep)
         res = F.passage_time(field, (0, 0, 0), (8, 3, 1))
+        dist, _ = box.solve(field.weights, box.vertex_index((0, 0, 0)))
         assert res.ties == loop_tie_count(
-            box, field.weights, res.source_dist, res.path, res.time, F.fpp_core.TIE_REL_TOL
+            box, field.weights, dist, res.path, res.time, F.fpp_core.TIE_REL_TOL
         )
 
 
