@@ -40,7 +40,9 @@ TAIL_FIT_MIN_COUNT = 20  # exceedances a tail row needs to enter the rate fit
 PROBE_RADIUS = 1  # influence probes: the edges within this L1 radius of the origin
 BALL_MS = (2, 3, 4)  # geodesic_stats counts geodesic edges within d*m of the mid-path
 _OFFSET_STREAM = 0x0FF5E7  # replica r draws its offset from SeedSequence((seed, r, this))
-REPORT_FORMAT = 2  # the "format" key of report.json; format 1 reports carry none
+# the "format" key of report.json; format 1 reports carry none, format 2 ones
+# hold depth-first geodesic lengths on laws with ties
+REPORT_FORMAT = 3
 _Z95 = 1.959963984540054  # the standard normal 0.975 quantile, norm.ppf(0.975)
 
 
@@ -191,6 +193,9 @@ class _Cell:
 
 @functools.cache
 def _cached_box(lo, hi) -> LatticeBox:
+    """One box per set of corners in a process, shared by the replica
+    chunks and the probe and ball lookups of influence_diagnostics and
+    geodesic_stats."""
     return LatticeBox(lo, hi)
 
 
@@ -607,7 +612,7 @@ def influence_diagnostics(
     dist = parse_spec(cfg.dist_spec)
     m_rand = cfg.m_for(n) or int(math.ceil(n**0.25))
     _margin_for(cfg, n, m_rand)
-    box = box_for(cfg, n)
+    box = _cached_box(*_box_corners(cfg, n))  # the box the replica workers use
     probe_ids = [int(e) for e in box.edges_near(tuple([0] * cfg.dim), PROBE_RADIUS)]
     exact_n = min(exact_replicas, cfg.replicas)
     c_e, law_flags = _energy_constant(dist)
@@ -854,7 +859,7 @@ def geodesic_stats(
     """Length moments plus geodesic counts in balls around a mid-path edge."""
     if batch is None or batch.geo_edges is None:
         batch = collect_batch(cfg, n, m=0, want_edges=True)
-    box = box_for(cfg, n)
+    box = _cached_box(*_box_corners(cfg, n))
     center = [0] * cfg.dim
     center[0] = n // 2
     ball_counts = {}
@@ -880,7 +885,8 @@ def geodesic_stats(
 def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
     """Scaling rows, model fit and time-constant report as one document.
 
-    Format 2: rows are plain dicts with no wall time (see `ReplicaBatch.seconds`);
+    Rows are plain dicts with no wall time (see `ReplicaBatch.seconds`), and
+    the geodesic moments are those of the fewest-edge geodesic (format 3);
     `reporting` serializes the fit and time-constant dataclasses field by field.
     """
     if deterministic is not True:

@@ -31,6 +31,7 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field as dataclass_field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -213,15 +214,15 @@ class LatticeBox:
         solved. With one, the solve stops at the target's tie horizon
         T + TIE_REL_TOL * max(T, 1), T the target's distance: dist and pred
         are the full solve's where dist <= that limit, and every vertex
-        beyond it reads as unreachable.
+        beyond it reads as unreachable. A vertex index that is not an
+        integer in range raises DomainError, on either backend.
         """
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if w.shape != (self.n_edges,):
             raise DomainError(f"expected {self.n_edges} edge weights, got shape {w.shape}")
-        if not 0 <= source_index < self.n_vertices:
-            raise DomainError("source vertex index out of range")
-        if target_index is not None and not 0 <= target_index < self.n_vertices:
-            raise DomainError("target vertex index out of range")
+        self._check_index(source_index, "source")
+        if target_index is not None:
+            self._check_index(target_index, "target")
         if _KERNEL is None:
             dist, pred = _scipy_solve(self, w, source_index)
             if target_index is not None:
@@ -241,6 +242,12 @@ class LatticeBox:
         if status != 0:
             raise MemoryError("Dijkstra kernel could not allocate its heap")
         return dist, pred
+
+    def _check_index(self, index, name: str) -> None:
+        if not isinstance(index, Integral) or isinstance(index, bool):
+            raise DomainError(f"{name} vertex index must be an integer, got {index!r}")
+        if not 0 <= index < self.n_vertices:
+            raise DomainError(f"{name} vertex index out of range")
 
     def __eq__(self, other):
         return (
@@ -331,54 +338,51 @@ class GeodesicResult:
         return int(self.edge_ids.size)
 
 
-def _canonical_walk(box: LatticeBox, weights, dist, src: int, tgt: int) -> np.ndarray:
-    """The canonical geodesic, walked back from the target, source first.
+def _geodesic_scan(box: LatticeBox, weights, dist, src: int, tgt: int, tol: float):
+    """(vertices, edge ids, ties) of the canonical geodesic, source first.
 
-    Each step takes the smallest-index neighbour u with dist[u] + w ==
-    dist[v] that the walk has not visited yet, so the path depends on dist
-    and the weights only, never on how the solver broke ties. On zero-weight
-    plateaus the walk can run into a dead end; it then backs up a step, so
-    it is a depth-first search over the tight arcs and always reaches the
-    source. Scalar reads: a step looks at 2d arcs, too few for array calls.
-    """
-    indptr, nbr, eid = box._csr_indptr.item, box._csr_indices.item, box.data_perm.item
-    d, w = dist.item, weights.item
-    path = [tgt]
-    seen = {tgt}
-    while path[-1] != src:
-        v = path[-1]
-        dv = d(v)
-        for j in range(indptr(v), indptr(v + 1)):
-            u = nbr(j)
-            if u not in seen and d(u) + w(eid(j)) == dv:
-                seen.add(u)
-                path.append(u)
-                break
-        else:
-            path.pop()
-    return np.asarray(path[::-1], dtype=np.int64)
-
-
-def _path_scan(box: LatticeBox, weights, dist, verts: np.ndarray, tol: float):
-    """Edge ids of a path and its tie count, from one gather over the arcs
-    into every path vertex after the source.
+    The geodesic is the tight path (dist[u] + w == dist[v] on each arc
+    u -> v) with the fewest edges, found by a breadth-first search back
+    from the target: arcs are scanned in increasing neighbour index, each
+    vertex records the first scanned vertex and edge that reached it, and
+    the search stops once the vertex that reached the source is scanned.
+    So among equal paths each vertex steps to the earliest-scanned vertex
+    its tight arcs lead to, and the path depends on dist and the weights
+    only, never on how the solver broke ties. On a continuous law only the
+    L path vertices after the source are scanned: L * (1 + 2d) dist reads.
 
     A tie is an in-arc other than the path's own that reaches a path vertex
-    within tol of its distance. A second geodesic must rejoin the path
-    somewhere, and at the rejoin vertex two in-arcs both achieve the
-    optimal distance, so the count detects every multiplicity.
+    within tol of its distance. A second geodesic must rejoin the path at a
+    vertex with two such in-arcs, so the count detects every multiplicity.
+    Scalar reads, as a vertex has 2d arcs: through memoryviews, and dist
+    through its own `item`, so an ndarray subclass sees every read of it.
     """
-    heads, tails = verts[1:], verts[:-1]
-    start = box._csr_indptr[heads]
-    k = np.arange(2 * box.d)
-    valid = k < (box._csr_indptr[heads + 1] - start)[:, None]
-    slots = start[:, None] + np.where(valid, k, 0)
-    nbrs = box._csr_indices[slots]
-    reach = dist[nbrs] + weights[box.data_perm[slots]]
-    ties = int(np.count_nonzero(valid & (reach <= dist[heads][:, None] + tol))) - heads.size
-    step = (nbrs == tails[:, None]).argmax(axis=1)
-    eids = box.data_perm[slots[np.arange(heads.size), step]].astype(np.int64)
-    return eids, ties
+    indptr, nbr, eid = map(memoryview, (box._csr_indptr, box._csr_indices, box.data_perm))
+    w, d = memoryview(weights), dist.item
+    reached = {tgt: None}  # vertex -> (the vertex it leads to, edge id)
+    near = {}  # scanned vertex -> its in-arcs within tol
+    queue = [tgt]
+    for v in queue:  # also takes the vertices appended below
+        if src in reached:
+            break
+        dv = d(v)
+        limit, count = dv + tol, 0
+        for j in range(indptr[v], indptr[v + 1]):
+            u, e = nbr[j], eid[j]
+            reach = d(u) + w[e]
+            if reach <= limit:
+                count += 1
+                if reach == dv and u not in reached:
+                    reached[u] = (v, e)
+                    queue.append(u)
+        near[v] = count
+    verts, eids = [src], []
+    while verts[-1] != tgt:
+        v, e = reached[verts[-1]]
+        verts.append(v)
+        eids.append(e)
+    ties = sum(near[v] for v in verts[1:]) - len(eids)
+    return np.asarray(verts, dtype=np.int64), np.asarray(eids, dtype=np.int64), ties
 
 
 def passage_time(field: WeightField, u, v) -> GeodesicResult:
@@ -390,8 +394,9 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
     time = float(dist[tgt])
     if not math.isfinite(time):
         raise DomainError("target unreachable (disconnected weights?)")
-    verts = _canonical_walk(box, field.weights, dist, src, tgt)
-    eids, ties = _path_scan(box, field.weights, dist, verts, TIE_REL_TOL * max(time, 1.0))
+    verts, eids, ties = _geodesic_scan(
+        box, field.weights, dist, src, tgt, TIE_REL_TOL * max(time, 1.0)
+    )
     bitset = np.zeros(box.n_edges, dtype=bool)
     bitset[eids] = True
     coords = np.stack(np.unravel_index(verts, box.shape), axis=1) + np.asarray(box.lo)

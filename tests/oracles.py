@@ -93,6 +93,43 @@ def brute_force_passage_time(box, weights, u, v):
     return best
 
 
+def fewest_tight_edges(box, weights, dist, src, tgt):
+    """Edge count of the shortest tight path from vertex index src to tgt,
+    an arc a -> b being tight when dist[a] + w == dist[b] (dist from a full
+    solve). Boxes of at most 12 vertices enumerate every self-avoiding
+    path; larger ones take the unweighted hop count of scipy's csgraph on
+    the tight-arc subgraph."""
+    if box.n_vertices <= 12:
+        lo = np.asarray(box.lo)
+
+        def index(rel):
+            return box.vertex_index(tuple(int(c) for c in np.asarray(rel) + lo))
+
+        def tight(a, b):
+            step = np.asarray(b) - np.asarray(a)
+            axis = int(np.flatnonzero(step)[0])
+            low = tuple(int(c) for c in np.minimum(a, b) + lo)
+            return dist[index(a)] + weights[box.edge_id(low, axis)] == dist[index(b)]
+
+        rel = [np.unravel_index(i, box.shape) for i in (src, tgt)]
+        return min(
+            len(path) - 1
+            for path in enumerate_self_avoiding_paths(box.shape, *map(tuple, rel))
+            if all(tight(a, b) for a, b in zip(path, path[1:]))
+        )
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    rows = np.concatenate([box.edge_u, box.edge_v])
+    cols = np.concatenate([box.edge_v, box.edge_u])
+    keep = dist[rows] + np.tile(weights, 2) == dist[cols]
+    graph = csr_matrix(
+        (np.ones(int(keep.sum())), (rows[keep], cols[keep])),
+        shape=(box.n_vertices, box.n_vertices),
+    )
+    return int(shortest_path(graph, directed=True, unweighted=True, indices=src)[tgt])
+
+
 def martingale_increments_oracle(table):
     """V_j = E[f | x_j..x_n] - E[f | x_(j+1)..x_n] by direct summation."""
     n = table.n
@@ -133,15 +170,14 @@ def martingale_increments_oracle(table):
 
 
 def full_solve_passage_time(field, u, v):
-    """passage_time from a full solve of the box: the canonical walk and the
-    tie scan over every distance, not only those inside the tie horizon."""
+    """passage_time from a full solve of the box: the geodesic search and
+    tie count over every distance, not only those inside the tie horizon."""
     box = field.box
     src, tgt = box.vertex_index(u), box.vertex_index(v)
     dist, _ = box.solve(field.weights, src)
     time = float(dist[tgt])
-    verts = fpp_core._canonical_walk(box, field.weights, dist, src, tgt)
-    eids, ties = fpp_core._path_scan(
-        box, field.weights, dist, verts, fpp_core.TIE_REL_TOL * max(time, 1.0)
+    verts, eids, ties = fpp_core._geodesic_scan(
+        box, field.weights, dist, src, tgt, fpp_core.TIE_REL_TOL * max(time, 1.0)
     )
     bitset = np.zeros(box.n_edges, dtype=bool)
     bitset[eids] = True

@@ -227,7 +227,7 @@ def test_report_check_names_a_format_1_report(tmp_path, capsys):
     golden = GOLDEN / "exp" / "report.json"
     assert _run(["report", "--from", str(golden), "--check", "--out", str(tmp_path / "a")]) == 0
     old = json.loads(golden.read_text())
-    assert old.pop("format") == 2
+    assert old.pop("format") == experiments.REPORT_FORMAT == 3
     for row in old["rows"]:  # format 1 rows carried an always-zero wall time
         row["seconds"] = 0.0
     source = tmp_path / "format1.json"
@@ -253,6 +253,25 @@ def test_report_check_answers_a_format_1_report_before_regenerating(tmp_path, ca
     assert _run(["report", "--from", str(source), "--check", "--out", str(tmp_path / "b")]) == 1
     out, err = capsys.readouterr()
     assert "format 1 report; regenerate it" in err and out == ""
+    assert not (tmp_path / "b").exists()
+
+
+def test_report_check_answers_a_format_2_report_before_regenerating(tmp_path, capsys,
+                                                                    monkeypatch):
+    # format 2 geodesic moments came from a depth-first walk on laws with ties
+    old = json.loads((GOLDEN / "bernoulli" / "report.json").read_text())
+    old["format"] = 2
+    source = tmp_path / "format2.json"
+    source.write_text(reporting.dumps(old), encoding="utf-8")
+
+    def no_run(cfg):
+        raise AssertionError("full_report ran")
+
+    monkeypatch.setattr(experiments, "full_report", no_run)
+    capsys.readouterr()
+    assert _run(["report", "--from", str(source), "--check", "--out", str(tmp_path / "b")]) == 1
+    out, err = capsys.readouterr()
+    assert "format 2 report; regenerate it" in err and out == ""
     assert not (tmp_path / "b").exists()
 
 

@@ -391,7 +391,7 @@ def test_full_report_deterministic_and_complete(monkeypatch):
     assert doc1["config"]["dist_spec"] == "exp:rate=1"
     assert len(doc1["rows"]) == 3
     assert doc1["fit"] is not None
-    assert doc1["format"] == 2
+    assert doc1["format"] == 3
     assert all(set(r) == set(F.experiments.SCALING_CSV_HEADER) for r in doc1["rows"])
     assert not any("seconds" in r for r in doc1["rows"])
     # asking for wall times is refused before any field is sampled
@@ -637,3 +637,27 @@ def test_influence_diagnostics_collects_m0_and_one_randomized_cell(policy, m_ran
     out = F.influence_diagnostics(cfg, 16, exact_replicas=4)
     assert cells == [0, m_rand]
     assert (out["m0"].m, out["randomized"].m) == (0, m_rand)
+
+
+def test_each_set_of_box_corners_is_built_once(monkeypatch):
+    """influence_diagnostics and geodesic_stats share the replica workers'
+    box; collect_batch's parent builds none when a pool runs the replicas."""
+    builds = []
+    original = F.LatticeBox.__init__
+
+    def recording(self, lo, hi):
+        builds.append((tuple(lo), tuple(hi)))
+        original(self, lo, hi)
+
+    monkeypatch.setattr(F.LatticeBox, "__init__", recording)
+    F.experiments._cached_box.cache_clear()
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(16,), replicas=12,
+                             master_seed=3, m_policy="auto", workers=1)
+    F.influence_diagnostics(cfg, 16, exact_replicas=4)
+    F.geodesic_stats(cfg, 16)
+    assert builds == [F.experiments._box_corners(cfg, 16)]
+
+    builds.clear()
+    F.experiments._cached_box.cache_clear()
+    F.collect_batch(F.ExperimentConfig(**(TINY | dict(workers=2))), 10, 0)
+    assert builds == []

@@ -117,7 +117,7 @@ def test_full_report_sections_keep_their_fields():
                            replicas=12, master_seed=4, workers=1)
     doc = json.loads(dumps(full_report(cfg)))
     assert set(doc) == {"version", "config", "format", "rows", "fit", "time_constant"}
-    assert doc["format"] == 2
+    assert doc["format"] == 3
     assert set(doc["fit"]) == {"c_linear", "rss_linear", "c_over_log",
                                "rss_over_log", "preferred", "noise_floor"}
     assert set(doc["time_constant"]) == {"direction", "rows", "subadditivity",

@@ -10,6 +10,7 @@ import fpplab as F
 from fpplab import fpp_core, reporting
 from oracles import (
     brute_force_passage_time,
+    fewest_tight_edges,
     full_solve_passage_time,
     loop_tie_count,
     path_weight,
@@ -74,6 +75,9 @@ def test_solve_checks_its_input_on_either_backend(backend):
     for source in (999, 16, -1):
         with pytest.raises(F.DomainError, match="out of range"):
             box.solve(w, source)
+    for source in (2.7, True, "0", None):  # 2.7 would be truncated to vertex 2
+        with pytest.raises(F.DomainError, match="source vertex index must be an integer"):
+            box.solve(w, source)
     dist, pred = box.solve(w, 0)
     assert dist[box.vertex_index((3, 3))] == 6.0 and pred[0] == -9999
 
@@ -84,6 +88,10 @@ def test_solve_checks_its_target_on_either_backend(backend):
     for target in (999, 16, -1):
         with pytest.raises(F.DomainError, match="target vertex index out of range"):
             box.solve(w, 0, target)
+    for target in (2.7, True, np.float64(15.0)):
+        with pytest.raises(F.DomainError, match="target vertex index must be an integer"):
+            box.solve(w, 0, target)
+    assert box.solve(w, np.int64(0), np.int32(15))[0][15] == 6.0
     dist, pred = box.solve(w, 0, 15)
     assert dist[15] == 6.0 and pred[0] == -9999
 
@@ -203,27 +211,92 @@ def test_canonical_geodesic_does_not_depend_on_the_solver(monkeypatch):
     assert scipy_tree_differs >= 5
 
 
-def test_each_step_comes_from_the_smallest_index_tight_neighbour():
-    box = F.LatticeBox((-6, -6), (16, 6))
-    law = F.parse_spec(TWO_POINT)
+PLATEAU_LAWS = (
+    "dirac:c=0",
+    "bernoulli:a=0,b=1,p=0.4",
+    "bernoulli:a=0,b=1,p=0.7",
+    TWO_POINT,
+    "uniform:lo=0,hi=1",
+)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, u, v",
+    (
+        ((0, 0), (2, 2), (0, 0), (2, 2)),  # tiny: every path enumerated
+        ((0, 0, 0), (1, 1, 1), (0, 0, 0), (1, 1, 1)),
+        ((-8, -8), (24, 8), (0, 0), (16, 3)),  # larger: csgraph hop counts
+        ((-3, -3, -3), (9, 3, 3), (0, 0, 0), (6, 2, -1)),
+    ),
+)
+@pytest.mark.parametrize("spec", PLATEAU_LAWS)
+def test_geodesic_is_the_fewest_edge_tight_path(spec, lo, hi, u, v, backend):
+    box = F.LatticeBox(lo, hi)
+    law = F.parse_spec(spec)
+    src, tgt = box.vertex_index(u), box.vertex_index(v)
+    for rep in range(6):
+        field = F.WeightField.generate(box, law, 17, rep)
+        res = F.passage_time(field, u, v)
+        dist, _ = box.solve(field.weights, src)
+        verts = (res.path - np.asarray(box.lo)) @ box.strides
+        assert verts[0] == src and verts[-1] == tgt
+        # every step is a tight arc along the edge it names
+        ends = np.sort(np.stack([box.edge_u[res.edge_ids], box.edge_v[res.edge_ids]]), axis=0)
+        assert np.array_equal(ends, np.sort(np.stack([verts[:-1], verts[1:]]), axis=0))
+        assert np.array_equal(dist[verts[:-1]] + field.weights[res.edge_ids], dist[verts[1:]])
+        assert res.length == fewest_tight_edges(box, field.weights, dist, src, tgt)
+
+
+def test_the_zero_plateau_geodesic_has_the_lattice_distance(backend):
+    box = F.LatticeBox((-6, -6, -2), (6, 6, 2))
+    law = F.parse_spec("dirac:c=0")
+    for rep in range(3):
+        res = F.passage_time(F.WeightField.generate(box, law, 2, rep), (0, 0, 0), (5, 3, -1))
+        assert res.time == 0.0 and res.length == 9  # a depth-first walk took 401
+
+
+def test_equal_geodesics_go_through_the_first_vertex_the_search_reaches():
+    """On a 2x2 box with equal weights both corners give a 2-edge geodesic;
+    the target's arcs are scanned in increasing index, so the path takes
+    the smaller-index corner and counts the other as one tie."""
+    box = F.LatticeBox((0, 0), (1, 1))  # vertex index 2x + y
+    field = F.WeightField(box, np.ones(box.n_edges), "dirac:c=1", 0, 0)
+    for u, v, corner in (((0, 0), (1, 1), (0, 1)), ((1, 1), (0, 0), (0, 1)),
+                         ((0, 1), (1, 0), (0, 0)), ((1, 0), (0, 1), (0, 0))):
+        res = F.passage_time(field, u, v)
+        assert [tuple(c) for c in res.path] == [u, corner, v]
+        assert res.time == 2.0 and res.ties == 1 and not res.unique
+
+
+class _CountingArray(np.ndarray):
+    """An ndarray that counts its scalar and index reads."""
+
+    def item(self, *args):
+        self.reads += 1
+        return super().item(*args)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("spec", ("exp:rate=1", "gamma:a=2,b=1", "uniform:lo=0,hi=1"))
+@pytest.mark.parametrize("lohi", BOXES)
+def test_continuous_geodesics_read_dist_only_around_the_path(spec, lohi):
+    box = F.LatticeBox(*lohi)
+    law = F.parse_spec(spec)
+    u, v = (0,) * box.d, (8,) + (2,) * (box.d - 1)
+    src, tgt = box.vertex_index(u), box.vertex_index(v)
     for rep in range(10):
-        field = F.WeightField.generate(box, law, 12, rep)
-        res = F.passage_time(field, (0, 0), (10, 3))
-        dist, _ = box.solve(field.weights, box.vertex_index((0, 0)))
-        for prev, here in zip(res.path, res.path[1:]):
-            v = box.vertex_index(tuple(here))
-            tight = []
-            for ax in range(box.d):
-                for step in (-1, 1):
-                    c = list(here)
-                    c[ax] += step
-                    if not box.contains(c):
-                        continue
-                    w = field.weights[box.edge_id(min(tuple(c), tuple(here)), ax)]
-                    u = box.vertex_index(c)
-                    if dist[u] + w == dist[v]:
-                        tight.append(u)
-            assert box.vertex_index(tuple(prev)) == min(tight)
+        field = F.WeightField.generate(box, law, 29, rep)
+        dist, _ = box.solve(field.weights, src, tgt)
+        counted = dist.view(_CountingArray)
+        counted.reads = 0
+        tol = fpp_core.TIE_REL_TOL * max(float(dist[tgt]), 1.0)
+        verts, eids, ties = fpp_core._geodesic_scan(box, field.weights, counted, src, tgt, tol)
+        assert 0 < counted.reads <= eids.size * (1 + 2 * box.d)
+        res = F.passage_time(field, u, v)
+        assert np.array_equal(eids, res.edge_ids) and ties == res.ties
 
 
 @pytest.mark.parametrize("spec", ("exp:rate=1", TWO_POINT, "dirac:c=1", "dirac:c=0"))
