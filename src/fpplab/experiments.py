@@ -194,8 +194,8 @@ class _Cell:
 @functools.cache
 def _cached_box(lo, hi) -> LatticeBox:
     """One box per set of corners in a process, shared by the replica
-    chunks and the probe and ball lookups of influence_diagnostics and
-    geodesic_stats."""
+    chunks, the probe and ball lookups of influence_diagnostics and
+    geodesic_stats, and truncation_experiment."""
     return LatticeBox(lo, hi)
 
 
@@ -803,7 +803,7 @@ def truncation_experiment(
 
     grid = nu_k.domination_check(grid_points)
 
-    box = box_for(cfg, n)
+    box = _cached_box(*_box_corners(cfg, n))
     src = box.vertex_index(tuple([0] * cfg.dim))
     tgt_coord = [0] * cfg.dim
     tgt_coord[0] = n

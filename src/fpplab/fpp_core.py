@@ -2,12 +2,17 @@
 
 A LatticeBox indexes the vertices and edges of an axis-aligned box in Z^d
 (d = 2 or 3) once; weight fields and shortest-path solves then reuse that
-structure. Distances are exact Dijkstra runs, by a small C kernel compiled
-once per machine (scipy's csgraph when no compiler is present), with
-deterministic outputs for a fixed (spec, seed, replica). A solve that only
-needs one target's time stops at the target's tie horizon. The geodesic is
-a function of the distances and weights alone, so it does not depend on
-how the solver broke ties.
+structure. Distances are exact Dijkstra runs, with deterministic outputs
+for a fixed (spec, seed, replica). A solve that only needs one target's
+time stops at the target's tie horizon. The geodesic is a function of the
+distances and weights alone, so it does not depend on how the solver broke
+ties.
+
+A small C kernel, compiled once per machine, runs the solve, the geodesic
+scan and the replacement-path pass over the solves. Without a compiler the
+solve runs on scipy's csgraph and the two passes in Python and numpy. Each
+gives the kernel's bytes from the same inputs, and the tests use them as
+the kernel's oracles.
 
 Single-edge perturbations exploit the breakpoint structure of the passage
 time: as a function of one edge weight y it is min(t0 + y, t_inf), where
@@ -46,8 +51,11 @@ _KERNEL_SOURCE = Path(__file__).with_name("_dijkstra.c")
 
 
 def _load_kernel():
-    """The compiled `fpp_dijkstra`, or None without a compiler or if the
-    build fails; LatticeBox.solve then runs scipy.
+    """The compiled kernel library, or None without a compiler or if the
+    build fails. Its three entries are `fpp_dijkstra` (LatticeBox.solve),
+    `fpp_geodesic_scan` (passage_time) and `fpp_replacement_offers`
+    (geodesic_breakpoints); with None every one of them runs in Python, on
+    scipy's solver.
 
     The library is cached per user, named by the machine type and the hash
     of the source. The first import on a machine compiles it into a
@@ -76,14 +84,22 @@ def _load_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).fpp_dijkstra
+        kernel = ctypes.CDLL(str(lib))
     except (OSError, RuntimeError, subprocess.CalledProcessError):
         return None
-    # arrays go in as raw addresses; LatticeBox.solve owns their dtype and layout
-    ptr, i32 = ctypes.c_void_p, ctypes.c_int32
-    fn.argtypes = [i32, ptr, ptr, ptr, ptr, i32, i32, ctypes.c_double, ptr, ptr]
-    fn.restype = ctypes.c_int
-    return fn
+    # arrays go in as raw addresses; each caller owns their dtype and layout
+    ptr, i32, f64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_double
+    kernel.fpp_dijkstra.argtypes = [i32, ptr, ptr, ptr, ptr, i32, i32, f64, ptr, ptr]
+    kernel.fpp_dijkstra.restype = ctypes.c_int
+    kernel.fpp_geodesic_scan.argtypes = [
+        i32, ptr, ptr, ptr, ptr, ptr, i32, i32, f64, ptr, ptr, ptr,
+    ]
+    kernel.fpp_geodesic_scan.restype = ctypes.c_int64
+    kernel.fpp_replacement_offers.argtypes = [
+        i32, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, ptr,
+    ]
+    kernel.fpp_replacement_offers.restype = ctypes.c_int
+    return kernel
 
 
 _KERNEL = _load_kernel()
@@ -156,6 +172,21 @@ class LatticeBox:
         ).astype(np.int32)
         self._csr_indices = cols[order].astype(np.int32)
         self.data_perm = eids[order]
+        self._bind_csr()
+
+    def _bind_csr(self) -> None:
+        """The leading arguments of every kernel entry: the vertex count and
+        the CSR arrays by address, taken once (each `.ctypes.data` read
+        costs about 2 us, a tenth of an 11x11 solve)."""
+        self._csr_args = (
+            self.n_vertices, self._csr_indptr.ctypes.data,
+            self._csr_indices.ctypes.data, self.data_perm.ctypes.data,
+        )
+
+    def __setstate__(self, state):
+        # an unpickled box holds new arrays at new addresses
+        self.__dict__.update(state)
+        self._bind_csr()
 
     # vertex and edge addressing -----------------------------------------
     def contains(self, coord) -> bool:
@@ -233,9 +264,8 @@ class LatticeBox:
             return dist, pred
         dist = np.empty(self.n_vertices)
         pred = np.empty(self.n_vertices, dtype=np.int32)
-        status = _KERNEL(
-            self.n_vertices, self._csr_indptr.ctypes.data, self._csr_indices.ctypes.data,
-            self.data_perm.ctypes.data, w.ctypes.data, int(source_index),
+        status = _KERNEL.fpp_dijkstra(
+            *self._csr_args, w.ctypes.data, int(source_index),
             -1 if target_index is None else int(target_index), TIE_REL_TOL,
             dist.ctypes.data, pred.ctypes.data,
         )
@@ -385,6 +415,24 @@ def _geodesic_scan(box: LatticeBox, weights, dist, src: int, tgt: int, tol: floa
     return np.asarray(verts, dtype=np.int64), np.asarray(eids, dtype=np.int64), ties
 
 
+def _kernel_geodesic_scan(box: LatticeBox, weights, dist, src: int, tgt: int, tol: float):
+    """_geodesic_scan by the kernel's `fpp_geodesic_scan`: the same
+    search, arc order and float tests, so the same path, edge ids and ties."""
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    verts = np.empty(box.n_vertices, dtype=np.int64)
+    eids = np.empty(box.n_vertices, dtype=np.int64)
+    ties = np.empty(1, dtype=np.int64)
+    length = _KERNEL.fpp_geodesic_scan(
+        *box._csr_args, w.ctypes.data, dist.ctypes.data, src, tgt, tol,
+        verts.ctypes.data, eids.ctypes.data, ties.ctypes.data,
+    )
+    if length == -1:
+        raise MemoryError("geodesic scan could not allocate its work arrays")
+    if length < 0:
+        raise DomainError("no tight path reaches the source")
+    return verts[: length + 1].copy(), eids[:length].copy(), int(ties[0])
+
+
 def passage_time(field: WeightField, u, v) -> GeodesicResult:
     """Exact shortest passage time and geodesic between box vertices u, v."""
     box = field.box
@@ -394,9 +442,8 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
     time = float(dist[tgt])
     if not math.isfinite(time):
         raise DomainError("target unreachable (disconnected weights?)")
-    verts, eids, ties = _geodesic_scan(
-        box, field.weights, dist, src, tgt, TIE_REL_TOL * max(time, 1.0)
-    )
+    scan = _geodesic_scan if _KERNEL is None else _kernel_geodesic_scan
+    verts, eids, ties = scan(box, field.weights, dist, src, tgt, TIE_REL_TOL * max(time, 1.0))
     bitset = np.zeros(box.n_edges, dtype=bool)
     bitset[eids] = True
     coords = np.stack(np.unravel_index(verts, box.shape), axis=1) + np.asarray(box.lo)
@@ -493,6 +540,50 @@ def _geodesic_labels(pred: np.ndarray, path_pos: np.ndarray, verts: np.ndarray):
         up = nxt
 
 
+def _replacement_offers(box: LatticeBox, w, on_path, verts, ds, pred_s, dt, pred_t):
+    """t_inf of each geodesic edge from the two full solves, before the
+    re-solve fallback: the labels, offer table and running-minimum scans
+    of `geodesic_breakpoints`, in numpy. An edge with no offer reads inf."""
+    n_path = verts.size - 1
+    path_pos = np.full(box.n_vertices, -1, dtype=np.int64)
+    path_pos[verts] = np.arange(n_path + 1)
+    lab_s = _geodesic_labels(pred_s, path_pos, verts)
+    lab_t = _geodesic_labels(pred_t, path_pos, verts)
+
+    off = ~on_path
+    eu, ev, ew = box.edge_u[off], box.edge_v[off], w[off]
+    x = np.concatenate([eu, ev])
+    y = np.concatenate([ev, eu])
+    wx = np.concatenate([ew, ew])
+    a, b = lab_s[x], lab_t[y]
+    keep = a < b
+    offers = np.full((n_path + 1, n_path + 1), np.inf)
+    np.minimum.at(offers, (a[keep], b[keep]), ds[x[keep]] + wx[keep] + dt[y[keep]])
+    # best[i, j] = min over offers with a <= i and b >= j
+    best = np.minimum.accumulate(offers, axis=0)
+    best = np.minimum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
+    return best[np.arange(n_path), np.arange(1, n_path + 1)]
+
+
+def _kernel_replacement_offers(box: LatticeBox, w, on_path, verts, ds, pred_s, dt, pred_t):
+    """_replacement_offers by the kernel's `fpp_replacement_offers`: the
+    labels by a memoised walk up each tree, then the same offers, each the
+    same two IEEE additions, into the same table and scans, so the same
+    bits."""
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    on_path = np.ascontiguousarray(on_path, dtype=np.bool_)
+    verts = np.ascontiguousarray(verts, dtype=np.int64)
+    t_inf = np.empty(verts.size - 1)
+    status = _KERNEL.fpp_replacement_offers(
+        *box._csr_args, w.ctypes.data, ds.ctypes.data, pred_s.ctypes.data,
+        dt.ctypes.data, pred_t.ctypes.data, verts.ctypes.data, t_inf.size,
+        on_path.ctypes.data, t_inf.ctypes.data,
+    )
+    if status != 0:
+        raise MemoryError("replacement-path pass could not allocate its work arrays")
+    return t_inf
+
+
 def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     """(t0, t_inf) arrays for every geodesic edge, in path order.
 
@@ -519,24 +610,8 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     verts = (result.path - np.asarray(box.lo)) @ box.strides
     ds, pred_s = box.solve(w, int(verts[0]))
     dt, pred_t = box.solve(w, int(verts[-1]))
-    path_pos = np.full(box.n_vertices, -1, dtype=np.int64)
-    path_pos[verts] = np.arange(n_path + 1)
-    lab_s = _geodesic_labels(pred_s, path_pos, verts)
-    lab_t = _geodesic_labels(pred_t, path_pos, verts)
-
-    off = ~result.edge_bitset
-    eu, ev, ew = box.edge_u[off], box.edge_v[off], w[off]
-    x = np.concatenate([eu, ev])
-    y = np.concatenate([ev, eu])
-    wx = np.concatenate([ew, ew])
-    a, b = lab_s[x], lab_t[y]
-    keep = a < b
-    offers = np.full((n_path + 1, n_path + 1), np.inf)
-    np.minimum.at(offers, (a[keep], b[keep]), ds[x[keep]] + wx[keep] + dt[y[keep]])
-    # best[i, j] = min over offers with a <= i and b >= j
-    best = np.minimum.accumulate(offers, axis=0)
-    best = np.minimum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
-    t_inf = best[np.arange(n_path), np.arange(1, n_path + 1)]
+    offers = _replacement_offers if _KERNEL is None else _kernel_replacement_offers
+    t_inf = offers(box, w, result.edge_bitset, verts, ds, pred_s, dt, pred_t)
 
     wpath = w[result.edge_ids]
     t0 = _path_sums(wpath, np.arange(n_path), 0.0)

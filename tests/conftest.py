@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fpplab as F
+from fpplab import fpp_core
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -27,3 +28,13 @@ def solve_counter(monkeypatch):
 
     monkeypatch.setattr(F.LatticeBox, "solve", counting)
     return calls
+
+
+@pytest.fixture(params=("compiled", "scipy"))
+def solve_backend(request, monkeypatch):
+    """Runs a test on the compiled kernel and on its fallback: scipy's
+    solver, the Python geodesic scan and the numpy offer table."""
+    if request.param == "scipy":
+        monkeypatch.setattr(fpp_core, "_KERNEL", None)
+    elif fpp_core._KERNEL is None:
+        pytest.skip("no C compiler: the kernel paths run in Python")

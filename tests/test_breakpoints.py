@@ -1,5 +1,7 @@
 """Breakpoints from one solve per edge and two per geodesic, checked against
-the two-solve re-solve and brute-force enumeration, plus solve-count guards."""
+the two-solve re-solve and brute-force enumeration, plus solve-count guards.
+The oracle checks run on both backends: the kernel's scan and offer pass,
+and their Python fallbacks on scipy's solver."""
 
 import math
 
@@ -32,7 +34,7 @@ def _fields(spec, dim, count, seed=99):
 
 @pytest.mark.parametrize("dim", (2, 3))
 @pytest.mark.parametrize("spec", SPECS)
-def test_geodesic_breakpoints_match_two_solve_oracle(spec, dim):
+def test_geodesic_breakpoints_match_two_solve_oracle(spec, dim, solve_backend):
     integer_valued = spec.startswith("bernoulli")
     edges = 0
     for field, res in _fields(spec, dim, 25):
@@ -48,7 +50,7 @@ def test_geodesic_breakpoints_match_two_solve_oracle(spec, dim):
     assert edges > 100
 
 
-def test_geodesic_breakpoints_match_brute_force_on_tiny_boxes():
+def test_geodesic_breakpoints_match_brute_force_on_tiny_boxes(solve_backend):
     dist = F.parse_spec("exp:rate=1")
     for hi in ((2, 2), (3, 1), (1, 1, 1)):
         lo = tuple(0 for _ in hi)
@@ -71,7 +73,7 @@ def test_geodesic_breakpoints_match_brute_force_on_tiny_boxes():
 
 
 @pytest.mark.parametrize("c", (0.0, 1.0))
-def test_geodesic_breakpoints_on_bridges_ties_and_free_edges(c):
+def test_geodesic_breakpoints_on_bridges_ties_and_free_edges(c, solve_backend):
     # a 1-wide strip makes every edge a bridge; constant fields tie everywhere;
     # c = 0 makes every geodesic edge free
     cases = (
@@ -88,7 +90,7 @@ def test_geodesic_breakpoints_on_bridges_ties_and_free_edges(c):
             assert (t0[i], t_inf[i]) == two_solve_breakpoint(field, res, int(eid))
 
 
-def test_geodesic_breakpoints_empty_path():
+def test_geodesic_breakpoints_empty_path(solve_backend):
     box = F.LatticeBox((0, 0), (2, 2))
     field = F.WeightField.generate(box, F.Exponential(1.0), 1, 0)
     t0, t_inf = F.geodesic_breakpoints(field, F.passage_time(field, (1, 1), (1, 1)))
@@ -97,7 +99,7 @@ def test_geodesic_breakpoints_empty_path():
 
 @pytest.mark.parametrize("dim", (2, 3))
 @pytest.mark.parametrize("spec", SPECS)
-def test_edge_breakpoint_equals_oracle_bit_for_bit(spec, dim):
+def test_edge_breakpoint_equals_oracle_bit_for_bit(spec, dim, solve_backend):
     on = off = 0
     for field, res in _fields(spec, dim, 12, seed=7):
         off_ids = np.flatnonzero(~res.edge_bitset)[:: max(field.box.n_edges // 12, 1)]
@@ -110,7 +112,7 @@ def test_edge_breakpoint_equals_oracle_bit_for_bit(spec, dim):
     assert on > 40 and off > 40
 
 
-def test_v_e_plus_matches_per_edge_resolve_bit_for_bit():
+def test_v_e_plus_matches_per_edge_resolve_bit_for_bit(solve_backend):
     # every field of acceptance criterion 8
     box = F.LatticeBox((0, 0), (10, 10))
     dist = F.parse_spec("bernoulli:a=1,b=2,p=0.5")
@@ -120,7 +122,7 @@ def test_v_e_plus_matches_per_edge_resolve_bit_for_bit():
         assert val == per_edge_v_e_plus(field, dist, res)
 
 
-def test_v_e_plus_lossless_spec_matches_brute_force_resampling():
+def test_v_e_plus_lossless_spec_matches_brute_force_resampling(solve_backend):
     # 0.1234567 does not survive a 6-digit spec round trip; the field's
     # law must still recognise its own low edges
     box = F.LatticeBox((0, 0), (4, 4))

@@ -640,8 +640,9 @@ def test_influence_diagnostics_collects_m0_and_one_randomized_cell(policy, m_ran
 
 
 def test_each_set_of_box_corners_is_built_once(monkeypatch):
-    """influence_diagnostics and geodesic_stats share the replica workers'
-    box; collect_batch's parent builds none when a pool runs the replicas."""
+    """influence_diagnostics, geodesic_stats and truncation_experiment share
+    the replica workers' box; collect_batch's parent builds none when a pool
+    runs the replicas."""
     builds = []
     original = F.LatticeBox.__init__
 
@@ -655,6 +656,7 @@ def test_each_set_of_box_corners_is_built_once(monkeypatch):
                              master_seed=3, m_policy="auto", workers=1)
     F.influence_diagnostics(cfg, 16, exact_replicas=4)
     F.geodesic_stats(cfg, 16)
+    F.truncation_experiment(cfg, k=10, c5=0.5, replicas=2)
     assert builds == [F.experiments._box_corners(cfg, 16)]
 
     builds.clear()

@@ -1,6 +1,7 @@
 """The compiled Dijkstra behind LatticeBox.solve against scipy's csgraph, and
 the canonical geodesic, which must not depend on the solver."""
 
+import pickle
 import shutil
 
 import numpy as np
@@ -31,15 +32,6 @@ needs_kernel = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(params=("compiled", "scipy"))
-def backend(request, monkeypatch):
-    """Runs a test on the compiled kernel and on the scipy fallback."""
-    if request.param == "scipy":
-        monkeypatch.setattr(fpp_core, "_KERNEL", None)
-    elif fpp_core._KERNEL is None:
-        pytest.skip("no C compiler: LatticeBox.solve runs on scipy")
-
-
 def _scipy_passage_time(monkeypatch, field, u, v):
     with monkeypatch.context() as mp:
         mp.setattr(fpp_core, "_KERNEL", None)
@@ -65,7 +57,7 @@ def test_kernel_builds_into_the_user_cache_or_falls_back(tmp_path, monkeypatch):
     assert not (tmp_path / "none").exists()
 
 
-def test_solve_checks_its_input_on_either_backend(backend):
+def test_solve_checks_its_input_on_either_backend(solve_backend):
     box = F.LatticeBox((0, 0), (3, 3))  # 16 vertices, 24 edges
     w = np.ones(box.n_edges)
     with pytest.raises(F.DomainError, match="expected 24 edge weights"):
@@ -82,7 +74,20 @@ def test_solve_checks_its_input_on_either_backend(backend):
     assert dist[box.vertex_index((3, 3))] == 6.0 and pred[0] == -9999
 
 
-def test_solve_checks_its_target_on_either_backend(backend):
+@needs_kernel
+def test_an_unpickled_box_passes_its_own_arrays_to_the_kernel():
+    box = F.LatticeBox((-3, -3), (9, 5))
+    w = F.WeightField.generate(box, F.parse_spec("exp:rate=1"), 4, 0).weights
+    copy = pickle.loads(pickle.dumps(box))
+    assert copy._csr_args == (
+        copy.n_vertices, copy._csr_indptr.ctypes.data,
+        copy._csr_indices.ctypes.data, copy.data_perm.ctypes.data,
+    )
+    for src in (0, box.n_vertices - 1):
+        assert copy.solve(w, src)[0].tobytes() == box.solve(w, src)[0].tobytes()
+
+
+def test_solve_checks_its_target_on_either_backend(solve_backend):
     box = F.LatticeBox((0, 0), (3, 3))  # 16 vertices
     w = np.ones(box.n_edges)
     for target in (999, 16, -1):
@@ -98,7 +103,7 @@ def test_solve_checks_its_target_on_either_backend(backend):
 
 @pytest.mark.parametrize("lohi", BOXES)
 @pytest.mark.parametrize("spec", LAWS)
-def test_stopped_solve_is_the_full_solve_inside_the_tie_horizon(spec, lohi, backend):
+def test_stopped_solve_is_the_full_solve_inside_the_tie_horizon(spec, lohi, solve_backend):
     """dist and pred are the full solve's bytes where dist <= T + tol, and
     read as unreachable beyond."""
     box = F.LatticeBox(*lohi)
@@ -121,7 +126,7 @@ def test_stopped_solve_is_the_full_solve_inside_the_tie_horizon(spec, lohi, back
                 assert not inside.all()  # the solve really stopped
 
 
-def test_a_vertex_exactly_at_the_tie_horizon_is_settled(backend):
+def test_a_vertex_exactly_at_the_tie_horizon_is_settled(solve_backend):
     """The horizon T + tol is inclusive: (0, 1) sits exactly on it."""
     box = F.LatticeBox((0, 0), (2, 1))
     limit = 1.0 + fpp_core.TIE_REL_TOL * max(1.0, 1.0)
@@ -138,7 +143,7 @@ def test_a_vertex_exactly_at_the_tie_horizon_is_settled(backend):
     "spec",
     ("dirac:c=0", "bernoulli:a=0,b=1,p=0.4", TWO_POINT, "exp:rate=1", "uniform:lo=0,hi=1"),
 )
-def test_passage_time_is_the_full_solve_record(spec, backend):
+def test_passage_time_is_the_full_solve_record(spec, solve_backend):
     law = F.parse_spec(spec)
     for lo, hi, u, v in (
         ((-8, -8), (24, 8), (0, 0), (16, 0)),
@@ -230,7 +235,7 @@ PLATEAU_LAWS = (
     ),
 )
 @pytest.mark.parametrize("spec", PLATEAU_LAWS)
-def test_geodesic_is_the_fewest_edge_tight_path(spec, lo, hi, u, v, backend):
+def test_geodesic_is_the_fewest_edge_tight_path(spec, lo, hi, u, v, solve_backend):
     box = F.LatticeBox(lo, hi)
     law = F.parse_spec(spec)
     src, tgt = box.vertex_index(u), box.vertex_index(v)
@@ -247,7 +252,7 @@ def test_geodesic_is_the_fewest_edge_tight_path(spec, lo, hi, u, v, backend):
         assert res.length == fewest_tight_edges(box, field.weights, dist, src, tgt)
 
 
-def test_the_zero_plateau_geodesic_has_the_lattice_distance(backend):
+def test_the_zero_plateau_geodesic_has_the_lattice_distance(solve_backend):
     box = F.LatticeBox((-6, -6, -2), (6, 6, 2))
     law = F.parse_spec("dirac:c=0")
     for rep in range(3):
@@ -255,7 +260,7 @@ def test_the_zero_plateau_geodesic_has_the_lattice_distance(backend):
         assert res.time == 0.0 and res.length == 9  # a depth-first walk took 401
 
 
-def test_equal_geodesics_go_through_the_first_vertex_the_search_reaches():
+def test_equal_geodesics_go_through_the_first_vertex_the_search_reaches(solve_backend):
     """On a 2x2 box with equal weights both corners give a 2-edge geodesic;
     the target's arcs are scanned in increasing index, so the path takes
     the smaller-index corner and counts the other as one tie."""
@@ -282,7 +287,7 @@ class _CountingArray(np.ndarray):
 
 @pytest.mark.parametrize("spec", ("exp:rate=1", "gamma:a=2,b=1", "uniform:lo=0,hi=1"))
 @pytest.mark.parametrize("lohi", BOXES)
-def test_continuous_geodesics_read_dist_only_around_the_path(spec, lohi):
+def test_continuous_geodesics_read_dist_only_around_the_path(spec, lohi, solve_backend):
     box = F.LatticeBox(*lohi)
     law = F.parse_spec(spec)
     u, v = (0,) * box.d, (8,) + (2,) * (box.d - 1)
@@ -300,7 +305,7 @@ def test_continuous_geodesics_read_dist_only_around_the_path(spec, lohi):
 
 
 @pytest.mark.parametrize("spec", ("exp:rate=1", TWO_POINT, "dirac:c=1", "dirac:c=0"))
-def test_tie_count_matches_the_double_loop(spec):
+def test_tie_count_matches_the_double_loop(spec, solve_backend):
     box = F.LatticeBox((-5, -5, -2), (12, 5, 2))
     law = F.parse_spec(spec)
     for rep in range(6):
@@ -313,7 +318,7 @@ def test_tie_count_matches_the_double_loop(spec):
 
 
 @pytest.mark.parametrize("spec", ("exp:rate=1", TWO_POINT, "dirac:c=0", "uniform:lo=0,hi=1"))
-def test_canonical_path_is_optimal_on_tiny_boxes(spec):
+def test_canonical_path_is_optimal_on_tiny_boxes(spec, solve_backend):
     law = F.parse_spec(spec)
     for hi in ((2, 2), (3, 1), (1, 1, 1)):
         lo = (0,) * len(hi)
