@@ -39,7 +39,6 @@ from .distributions import (
     default_c5,
     lsi_constant_bernoulli,
     parse_spec,
-    truncate,
 )
 from .neargamma import NearlyGammaVerdict, classify_nearly_gamma, psi
 from .averaging import (

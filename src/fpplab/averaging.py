@@ -15,7 +15,7 @@ used and verified exhaustively for small m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,24 +126,17 @@ class AveragingMap:
 
 @dataclass(frozen=True)
 class OffsetSample:
-    """Bit matrix a (one row per axis) and the lattice offset it encodes.
-
-    Built from `a` alone, z is computed from it; a z given by the caller is
-    checked against it instead.
-    """
+    """Bit matrix a (one row per axis) and the lattice offset z it encodes,
+    z_i = g_m(a_i), computed from a."""
 
     a: np.ndarray  # shape (d, m^2), uint8
-    z: np.ndarray | None = None  # shape (d,), int
+    z: np.ndarray = field(init=False)  # shape (d,), int
 
     def __post_init__(self):
         m = math.isqrt(self.a.shape[1])
         if m * m != self.a.shape[1]:
             raise DomainError("offset rows must hold a square number of bits")
-        levels = AveragingMap(m).levels(self.a)
-        if self.z is None:
-            object.__setattr__(self, "z", levels)
-        elif not np.array_equal(levels, self.z):
-            raise DomainError("offset does not match its bit matrix")
+        object.__setattr__(self, "z", AveragingMap(m).levels(self.a))
 
 
 def sample_offset(rng: np.random.Generator, m: int, d: int) -> OffsetSample:

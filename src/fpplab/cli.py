@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ._version import __version__
 from . import averaging, experiments, funcineq, neargamma, reporting
-from .distributions import parse_spec, truncate
+from .distributions import Truncated, parse_spec
 from .errors import FppLabError, ResourceGuardError
 
 EXIT_OK = 0
@@ -231,11 +231,8 @@ def _cmd_classify(args) -> int:
     doc = {
         "version": __version__,
         "config": {"dist": args.dist},
-        "verdict": verdict.summary(),
+        "verdict": verdict,
     }
-    # bound can be rendered infinite on failure; encode as null plus flag
-    if not verdict.direct_pass:
-        doc["verdict"]["bound_a"] = None
     _emit(doc, args.out, "classify.json")
     return EXIT_OK
 
@@ -253,7 +250,7 @@ def _cmd_gm_check(args) -> int:
 
 
 def _cmd_truncate_check(args) -> int:
-    nu_k = truncate(parse_spec(args.dist), args.k, args.c5)
+    nu_k = Truncated(parse_spec(args.dist), args.k, args.c5)
     check = nu_k.domination_check(args.grid)
     doc = {
         "version": __version__,

@@ -692,6 +692,8 @@ class Tabulated(Distribution):
         return 1.0
 
     def spec_string(self):
+        """A label, `tabulated:n=<points>`: `parse_spec` does not read it,
+        since the table itself is not in the text."""
         return f"tabulated:n={self.xs.size}"
 
 
@@ -708,12 +710,6 @@ def lsi_constant_bernoulli(p: float) -> float:
     if u == 0.0:
         return 2.0
     return 2.0 * math.atanh(u) / u
-
-
-def truncate(base: Distribution, k: int, c5: float) -> Truncated:
-    """Bounded-support version of `base`: equal below c5*log k, supported in
-    [0, 2*c5*log k], stochastically smaller than the base."""
-    return Truncated(base, k, c5)
 
 
 def default_c5(d: int, delta: float) -> float:

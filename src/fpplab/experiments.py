@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from . import averaging
-from .distributions import default_c5, parse_spec, truncate
+from .distributions import Truncated, default_c5, parse_spec
 from .errors import ConfigError, DomainError
 # perfbench's traced profile wraps these two names on this module, so the
 # replica worker must call them through it, not through fpp_core
@@ -782,14 +782,14 @@ def truncation_experiment(
     k: int,
     c5: float,
     n: int | None = None,
-    grid_points: int = 10_000,
     replicas: int | None = None,
 ) -> TruncationReport:
     """Quantile-coupled comparison of the base law and its truncation.
 
     The same uniforms drive both quantiles, so the truncated weights are
     pointwise no larger; distances inherit the ordering exactly, and both
-    facts are asserted per replica, not assumed.
+    facts are asserted per replica, not assumed. The domination verdict is
+    `Truncated.domination_check` on its default grid.
     """
     reps = replicas if replicas is not None else min(cfg.replicas, 1000)
     if not (_is_int(reps) and reps >= 1):
@@ -798,10 +798,10 @@ def truncation_experiment(
     base = parse_spec(cfg.dist_spec)
     if not base.continuous:
         raise ConfigError("truncation comparison needs a continuous base law")
-    nu_k = truncate(base, k, c5)
+    nu_k = Truncated(base, k, c5)
     n = int(n if n is not None else min(cfg.n_list))
 
-    grid = nu_k.domination_check(grid_points)
+    grid = nu_k.domination_check()
 
     box = _cached_box(*_box_corners(cfg, n))
     src = box.vertex_index(tuple([0] * cfg.dim))

@@ -625,7 +625,9 @@ def breakpoint_influence(dist: Distribution, time: float, t0: float, t_inf: floa
 
     With the edge's breakpoint (t0, t_inf) and time = min(t0 + x_e, t_inf),
     the gain is (Y - (time - t0))+ - (Y - (t_inf - t0))+, so its mean is a
-    difference of two mean excesses, exact for every law.
+    difference of two mean excesses. It is as exact as `dist.upper_mean`:
+    closed form for the parametric and two-point laws, and the trapezoid
+    rule on 20001 (`Truncated`) or 4001 (`Tabulated`) nodes otherwise.
     """
     return float(dist.upper_mean(time - t0) - dist.upper_mean(t_inf - t0))
 
@@ -636,7 +638,8 @@ def edge_influence(
     """W_{e,+}: expected positive change of the passage time when edge eid
     is independently resampled from `dist`.
 
-    Exact for every law: one breakpoint solve, then `breakpoint_influence`.
+    One breakpoint solve, then `breakpoint_influence`, so it is exact except
+    for the quadrature in `upper_mean` of `Truncated` and `Tabulated`.
     An edge off the returned geodesic costs nothing and gives 0.0.
     """
     box = field.box

@@ -365,6 +365,10 @@ def onedim_lsi_check(dist: Distribution, f: Callable, fprime: Callable) -> IneqR
 # randomized verification suite
 
 
+_SUITE_REL_TOL = 1e-9
+_SUITE_ENERGY_TOL = 1e-10
+
+
 @dataclass
 class SuiteReport:
     tables: int
@@ -377,13 +381,9 @@ class SuiteReport:
     worst: dict
 
 
-def _suite_tables(n_tables: int, ns, ps, rng: np.random.Generator):
-    """The first n_tables of the suite population: the adversarial families
-    on every (n, p) cell, then random tables."""
-    return itertools.islice(_suite_population(list(ns), list(ps), rng), n_tables)
-
-
 def _suite_population(ns, ps, rng: np.random.Generator):
+    """The suite's tables in order: the adversarial families on every
+    (n, p) cell, then random tables without end."""
     for n in ns:
         for p in ps:
             yield "dictator", ProductTable.dictator(n, p, 1)
@@ -403,14 +403,14 @@ def run_random_suite(
     ns: Sequence[int] = tuple(range(2, 13)),
     ps: Sequence[float] = (0.1, 0.5, 0.9),
     seed: int = 0,
-    mp_rel_tol: float = 1e-9,
-    energy_rel_tol: float = 1e-10,
     energy_coordinates: str = "all",
 ) -> SuiteReport:
     """Run the three exact checks over a randomized table population.
 
-    The energy identity is checked on every coordinate of every table;
-    `energy_coordinates` must be "all".
+    A table violates when either inequality's slack is below -1e-9 of its
+    right side, or the energy identity's error exceeds 1e-10 relative to
+    max(1, |rhs|), or the Jensen step fails. The energy identity is checked
+    on every coordinate of every table; `energy_coordinates` must be "all".
     """
     if energy_coordinates != "all":
         raise DomainError(
@@ -427,7 +427,8 @@ def run_random_suite(
     worst: dict = {}
     families: dict = {}
     count = 0
-    for family, table in _suite_tables(n_tables, ns, ps, rng):
+    population = _suite_population(list(ns), list(ps), rng)
+    for family, table in itertools.islice(population, n_tables):
         count += 1
         families[family] = families.get(family, 0) + 1
         mp = verify_modified_poincare(table)
@@ -444,9 +445,9 @@ def run_random_suite(
             dec = verify_energy_decomposition(table, i)
             e_err = max(e_err, dec.abs_error / max(1.0, abs(dec.rhs)))
         bad = (
-            not mp.holds(mp_rel_tol)
-            or not fs.holds(mp_rel_tol)
-            or e_err > energy_rel_tol
+            not mp.holds(_SUITE_REL_TOL)
+            or not fs.holds(_SUITE_REL_TOL)
+            or e_err > _SUITE_ENERGY_TOL
             or not jensen
         )
         if bad:

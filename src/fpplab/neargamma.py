@@ -13,7 +13,7 @@ a finite-endpoint exponent at the upper end).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,42 +93,31 @@ def _grid(d: Distribution) -> np.ndarray:
 
 @dataclass
 class NearlyGammaVerdict:
-    """Outcome of the direct check and of the sufficient tail conditions."""
+    """Outcome of the direct check and of the sufficient tail conditions.
+
+    A value that was not computed or is not finite is None, so the verdict
+    serializes as itself for every law, passing or not.
+    """
 
     direct_pass: bool
-    bound_a: float  # finite iff direct_pass
+    bound_a: float | None  # set iff direct_pass
     sufficient_pass: bool
     interval_ok: bool  # (i)
     continuity_ok: bool  # (ii)
     bound_ok: bool  # (iii) on the grid, with tail-trend screening
-    lower_tail_alpha: float  # (iv) fitted exponent at the lower endpoint
+    lower_tail_alpha: float | None  # (iv) fitted exponent at the lower endpoint
     lower_tail_ok: bool
     upper_tail_mode: str  # "finite-endpoint" or "hazard-ratio"
     upper_tail_ok: bool
-    upper_tail_detail: dict = field(default_factory=dict)
-    grid: np.ndarray = field(default_factory=lambda: np.empty(0))
-    ratio_max: float = math.nan
-    ratio_argmax: float = math.nan
-    flags: list = field(default_factory=list)
+    upper_tail_detail: dict
+    grid_points: int  # size of the direct check's evaluation grid
+    ratio_max: float | None
+    ratio_argmax: float | None
+    flags: list
 
-    def summary(self) -> dict:
-        return {
-            "direct_pass": self.direct_pass,
-            "bound_a": self.bound_a,
-            "sufficient_pass": self.sufficient_pass,
-            "interval_ok": self.interval_ok,
-            "continuity_ok": self.continuity_ok,
-            "bound_ok": self.bound_ok,
-            "lower_tail_alpha": self.lower_tail_alpha,
-            "lower_tail_ok": self.lower_tail_ok,
-            "upper_tail_mode": self.upper_tail_mode,
-            "upper_tail_ok": self.upper_tail_ok,
-            "upper_tail_detail": self.upper_tail_detail,
-            "grid_points": int(self.grid.size),
-            "ratio_max": self.ratio_max,
-            "ratio_argmax": self.ratio_argmax,
-            "flags": list(self.flags),
-        }
+
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 _SAFETY = 1.05
@@ -149,13 +138,13 @@ def classify_nearly_gamma(d: Distribution) -> NearlyGammaVerdict:
         interval_ok = False
         flags.append("support extends below zero")
 
-    ratio_max = math.nan
-    argmax = math.nan
+    ratio_max = None
+    argmax = None
     bound_ok = False
     if interval_ok:
         psi_vals = psi(d, grid)
         ratio = psi_vals / np.sqrt(grid)
-        ratio_max = float(np.max(ratio))
+        ratio_max = _finite(float(np.max(ratio)))
         argmax = float(grid[int(np.argmax(ratio))])
         bound_ok = bool(np.all(np.isfinite(ratio)))
         if bound_ok and not math.isfinite(hi) and _diverging_upper_tail(d, flags):
@@ -163,14 +152,14 @@ def classify_nearly_gamma(d: Distribution) -> NearlyGammaVerdict:
             flags.append("psi(y)/sqrt(y) keeps growing past the grid")
 
     direct_pass = interval_ok and continuity_ok and bound_ok
-    bound_a = _SAFETY * ratio_max if direct_pass else math.inf
+    bound_a = _SAFETY * ratio_max if direct_pass else None
 
     alpha, alpha_ok = _endpoint_exponent(d, lo, 1)
     if math.isfinite(hi):
         mode = "finite-endpoint"
         beta, beta_ok = _endpoint_exponent(d, hi, -1)
         upper_ok = beta_ok
-        detail = {"beta": beta}
+        detail = {"beta": _finite(beta)}
     else:
         mode = "hazard-ratio"
         upper_ok, detail = _hazard_ratio_test(d)
@@ -183,12 +172,12 @@ def classify_nearly_gamma(d: Distribution) -> NearlyGammaVerdict:
         interval_ok=interval_ok,
         continuity_ok=continuity_ok,
         bound_ok=bound_ok,
-        lower_tail_alpha=alpha,
+        lower_tail_alpha=_finite(alpha),
         lower_tail_ok=alpha_ok,
         upper_tail_mode=mode,
         upper_tail_ok=upper_ok,
         upper_tail_detail=detail,
-        grid=grid,
+        grid_points=int(grid.size),
         ratio_max=ratio_max,
         ratio_argmax=argmax,
         flags=flags,

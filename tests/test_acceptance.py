@@ -28,7 +28,7 @@ def test_criterion_01_functional_inequality_suite():
     t0 = time.perf_counter()
     rep = F.run_random_suite(
         n_tables=1000, ns=range(2, 13), ps=(0.1, 0.5, 0.9), seed=20240917,
-        mp_rel_tol=1e-9, energy_rel_tol=1e-10, energy_coordinates="all",
+        energy_coordinates="all",
     )
     elapsed = time.perf_counter() - t0
     ok = (
@@ -176,8 +176,7 @@ def test_criterion_09_truncation_domination_and_coupling():
         dist_spec="exp:rate=1", dim=2, n_list=(20,), replicas=1000,
         master_seed=31, workers=1,
     )
-    rep = F.truncation_experiment(cfg, k=100, c5=8.0, n=20, grid_points=10_000,
-                                  replicas=1000)
+    rep = F.truncation_experiment(cfg, k=100, c5=8.0, n=20, replicas=1000)
     ok = (
         rep.grid_ok
         and rep.grid_max_defect <= 1e-12

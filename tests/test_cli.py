@@ -91,11 +91,34 @@ def test_classify_verdict(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["verdict"]["direct_pass"] is True
+    assert set(doc["verdict"]) == _VERDICT_KEYS
     rc = _run(["classify", "--dist", "halfnormal", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["verdict"]["direct_pass"] is True
     assert doc["verdict"]["sufficient_pass"] is False
+
+
+_VERDICT_KEYS = {
+    "direct_pass", "bound_a", "sufficient_pass", "interval_ok", "continuity_ok",
+    "bound_ok", "lower_tail_alpha", "lower_tail_ok", "upper_tail_mode",
+    "upper_tail_ok", "upper_tail_detail", "grid_points", "ratio_max",
+    "ratio_argmax", "flags",
+}
+
+
+def test_classify_writes_a_failing_verdict(capsys):
+    # support below zero: the direct check never runs, so its values are null
+    rc = _run(["classify", "--dist", "uniform:lo=-1,hi=1"])
+    assert rc == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert set(verdict) == _VERDICT_KEYS
+    assert verdict["interval_ok"] is False
+    assert verdict["direct_pass"] is False
+    assert verdict["bound_a"] is None
+    assert verdict["ratio_max"] is None
+    assert verdict["ratio_argmax"] is None
+    assert "support extends below zero" in verdict["flags"]
 
 
 def test_gm_check(tmp_path, capsys):

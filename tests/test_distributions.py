@@ -164,7 +164,7 @@ def test_lsi_constant_continuity_at_half():
 
 def test_truncate_support_and_head():
     base = F.parse_spec("exp:rate=1")
-    nu = F.truncate(base, 100, 1.0)
+    nu = F.Truncated(base, 100, 1.0)
     cut = math.log(100.0)
     assert nu.cut == pytest.approx(cut)
     assert float(nu.cdf(2 * cut)) == pytest.approx(1.0, abs=1e-12)
@@ -174,7 +174,7 @@ def test_truncate_support_and_head():
 
 def test_truncate_dominates_on_dense_grid():
     base = F.parse_spec("exp:rate=1")
-    nu = F.truncate(base, 100, 1.0)
+    nu = F.Truncated(base, 100, 1.0)
     xs = np.linspace(0.0, nu.top * 1.2, 10_000)
     defect = np.asarray(base.cdf(xs)) - np.asarray(nu.cdf(xs))
     assert defect.max() <= 1e-12
@@ -182,7 +182,7 @@ def test_truncate_dominates_on_dense_grid():
 
 def test_truncate_noop_when_mass_already_low():
     base = F.parse_spec("uniform:lo=0,hi=1")
-    nu = F.truncate(base, 100, 1.0)  # cut = log(100) = 4.6 > 1
+    nu = F.Truncated(base, 100, 1.0)  # cut = log(100) = 4.6 > 1
     xs = np.linspace(-0.5, 2.0, 400)
     assert np.max(np.abs(np.asarray(nu.cdf(xs)) - np.asarray(base.cdf(xs)))) <= 1e-12
 
@@ -195,7 +195,7 @@ def test_truncate_randomized_postconditions(rng):
         k = int(rng.integers(2, 2000))
         c5 = float(rng.uniform(0.2, 6.0))
         base = F.parse_spec(spec)
-        nu = F.truncate(base, k, c5)
+        nu = F.Truncated(base, k, c5)
         xs = np.linspace(0.0, nu.top * 1.1, 2000)
         h_b = np.asarray(base.cdf(xs))
         h_k = np.asarray(nu.cdf(xs))
@@ -209,9 +209,9 @@ def test_truncate_randomized_postconditions(rng):
 def test_truncate_custom_bump_and_validation():
     base = F.parse_spec("exp:rate=1")
     with pytest.raises(DomainError):
-        F.truncate(base, 1, 1.0)
+        F.Truncated(base, 1, 1.0)
     with pytest.raises(UnsupportedKindError):
-        F.truncate(F.parse_spec("bernoulli:a=1,b=2,p=0.5"), 50, 1.0)
+        F.Truncated(F.parse_spec("bernoulli:a=1,b=2,p=0.5"), 50, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -220,11 +220,11 @@ def test_truncate_custom_bump_and_validation():
 )
 def test_truncate_rejects_non_finite_or_overflowing_scale(k, c5):
     with pytest.raises(DomainError, match="c5"):
-        F.truncate(F.parse_spec("exp:rate=1"), k, c5)
+        F.Truncated(F.parse_spec("exp:rate=1"), k, c5)
 
 
 def test_truncate_accepts_the_largest_scale_whose_grid_fits():
-    nu = F.truncate(F.parse_spec("exp:rate=1"), 2, 1e308)
+    nu = F.Truncated(F.parse_spec("exp:rate=1"), 2, 1e308)
     assert math.isfinite(1.05 * nu.top)
     assert nu.domination_check(50)[2]
 
@@ -236,7 +236,7 @@ def test_trunc_spec_rejects_an_overflowing_cut():
 
 def test_truncated_quantile_accuracy_in_bump_region():
     base = F.parse_spec("exp:rate=1")
-    nu = F.truncate(base, 10, 0.5)  # cut = 1.15, real mass beyond it
+    nu = F.Truncated(base, 10, 0.5)  # cut = 1.15, real mass beyond it
     us = np.linspace(float(base.cdf(nu.cut)) + 1e-6, 1 - 1e-9, 300)
     xs = np.asarray(nu.quantile(us))
     back = np.asarray(nu.cdf(xs))
@@ -330,7 +330,7 @@ _laws = st.one_of(
     _pairs(_finite).map(lambda t: F.Uniform(*t)),
     st.builds(lambda a, b, p: F.Bernoulli(min(a, b), max(a, b), p), _finite, _finite, _prob),
     st.builds(F.Dirac, _finite),
-    st.builds(F.truncate, _bases, st.integers(2, 10**6), st.floats(1e-3, 1e3)),
+    st.builds(F.Truncated, _bases, st.integers(2, 10**6), st.floats(1e-3, 1e3)),
 )
 
 
@@ -442,7 +442,7 @@ def test_tabulated_upper_mean_matches_the_uniform_closed_form():
 
 def test_domination_check_matches_a_direct_grid():
     base = F.parse_spec("exp:rate=1")
-    nu = F.truncate(base, 10, 0.5)
+    nu = F.Truncated(base, 10, 0.5)
     check = nu.domination_check(5000)
     max_defect, below_cut_error, support_ok = check
     grid = np.linspace(0.0, 1.05 * nu.top, 5000)

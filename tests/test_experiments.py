@@ -585,8 +585,8 @@ def test_influence_diagnostics_refuses_a_bad_exact_replica_count_before_sampling
 def test_truncation_experiment_refuses_a_bad_replica_count_before_sampling(replicas,
                                                                            monkeypatch):
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(6,), replicas=10, workers=1)
-    monkeypatch.setattr(F.experiments, "box_for", None)  # nor is a box built
-    monkeypatch.setattr(F.experiments, "truncate", None)
+    monkeypatch.setattr(F.experiments, "_cached_box", None)  # nor is a box built
+    monkeypatch.setattr(F.experiments, "Truncated", None)
     with pytest.raises(ConfigError, match="replicas must be an integer >= 1"):
         F.truncation_experiment(cfg, k=10, c5=0.5, replicas=replicas)
 

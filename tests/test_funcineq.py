@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -149,7 +150,8 @@ def test_random_suite_all_pass():
 
 def _suite_sample(n_tables, seed):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return list(funcineq._suite_tables(n_tables, (12, 5, 9), (0.1, 0.5, 0.9), rng))
+    population = funcineq._suite_population([12, 5, 9], [0.1, 0.5, 0.9], rng)
+    return list(itertools.islice(population, n_tables))
 
 
 def test_energy_decomposition_matches_per_call_oracle_bit_for_bit():
