@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedKindError
 
-DENSITY_FLOOR = 1e-300
-
 
 def _as_float_array(y):
     arr = np.asarray(y, dtype=float)

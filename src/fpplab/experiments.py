@@ -496,12 +496,15 @@ def tail_profile(
 
     The exponential-rate fit uses only grid points with at least
     TAIL_FIT_MIN_COUNT exceedances; sparser rows are reported with exact
-    binomial intervals and excluded from the fit.
+    binomial intervals and excluded from the fit. A batch passed in must
+    be of the n asked for.
     """
     if batch is None:
         if cfg.replicas < 1000:
             raise ConfigError("tail profile needs at least 1000 replicas")
         batch = collect_batch(cfg, n, m=0)
+    elif batch.n != n:
+        raise ConfigError(f"tail profile at n={n} was given a batch of n={batch.n}")
     times = batch.times
     reps = times.size
     center = float(times.mean())
@@ -856,9 +859,17 @@ class GeodesicStats:
 def geodesic_stats(
     cfg: ExperimentConfig, n: int, batch: ReplicaBatch | None = None
 ) -> GeodesicStats:
-    """Length moments plus geodesic counts in balls around a mid-path edge."""
-    if batch is None or batch.geo_edges is None:
+    """Length moments plus geodesic counts in balls around a mid-path edge.
+
+    A batch passed in must be of the n asked for and carry its geodesic
+    edges (collected with want_edges=True).
+    """
+    if batch is None:
         batch = collect_batch(cfg, n, m=0, want_edges=True)
+    elif batch.n != n:
+        raise ConfigError(f"geodesic stats at n={n} were given a batch of n={batch.n}")
+    elif batch.geo_edges is None:
+        raise ConfigError("geodesic stats need a batch collected with want_edges=True")
     box = _cached_box(*_box_corners(cfg, n))
     center = [0] * cfg.dim
     center[0] = n // 2

@@ -2,10 +2,11 @@
 
 psi(y) = g(G^-1(H(y))) / h(y) is the derivative weight picked up when a law
 with density h and CDF H is transported onto the standard Gaussian by
-quantile coupling. A law qualifies as nearly gamma when its support is an
-interval, h is continuous there, and psi(y) <= A sqrt(y) for some finite A.
-The classifier evaluates that bound on a grid accumulating toward both
-support endpoints and also runs the two sufficient tail conditions
+quantile coupling; it reads h only as log h. A law qualifies as nearly
+gamma when its support is an interval, h is continuous there, and
+psi(y) <= A sqrt(y) for some finite A. The classifier evaluates that bound
+on one grid placed by probability (both tails down to 1e-12, plus an even
+bulk sweep) and also runs the two sufficient tail conditions
 (regular-variation exponent at the lower end, hazard-ratio boundedness or
 a finite-endpoint exponent at the upper end).
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .distributions import DENSITY_FLOOR, Distribution
+from .distributions import Distribution
 from .errors import DomainError, SingularityError, UnsupportedKindError
 
 _LOG_HALF = math.log(0.5)
@@ -27,8 +28,11 @@ _LOG_HALF = math.log(0.5)
 def psi(d: Distribution, y):
     """Evaluate psi(y) = g(G^-1(H(y))) / h(y) on the interior of {h > 0}.
 
-    Works entirely on the log scale so tails with H(y) near 0 or 1 keep
-    full precision. Scalar y gives a scalar back; arrays are vectorized.
+    Works entirely on the log scale, reading the density as d.log_pdf, so
+    tails with H(y) near 0 or 1 and densities below the smallest float keep
+    full precision. A point where log h is not finite (the density vanishes
+    there) raises SingularityError. Scalar y gives a scalar back; arrays are
+    vectorized.
     """
     if not d.continuous:
         raise UnsupportedKindError(f"psi requires a continuous law, got {d.kind}")
@@ -38,56 +42,35 @@ def psi(d: Distribution, y):
     lo, hi = d.support
     if np.any(arr <= lo) or np.any(arr >= hi):
         raise DomainError("psi argument must lie in the interior of the support")
-    dens = np.atleast_1d(np.asarray(d.pdf(arr), dtype=float))
-    if np.any(dens <= DENSITY_FLOOR):
-        raise SingularityError(
-            f"density below floor {DENSITY_FLOOR:g} inside the support"
-        )
+    log_dens = np.atleast_1d(np.asarray(d.log_pdf(arr), dtype=float))
+    if not np.all(np.isfinite(log_dens)):
+        raise SingularityError("log density not finite inside the support")
     log_h = np.atleast_1d(np.asarray(d.log_cdf(arr), dtype=float))
-    log_s = np.atleast_1d(np.asarray(d.log_sf(arr), dtype=float))
     lower = log_h <= _LOG_HALF
     x = np.empty_like(arr)
     if np.any(lower):
         x[lower] = gaussian.gauss_quantile_from_log_cdf(log_h[lower])
     if np.any(~lower):
-        x[~lower] = -np.asarray(
-            gaussian.gauss_quantile_from_log_cdf(log_s[~lower])
-        )
-    out = np.exp(gaussian.gauss_log_pdf(x) - np.log(dens))
+        log_s = np.asarray(d.log_sf(arr[~lower]), dtype=float)
+        x[~lower] = -np.asarray(gaussian.gauss_quantile_from_log_cdf(log_s))
+    out = np.exp(gaussian.gauss_log_pdf(x) - log_dens)
     return float(out[0]) if scalar else out
 
 
-# Evaluation grid for the direct check: points accumulate geometrically
-# toward both support endpoints, coming no closer than _ENDPOINT_FLOOR (in
-# distance for a finite endpoint, in survival probability for an infinite
-# one).
+# Evaluation grid for the direct check: both tails at the quantiles q and
+# 1 - q for q from 1/2 down to _ENDPOINT_FLOOR, plus _BULK_POINTS evenly
+# spaced between the 1% and 99% quantiles, where an interior gap would show.
 _POINTS_PER_DECADE = 200
 _ENDPOINT_FLOOR = 1e-12
-_BULK_POINTS = 400
+_BULK_POINTS = 2048
 
 
 def _grid(d: Distribution) -> np.ndarray:
     lo, hi = d.support
-    mid = float(d.quantile(0.5))
-    pieces = []
-    # lower endpoint side
-    span_lo = (mid - lo) if math.isfinite(mid - lo) else 1.0
-    decades = max(math.log10(span_lo / _ENDPOINT_FLOOR), 1.0)
-    npts = int(_POINTS_PER_DECADE * decades)
-    pieces.append(lo + np.geomspace(_ENDPOINT_FLOOR, span_lo, npts))
-    # upper endpoint side
-    if math.isfinite(hi):
-        span_hi = hi - mid
-        decades = max(math.log10(span_hi / _ENDPOINT_FLOOR), 1.0)
-        npts = int(_POINTS_PER_DECADE * decades)
-        pieces.append(hi - np.geomspace(_ENDPOINT_FLOOR, span_hi, npts))
-    else:
-        decades = -math.log10(_ENDPOINT_FLOOR)
-        npts = int(_POINTS_PER_DECADE * decades)
-        js = np.linspace(math.log10(2.0), -math.log10(_ENDPOINT_FLOOR), npts)
-        pieces.append(d.isf(10.0 ** (-js)))
-    pieces.append(np.linspace(lo + span_lo * 1e-3, float(d.quantile(0.95)), _BULK_POINTS))
-    grid = np.unique(np.concatenate(pieces))
+    decades = -math.log10(_ENDPOINT_FLOOR)
+    q = 10.0 ** -np.linspace(math.log10(2.0), decades, int(_POINTS_PER_DECADE * decades))
+    bulk = np.linspace(float(d.quantile(0.01)), float(d.quantile(0.99)), _BULK_POINTS)
+    grid = np.unique(np.concatenate([d.quantile(q), d.isf(q), bulk]))
     return grid[(grid > lo) & (grid < hi)]
 
 
@@ -133,16 +116,27 @@ def classify_nearly_gamma(d: Distribution) -> NearlyGammaVerdict:
     grid = _grid(d)
     flags: list[str] = []
 
-    interval_ok, continuity_ok = _support_checks(d, grid, flags)
+    # (i) {h > 0} is an interval: psi is defined on the whole grid. A
+    # negative support is refused first, as the ratio takes sqrt(grid).
+    psi_vals = None
     if lo < 0:
-        interval_ok = False
         flags.append("support extends below zero")
+    else:
+        try:
+            psi_vals = psi(d, grid)
+        except SingularityError:
+            flags.append("density vanishes inside the support")
+    interval_ok = psi_vals is not None
+    # (ii) h is continuous on {h > 0}: structural for every built-in kind,
+    # so read off the law rather than guessed from finite differences
+    continuity_ok = bool(d.density_continuous)
+    if not continuity_ok:
+        flags.append("density declared discontinuous on its support")
 
     ratio_max = None
     argmax = None
     bound_ok = False
     if interval_ok:
-        psi_vals = psi(d, grid)
         ratio = psi_vals / np.sqrt(grid)
         ratio_max = _finite(float(np.max(ratio)))
         argmax = float(grid[int(np.argmax(ratio))])
@@ -182,31 +176,6 @@ def classify_nearly_gamma(d: Distribution) -> NearlyGammaVerdict:
         ratio_argmax=argmax,
         flags=flags,
     )
-
-
-def _support_checks(d: Distribution, grid: np.ndarray, flags: list) -> tuple[bool, bool]:
-    """(i) the set {h > 0} is an interval; (ii) h is continuous on it.
-
-    The interval condition is probed numerically: the density must stay
-    positive across the whole grid and a dense bulk sweep, so an interior
-    gap (possible for tabulated input) is caught. Continuity is structural
-    for every built-in kind (smooth families, piecewise-linear tables, and
-    truncations whose bump vanishes at both knots), so it is read off the
-    law rather than guessed from finite differences.
-    """
-    dens = np.asarray(d.pdf(grid), dtype=float)
-    interval_ok = bool(np.all(dens > 0.0))
-    a = float(d.quantile(0.01))
-    b = float(d.quantile(0.99))
-    probes = np.linspace(a, b, 2048)
-    vals = np.asarray(d.pdf(probes), dtype=float)
-    interval_ok = interval_ok and bool(np.all(vals > 0.0))
-    if not interval_ok:
-        flags.append("density vanishes inside the support")
-    continuity_ok = bool(d.density_continuous)
-    if not continuity_ok:
-        flags.append("density declared discontinuous on its support")
-    return interval_ok, continuity_ok
 
 
 def _diverging_upper_tail(d: Distribution, flags: list) -> bool:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import warnings
 from pathlib import Path
@@ -119,6 +120,16 @@ def test_classify_writes_a_failing_verdict(capsys):
     assert verdict["ratio_max"] is None
     assert verdict["ratio_argmax"] is None
     assert "support extends below zero" in verdict["flags"]
+
+
+def test_classify_a_law_whose_median_is_near_the_float_limit(tmp_path):
+    # the grid is placed by probability, so a scale of 1e300 does not overflow it
+    out = tmp_path / "verdict.json"
+    assert _run(["classify", "--dist", "exp:rate=1e-300", "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict["interval_ok"] is True
+    assert verdict["direct_pass"] is True
+    assert math.isfinite(verdict["bound_a"])
 
 
 def test_gm_check(tmp_path, capsys):

@@ -560,6 +560,24 @@ def _forbid_sampling(monkeypatch):
     monkeypatch.setattr(F.WeightField, "generate", no_sampling)
 
 
+def test_batch_readers_refuse_a_batch_of_another_n_before_sampling(monkeypatch):
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(8,), replicas=5, workers=1)
+    batch = _synthetic_batch(16, np.full(5, 16.0))
+    batch.geo_edges = [np.arange(16)] * 5
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(ConfigError, match="given a batch of n=16"):
+        F.tail_profile(cfg, 8, batch=batch)
+    with pytest.raises(ConfigError, match="given a batch of n=16"):
+        F.geodesic_stats(cfg, 8, batch=batch)
+
+
+def test_geodesic_stats_refuses_a_batch_without_edges_before_sampling(monkeypatch):
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(8,), replicas=5, workers=1)
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(ConfigError, match="want_edges=True"):
+        F.geodesic_stats(cfg, 8, batch=_synthetic_batch(8, np.full(5, 8.0)))
+
+
 @pytest.mark.parametrize("n,margin_factor", ((10, 0.1), (2, 0.5)))
 def test_influence_diagnostics_checks_its_randomized_m_before_sampling(n, margin_factor,
                                                                        monkeypatch):

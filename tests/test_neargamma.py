@@ -8,6 +8,7 @@ from scipy import stats
 import fpplab as F
 from fpplab import DomainError, SingularityError, UnsupportedKindError, reporting
 from fpplab.distributions import Distribution, _as_float_array, _ret
+from fpplab.neargamma import _grid
 
 
 def test_psi_uniform_median_hits_gaussian_mode():
@@ -160,6 +161,36 @@ def test_interior_gap_breaks_interval_condition():
     verdict = F.classify_nearly_gamma(F.Tabulated(xs, hs))
     assert not verdict.interval_ok
     assert not verdict.direct_pass
+
+
+@pytest.mark.parametrize("a", [50.0, 200.0])
+def test_large_gamma_shape_keeps_the_interval_condition(a):
+    # h(y) ~ y^(a-1) is 0.0 in binary64 near the endpoint; log h is not
+    verdict = F.classify_nearly_gamma(F.Gamma(a, 1.0))
+    assert verdict.interval_ok
+    assert "density vanishes inside the support" not in verdict.flags
+
+
+@pytest.mark.parametrize("spec", ["gamma:a=0.5,b=1", "uniform:lo=1,hi=2", "halfnormal",
+                                  "trunc(exp:rate=1;k=10,c5=0.5)"])
+def test_grid_reaches_both_tails_by_probability(spec):
+    d = F.parse_spec(spec)
+    grid = _grid(d)
+    lo, hi = d.support
+    assert np.all(grid > lo) and np.all(grid < hi)
+    # 1e-12 of probability beyond each end, up to the float resolution there
+    assert d.cdf(grid.min()) <= 1e-12 * (1 + 1e-3)
+    assert d.sf(grid.max()) <= 1e-12 * (1 + 1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: for gamma(a, b) psi(y)/sqrt(y) rises toward sqrt(2/b) from below, so the "
+    "grid maximum at survival 1e-12 times 1.05 is not a bound on (0, inf): gamma(2,1) "
+    "reports A = 1.3937 while the ratio reads 1.4060 at survival 1e-300"))
+def test_gamma_bound_holds_past_the_grid():
+    d = F.Gamma(2.0, 1.0)
+    y = d.isf(1e-300)
+    assert F.classify_nearly_gamma(d).bound_a >= F.psi(d, y) / math.sqrt(y)
 
 
 def test_truncated_law_stays_nearly_gamma():
