@@ -6,7 +6,7 @@ quantile coupling; it reads h only as log h. A law qualifies as nearly
 gamma when its support is an interval, h is continuous there, and
 psi(y) <= A sqrt(y) for some finite A. The classifier evaluates that bound
 on one grid placed by probability (both tails down to 1e-12, plus an even
-bulk sweep) and also runs the two sufficient tail conditions
+sweep between those two ends) and also runs the two sufficient tail conditions
 (regular-variation exponent at the lower end, hazard-ratio boundedness or
 a finite-endpoint exponent at the upper end).
 """
@@ -28,11 +28,12 @@ _LOG_HALF = math.log(0.5)
 def psi(d: Distribution, y):
     """Evaluate psi(y) = g(G^-1(H(y))) / h(y) on the interior of {h > 0}.
 
-    Works entirely on the log scale, reading the density as d.log_pdf, so
-    tails with H(y) near 0 or 1 and densities below the smallest float keep
-    full precision. A point where log h is not finite (the density vanishes
-    there) raises SingularityError. Scalar y gives a scalar back; arrays are
-    vectorized.
+    Works entirely on the log scale, reading the density as d.log_pdf and
+    the smaller tail as d.log_cdf or d.log_sf, so tails with H(y) near 0 or
+    1 and densities below the smallest float keep the precision of the
+    law's log kernels. A point where either log is not finite (the density
+    vanishes there, or the law's tail underflows) raises SingularityError.
+    Scalar y gives a scalar back; arrays are vectorized.
     """
     if not d.continuous:
         raise UnsupportedKindError(f"psi requires a continuous law, got {d.kind}")
@@ -43,23 +44,25 @@ def psi(d: Distribution, y):
     if np.any(arr <= lo) or np.any(arr >= hi):
         raise DomainError("psi argument must lie in the interior of the support")
     log_dens = np.atleast_1d(np.asarray(d.log_pdf(arr), dtype=float))
-    if not np.all(np.isfinite(log_dens)):
-        raise SingularityError("log density not finite inside the support")
-    log_h = np.atleast_1d(np.asarray(d.log_cdf(arr), dtype=float))
-    lower = log_h <= _LOG_HALF
-    x = np.empty_like(arr)
-    if np.any(lower):
-        x[lower] = gaussian.gauss_quantile_from_log_cdf(log_h[lower])
-    if np.any(~lower):
-        log_s = np.asarray(d.log_sf(arr[~lower]), dtype=float)
-        x[~lower] = -np.asarray(gaussian.gauss_quantile_from_log_cdf(log_s))
+    # log of the smaller tail probability; g is even, so G^-1 of either
+    # tail gives the same g(G^-1(H(y)))
+    log_p = np.atleast_1d(np.asarray(d.log_cdf(arr), dtype=float))
+    upper = log_p > _LOG_HALF
+    if np.any(upper):
+        log_p[upper] = d.log_sf(arr[upper])
+    if not (np.all(np.isfinite(log_dens)) and np.all(np.isfinite(log_p))):
+        raise SingularityError(
+            "log density or log tail probability not finite inside the support"
+        )
+    x = gaussian.gauss_quantile_from_log_cdf(log_p)
     out = np.exp(gaussian.gauss_log_pdf(x) - log_dens)
     return float(out[0]) if scalar else out
 
 
 # Evaluation grid for the direct check: both tails at the quantiles q and
 # 1 - q for q from 1/2 down to _ENDPOINT_FLOOR, plus _BULK_POINTS evenly
-# spaced between the 1% and 99% quantiles, where an interior gap would show.
+# spaced across the whole span of those, where an interior gap would show
+# (a quantile never falls inside a stretch of zero probability).
 _POINTS_PER_DECADE = 200
 _ENDPOINT_FLOOR = 1e-12
 _BULK_POINTS = 2048
@@ -69,8 +72,9 @@ def _grid(d: Distribution) -> np.ndarray:
     lo, hi = d.support
     decades = -math.log10(_ENDPOINT_FLOOR)
     q = 10.0 ** -np.linspace(math.log10(2.0), decades, int(_POINTS_PER_DECADE * decades))
-    bulk = np.linspace(float(d.quantile(0.01)), float(d.quantile(0.99)), _BULK_POINTS)
-    grid = np.unique(np.concatenate([d.quantile(q), d.isf(q), bulk]))
+    lower, upper = d.quantile(q), d.isf(q)
+    sweep = np.linspace(lower[-1], upper[-1], _BULK_POINTS)
+    grid = np.unique(np.concatenate([lower, upper, sweep]))
     return grid[(grid > lo) & (grid < hi)]
 
 

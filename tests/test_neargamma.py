@@ -50,6 +50,25 @@ def test_psi_singularity_guard():
         F.psi(d, 1.5)
 
 
+def test_psi_is_finite_where_the_density_underflows():
+    # pdf is 0.0 in binary64 at both points; log_pdf, log_sf and psi are not
+    for d, y, want in ((F.Exponential(1.0), 800.0, math.sqrt(1600.0)),
+                       (F.HalfNormal(), 40.0, 1.0)):
+        assert d.pdf(y) == 0.0
+        assert F.psi(d, y) == pytest.approx(want, rel=0.01)
+
+
+@pytest.mark.parametrize("a,y", [(200.0, 1.0), (2.0, 800.0)])
+def test_psi_refuses_rather_than_returns_nan(a, y):
+    # the gamma tail probability underflows to 0.0 at these points
+    d = F.Gamma(a, 1.0)
+    try:
+        value = F.psi(d, y)
+    except SingularityError:
+        return
+    assert math.isfinite(value)
+
+
 def test_classifier_requires_continuous():
     with pytest.raises(UnsupportedKindError):
         F.classify_nearly_gamma(F.parse_spec("bernoulli:a=1,b=2,p=0.5"))
@@ -163,9 +182,22 @@ def test_interior_gap_breaks_interval_condition():
     assert not verdict.direct_pass
 
 
+@pytest.mark.parametrize("xs,hs", [
+    ([0.0, 1.0, 1.2, 1.3, 1.5], [1.0, 1.0, 0.0, 0.0, 0.01]),  # gap above the 99% quantile
+    ([0.0, 0.2, 0.3, 0.5, 1.5], [0.01, 0.0, 0.0, 1.0, 1.0]),  # gap below the 1% quantile
+])
+def test_tail_gap_breaks_interval_condition(xs, hs):
+    d = F.Tabulated(np.array(xs), np.array(hs))
+    verdict = F.classify_nearly_gamma(d)
+    assert not verdict.interval_ok
+    assert "density vanishes inside the support" in verdict.flags
+    assert verdict.bound_a is None
+
+
 @pytest.mark.parametrize("a", [50.0, 200.0])
 def test_large_gamma_shape_keeps_the_interval_condition(a):
-    # h(y) ~ y^(a-1) is 0.0 in binary64 near the endpoint; log h is not
+    # h(y) ~ y^(a-1) is 0.0 in binary64 within 1e-12 of the endpoint, but the
+    # grid stops at probability 1e-12, where the density is far from underflow
     verdict = F.classify_nearly_gamma(F.Gamma(a, 1.0))
     assert verdict.interval_ok
     assert "density vanishes inside the support" not in verdict.flags
