@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--margin", type=float, default=0.5, help="box margin factor per side"
     )
-    sim.add_argument("--workers", type=int, default=None, help="worker processes")
+    sim.add_argument("--workers", type=int, default=None, help="replica threads")
     sim.add_argument(
         "--format", default="csv,json", help="outputs to write: csv, json or both"
     )

@@ -25,6 +25,15 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _branches(where, arr, f_true, f_false):
+    """np.where(where, f_true(arr), f_false(arr)), with each kernel
+    evaluated only on its own points."""
+    out = np.empty(arr.shape)
+    out[where] = f_true(arr[where])
+    out[~where] = f_false(arr[~where])
+    return out
+
+
 def _log(arr):
     with np.errstate(divide="ignore"):
         return np.log(arr)
@@ -213,10 +222,11 @@ class Gamma(Distribution):
 
         x = arr / self._scale
         with np.errstate(divide="ignore"):
-            out = np.where(
+            out = _branches(
                 x < special.gammaincinv(self.a, 0.5),
-                np.log(self._cdf(arr)),
-                np.log1p(-self._sf(arr)),
+                arr,
+                lambda y: np.log(self._cdf(y)),
+                lambda y: np.log1p(-self._sf(y)),
             )
         return np.where(x <= 0, -np.inf, np.where(x == np.inf, 0.0, out))
 
@@ -225,10 +235,11 @@ class Gamma(Distribution):
 
         x = arr / self._scale
         with np.errstate(divide="ignore"):
-            out = np.where(
+            out = _branches(
                 x > special.gammaincinv(self.a, 0.5),
-                np.log(self._sf(arr)),
-                np.log1p(-self._cdf(arr)),
+                arr,
+                lambda y: np.log(self._sf(y)),
+                lambda y: np.log1p(-self._cdf(y)),
             )
         return np.where(x <= 0, 0.0, out)
 

@@ -17,9 +17,8 @@ import functools
 import math
 import os
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import averaging
 from .distributions import Truncated, default_c5, parse_spec
 from .errors import ConfigError, DomainError
 # perfbench's traced profile wraps these two names on this module, so the
-# replica worker must call them through it, not through fpp_core
+# replica code must call them through it, not through fpp_core
 from .fpp_core import LatticeBox, WeightField, edge_breakpoint, passage_time
 from .fpp_core import breakpoint_influence
 from .neargamma import classify_nearly_gamma
@@ -117,7 +116,8 @@ class ExperimentConfig:
 
 
 def resolve_workers(requested: int | None) -> int:
-    """The requested worker count (default: every core), capped by FPPLAB_WORKERS."""
+    """The number of replica threads collect_batch runs: the requested
+    count (default: every core), capped by FPPLAB_WORKERS."""
     cap = os.environ.get("FPPLAB_WORKERS")
     n = requested if requested else (os.cpu_count() or 1)
     if cap:
@@ -176,26 +176,13 @@ class ReplicaBatch:
     exact_w_plus: list | None = None  # Lipschitz bound on W_+ per replica
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """What a worker needs to run any replica range of one (n, m) cell."""
-
-    spec: str
-    lo: tuple
-    hi: tuple
-    n: int
-    m: int
-    master_seed: int
-    want_edges: bool
-    probe_ids: tuple
-    exact_n: int
-
-
 @functools.cache
 def _cached_box(lo, hi) -> LatticeBox:
     """One box per set of corners in a process, shared by the replica
-    chunks, the probe and ball lookups of influence_diagnostics and
-    geodesic_stats, and truncation_experiment."""
+    threads of collect_batch, the probe and ball lookups of
+    influence_diagnostics and geodesic_stats, and truncation_experiment.
+    Every caller looks it up in its own thread before any replica thread
+    starts, so no two threads race the cache."""
     return LatticeBox(lo, hi)
 
 
@@ -214,50 +201,6 @@ def _exact_probes(field, res, dist, probe_ids):
     return w_e, w_plus
 
 
-def _replica_chunk(cell: _Cell, r0: int, r1: int) -> ReplicaBatch:
-    """Replicas r0..r1-1 of a cell.
-
-    Replicas below cell.exact_n also carry their exact probe influences,
-    taken from the field and geodesic already built here.
-    """
-    box = _cached_box(cell.lo, cell.hi)
-    dist = parse_spec(cell.spec)
-    probe_ids = np.asarray(cell.probe_ids, dtype=np.int64)
-    times, lengths, ties, presence, edges, exact = [], [], [], [], [], []
-    for r in range(r0, r1):
-        field = WeightField.generate(box, dist, cell.master_seed, r)
-        if cell.m > 0:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cell.master_seed, r, _OFFSET_STREAM))
-            )
-            z = averaging.sample_offset(rng, cell.m, box.d).z
-        else:
-            z = np.zeros(box.d, dtype=np.int64)
-        v = z.copy()
-        v[0] += cell.n
-        res = passage_time(field, tuple(int(c) for c in z), tuple(int(c) for c in v))
-        times.append(res.time)
-        lengths.append(res.length)
-        ties.append(res.ties)
-        presence.append(res.edge_bitset[probe_ids])
-        if cell.want_edges:
-            edges.append(res.edge_ids)
-        if r < cell.exact_n:
-            exact.append(_exact_probes(field, res, dist, probe_ids))
-    return ReplicaBatch(
-        n=cell.n,
-        m=cell.m,
-        times=np.array(times),
-        geo_len=np.array(lengths, dtype=float),
-        ties=np.array(ties, dtype=np.int64),
-        presence=np.array(presence, dtype=np.uint8),
-        probe_ids=probe_ids,
-        geo_edges=edges if cell.want_edges else None,
-        exact_w=np.array([w for w, _ in exact]).reshape(len(exact), probe_ids.size),
-        exact_w_plus=[w_plus for _, w_plus in exact],
-    )
-
-
 def collect_batch(
     cfg: ExperimentConfig,
     n: int,
@@ -268,51 +211,68 @@ def collect_batch(
 ) -> ReplicaBatch:
     """Every replica of the (n, m) cell, folded in replica order.
 
-    The replicas run in contiguous chunks, in this process for one worker
-    and in one process pool otherwise; the worker count changes no bit.
-    The box is `box_for(cfg, n)`, so an m beyond its margin is refused here;
-    it is built only where the replicas run.
+    The replicas run in contiguous chunks, in this thread for one worker
+    and on a pool of `resolve_workers` threads otherwise; the worker count
+    changes no bit. The threads share one box and one parsed law, both
+    made here before they start: the solves and the sampling release the
+    interpreter lock, so no process is started and nothing is pickled.
+    The box is `box_for(cfg, n)`, so an m beyond its margin is refused
+    before any box is built. Replicas below exact_replicas also carry their
+    exact probe influences, taken from the field and geodesic already built.
     """
     t0 = _time.perf_counter()
     _margin_for(cfg, n, m)
-    lo, hi = _box_corners(cfg, n)
-    cell = _Cell(
-        spec=cfg.dist_spec,
-        lo=lo,
-        hi=hi,
-        n=n,
-        m=m,
-        master_seed=cfg.master_seed,
-        want_edges=want_edges,
-        probe_ids=tuple(int(e) for e in probe_ids),
-        exact_n=exact_replicas,
-    )
+    box = _cached_box(*_box_corners(cfg, n))
+    dist = parse_spec(cfg.dist_spec)
+    seed = cfg.master_seed
+    probe_ids = np.asarray(tuple(int(e) for e in probe_ids), dtype=np.int64)
+
+    def replica(r):
+        field = WeightField.generate(box, dist, seed, r)
+        if m > 0:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, r, _OFFSET_STREAM)))
+            z = averaging.sample_offset(rng, m, box.d).z
+        else:
+            z = np.zeros(box.d, dtype=np.int64)
+        v = z.copy()
+        v[0] += n
+        res = passage_time(field, tuple(int(c) for c in z), tuple(int(c) for c in v))
+        return (
+            res.time,
+            res.length,
+            res.ties,
+            res.edge_bitset[probe_ids],
+            res.edge_ids if want_edges else None,
+            _exact_probes(field, res, dist, probe_ids) if r < exact_replicas else None,
+        )
+
+    def chunk(r0, r1):
+        return [replica(r) for r in range(r0, r1)]
+
     reps = cfg.replicas
     workers = resolve_workers(cfg.workers)
     size = max(8, reps // (workers * 8))
     starts = range(0, reps, size)
     stops = [min(r + size, reps) for r in starts]
     if workers <= 1 or len(starts) <= 1:
-        parts = [_replica_chunk(cell, r0, r1) for r0, r1 in zip(starts, stops)]
+        parts = [chunk(r0, r1) for r0, r1 in zip(starts, stops)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_replica_chunk, repeat(cell), starts, stops))
-
-    def cat(name):
-        return np.concatenate([getattr(p, name) for p in parts])
-
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk, starts, stops))
+    times, lengths, ties, presence, edges, exact = zip(*(row for p in parts for row in p))
+    exact = [e for e in exact if e is not None]
     return ReplicaBatch(
-        n=cell.n,
-        m=cell.m,
-        times=cat("times"),
-        geo_len=cat("geo_len"),
-        ties=cat("ties"),
-        presence=cat("presence"),
-        probe_ids=parts[0].probe_ids,
-        geo_edges=[e for p in parts for e in p.geo_edges] if want_edges else None,
+        n=n,
+        m=m,
+        times=np.array(times),
+        geo_len=np.array(lengths, dtype=float),
+        ties=np.array(ties, dtype=np.int64),
+        presence=np.array(presence, dtype=np.uint8),
+        probe_ids=probe_ids,
+        geo_edges=list(edges) if want_edges else None,
         seconds=_time.perf_counter() - t0,
-        exact_w=cat("exact_w"),
-        exact_w_plus=[w for p in parts for w in p.exact_w_plus],
+        exact_w=np.array([w for w, _ in exact]).reshape(len(exact), probe_ids.size),
+        exact_w_plus=[w_plus for _, w_plus in exact],
     )
 
 

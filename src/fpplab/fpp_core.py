@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import math
 import os
 import platform
@@ -498,13 +499,18 @@ def _priced_out(field: WeightField) -> float:
 def _path_sums(wpath: np.ndarray, positions, value: float) -> np.ndarray:
     """For each position i, the path weights summed left to right with
     entry i set to value: the sum Dijkstra forms along that path, bit for
-    bit (np.sum would add pairwise)."""
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.size == 0:
-        return np.empty(0)
-    rows = np.tile(wpath, (positions.size, 1))
-    rows[np.arange(positions.size), positions] = value
-    return np.add.accumulate(rows, axis=1)[:, -1]
+    bit (np.sum would add pairwise). Each sum continues the left-to-right
+    prefix before entry i, one scalar addition at a time."""
+    w = wpath.tolist()
+    prefix = list(itertools.accumulate(w))
+    value = float(value)
+    sums = []
+    for i in np.asarray(positions, dtype=np.int64).tolist():
+        s = prefix[i - 1] + value if i else value
+        for x in w[i + 1 :]:
+            s += x
+        sums.append(s)
+    return np.array(sums, dtype=float)
 
 
 def edge_breakpoint(field: WeightField, result: GeodesicResult, eid: int):
@@ -602,22 +608,25 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     The labels need a positive weight on the edge itself; free geodesic
     edges and bridges (no offer at all) fall back to a re-solve.
     """
+    wpath = field.weights[result.edge_ids]
+    return _path_sums(wpath, np.arange(result.length), 0.0), _replacement_times(field, result)
+
+
+def _replacement_times(field: WeightField, result: GeodesicResult) -> np.ndarray:
+    """The t_inf half of `geodesic_breakpoints`."""
     box = field.box
     w = field.weights
-    n_path = result.length
-    if n_path == 0:
-        return np.empty(0), np.empty(0)
+    if result.length == 0:
+        return np.empty(0)
     verts = (result.path - np.asarray(box.lo)) @ box.strides
     ds, pred_s = box.solve(w, int(verts[0]))
     dt, pred_t = box.solve(w, int(verts[-1]))
     offers = _replacement_offers if _KERNEL is None else _kernel_replacement_offers
     t_inf = offers(box, w, result.edge_bitset, verts, ds, pred_s, dt, pred_t)
-
     wpath = w[result.edge_ids]
-    t0 = _path_sums(wpath, np.arange(n_path), 0.0)
     for i in np.flatnonzero(np.isinf(t_inf) | (wpath == 0.0)):
         t_inf[i] = _time_with(field, result, int(result.edge_ids[i]), _priced_out(field))
-    return t0, t_inf
+    return t_inf
 
 
 def breakpoint_influence(dist: Distribution, time: float, t0: float, t_inf: float) -> float:
@@ -660,7 +669,7 @@ def v_e_plus_bernoulli(field: WeightField, u, v):
     Only geodesic edges currently at the low value can contribute: any
     other edge admits a route around it at the current cost. Raising a low
     edge to b gives min(geodesic with that edge at b, t_inf), with t_inf
-    from geodesic_breakpoints, so a field costs three solves: the stopped
+    from `_replacement_times`, so a field costs three solves: the stopped
     passage-time solve and two full ones. Returns
     (value, result) so callers can reuse the passage-time solve.
     """
@@ -674,7 +683,7 @@ def v_e_plus_bernoulli(field: WeightField, u, v):
     if not dist.a < dist.b:
         raise UnsupportedParameterError("two-point law needs a < b")
     result = passage_time(field, u, v)
-    _, t_inf = geodesic_breakpoints(field, result)
+    t_inf = _replacement_times(field, result)
     wpath = field.weights[result.edge_ids]
     low = np.flatnonzero(wpath == dist.a)
     t_b = np.minimum(_path_sums(wpath, low, dist.b), t_inf[low])

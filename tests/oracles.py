@@ -208,6 +208,18 @@ def two_solve_breakpoint(field, result, eid):
     return t0, t_inf
 
 
+def matrix_path_sums(wpath, positions, value):
+    """For each position i, the path weights with entry i set to value,
+    summed left to right: one row per position, the L x L matrix
+    accumulated along its rows (np.add.accumulate is sequential)."""
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.size == 0:
+        return np.empty(0)
+    rows = np.tile(wpath, (positions.size, 1))
+    rows[np.arange(positions.size), positions] = value
+    return np.add.accumulate(rows, axis=1)[:, -1]
+
+
 def seeded_offset(master_seed, replica, m, d):
     """The randomized endpoint offset of one replica, drawn as the harness
     first drew it: d rows of m^2 bits from SeedSequence((master_seed,

@@ -11,6 +11,7 @@ import pytest
 import fpplab as F
 from oracles import (
     brute_force_passage_time,
+    matrix_path_sums,
     per_edge_v_e_plus,
     serial_exact_probe_influence,
     two_solve_breakpoint,
@@ -120,6 +121,34 @@ def test_v_e_plus_matches_per_edge_resolve_bit_for_bit(solve_backend):
         field = F.WeightField.generate(box, dist, 1789, rep)
         val, res = F.v_e_plus_bernoulli(field, (0, 0), (10, 10))
         assert val == per_edge_v_e_plus(field, dist, res)
+
+
+def _same_sums(wpath, positions, value):
+    got = F.fpp_core._path_sums(wpath, positions, value)
+    want = matrix_path_sums(wpath, positions, value)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_path_sums_equal_the_matrix_oracle_bit_for_bit():
+    rng = np.random.default_rng(2718)
+    for trial in range(300):
+        size = int(rng.integers(0, 120))
+        kind = trial % 3  # continuous, tied small integers, with free edges
+        wpath = (rng.exponential(1.0, size) if kind == 0
+                 else rng.integers(0, 3 if kind == 2 else 4, size).astype(float) * 0.1)
+        everywhere = np.arange(size)
+        subset = np.flatnonzero(rng.random(size) < 0.3)
+        for positions in (everywhere, subset, everywhere[:1], everywhere[-1:]):
+            for value in (0.0, 2.0, float(rng.exponential(1.0))):
+                assert _same_sums(wpath, positions, value), (trial, positions, value)
+    # every field of acceptance criterion 8, at both values the energy uses
+    box = F.LatticeBox((0, 0), (10, 10))
+    dist = F.parse_spec("bernoulli:a=1,b=2,p=0.5")
+    for rep in range(1000):
+        field = F.WeightField.generate(box, dist, 1789, rep)
+        wpath = field.weights[F.passage_time(field, (0, 0), (10, 10)).edge_ids]
+        assert _same_sums(wpath, np.arange(wpath.size), 0.0), rep
+        assert _same_sums(wpath, np.flatnonzero(wpath == dist.a), dist.b), rep
 
 
 def test_v_e_plus_lossless_spec_matches_brute_force_resampling(solve_backend):

@@ -1,4 +1,8 @@
 import math
+import multiprocessing.process
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -659,8 +663,8 @@ def test_influence_diagnostics_collects_m0_and_one_randomized_cell(policy, m_ran
 
 def test_each_set_of_box_corners_is_built_once(monkeypatch):
     """influence_diagnostics, geodesic_stats and truncation_experiment share
-    the replica workers' box; collect_batch's parent builds none when a pool
-    runs the replicas."""
+    the replica threads' box; collect_batch builds it once in the process
+    when a pool of threads runs the replicas."""
     builds = []
     original = F.LatticeBox.__init__
 
@@ -679,5 +683,61 @@ def test_each_set_of_box_corners_is_built_once(monkeypatch):
 
     builds.clear()
     F.experiments._cached_box.cache_clear()
-    F.collect_batch(F.ExperimentConfig(**(TINY | dict(workers=2))), 10, 0)
-    assert builds == []
+    cfg = F.ExperimentConfig(**(TINY | dict(workers=2)))
+    F.collect_batch(cfg, 10, 0)
+    assert builds == [F.experiments._box_corners(cfg, 10)]
+
+
+def _batch_bytes(batch):
+    arrays = ("times", "geo_len", "ties", "presence", "probe_ids", "exact_w")
+    return (
+        [(getattr(batch, a).dtype, getattr(batch, a).shape, getattr(batch, a).tobytes())
+         for a in arrays],
+        [e.tobytes() for e in batch.geo_edges],
+        batch.exact_w_plus,
+    )
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+def test_collect_batch_starts_no_process(workers, monkeypatch):
+    """The replica chunks run on threads of this process and share its box
+    and law: nothing forks, and with a switch interval of 1 us the fold is
+    still the one-worker bytes at 2 threads and at 4, more than two cores."""
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("collect_batch started a process")
+
+    cfg = F.ExperimentConfig(**(TINY | dict(workers=1)))
+    probes = [int(e) for e in F.experiments.box_for(cfg, 10).edges_near((0, 0), 1)]
+    kwargs = dict(want_edges=True, probe_ids=probes, exact_replicas=5)
+    want = F.collect_batch(cfg, 10, 2, **kwargs)
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = F.collect_batch(F.ExperimentConfig(**(TINY | dict(workers=workers))), 10, 2,
+                              **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _batch_bytes(got) == _batch_bytes(want)
+
+
+def test_a_replica_error_surfaces_from_collect_batch_at_any_worker_count(monkeypatch):
+    original = F.experiments.passage_time
+    raised_in = []
+
+    def failing(field, u, v):
+        if field.replica == 13:  # in the second chunk of 8
+            raised_in.append(threading.current_thread() is threading.main_thread())
+            raise DomainError(f"replica {field.replica} cannot be solved")
+        return original(field, u, v)
+
+    monkeypatch.setattr(F.experiments, "passage_time", failing)
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(DomainError) as info:
+            F.collect_batch(F.ExperimentConfig(**(TINY | dict(workers=workers))), 10, 0)
+        errors.append((type(info.value), str(info.value)))
+    assert errors == [(DomainError, "replica 13 cannot be solved")] * 2
+    assert raised_in == [True, False]  # the second run raised in a pool thread
