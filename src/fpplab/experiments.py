@@ -17,7 +17,7 @@ import functools
 import math
 import os
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
@@ -29,8 +29,7 @@ from .distributions import Truncated, default_c5, parse_spec
 from .errors import ConfigError, DomainError
 # perfbench's traced profile wraps these two names on this module, so the
 # replica code must call them through it, not through fpp_core
-from .fpp_core import LatticeBox, WeightField, edge_breakpoint, passage_time
-from .fpp_core import breakpoint_influence
+from .fpp_core import LatticeBox, WeightField, breakpoint_influence, edge_breakpoint, passage_time
 from .neargamma import classify_nearly_gamma
 
 DEFAULT_N_GRID = (25, 50, 100, 200)
@@ -39,6 +38,7 @@ TAIL_FIT_MIN_COUNT = 20  # exceedances a tail row needs to enter the rate fit
 PROBE_RADIUS = 1  # influence probes: the edges within this L1 radius of the origin
 BALL_MS = (2, 3, 4)  # geodesic_stats counts geodesic edges within d*m of the mid-path
 _OFFSET_STREAM = 0x0FF5E7  # replica r draws its offset from SeedSequence((seed, r, this))
+_TRUNCATION_STREAM = 0x7A  # and the uniforms of its truncation comparison from this
 # the "format" key of report.json; format 1 reports carry none, format 2 ones
 # hold depth-first geodesic lengths on laws with ties
 REPORT_FORMAT = 3
@@ -47,6 +47,11 @@ _Z95 = 1.959963984540054  # the standard normal 0.975 quantile, norm.ppf(0.975)
 
 def _is_int(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _check_distance(n) -> None:
+    if not (_is_int(n) and n >= 1):
+        raise ConfigError(f"distance n must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,7 @@ class ExperimentConfig:
             _margin_for(self, int(n), self.m_for(int(n)))
 
     def m_for(self, n: int) -> int:
+        _check_distance(n)
         if self.m_policy == "none":
             return 0
         if self.m_policy == "auto":
@@ -116,8 +122,9 @@ class ExperimentConfig:
 
 
 def resolve_workers(requested: int | None) -> int:
-    """The number of replica threads collect_batch runs: the requested
-    count (default: every core), capped by FPPLAB_WORKERS."""
+    """The number of threads `_map_replicas` runs the replicas of
+    collect_batch and truncation_experiment on: the requested count
+    (default: every core), capped by FPPLAB_WORKERS."""
     cap = os.environ.get("FPPLAB_WORKERS")
     n = requested if requested else (os.cpu_count() or 1)
     if cap:
@@ -128,7 +135,9 @@ def resolve_workers(requested: int | None) -> int:
 
 
 def _margin_for(cfg: ExperimentConfig, n: int, m: int) -> int:
-    """Box margin for distance n; it must absorb offsets up to m >= 0."""
+    """Box margin for distance n; it must absorb offsets up to m >= 0. Every
+    cell entry checks n and m here (or n in `m_for`) before any sampling."""
+    _check_distance(n)
     if not _is_int(m) or m < 0:
         raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
     margin = int(math.ceil(cfg.margin_factor * n))
@@ -143,9 +152,7 @@ def _box_corners(cfg: ExperimentConfig, n: int) -> tuple[tuple, tuple]:
     """(lo, hi) of `box_for(cfg, n)`, without building the box."""
     m = cfg.m_for(n)
     margin = _margin_for(cfg, n, m)
-    lo = tuple([-margin] * cfg.dim)
-    hi = tuple([n + margin] + [margin + m] * (cfg.dim - 1))
-    return lo, hi
+    return tuple([-margin] * cfg.dim), tuple([n + margin] + [margin + m] * (cfg.dim - 1))
 
 
 def box_for(cfg: ExperimentConfig, n: int) -> LatticeBox:
@@ -201,6 +208,21 @@ def _exact_probes(field, res, dist, probe_ids):
     return w_e, w_plus
 
 
+def _map_replicas(fn, count: int, workers: int | None) -> list:
+    """[fn(r) for r in range(count)], in replica order: in this thread for
+    one worker, otherwise on a pool of `resolve_workers(workers)` threads.
+    It waits for every replica before reading any, so this thread wakes
+    once, not once per replica; the first error in replica order surfaces
+    here, as itself."""
+    threads = resolve_workers(workers)
+    if threads == 1:
+        return [fn(r) for r in range(count)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(fn, r) for r in range(count)]
+        wait(futures)
+        return [f.result() for f in futures]
+
+
 def collect_batch(
     cfg: ExperimentConfig,
     n: int,
@@ -211,21 +233,27 @@ def collect_batch(
 ) -> ReplicaBatch:
     """Every replica of the (n, m) cell, folded in replica order.
 
-    The replicas run in contiguous chunks, in this thread for one worker
-    and on a pool of `resolve_workers` threads otherwise; the worker count
-    changes no bit. The threads share one box and one parsed law, both
-    made here before they start: the solves and the sampling release the
-    interpreter lock, so no process is started and nothing is pickled.
-    The box is `box_for(cfg, n)`, so an m beyond its margin is refused
-    before any box is built. Replicas below exact_replicas also carry their
-    exact probe influences, taken from the field and geodesic already built.
+    `_map_replicas` runs one replica per call, on `cfg.workers` threads;
+    the worker count changes no bit. The threads share one box and one
+    parsed law, both made here before they start: the solves and the
+    sampling release the interpreter lock, so no process is started and
+    nothing is pickled. n, m, exact_replicas and the probe ids (edges of
+    `box_for(cfg, n)`) are checked before any sampling. Replicas below
+    exact_replicas also carry their exact probe influences, taken from the
+    field and geodesic already built.
     """
     t0 = _time.perf_counter()
     _margin_for(cfg, n, m)
+    if not (_is_int(exact_replicas) and exact_replicas >= 0):
+        raise ConfigError(f"exact_replicas must be an integer >= 0, got {exact_replicas!r}")
     box = _cached_box(*_box_corners(cfg, n))
+    probe_ids = tuple(probe_ids)
+    bad = [e for e in probe_ids if not (_is_int(e) and 0 <= e < box.n_edges)]
+    if bad:
+        raise ConfigError(f"probe ids must be integers in [0, {box.n_edges}), got {bad[0]!r}")
+    probe_ids = np.asarray(probe_ids, dtype=np.int64)
     dist = parse_spec(cfg.dist_spec)
     seed = cfg.master_seed
-    probe_ids = np.asarray(tuple(int(e) for e in probe_ids), dtype=np.int64)
 
     def replica(r):
         field = WeightField.generate(box, dist, seed, r)
@@ -246,20 +274,8 @@ def collect_batch(
             _exact_probes(field, res, dist, probe_ids) if r < exact_replicas else None,
         )
 
-    def chunk(r0, r1):
-        return [replica(r) for r in range(r0, r1)]
-
-    reps = cfg.replicas
-    workers = resolve_workers(cfg.workers)
-    size = max(8, reps // (workers * 8))
-    starts = range(0, reps, size)
-    stops = [min(r + size, reps) for r in starts]
-    if workers <= 1 or len(starts) <= 1:
-        parts = [chunk(r0, r1) for r0, r1 in zip(starts, stops)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk, starts, stops))
-    times, lengths, ties, presence, edges, exact = zip(*(row for p in parts for row in p))
+    rows = _map_replicas(replica, cfg.replicas, cfg.workers)
+    times, lengths, ties, presence, edges, exact = zip(*rows)
     exact = [e for e in exact if e is not None]
     return ReplicaBatch(
         n=n,
@@ -459,6 +475,7 @@ def tail_profile(
     binomial intervals and excluded from the fit. A batch passed in must
     be of the n asked for.
     """
+    _check_distance(n)
     if batch is None:
         if cfg.replicas < 1000:
             raise ConfigError("tail profile needs at least 1000 replicas")
@@ -585,28 +602,20 @@ def influence_diagnostics(
         batch = collect_batch(
             cfg, n, m=m, probe_ids=probe_ids, exact_replicas=exact_n
         )
-        w_sq = np.zeros(len(probe_ids))
-        s_sq_sum = 0.0
-        for w_e, w_plus in zip(batch.exact_w, batch.exact_w_plus):
-            w_sq += w_e**2
-            s_sq_sum += w_plus**2
-        w_sq /= exact_n
-        s_sq = s_sq_sum / exact_n
+        # summed in replica order, as the replicas were folded
+        w_sq = sum(w_e**2 for w_e in batch.exact_w) / exact_n
+        s_hat = math.sqrt(sum(w_plus**2 for w_plus in batch.exact_w_plus) / exact_n)
         mean_f = float(batch.times.mean())
-        ey = dist.mean()
-        s_bound = ey * math.sqrt(float((batch.geo_len**2).mean()))
+        s_bound = dist.mean() * math.sqrt(float((batch.geo_len**2).mean()))
         r_hat = float(np.sqrt(w_sq.max())) if len(probe_ids) else 0.0
-        s_hat = math.sqrt(s_sq)
         flags = list(law_flags)
         # K = 4 C E(F) + D (1 + 2/C): only D and E(F) depend on the cell
         d_const = (c5**2) * m * (math.log(n) ** 2) if m > 0 else 0.0
         k_const = 4.0 * c_e * mean_f + d_const * (1.0 + 2.0 / c_e)
         rs = r_hat * s_hat
-        l_val = None
         defined = k_const > math.e * rs and rs > 0
-        if defined:
-            l_val = l_of_k(k_const, rs)
-        else:
+        l_val = l_of_k(k_const, rs) if defined else None
+        if not defined:
             flags.append("l(K) undefined: K <= e*r*s or degenerate r*s")
         probes = [
             ProbeStat(
@@ -631,13 +640,11 @@ def influence_diagnostics(
             probes=probes,
             flags=flags,
         )
-    base = out[0]
-    rand = out[m_rand]
     return {
-        "m0": base,
-        "randomized": rand,
-        "max_presence_m0": max((p.presence for p in base.probes), default=0.0),
-        "max_presence_randomized": max((p.presence for p in rand.probes), default=0.0),
+        "m0": out[0],
+        "randomized": out[m_rand],
+        "max_presence_m0": max((p.presence for p in out[0].probes), default=0.0),
+        "max_presence_randomized": max((p.presence for p in out[m_rand].probes), default=0.0),
     }
 
 
@@ -704,11 +711,8 @@ def estimate_time_constant(
             )
         )
     ns = {r.n: r for r in rows}
-    sub = []
-    for r in rows:
-        if 2 * r.n in ns:
-            r2 = ns[2 * r.n]
-            sub.append((r.n, 2 * r.n, bool(r2.mean_lo <= 2 * r.mean_hi)))
+    sub = [(r.n, 2 * r.n, bool(ns[2 * r.n].mean_lo <= 2 * r.mean_hi))
+           for r in rows if 2 * r.n in ns]
     noninc = all(
         ns[b].ratio_lo <= ns[a].ratio_hi
         for a, b in zip(sorted(ns), sorted(ns)[1:])
@@ -751,51 +755,47 @@ def truncation_experiment(
 
     The same uniforms drive both quantiles, so the truncated weights are
     pointwise no larger; distances inherit the ordering exactly, and both
-    facts are asserted per replica, not assumed. The domination verdict is
+    facts are asserted per replica, not assumed. The replicas run through
+    `_map_replicas` on `cfg.workers` threads and are folded in replica
+    order, so the worker count changes no bit. The domination verdict is
     `Truncated.domination_check` on its default grid.
     """
     reps = replicas if replicas is not None else min(cfg.replicas, 1000)
     if not (_is_int(reps) and reps >= 1):
         raise ConfigError(f"replicas must be an integer >= 1, got {reps!r}")
-    reps = int(reps)
     base = parse_spec(cfg.dist_spec)
     if not base.continuous:
         raise ConfigError("truncation comparison needs a continuous base law")
     nu_k = Truncated(base, k, c5)
-    n = int(n if n is not None else min(cfg.n_list))
-
-    grid = nu_k.domination_check()
-
+    n = n if n is not None else min(cfg.n_list)
     box = _cached_box(*_box_corners(cfg, n))
+    grid = nu_k.domination_check()
     src = box.vertex_index(tuple([0] * cfg.dim))
-    tgt_coord = [0] * cfg.dim
-    tgt_coord[0] = n
-    tgt = box.vertex_index(tuple(tgt_coord))
-    coupling_viol = 0
-    dist_viol = 0
-    gaps = np.empty(reps)
-    for r in range(reps):
+    tgt = box.vertex_index(tuple([int(n)] + [0] * (cfg.dim - 1)))
+
+    def replica(r):
         rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.master_seed, r, 0x7A))
+            np.random.SeedSequence((cfg.master_seed, r, _TRUNCATION_STREAM))
         )
         u = rng.random(box.n_edges)
         x = np.asarray(base.quantile(u))
         x_t = np.asarray(nu_k.quantile(u))
-        coupling_viol += int(np.count_nonzero(x_t > x))
         d_full = box.solve(x, src, tgt)[0][tgt]
         d_trunc = box.solve(x_t, src, tgt)[0][tgt]
-        if d_trunc > d_full:
-            dist_viol += 1
-        gaps[r] = d_full - d_trunc
+        return int(np.count_nonzero(x_t > x)), d_full, d_trunc
+
+    rows = zip(*_map_replicas(replica, reps, cfg.workers))
+    coupling, d_full, d_trunc = (np.array(column) for column in rows)
+    gaps = d_full - d_trunc
     return TruncationReport(
         k=int(k),
         c5=float(c5),
         cut=nu_k.cut,
         grid_ok=grid.dominates,
         grid_max_defect=grid.max_defect,
-        coupling_violations=coupling_viol,
-        distance_violations=dist_viol,
-        replicas=reps,
+        coupling_violations=int(coupling.sum()),
+        distance_violations=int(np.count_nonzero(d_trunc > d_full)),
+        replicas=int(reps),
         gap_mean=float(gaps.mean()),
         gap_max=float(gaps.max()),
         zero_gap_replicas=int(np.count_nonzero(gaps == 0.0)),
@@ -831,8 +831,7 @@ def geodesic_stats(
     elif batch.geo_edges is None:
         raise ConfigError("geodesic stats need a batch collected with want_edges=True")
     box = _cached_box(*_box_corners(cfg, n))
-    center = [0] * cfg.dim
-    center[0] = n // 2
+    center = [n // 2] + [0] * (cfg.dim - 1)
     ball_counts = {}
     for m in BALL_MS:
         in_ball = np.zeros(box.n_edges, dtype=bool)

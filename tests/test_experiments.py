@@ -482,7 +482,7 @@ def test_collect_batch_matches_the_tuple_fold(spec, m, workers):
     from oracles import tuple_fold_batch
 
     n = 12
-    # 40 replicas over 2 workers run as 5 chunks of 8
+    # 40 replicas, one per call, in this thread or on 2 pool threads
     cfg = F.ExperimentConfig(dist_spec=spec, n_list=(n,), replicas=40,
                              master_seed=23, m_policy="2", workers=workers)
     probes = [int(e) for e in F.experiments.box_for(cfg, n).edges_near((0, 0), 1)]
@@ -619,6 +619,41 @@ def test_truncation_experiment_runs_on_one_replica():
     assert rep.replicas == 1 and rep.gap_max == rep.gap_mean >= 0.0
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    (
+        (lambda cfg: F.collect_batch(cfg, 2.5, 0), "distance n"),
+        (lambda cfg: F.collect_batch(cfg, 0, 0), "distance n"),
+        (lambda cfg: F.collect_batch(cfg, -4, 0), "distance n"),
+        (lambda cfg: F.collect_batch(cfg, True, 0), "distance n"),
+        (lambda cfg: F.truncation_experiment(cfg, 10, 0.5, n=2.5, replicas=2), "distance n"),
+        (lambda cfg: F.truncation_experiment(cfg, 10, 0.5, n=0, replicas=2), "distance n"),
+        (lambda cfg: F.influence_diagnostics(cfg, 2.5), "distance n"),
+        (lambda cfg: F.influence_diagnostics(cfg, -4), "distance n"),
+        (lambda cfg: F.geodesic_stats(cfg, 6.0), "distance n"),
+        (lambda cfg: F.tail_profile(cfg, True, batch=_synthetic_batch(1, [1.0, 2.0])),
+         "distance n"),
+        (lambda cfg: F.collect_batch(cfg, 6, 0, exact_replicas=2.5), "exact_replicas"),
+        (lambda cfg: F.collect_batch(cfg, 6, 0, exact_replicas=-1), "exact_replicas"),
+        (lambda cfg: F.collect_batch(cfg, 6, 0, exact_replicas=True), "exact_replicas"),
+        (lambda cfg: F.collect_batch(cfg, 6, 0, probe_ids=[-1]), "probe ids"),
+        (lambda cfg: F.collect_batch(cfg, 6, 0, probe_ids=[1.7]), "probe ids"),
+        (lambda cfg: F.collect_batch(cfg, 6, 0, probe_ids=[3, 10**9]), "probe ids"),
+        (lambda cfg: F.collect_batch(cfg, 6, 0, probe_ids=["3"]), "probe ids"),
+    ),
+    ids=("n=2.5", "n=0", "n=-4", "n=True", "truncation-n=2.5", "truncation-n=0",
+         "influence-n=2.5", "influence-n=-4", "geodesic-n=6.0", "tail-n=True",
+         "exact=2.5", "exact=-1", "exact=True",
+         "probe=-1", "probe=1.7", "probe=1e9", "probe='3'"),
+)
+def test_cell_entries_refuse_bad_inputs_before_sampling(call, match, monkeypatch):
+    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(6,), replicas=10, workers=1)
+    _forbid_sampling(monkeypatch)
+    monkeypatch.setattr(F.LatticeBox, "solve", None)  # nor is a field solved
+    with pytest.raises(ConfigError, match=match):
+        call(cfg)
+
+
 def test_collect_batch_refuses_an_m_its_box_cannot_hold(monkeypatch):
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(10,), replicas=20, workers=1,
                              margin_factor=0.1)
@@ -698,29 +733,38 @@ def _batch_bytes(batch):
     )
 
 
+def _collect_bytes(cfg):
+    probes = [int(e) for e in F.experiments.box_for(cfg, 10).edges_near((0, 0), 1)]
+    return _batch_bytes(F.collect_batch(cfg, 10, 2, want_edges=True, probe_ids=probes,
+                                        exact_replicas=5))
+
+
+def _truncation_bytes(cfg):
+    return F.reporting.dumps(F.truncation_experiment(cfg, k=10, c5=0.5, n=10, replicas=24))
+
+
 @pytest.mark.parametrize("workers", (2, 4))
-def test_collect_batch_starts_no_process(workers, monkeypatch):
-    """The replica chunks run on threads of this process and share its box
-    and law: nothing forks, and with a switch interval of 1 us the fold is
-    still the one-worker bytes at 2 threads and at 4, more than two cores."""
+@pytest.mark.parametrize("run", (_collect_bytes, _truncation_bytes),
+                         ids=("collect_batch", "truncation_experiment"))
+def test_collect_batch_starts_no_process(run, workers, monkeypatch):
+    """`_map_replicas` runs the replicas on threads of this process, which
+    share its box and law: nothing forks, and with a switch interval of 1 us
+    the fold is still the one-worker bytes at 2 threads and at 4, more than
+    two cores."""
 
     def no_process(*args, **kwargs):
-        raise AssertionError("collect_batch started a process")
+        raise AssertionError("a replica run started a process")
 
-    cfg = F.ExperimentConfig(**(TINY | dict(workers=1)))
-    probes = [int(e) for e in F.experiments.box_for(cfg, 10).edges_near((0, 0), 1)]
-    kwargs = dict(want_edges=True, probe_ids=probes, exact_replicas=5)
-    want = F.collect_batch(cfg, 10, 2, **kwargs)
+    want = run(F.ExperimentConfig(**(TINY | dict(workers=1))))
     monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = F.collect_batch(F.ExperimentConfig(**(TINY | dict(workers=workers))), 10, 2,
-                              **kwargs)
+        got = run(F.ExperimentConfig(**(TINY | dict(workers=workers))))
     finally:
         sys.setswitchinterval(interval)
-    assert _batch_bytes(got) == _batch_bytes(want)
+    assert got == want
 
 
 def test_a_replica_error_surfaces_from_collect_batch_at_any_worker_count(monkeypatch):
@@ -728,7 +772,7 @@ def test_a_replica_error_surfaces_from_collect_batch_at_any_worker_count(monkeyp
     raised_in = []
 
     def failing(field, u, v):
-        if field.replica == 13:  # in the second chunk of 8
+        if field.replica == 13:  # mid-batch, with replicas after it still queued
             raised_in.append(threading.current_thread() is threading.main_thread())
             raise DomainError(f"replica {field.replica} cannot be solved")
         return original(field, u, v)
