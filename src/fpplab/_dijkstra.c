@@ -1,13 +1,27 @@
-/* Single-source Dijkstra on a CSR graph whose arc weights are read by edge id,
- * and the two passes fpp_core makes over its distances: the canonical
- * geodesic scan and the replacement-path offers.
+/* Single-source Dijkstra on the lattice box of fpp_core.LatticeBox, and the
+ * two passes fpp_core makes over its distances: the canonical geodesic scan
+ * and the replacement-path offers.
  *
- * The graph is the lattice box of fpp_core.LatticeBox: row v of
- * (indptr, indices) lists the neighbours of v, and perm[j] is the edge id
- * of arc j, so the arc weight is w[perm[j]]. The queue is an indexed 4-ary
- * min-heap with decrease-key. Each heap slot carries its key beside the
- * vertex, and the slots past the end hold +inf keys, so sifting down picks
- * the least of four children without branches.
+ * Every entry takes the box as (d, shape) and reads no graph arrays: the
+ * neighbours of a vertex and the edge ids of its arcs are arithmetic on the
+ * shape (FOR_EACH_ARC). Vertex x has index sum_a c_a * S_a, where c are
+ * its coordinates from the box's lower corner and S the row-major strides,
+ * and edges are numbered axis by axis, each axis in the order of its lower
+ * endpoints. So the edge (x, x + e_a) has id
+ *
+ *     off_a + x - sum_{k<a} c_k * S_k / shape_a,
+ *
+ * off_a the number of edges along the axes below a. The arcs of a vertex
+ * come in increasing neighbour index: x - S_a for a = 0..d-1, then x + S_a
+ * for a = d-1..0, each where the box has that neighbour.
+ *
+ * The queue is an indexed 4-ary min-heap with decrease-key. Each heap slot
+ * carries its key beside the vertex, and the slots past the end hold +inf
+ * keys, so sifting down picks the least of four children without branches.
+ * The weights must be nonnegative and not NaN (LatticeBox.solve refuses
+ * others): a settled vertex then fails the relaxation test by itself, and
+ * a vertex is in the heap exactly when its distance is finite and it is
+ * not settled.
  *
  * Outputs follow scipy.sparse.csgraph.dijkstra: dist is +inf and pred is
  * -9999 for the source and for unreachable vertices. A vertex's distance
@@ -31,10 +45,97 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #define NO_PRED (-9999)
-#define UNSEEN (-1)
-#define SETTLED (-2)
+#define MAX_D 3
+#define INLINE static inline __attribute__((always_inline))
+
+/* Each body below is compiled once for d = 2 and once for d = 3, so its
+ * coordinate and arc loops unroll. */
+#define BY_DIM(d, body, ...) ((d) == 2 ? body(2, __VA_ARGS__) : body(3, __VA_ARGS__))
+
+typedef struct {
+    int32_t n;                  /* vertices */
+    int32_t stride[MAX_D];      /* S_a */
+    int32_t last[MAX_D];        /* shape_a - 1 */
+    int32_t off[MAX_D];         /* edges along the axes below a */
+    int32_t fold[MAX_D][MAX_D]; /* S_k / shape_a for k < a */
+} lattice_t;
+
+static lattice_t lattice(int d, const int32_t *shape)
+{
+    lattice_t L = {0};
+    L.n = 1;
+    for (int a = d - 1; a >= 0; a--) {
+        L.stride[a] = L.n;
+        L.n *= shape[a];
+    }
+    for (int a = 0; a < d; a++) {
+        L.last[a] = shape[a] - 1;
+        if (a + 1 < d)
+            L.off[a + 1] = L.off[a] + L.n / shape[a] * (shape[a] - 1);
+        for (int k = 0; k < a; k++)
+            L.fold[a][k] = L.stride[k] / shape[a];
+    }
+    return L;
+}
+
+/* The one arc enumeration: runs ARC(v, e) for each arc u -> v of the box,
+ * e the id of its edge, in increasing neighbour index. u's coordinates take
+ * d - 1 divisions, and base_[a] is the id of the edge (u, u + e_a). d is a
+ * constant in the three entries' bodies, so there the loops unroll and the
+ * arcs stay in registers. */
+#define FOR_EACH_ARC(d, L, u, ARC)                                           \
+    do {                                                                     \
+        int32_t c_[MAX_D], base_[MAX_D], rem_ = (u);                         \
+        for (int a_ = 0; a_ < (d) - 1; a_++) {                               \
+            c_[a_] = rem_ / (L)->stride[a_];                                 \
+            rem_ -= c_[a_] * (L)->stride[a_];                                \
+        }                                                                    \
+        c_[(d) - 1] = rem_;                                                  \
+        for (int a_ = 0; a_ < (d); a_++) {                                   \
+            base_[a_] = (L)->off[a_] + (u);                                  \
+            for (int k_ = 0; k_ < a_; k_++)                                  \
+                base_[a_] -= c_[k_] * (L)->fold[a_][k_];                     \
+        }                                                                    \
+        for (int a_ = 0; a_ < (d); a_++)                                     \
+            if (c_[a_] > 0)                                                  \
+                ARC((u) - (L)->stride[a_], base_[a_] - (L)->stride[a_]);     \
+        for (int a_ = (d) - 1; a_ >= 0; a_--)                                \
+            if (c_[a_] < (L)->last[a_])                                      \
+                ARC((u) + (L)->stride[a_], base_[a_]);                       \
+    } while (0)
+
+/* The arcs of vertex u: writes each neighbour to nbr and the id of its
+ * edge to eid (room for 2d of each), and returns the count. The tests
+ * check them against a CSR graph of the box. */
+int fpp_arcs(int32_t d, const int32_t *shape, int32_t u, int32_t *nbr, int32_t *eid)
+{
+    lattice_t L = lattice(d, shape);
+    int count = 0;
+#define LIST(v, e) (nbr[count] = (v), eid[count++] = (e))
+    FOR_EACH_ARC(d, &L, u, LIST);
+#undef LIST
+    return count;
+}
+
+/* Lets glibc's malloc keep the arrays a replica frees for the next one.
+ * A replica at n=200 allocates and frees several MB: the field, its
+ * distances and the work arrays below. glibc gives the free top of its
+ * heap back once it exceeds the trim threshold, twice the largest block it
+ * has so far freed from mmap, and unless a larger block was freed earlier
+ * each replica then faults every page in again. These are the thresholds
+ * glibc's own rule reaches at its maximum. Elsewhere it does nothing. */
+void fpp_reuse_freed_memory(void)
+{
+#ifdef __GLIBC__
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+}
 
 typedef struct {
     double key;
@@ -74,13 +175,26 @@ static void sift_down(slot_t *heap, int32_t *pos, int32_t size, int32_t i, slot_
     pos[s.v] = i;
 }
 
-/* Returns 0, or -1 when the work arrays cannot be allocated. */
-int fpp_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
-                 const int32_t *perm, const double *w, int32_t src,
-                 int32_t tgt, double rel_tol, double *dist, int32_t *pred)
+/* A settled v fails nd < dist[v]: dist[v] <= du <= nd. An unseen v has
+ * dist[v] == inf, and it joins the heap at the end. */
+INLINE void relax(slot_t *heap, int32_t *pos, int32_t *size, double *dist, int32_t *pred,
+                  int32_t u, double nd, int32_t v)
 {
+    if (nd < dist[v]) {
+        int32_t at = dist[v] == INFINITY ? (*size)++ : pos[v];
+        dist[v] = nd;
+        pred[v] = u;
+        slot_t s = {nd, v};
+        sift_up(heap, pos, at, s);
+    }
+}
+
+INLINE int dijkstra(int d, const lattice_t *L, const double *w, int32_t src, int32_t tgt,
+                    double rel_tol, double *dist, int32_t *pred)
+{
+    int32_t n = L->n;
     slot_t *heap = malloc(((size_t)n + 4) * sizeof(slot_t));
-    int32_t *pos = malloc(((size_t)n + 1) * sizeof(int32_t));
+    int32_t *pos = malloc((size_t)n * sizeof(int32_t)); /* read only for queued vertices */
     if (heap == NULL || pos == NULL) {
         free(heap);
         free(pos);
@@ -89,7 +203,6 @@ int fpp_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     for (int32_t v = 0; v < n; v++) {
         dist[v] = INFINITY;
         pred[v] = NO_PRED;
-        pos[v] = UNSEEN;
     }
     for (int32_t i = 0; i < n + 4; i++)
         heap[i].key = INFINITY;
@@ -107,23 +220,13 @@ int fpp_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
             break;
         if (u == tgt)
             limit = du + rel_tol * fmax(du, 1.0);
-        pos[u] = SETTLED;
         slot_t last = heap[--size];
         heap[size].key = INFINITY;
         if (size > 0)
             sift_down(heap, pos, size, 0, last);
-        for (int32_t j = indptr[u]; j < indptr[u + 1]; j++) {
-            int32_t v = indices[j];
-            if (pos[v] == SETTLED)
-                continue;
-            double nd = du + w[perm[j]];
-            if (nd < dist[v]) {
-                dist[v] = nd;
-                pred[v] = u;
-                slot_t s = {nd, v};
-                sift_up(heap, pos, pos[v] == UNSEEN ? size++ : pos[v], s);
-            }
-        }
+#define RELAX(v, e) relax(heap, pos, &size, dist, pred, u, du + w[e], v)
+        FOR_EACH_ARC(d, L, u, RELAX);
+#undef RELAX
     }
     for (int32_t i = 0; i < size; i++) {
         dist[heap[i].v] = INFINITY;
@@ -134,23 +237,19 @@ int fpp_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     return 0;
 }
 
-/* The canonical geodesic from src to tgt, a port of fpp_core._geodesic_scan:
- * a breadth-first search back from tgt over tight arcs (dist[u] + w ==
- * dist[v]), first in first out, each row's arcs in CSR order. Each vertex
- * records the first scanned vertex and edge that reached it, and the
- * search stops once the vertex that reached src is scanned. Each scanned
- * vertex counts its in-arcs within tol of its distance, and ties is that
- * count summed over the path vertices after src, less the path's own arcs.
- *
- * Writes the L + 1 path vertices, src first, to verts and the L edge ids to
- * eids (room for n of each), and ties to *ties. Returns L, -1 when the work
- * arrays cannot be allocated, or -2 when no tight path reaches src.
- */
-int64_t fpp_geodesic_scan(int32_t n, const int32_t *indptr, const int32_t *indices,
-                          const int32_t *perm, const double *w, const double *dist,
-                          int32_t src, int32_t tgt, double tol, int64_t *verts,
-                          int64_t *eids, int64_t *ties)
+/* Returns 0, or -1 when the work arrays cannot be allocated. */
+int fpp_dijkstra(int32_t d, const int32_t *shape, const double *w, int32_t src,
+                 int32_t tgt, double rel_tol, double *dist, int32_t *pred)
 {
+    lattice_t L = lattice(d, shape);
+    return BY_DIM(d, dijkstra, &L, w, src, tgt, rel_tol, dist, pred);
+}
+
+INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const double *dist,
+                             int32_t src, int32_t tgt, double tol, int64_t *verts,
+                             int64_t *eids, int64_t *ties)
+{
+    int32_t n = L->n;
     int32_t *next = calloc((size_t)n, sizeof(int32_t)); /* the vertex it leads to, + 1 */
     int32_t *via = calloc((size_t)n, sizeof(int32_t));  /* the edge id of that step */
     int32_t *near = calloc((size_t)n, sizeof(int32_t)); /* in-arcs within tol */
@@ -167,18 +266,20 @@ int64_t fpp_geodesic_scan(int32_t n, const int32_t *indptr, const int32_t *indic
         double dv = dist[v];
         double limit = dv + tol;
         int32_t count = 0;
-        for (int32_t j = indptr[v]; j < indptr[v + 1]; j++) {
-            int32_t u = indices[j];
-            double reach = dist[u] + w[perm[j]];
-            if (reach <= limit) {
-                count++;
-                if (reach == dv && next[u] == 0) {
-                    next[u] = v + 1;
-                    via[u] = perm[j];
-                    queue[tail++] = u;
-                }
-            }
-        }
+#define TIGHT(u, e)                                                          \
+    do {                                                                     \
+        double reach = dist[u] + w[e];                                       \
+        if (reach <= limit) {                                                \
+            count++;                                                         \
+            if (reach == dv && next[u] == 0) {                               \
+                next[u] = v + 1;                                             \
+                via[u] = e;                                                  \
+                queue[tail++] = u;                                           \
+            }                                                                \
+        }                                                                    \
+    } while (0)
+        FOR_EACH_ARC(d, L, v, TIGHT);
+#undef TIGHT
         near[v] = count;
     }
     if (next[src] == 0) {
@@ -203,6 +304,27 @@ done:
     return len;
 }
 
+/* The canonical geodesic from src to tgt, a port of fpp_core._geodesic_scan:
+ * a breadth-first search back from tgt over tight arcs (dist[u] + w ==
+ * dist[v]), first in first out, each vertex's arcs in increasing neighbour
+ * index. Each vertex records the first scanned vertex and edge that reached
+ * it, and the search stops once the vertex that reached src is scanned.
+ * Each scanned vertex counts its in-arcs within tol of its distance, and
+ * ties is that count summed over the path vertices after src, less the
+ * path's own arcs.
+ *
+ * Writes the L + 1 path vertices, src first, to verts and the L edge ids to
+ * eids (room for n of each), and ties to *ties. Returns L, -1 when the work
+ * arrays cannot be allocated, or -2 when no tight path reaches src.
+ */
+int64_t fpp_geodesic_scan(int32_t d, const int32_t *shape, const double *w,
+                          const double *dist, int32_t src, int32_t tgt, double tol,
+                          int64_t *verts, int64_t *eids, int64_t *ties)
+{
+    lattice_t L = lattice(d, shape);
+    return BY_DIM(d, geodesic_scan, &L, w, dist, src, tgt, tol, verts, eids, ties);
+}
+
 /* The path index of the first geodesic vertex on v's tree path, memoised in
  * lab (label + 1; the geodesic vertices are set on entry). stack has room for
  * n vertices. A path that ends without reaching the geodesic, at a vertex
@@ -219,24 +341,12 @@ static int32_t tree_label(const int32_t *pred, int32_t *lab, int32_t *stack, int
     return lab[v] - 1;
 }
 
-/* The replacement-path distance t_inf of each of the L geodesic edges, a
- * port of fpp_core._replacement_offers. ds, pred_s
- * and dt, pred_t are full solves from the geodesic's two ends, verts its
- * L + 1 vertices and on_path its edge bitset. Each vertex is labelled with
- * the path index of the first geodesic vertex on its source-tree path
- * (lab_s) and on its target-tree path (lab_t). Every arc x -> y of an edge
- * off the geodesic with lab_s(x) < lab_t(y) offers (ds[x] + w) + dt[y] to
- * cell (lab_s(x), lab_t(y)) of an (L+1) x (L+1) table; a running minimum
- * down the rows and one leftward along each row then leave the best offer
- * to path edge i in cell (i, i + 1). A minimum is exact, so t_inf has the
- * numpy reduction's bits. Returns 0, or -1 when the work arrays cannot be
- * allocated. */
-int fpp_replacement_offers(int32_t n, const int32_t *indptr, const int32_t *indices,
-                           const int32_t *perm, const double *w, const double *ds,
-                           const int32_t *pred_s, const double *dt, const int32_t *pred_t,
-                           const int64_t *verts, int32_t len, const uint8_t *on_path,
-                           double *t_inf)
+INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const double *ds,
+                              const int32_t *pred_s, const double *dt, const int32_t *pred_t,
+                              const int64_t *verts, int32_t len, const uint8_t *on_path,
+                              double *t_inf)
 {
+    int32_t n = L->n;
     size_t side = (size_t)len + 1;
     int32_t *lab_s = calloc((size_t)n, sizeof(int32_t));
     int32_t *lab_t = calloc((size_t)n, sizeof(int32_t));
@@ -253,20 +363,19 @@ int fpp_replacement_offers(int32_t n, const int32_t *indptr, const int32_t *indi
         int32_t a = tree_label(pred_s, lab_s, stack, x);
         if (a < 0)
             continue;
-        for (int32_t j = indptr[x]; j < indptr[x + 1]; j++) {
-            int32_t e = perm[j];
-            if (on_path[e])
-                continue;
-            int32_t y = indices[j];
-            int32_t b = tree_label(pred_t, lab_t, stack, y);
-            if (a < b) {
-                double offer = ds[x] + w[e];
-                offer = offer + dt[y];
-                double *cell = &table[a * side + b];
-                if (offer < *cell)
-                    *cell = offer;
-            }
-        }
+#define OFFER(y, e)                                                          \
+    do {                                                                     \
+        int32_t b = on_path[e] ? -1 : tree_label(pred_t, lab_t, stack, y);   \
+        if (a < b) {                                                         \
+            double offer = ds[x] + w[e];                                     \
+            offer = offer + dt[y];                                           \
+            double *cell = &table[a * side + b];                             \
+            if (offer < *cell)                                               \
+                *cell = offer;                                               \
+        }                                                                    \
+    } while (0)
+        FOR_EACH_ARC(d, L, x, OFFER);
+#undef OFFER
     }
     for (size_t i = 1; i < side; i++)
         for (size_t j = 0; j < side; j++)
@@ -286,4 +395,26 @@ done:
     free(stack);
     free(table);
     return status;
+}
+
+/* The replacement-path distance t_inf of each of the L geodesic edges, a
+ * port of fpp_core._replacement_offers. ds, pred_s
+ * and dt, pred_t are full solves from the geodesic's two ends, verts its
+ * L + 1 vertices and on_path its edge bitset. Each vertex is labelled with
+ * the path index of the first geodesic vertex on its source-tree path
+ * (lab_s) and on its target-tree path (lab_t). Every arc x -> y of an edge
+ * off the geodesic with lab_s(x) < lab_t(y) offers (ds[x] + w) + dt[y] to
+ * cell (lab_s(x), lab_t(y)) of an (L+1) x (L+1) table; a running minimum
+ * down the rows and one leftward along each row then leave the best offer
+ * to path edge i in cell (i, i + 1). A minimum is exact, so t_inf has the
+ * numpy reduction's bits. Returns 0, or -1 when the work arrays cannot be
+ * allocated. */
+int fpp_replacement_offers(int32_t d, const int32_t *shape, const double *w,
+                           const double *ds, const int32_t *pred_s, const double *dt,
+                           const int32_t *pred_t, const int64_t *verts, int32_t len,
+                           const uint8_t *on_path, double *t_inf)
+{
+    lattice_t L = lattice(d, shape);
+    return BY_DIM(d, replacement_offers, &L, w, ds, pred_s, dt, pred_t, verts, len,
+                  on_path, t_inf);
 }

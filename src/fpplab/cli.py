@@ -11,8 +11,10 @@ flags win. FPPLAB_WORKERS caps the worker pool from the environment.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+import time
 from pathlib import Path
 
 from ._version import __version__
@@ -64,6 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="csv,json", help="outputs to write: csv, json or both"
     )
     sim.add_argument("--svg", action="store_true", help="also render an SVG chart")
+    sim.add_argument(
+        "--progress",
+        action="store_true",
+        help="print a line to stderr as each (n, m) cell finishes",
+    )
     _add_common(
         sim,
         out_help="directory for scaling.csv, report.json and scaling.svg "
@@ -162,6 +169,24 @@ def _emit(doc: dict, out: str | None, default_name: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _progress(cfg):
+    """A callback that prints, per finished cell, the cells done so far and
+    the seconds since it was made."""
+    cells = len(cfg.n_list)
+    done = itertools.count(1)
+    start = time.perf_counter()
+
+    def on_cell(batch):
+        print(
+            f"fpplab: cell {next(done)}/{cells} (n={batch.n}, m={batch.m}) done, "
+            f"{time.perf_counter() - start:.1f} s elapsed",
+            file=sys.stderr,
+            flush=True,
+        )
+
+    return on_cell
+
+
 def _cmd_simulate(args) -> int:
     formats = {f.strip() for f in args.format.split(",") if f.strip()}
     unknown = formats - {"csv", "json"}
@@ -181,7 +206,7 @@ def _cmd_simulate(args) -> int:
         margin_factor=args.margin,
         workers=args.workers,
     )
-    doc = experiments.full_report(cfg)
+    doc = experiments.full_report(cfg, on_cell=_progress(cfg) if args.progress else None)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = doc["rows"]

@@ -339,24 +339,28 @@ def row_from_batch(batch: ReplicaBatch) -> ScalingRow:
     )
 
 
-def _m0_batches(cfg: ExperimentConfig, batches: dict | None) -> dict:
+def _m0_batches(cfg: ExperimentConfig, batches: dict | None, on_cell=None) -> dict:
     """The m=0 batch of every n in cfg.n_list, keyed by n.
 
     Cells missing from `batches` are collected and stored in it, so the
-    scaling readers given the same dict share their batches.
+    scaling readers given the same dict share their batches. Each collected
+    batch is passed to `on_cell`, if given, in this thread.
     """
     batches = {} if batches is None else batches
     for n in cfg.n_list:
         if int(n) not in batches:
             batches[int(n)] = collect_batch(cfg, int(n), m=0)
+            if on_cell is not None:
+                on_cell(batches[int(n)])
     return batches
 
 
-def run_variance_scaling(cfg: ExperimentConfig, batches: dict | None = None):
-    """One ScalingRow per n, from the m=0 batches shared through `batches`."""
+def run_variance_scaling(cfg: ExperimentConfig, batches: dict | None = None, on_cell=None):
+    """One ScalingRow per n, from the m=0 batches shared through `batches`.
+    `on_cell`, if given, sees each batch collected here, in this thread."""
     if cfg.replicas < 3:  # before any sampling: the jackknife CI needs 3
         raise ConfigError("the variance CI (a jackknife) needs at least 3 replicas")
-    batches = _m0_batches(cfg, batches)
+    batches = _m0_batches(cfg, batches, on_cell)
     return [row_from_batch(batches[int(n)]) for n in cfg.n_list]
 
 
@@ -852,12 +856,14 @@ def geodesic_stats(
 # assembled report
 
 
-def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
+def full_report(cfg: ExperimentConfig, deterministic: bool = True, on_cell=None) -> dict:
     """Scaling rows, model fit and time-constant report as one document.
 
     Rows are plain dicts with no wall time (see `ReplicaBatch.seconds`), and
     the geodesic moments are those of the fewest-edge geodesic (format 3);
     `reporting` serializes the fit and time-constant dataclasses field by field.
+    `on_cell`, if given, is called in this thread with each (n, m) cell's
+    ReplicaBatch as it finishes; nothing it sees enters the document.
     """
     if deterministic is not True:
         raise ConfigError("full_report writes no wall times; cell times are ReplicaBatch.seconds")
@@ -870,7 +876,7 @@ def full_report(cfg: ExperimentConfig, deterministic: bool = True) -> dict:
                 f"the model fit needs a positive variance; {cfg.dist_spec!r} has one point"
             )
     batches: dict = {}
-    rows = run_variance_scaling(cfg, batches=batches)
+    rows = run_variance_scaling(cfg, batches=batches, on_cell=on_cell)
     fit = fit_scaling(rows) if len(rows) >= 3 else None
     tc = estimate_time_constant(cfg, batches=batches)
     return {

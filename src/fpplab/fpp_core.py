@@ -9,10 +9,12 @@ distances and weights alone, so it does not depend on how the solver broke
 ties.
 
 A small C kernel, compiled once per machine, runs the solve, the geodesic
-scan and the replacement-path pass over the solves. Without a compiler the
-solve runs on scipy's csgraph and the two passes in Python and numpy. Each
-gives the kernel's bytes from the same inputs, and the tests use them as
-the kernel's oracles.
+scan and the replacement-path pass over the solves. It takes the box as
+its shape: each neighbour of a vertex and each edge id is arithmetic on
+the shape. Without a compiler the solve runs on scipy's csgraph and the
+two passes in Python and numpy, over a CSR graph of the box built on first
+use. Each gives the kernel's bytes from the same inputs, and the tests use
+them as the kernel's oracles.
 
 Single-edge perturbations exploit the breakpoint structure of the passage
 time: as a function of one edge weight y it is min(t0 + y, t_inf), where
@@ -28,6 +30,7 @@ and derivative checks are then closed-form arithmetic.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import itertools
 import math
@@ -53,10 +56,11 @@ _KERNEL_SOURCE = Path(__file__).with_name("_dijkstra.c")
 
 def _load_kernel():
     """The compiled kernel library, or None without a compiler or if the
-    build fails. Its three entries are `fpp_dijkstra` (LatticeBox.solve),
-    `fpp_geodesic_scan` (passage_time) and `fpp_replacement_offers`
-    (geodesic_breakpoints); with None every one of them runs in Python, on
-    scipy's solver.
+    build fails. Its three solver entries are `fpp_dijkstra`
+    (LatticeBox.solve), `fpp_geodesic_scan` (passage_time) and
+    `fpp_replacement_offers` (geodesic_breakpoints); with None every one of
+    them runs in Python, on scipy's solver. `fpp_arcs` serves the tests, and
+    `fpp_reuse_freed_memory` runs once, at import.
 
     The library is cached per user, named by the machine type and the hash
     of the source. The first import on a machine compiles it into a
@@ -88,22 +92,26 @@ def _load_kernel():
         kernel = ctypes.CDLL(str(lib))
     except (OSError, RuntimeError, subprocess.CalledProcessError):
         return None
-    # arrays go in as raw addresses; each caller owns their dtype and layout
+    # arrays go in as raw addresses; each caller owns their dtype and layout.
+    # Every entry starts with the box as (d, shape), the shape as the bytes
+    # of d C int32s (`LatticeBox._c_shape`).
     ptr, i32, f64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_double
-    kernel.fpp_dijkstra.argtypes = [i32, ptr, ptr, ptr, ptr, i32, i32, f64, ptr, ptr]
+    kernel.fpp_dijkstra.argtypes = [i32, ptr, ptr, i32, i32, f64, ptr, ptr]
     kernel.fpp_dijkstra.restype = ctypes.c_int
-    kernel.fpp_geodesic_scan.argtypes = [
-        i32, ptr, ptr, ptr, ptr, ptr, i32, i32, f64, ptr, ptr, ptr,
-    ]
+    kernel.fpp_geodesic_scan.argtypes = [i32, ptr, ptr, ptr, i32, i32, f64, ptr, ptr, ptr]
     kernel.fpp_geodesic_scan.restype = ctypes.c_int64
-    kernel.fpp_replacement_offers.argtypes = [
-        i32, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, ptr,
-    ]
+    kernel.fpp_replacement_offers.argtypes = [i32] + [ptr] * 7 + [i32, ptr, ptr]
     kernel.fpp_replacement_offers.restype = ctypes.c_int
+    kernel.fpp_arcs.argtypes = [i32, ptr, i32, ptr, ptr]
+    kernel.fpp_arcs.restype = ctypes.c_int
+    kernel.fpp_reuse_freed_memory.argtypes = []
+    kernel.fpp_reuse_freed_memory.restype = None
     return kernel
 
 
 _KERNEL = _load_kernel()
+if _KERNEL is not None:
+    _KERNEL.fpp_reuse_freed_memory()  # see README, "Start-up and memory"
 
 
 def _scipy_solve(box: LatticeBox, weights: np.ndarray, source_index: int):
@@ -112,11 +120,8 @@ def _scipy_solve(box: LatticeBox, weights: np.ndarray, source_index: int):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    data = weights[box.data_perm]
-    graph = csr_matrix(
-        (data, box._csr_indices, box._csr_indptr),
-        shape=(box.n_vertices, box.n_vertices),
-    )
+    indptr, indices, perm = box._csr
+    graph = csr_matrix((weights[perm], indices, indptr), shape=(box.n_vertices,) * 2)
     return dijkstra(graph, directed=True, indices=source_index, return_predecessors=True)
 
 
@@ -124,7 +129,9 @@ class LatticeBox:
     """Axis-aligned box of Z^d with a fixed edge indexing.
 
     Edges are indexed lexicographically by (lower endpoint, axis): all
-    axis-0 edges in vertex order, then all axis-1 edges, and so on.
+    axis-0 edges in vertex order, then all axis-1 edges, and so on. So
+    every neighbour and edge id is arithmetic on the shape, and the kernel
+    reads nothing else of the box.
     """
 
     def __init__(self, lo, hi):
@@ -139,55 +146,40 @@ class LatticeBox:
         self.hi = hi
         self.shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         self.n_vertices = int(np.prod(self.shape))
+        if self.n_vertices * self.d >= 2**31:
+            raise DomainError("box too large: its edge ids must fit in 32 bits")
         self.strides = np.array(
             [int(np.prod(self.shape[ax + 1 :])) for ax in range(self.d)], dtype=np.int64
         )
 
         idx = np.arange(self.n_vertices).reshape(self.shape)
-        heads, tails, axes = [], [], []
+        heads, tails = [], []
         for ax in range(self.d):
             take_lo = [slice(None)] * self.d
             take_hi = [slice(None)] * self.d
             take_lo[ax] = slice(0, self.shape[ax] - 1)
             take_hi[ax] = slice(1, self.shape[ax])
-            u = idx[tuple(take_lo)].ravel()
-            heads.append(u)
+            heads.append(idx[tuple(take_lo)].ravel())
             tails.append(idx[tuple(take_hi)].ravel())
-            axes.append(np.full(u.size, ax, dtype=np.int8))
         self.edge_u = np.concatenate(heads)
         self.edge_v = np.concatenate(tails)
-        self.edge_axis = np.concatenate(axes)
         self.n_edges = int(self.edge_u.size)
+        # ctypes passes bytes by the address of their buffer, so the shape
+        # goes to the kernel without a `.ctypes.data` read (about 2 us)
+        self._c_shape = np.array(self.shape, dtype=np.int32).tobytes()
 
-        self._eid_lookup = np.full(self.n_vertices * self.d, -1, dtype=np.int64)
-        self._eid_lookup[self.edge_u * self.d + self.edge_axis] = np.arange(
-            self.n_edges
-        )
-
+    @functools.cached_property
+    def _csr(self):
+        """(indptr, indices, edge id of each arc): the box as a CSR graph
+        whose rows list each vertex's neighbours in increasing index, the
+        kernel's arc order. Built on first use, for the scipy solve and the
+        Python geodesic scan, which are the fallback and the test oracles."""
         rows = np.concatenate([self.edge_u, self.edge_v])
         cols = np.concatenate([self.edge_v, self.edge_u])
-        eids = np.tile(np.arange(self.n_edges, dtype=np.int32), 2)
         order = np.lexsort((cols, rows))
-        self._csr_indptr = np.searchsorted(
-            rows[order], np.arange(self.n_vertices + 1)
-        ).astype(np.int32)
-        self._csr_indices = cols[order].astype(np.int32)
-        self.data_perm = eids[order]
-        self._bind_csr()
-
-    def _bind_csr(self) -> None:
-        """The leading arguments of every kernel entry: the vertex count and
-        the CSR arrays by address, taken once (each `.ctypes.data` read
-        costs about 2 us, a tenth of an 11x11 solve)."""
-        self._csr_args = (
-            self.n_vertices, self._csr_indptr.ctypes.data,
-            self._csr_indices.ctypes.data, self.data_perm.ctypes.data,
-        )
-
-    def __setstate__(self, state):
-        # an unpickled box holds new arrays at new addresses
-        self.__dict__.update(state)
-        self._bind_csr()
+        indptr = np.searchsorted(rows[order], np.arange(self.n_vertices + 1))
+        eids = np.tile(np.arange(self.n_edges, dtype=np.int32), 2)
+        return indptr.astype(np.int32), cols[order].astype(np.int32), eids[order]
 
     # vertex and edge addressing -----------------------------------------
     def contains(self, coord) -> bool:
@@ -214,10 +206,13 @@ class LatticeBox:
         if not (0 <= axis < self.d):
             raise DomainError(f"axis must be in 0..{self.d - 1}")
         u = self.vertex_index(coord)
-        eid = int(self._eid_lookup[u * self.d + axis])
-        if eid < 0:
+        c, side = [int(x) - l for x, l in zip(coord, self.lo)], self.shape[axis]
+        if c[axis] == side - 1:
             raise DomainError(f"no edge at {tuple(coord)} along axis {axis}")
-        return eid
+        # the kernel's formula: the edges along lower axes, then u's index in
+        # the box with this axis one shorter
+        off = sum(self.n_vertices // s * (s - 1) for s in self.shape[:axis])
+        return off + u - sum(c[k] * int(self.strides[k]) // side for k in range(axis))
 
     def edge_endpoints(self, eid: int) -> tuple[tuple, tuple]:
         if not (0 <= eid < self.n_edges):
@@ -247,11 +242,14 @@ class LatticeBox:
         T + TIE_REL_TOL * max(T, 1), T the target's distance: dist and pred
         are the full solve's where dist <= that limit, and every vertex
         beyond it reads as unreachable. A vertex index that is not an
-        integer in range raises DomainError, on either backend.
+        integer in range raises DomainError, on either backend, and so do
+        negative and NaN weights.
         """
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if w.shape != (self.n_edges,):
             raise DomainError(f"expected {self.n_edges} edge weights, got shape {w.shape}")
+        if w.size and not w.min() >= 0.0:  # one pass; a NaN fails the test too
+            raise DomainError("edge weights must be nonnegative and not NaN")
         self._check_index(source_index, "source")
         if target_index is not None:
             self._check_index(target_index, "target")
@@ -266,7 +264,7 @@ class LatticeBox:
         dist = np.empty(self.n_vertices)
         pred = np.empty(self.n_vertices, dtype=np.int32)
         status = _KERNEL.fpp_dijkstra(
-            *self._csr_args, w.ctypes.data, int(source_index),
+            self.d, self._c_shape, w.ctypes.data, int(source_index),
             -1 if target_index is None else int(target_index), TIE_REL_TOL,
             dist.ctypes.data, pred.ctypes.data,
         )
@@ -313,8 +311,8 @@ class WeightField:
         """Deterministic field: PCG64 seeded from (master_seed, replica)."""
         rng = np.random.default_rng(np.random.SeedSequence((master_seed, replica)))
         w = np.asarray(dist.sample(rng, box.n_edges), dtype=float)
-        if np.any(w < 0):
-            raise DomainError("edge times must be nonnegative")
+        if w.size and not w.min() >= 0.0:  # one pass; a NaN fails the test too
+            raise DomainError("edge times must be nonnegative and not NaN")
         return cls(
             box=box,
             weights=w,
@@ -388,7 +386,7 @@ def _geodesic_scan(box: LatticeBox, weights, dist, src: int, tgt: int, tol: floa
     Scalar reads, as a vertex has 2d arcs: through memoryviews, and dist
     through its own `item`, so an ndarray subclass sees every read of it.
     """
-    indptr, nbr, eid = map(memoryview, (box._csr_indptr, box._csr_indices, box.data_perm))
+    indptr, nbr, eid = map(memoryview, box._csr)
     w, d = memoryview(weights), dist.item
     reached = {tgt: None}  # vertex -> (the vertex it leads to, edge id)
     near = {}  # scanned vertex -> its in-arcs within tol
@@ -424,7 +422,7 @@ def _kernel_geodesic_scan(box: LatticeBox, weights, dist, src: int, tgt: int, to
     eids = np.empty(box.n_vertices, dtype=np.int64)
     ties = np.empty(1, dtype=np.int64)
     length = _KERNEL.fpp_geodesic_scan(
-        *box._csr_args, w.ctypes.data, dist.ctypes.data, src, tgt, tol,
+        box.d, box._c_shape, w.ctypes.data, dist.ctypes.data, src, tgt, tol,
         verts.ctypes.data, eids.ctypes.data, ties.ctypes.data,
     )
     if length == -1:
@@ -581,7 +579,7 @@ def _kernel_replacement_offers(box: LatticeBox, w, on_path, verts, ds, pred_s, d
     verts = np.ascontiguousarray(verts, dtype=np.int64)
     t_inf = np.empty(verts.size - 1)
     status = _KERNEL.fpp_replacement_offers(
-        *box._csr_args, w.ctypes.data, ds.ctypes.data, pred_s.ctypes.data,
+        box.d, box._c_shape, w.ctypes.data, ds.ctypes.data, pred_s.ctypes.data,
         dt.ctypes.data, pred_t.ctypes.data, verts.ctypes.data, t_inf.size,
         on_path.ctypes.data, t_inf.ctypes.data,
     )

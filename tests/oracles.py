@@ -8,6 +8,8 @@ expectations by direct summation over the hypercube.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from fpplab import AveragingMap, GeodesicResult, fpp_core
@@ -192,6 +194,76 @@ def full_solve_passage_time(field, u, v):
         unique=(ties == 0),
         ties=ties,
     )
+
+
+def csr_dijkstra(box, weights, src, tgt=None):
+    """(dist, pred) of LatticeBox.solve by the solve the kernel made before
+    it read the box from its shape, line for line in Python: the same
+    indexed 4-ary heap with +inf keys past its end, the same sift tests,
+    the settled and unseen marks in `pos`, and the arcs of each vertex
+    read from the box's CSR rows, in increasing neighbour index."""
+    indptr, indices, perm = (a.tolist() for a in box._csr)
+    w = np.asarray(weights, dtype=np.float64).tolist()
+    n, inf, unseen, settled = box.n_vertices, math.inf, -1, -2
+    keys, verts = [inf] * (n + 4), [0] * (n + 4)
+    pos, dist, pred = [unseen] * n, [inf] * n, [-9999] * n
+    dist[src], keys[0], verts[0], pos[src] = 0.0, 0.0, src, 0
+    size, limit = 1, inf
+
+    def place(i, key, v):
+        keys[i], verts[i] = key, v
+        pos[v] = i
+
+    def sift_up(i, key, v):
+        while i > 0:
+            parent = (i - 1) >> 2
+            if keys[parent] <= key:
+                break
+            place(i, keys[parent], verts[parent])
+            i = parent
+        place(i, key, v)
+
+    def sift_down(i, key, v):
+        while True:
+            c = 4 * i + 1
+            if c >= size:
+                break
+            a = c + (keys[c + 1] < keys[c])
+            b = c + 2 + (keys[c + 3] < keys[c + 2])
+            c = a + (b - a) * (keys[b] < keys[a])
+            if keys[c] >= key:
+                break
+            place(i, keys[c], verts[c])
+            i = c
+        place(i, key, v)
+
+    while size > 0:
+        u, du = verts[0], keys[0]
+        if du > limit:
+            break
+        if u == tgt:
+            limit = du + fpp_core.TIE_REL_TOL * max(du, 1.0)
+        pos[u] = settled
+        size -= 1
+        last = keys[size], verts[size]
+        keys[size] = inf
+        if size > 0:
+            sift_down(0, *last)
+        for j in range(indptr[u], indptr[u + 1]):
+            v = indices[j]
+            if pos[v] == settled:
+                continue
+            nd = du + w[perm[j]]
+            if nd < dist[v]:
+                dist[v], pred[v] = nd, u
+                if pos[v] == unseen:
+                    size += 1
+                    sift_up(size - 1, nd, v)
+                else:
+                    sift_up(pos[v], nd, v)
+    for v in verts[:size]:
+        dist[v], pred[v] = inf, -9999
+    return np.array(dist), np.array(pred, dtype=np.int32)
 
 
 def two_solve_breakpoint(field, result, eid):

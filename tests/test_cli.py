@@ -249,6 +249,27 @@ def test_simulate_outputs_hold_no_wall_time(workers, tmp_path, monkeypatch):
         assert (plain / name).read_bytes() == (jumpy / name).read_bytes()
 
 
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_simulate_progress_goes_to_stderr_only(workers, tmp_path, capsys):
+    args = ["simulate", "--dist", "exp:rate=1", "--n", "5,8,12", "--replicas", "10",
+            "--seed", "3", "--workers", workers]
+    plain, shown = tmp_path / "plain", tmp_path / "shown"
+    assert _run(args + ["--out", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _run(args + ["--out", str(shown), "--progress"]) == 0
+    out, err = capsys.readouterr()
+    for name in ("report.json", "scaling.csv"):
+        assert (plain / name).read_bytes() == (shown / name).read_bytes()
+    assert out == ""
+    lines = err.splitlines()
+    assert [line.split(" done, ")[0] for line in lines] == [
+        "fpplab: cell 1/3 (n=5, m=0)",
+        "fpplab: cell 2/3 (n=8, m=0)",
+        "fpplab: cell 3/3 (n=12, m=0)",
+    ]
+    assert all(line.endswith(" s elapsed") for line in lines)
+
+
 def test_simulate_timing_in_output_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(["simulate", "--dist", "exp:rate=1", "--n", "5", "--replicas", "4",

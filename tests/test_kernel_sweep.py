@@ -1,12 +1,15 @@
-"""The kernel's geodesic scan and replacement-path offers against their
-Python paths, byte for byte, on random boxes, laws and endpoints, with the
-distances and trees of either solve backend."""
+"""The kernel against its oracles, byte for byte, on random boxes, laws and
+endpoints: its arcs against the CSR rows of the box, its solve against the
+CSR solve it replaced, and its geodesic scan and replacement-path offers
+against their Python paths, with the distances and trees of either solve
+backend."""
 
 import numpy as np
 import pytest
 
 import fpplab as F
 from fpplab import fpp_core
+from oracles import csr_dijkstra
 
 LAWS = (
     "exp:rate=1",
@@ -52,10 +55,11 @@ def _set_an_arc_at_the_tie_horizon(box, w, dist, verts, eids, tol) -> bool:
     gains exactly this arc. False when no arc fits.
     """
     on_path = set(eids.tolist())
+    indptr, indices, perm = box._csr
     for v in verts[1:].tolist():
         limit = dist[v] + tol
-        for j in range(box._csr_indptr[v], box._csr_indptr[v + 1]):
-            u, e = int(box._csr_indices[j]), int(box.data_perm[j])
+        for j in range(indptr[v], indptr[v + 1]):
+            u, e = int(indices[j]), int(perm[j])
             if e in on_path or not (dist[u] < dist[v] and dist[u] + w[e] > limit):
                 continue
             y = limit - dist[u]
@@ -127,3 +131,45 @@ def test_kernel_entries_match_their_python_paths(backend, monkeypatch):
     assert seen["laws"] == set(LAWS) and seen["dims"] == {2, 3}
     assert seen["same"] >= 40 and seen["adjacent"] >= 40
     assert seen["horizon"] >= 20
+
+
+def _kernel_arcs(box, v):
+    """(neighbours, edge ids) of vertex v, as the kernel enumerates them."""
+    nbr = np.empty(2 * box.d, dtype=np.int32)
+    eid = np.empty(2 * box.d, dtype=np.int32)
+    count = fpp_core._KERNEL.fpp_arcs(box.d, box._c_shape, v, nbr.ctypes.data, eid.ctypes.data)
+    return nbr[:count].tolist(), eid[:count].tolist()
+
+
+def test_solve_is_the_csr_solve_byte_for_byte():
+    """Random 2D and 3D boxes, sides of length 1 included: at every vertex
+    the kernel's arcs are the CSR row in order and `edge_id` names the same
+    edges, and the kernel's full and stopped solves give the retired CSR
+    solve's dist and pred bytes, ties and zero weights included."""
+    rng = np.random.default_rng(21)
+    seen = {"laws": set(), "dims": set(), "side_one": 0}
+    for case in range(240):
+        d = int(rng.integers(2, 4))
+        lo = tuple(int(c) for c in rng.integers(-3, 3, size=d))
+        sides = rng.integers(1, 13 if d == 2 else 6, size=d)
+        box = F.LatticeBox(lo, tuple(int(c) for c in np.asarray(lo) + sides - 1))
+        indptr, indices, perm = box._csr
+        for v in range(box.n_vertices):
+            row = slice(indptr[v], indptr[v + 1])
+            assert _kernel_arcs(box, v) == (indices[row].tolist(), perm[row].tolist()), case
+            for u, e in zip(indices[row].tolist(), perm[row].tolist()):
+                x, axis = min(u, v), int(np.flatnonzero(box.strides == abs(u - v))[0])
+                assert box.edge_id(box.vertex_coord(x), axis) == e, case
+        spec = LAWS[case % len(LAWS)]
+        w = F.WeightField.generate(box, F.parse_spec(spec), 2025, case).weights
+        src, tgt = (int(i) for i in rng.integers(box.n_vertices, size=2))
+        for target in (None, tgt):
+            dist, pred = box.solve(w, src, target)
+            ref_dist, ref_pred = csr_dijkstra(box, w, src, target)
+            assert dist.tobytes() == ref_dist.tobytes(), (case, target)
+            assert pred.tobytes() == ref_pred.tobytes(), (case, target)
+        seen["laws"].add(spec)
+        seen["dims"].add(d)
+        seen["side_one"] += bool(np.any(sides == 1))
+    assert seen["laws"] == set(LAWS) and seen["dims"] == {2, 3}
+    assert seen["side_one"] >= 20

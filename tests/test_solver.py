@@ -1,8 +1,13 @@
 """The compiled Dijkstra behind LatticeBox.solve against scipy's csgraph, and
 the canonical geodesic, which must not depend on the solver."""
 
+import json
+import os
 import pickle
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,17 +79,82 @@ def test_solve_checks_its_input_on_either_backend(solve_backend):
     assert dist[box.vertex_index((3, 3))] == 6.0 and pred[0] == -9999
 
 
-@needs_kernel
-def test_an_unpickled_box_passes_its_own_arrays_to_the_kernel():
-    box = F.LatticeBox((-3, -3), (9, 5))
-    w = F.WeightField.generate(box, F.parse_spec("exp:rate=1"), 4, 0).weights
+def test_solve_refuses_negative_and_nan_weights_on_either_backend(solve_backend):
+    box = F.LatticeBox((0, 0), (3, 3))  # 16 vertices, 24 edges
+    for bad in (-0.5, -np.inf, np.nan):
+        w = np.ones(box.n_edges)
+        w[7] = bad
+        with pytest.raises(F.DomainError, match="nonnegative and not NaN"):
+            box.solve(w, 0)
+        with pytest.raises(F.DomainError, match="nonnegative and not NaN"):
+            box.solve(w, 0, 15)
+    zero = np.ones(box.n_edges)
+    zero[7] = 0.0
+    w = zero.copy()
+    w[7] = -0.0  # compares equal to zero, so it is a zero weight
+    assert box.solve(w, 0)[0].tobytes() == box.solve(zero, 0)[0].tobytes()
+
+
+def test_weight_field_refuses_negative_and_nan_samples(monkeypatch):
+    box = F.LatticeBox((0, 0), (3, 3))
+    law = F.parse_spec("exp:rate=1")
+    for bad in (-0.5, np.nan):
+        monkeypatch.setattr(type(law), "sample", lambda self, rng, size, bad=bad: np.full(size, bad))
+        with pytest.raises(F.DomainError, match="nonnegative and not NaN"):
+            F.WeightField.generate(box, law, 4, 0)
+
+
+@pytest.mark.parametrize("lohi", (((-3, -3), (9, 5)), ((-2, 0, -1), (3, 2, 2))))
+def test_an_unpickled_box_gives_the_original_bytes(lohi, solve_backend):
+    box = F.LatticeBox(*lohi)
+    field = F.WeightField.generate(box, F.parse_spec("exp:rate=1"), 4, 0)
     copy = pickle.loads(pickle.dumps(box))
-    assert copy._csr_args == (
-        copy.n_vertices, copy._csr_indptr.ctypes.data,
-        copy._csr_indices.ctypes.data, copy.data_perm.ctypes.data,
-    )
+    copy_field = F.WeightField(copy, field.weights, field.dist_spec, 4, 0)
+    w = field.weights
     for src in (0, box.n_vertices - 1):
-        assert copy.solve(w, src)[0].tobytes() == box.solve(w, src)[0].tobytes()
+        for tgt in (None, box.n_vertices // 2):
+            ours, theirs = copy.solve(w, src, tgt), box.solve(w, src, tgt)
+            assert ours[0].tobytes() == theirs[0].tobytes()
+            assert ours[1].tobytes() == theirs[1].tobytes()
+    u, v = box.lo, box.hi
+    ours, theirs = F.passage_time(copy_field, u, v), F.passage_time(field, u, v)
+    assert ours.time == theirs.time and ours.ties == theirs.ties
+    assert ours.path.tobytes() == theirs.path.tobytes()
+    assert ours.edge_ids.tobytes() == theirs.edge_ids.tobytes()
+    for a, b in zip(F.geodesic_breakpoints(copy_field, ours), F.geodesic_breakpoints(field, theirs)):
+        assert a.tobytes() == b.tobytes()
+
+
+_FAULT_PROBE = """
+import json, resource
+import fpplab as F
+box = F.LatticeBox((-100, -100), (300, 100))  # the n=200 box of simulate
+law = F.parse_spec("exp:rate=1")
+counts = []
+for r in range(8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    F.passage_time(F.WeightField.generate(box, law, 1, r), (0, 0), (200, 0))
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(counts))
+"""
+
+
+@needs_kernel
+@pytest.mark.skipif(
+    not hasattr(os, "confstr") or "CS_GNU_LIBC_VERSION" not in os.confstr_names,
+    reason="the kernel sets glibc's malloc thresholds only",
+)
+def test_replicas_reuse_the_memory_earlier_replicas_freed():
+    # each replica allocates and frees several MB; returned to the system,
+    # they fault in again on the next replica: about 600 faults each here
+    src = str(Path(F.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert max(counts[2:]) < 50, counts
 
 
 def test_solve_checks_its_target_on_either_backend(solve_backend):
@@ -181,7 +251,7 @@ def test_compiled_dist_is_scipy_dist_byte_for_byte(spec, lohi):
             v = vertices[vertices != src]
             u = pred[v].astype(np.int64)
             axis = np.argmax(np.abs(v - u)[:, None] == box.strides, axis=1)
-            eid = box._eid_lookup[np.minimum(u, v) * box.d + axis]
+            eid = [box.edge_id(box.vertex_coord(x), a) for x, a in zip(np.minimum(u, v), axis)]
             assert np.array_equal(dist[u] + w[eid], dist[v])
             up = pred.astype(np.int64)
             up[src] = src
