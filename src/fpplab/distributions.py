@@ -307,7 +307,11 @@ class Exponential(Distribution):
         return np.where(arr >= 0, -self.rate * np.maximum(arr, 0.0), 0.0)
 
     def _quantile(self, arr):
-        return -np.log1p(-arr) / self.rate
+        # -log1p(-u) / rate in one fresh buffer (out= keeps a 0-d input an array)
+        out = np.negative(arr, out=np.empty_like(arr))
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        return np.divide(out, self.rate, out=out)
 
     def _isf(self, arr):
         return -np.log(arr) / self.rate
@@ -582,28 +586,35 @@ class Truncated(Distribution):
         return np.where(arr >= self.top, 0.0, np.maximum(out, 0.0))
 
     def _quantile(self, arr):
-        out = np.asarray(self.base.quantile(arr), dtype=float).copy()
-        h_cut = float(self.base.cdf(self.cut))
-        in_tail = arr > h_cut
-        if np.any(in_tail):
-            out[in_tail] = self._tail_quantile(arr[in_tail])
-        return out
+        in_tail = arr > float(self.base.cdf(self.cut))
+        return self._bisect_tail(self.base.quantile(arr), arr, in_tail, self._cdf, np.less)
 
-    def _tail_quantile(self, u):
-        lo = np.full(u.shape, self.cut)
-        hi = np.full(u.shape, self.top)
+    def _isf(self, arr):
+        # not _quantile(1 - q), which loses a small q to rounding in 1 - q
+        in_tail = arr < float(self.base.sf(self.cut))
+        return self._bisect_tail(self.base.isf(arr), arr, in_tail, self._sf, np.greater)
+
+    def _bisect_tail(self, head, arr, in_tail, fn, left_of):
+        """`head`, the base law's answer, which holds up to the cut, with each
+        entry in_tail replaced by the y in [cut, top] where the test
+        left_of(fn(y), its arr entry), "y is left of the answer", turns false."""
+        out = np.asarray(head, dtype=float).copy()
+        target = arr[in_tail]
+        lo = np.full(target.shape, self.cut)
+        hi = np.full(target.shape, self.top)
         # bisection is branch-free and robust to flat spots of the hat; a
         # round that moves neither end is a fixed point, so stopping there
         # gives the bits of the full 100 rounds (it comes at about round 53)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            below = self._cdf(mid) < u
-            new_lo = np.where(below, mid, lo)
-            new_hi = np.where(below, hi, mid)
+            left = left_of(fn(mid), target)
+            new_lo = np.where(left, mid, lo)
+            new_hi = np.where(left, hi, mid)
             if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
                 break
             lo, hi = new_lo, new_hi
-        return 0.5 * (lo + hi)
+        out[in_tail] = 0.5 * (lo + hi)
+        return out
 
     def domination_check(self, grid_points: int = 10_000) -> _DominationCheck:
         """Compare this CDF with the base's on an even grid over [0, 1.05 top];

@@ -13,7 +13,6 @@ truncation comparison, and geodesic length statistics.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time as _time
@@ -148,17 +147,14 @@ def _margin_for(cfg: ExperimentConfig, n: int, m: int) -> int:
     return margin
 
 
-def _box_corners(cfg: ExperimentConfig, n: int) -> tuple[tuple, tuple]:
-    """(lo, hi) of `box_for(cfg, n)`, without building the box."""
-    m = cfg.m_for(n)
-    margin = _margin_for(cfg, n, m)
-    return tuple([-margin] * cfg.dim), tuple([n + margin] + [margin + m] * (cfg.dim - 1))
-
-
 def box_for(cfg: ExperimentConfig, n: int) -> LatticeBox:
     """Box with margin around the segment [0, n e1]; it holds offsets up to
-    the margin, so any m that `_margin_for` passes, not only the policy's."""
-    return LatticeBox(*_box_corners(cfg, n))
+    the margin, so any m that `_margin_for` passes, not only the policy's.
+    The one way to get a cell's box: a box is its shape, so each cell entry
+    builds its own, in the calling thread, before any replica starts."""
+    m = cfg.m_for(n)
+    margin = _margin_for(cfg, n, m)
+    return LatticeBox([-margin] * cfg.dim, [n + margin] + [margin + m] * (cfg.dim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +177,6 @@ class ReplicaBatch:
     # exact probe influences of the first exact_replicas replicas, in order
     exact_w: np.ndarray | None = None  # (exact_replicas, n_probes) W_{e,+}
     exact_w_plus: list | None = None  # Lipschitz bound on W_+ per replica
-
-
-@functools.cache
-def _cached_box(lo, hi) -> LatticeBox:
-    """One box per set of corners in a process, shared by the replica
-    threads of collect_batch, the probe and ball lookups of
-    influence_diagnostics and geodesic_stats, and truncation_experiment.
-    Every caller looks it up in its own thread before any replica thread
-    starts, so no two threads race the cache."""
-    return LatticeBox(lo, hi)
 
 
 def _exact_probes(field, res, dist, probe_ids):
@@ -246,7 +232,7 @@ def collect_batch(
     _margin_for(cfg, n, m)
     if not (_is_int(exact_replicas) and exact_replicas >= 0):
         raise ConfigError(f"exact_replicas must be an integer >= 0, got {exact_replicas!r}")
-    box = _cached_box(*_box_corners(cfg, n))
+    box = box_for(cfg, n)
     probe_ids = tuple(probe_ids)
     bad = [e for e in probe_ids if not (_is_int(e) and 0 <= e < box.n_edges)]
     if bad:
@@ -596,7 +582,7 @@ def influence_diagnostics(
     dist = parse_spec(cfg.dist_spec)
     m_rand = cfg.m_for(n) or int(math.ceil(n**0.25))
     _margin_for(cfg, n, m_rand)
-    box = _cached_box(*_box_corners(cfg, n))  # the box the replica workers use
+    box = box_for(cfg, n)
     probe_ids = [int(e) for e in box.edges_near(tuple([0] * cfg.dim), PROBE_RADIUS)]
     exact_n = min(exact_replicas, cfg.replicas)
     c_e, law_flags = _energy_constant(dist)
@@ -772,7 +758,7 @@ def truncation_experiment(
         raise ConfigError("truncation comparison needs a continuous base law")
     nu_k = Truncated(base, k, c5)
     n = n if n is not None else min(cfg.n_list)
-    box = _cached_box(*_box_corners(cfg, n))
+    box = box_for(cfg, n)
     grid = nu_k.domination_check()
     src = box.vertex_index(tuple([0] * cfg.dim))
     tgt = box.vertex_index(tuple([int(n)] + [0] * (cfg.dim - 1)))
@@ -834,7 +820,7 @@ def geodesic_stats(
         raise ConfigError(f"geodesic stats at n={n} were given a batch of n={batch.n}")
     elif batch.geo_edges is None:
         raise ConfigError("geodesic stats need a batch collected with want_edges=True")
-    box = _cached_box(*_box_corners(cfg, n))
+    box = box_for(cfg, n)
     center = [n // 2] + [0] * (cfg.dim - 1)
     ball_counts = {}
     for m in BALL_MS:

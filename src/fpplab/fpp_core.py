@@ -1,12 +1,11 @@
 """Finite-box lattice first passage percolation.
 
-A LatticeBox indexes the vertices and edges of an axis-aligned box in Z^d
-(d = 2 or 3) once; weight fields and shortest-path solves then reuse that
-structure. Distances are exact Dijkstra runs, with deterministic outputs
-for a fixed (spec, seed, replica). A solve that only needs one target's
-time stops at the target's tie horizon. The geodesic is a function of the
-distances and weights alone, so it does not depend on how the solver broke
-ties.
+A LatticeBox is an axis-aligned box in Z^d (d = 2 or 3), held as its
+shape: every vertex index, edge id and endpoint is arithmetic on it.
+Distances are exact Dijkstra runs, with deterministic outputs for a fixed
+(spec, seed, replica). A solve that only needs one target's time stops at
+the target's tie horizon. The geodesic is a function of the distances and
+weights alone, so it does not depend on how the solver broke ties.
 
 A small C kernel, compiled once per machine, runs the solve, the geodesic
 scan and the replacement-path pass over the solves. It takes the box as
@@ -29,6 +28,7 @@ and derivative checks are then closed-form arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 import hashlib
@@ -130,8 +130,8 @@ class LatticeBox:
 
     Edges are indexed lexicographically by (lower endpoint, axis): all
     axis-0 edges in vertex order, then all axis-1 edges, and so on. So
-    every neighbour and edge id is arithmetic on the shape, and the kernel
-    reads nothing else of the box.
+    every neighbour and edge id is arithmetic on the shape, and the box
+    holds nothing else until `_csr` is first read.
     """
 
     def __init__(self, lo, hi):
@@ -145,25 +145,21 @@ class LatticeBox:
         self.lo = lo
         self.hi = hi
         self.shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        self.n_vertices = int(np.prod(self.shape))
+        self.n_vertices = math.prod(self.shape)
         if self.n_vertices * self.d >= 2**31:
             raise DomainError("box too large: its edge ids must fit in 32 bits")
         self.strides = np.array(
-            [int(np.prod(self.shape[ax + 1 :])) for ax in range(self.d)], dtype=np.int64
+            [math.prod(self.shape[ax + 1 :]) for ax in range(self.d)], dtype=np.int64
         )
-
-        idx = np.arange(self.n_vertices).reshape(self.shape)
-        heads, tails = [], []
-        for ax in range(self.d):
-            take_lo = [slice(None)] * self.d
-            take_hi = [slice(None)] * self.d
-            take_lo[ax] = slice(0, self.shape[ax] - 1)
-            take_hi[ax] = slice(1, self.shape[ax])
-            heads.append(idx[tuple(take_lo)].ravel())
-            tails.append(idx[tuple(take_hi)].ravel())
-        self.edge_u = np.concatenate(heads)
-        self.edge_v = np.concatenate(tails)
-        self.n_edges = int(self.edge_u.size)
+        # the axis-a edges' lower endpoints form the box one shorter along a,
+        # and edge (x, x + e_a) has id off_a (the kernel's: the edges along
+        # the axes below a) plus x's row-major index in that grid
+        self._grids = tuple(
+            tuple(s - (k == a) for k, s in enumerate(self.shape)) for a in range(self.d)
+        )
+        counts = [math.prod(grid) for grid in self._grids]
+        self._offsets = tuple(itertools.accumulate([0] + counts[:-1]))
+        self.n_edges = sum(counts)
         # ctypes passes bytes by the address of their buffer, so the shape
         # goes to the kernel without a `.ctypes.data` read (about 2 us)
         self._c_shape = np.array(self.shape, dtype=np.int32).tobytes()
@@ -173,9 +169,14 @@ class LatticeBox:
         """(indptr, indices, edge id of each arc): the box as a CSR graph
         whose rows list each vertex's neighbours in increasing index, the
         kernel's arc order. Built on first use, for the scipy solve and the
-        Python geodesic scan, which are the fallback and the test oracles."""
-        rows = np.concatenate([self.edge_u, self.edge_v])
-        cols = np.concatenate([self.edge_v, self.edge_u])
+        Python passes, which are the fallback and the test oracles. Its edge
+        list is sliced from the vertex grid, independently of `edge_id`."""
+        idx = np.arange(self.n_vertices).reshape(self.shape)
+        heads, tails = [], []
+        for ax in range(self.d):  # the grid without its last, then its first layer
+            heads.append(np.delete(idx, -1, axis=ax).ravel())
+            tails.append(np.delete(idx, 0, axis=ax).ravel())
+        rows, cols = np.concatenate(heads + tails), np.concatenate(tails + heads)
         order = np.lexsort((cols, rows))
         indptr = np.searchsorted(rows[order], np.arange(self.n_vertices + 1))
         eids = np.tile(np.arange(self.n_edges, dtype=np.int32), 2)
@@ -188,47 +189,46 @@ class LatticeBox:
     def vertex_index(self, coord) -> int:
         if len(coord) != self.d or not self.contains(coord):
             raise DomainError(f"vertex {tuple(coord)} outside box {self.lo}..{self.hi}")
-        rel = np.asarray(coord, dtype=np.int64) - np.asarray(self.lo, dtype=np.int64)
-        return int(np.dot(rel, self.strides))
+        return int(np.ravel_multi_index([int(c) - l for c, l in zip(coord, self.lo)], self.shape))
 
     def vertex_coord(self, index: int) -> tuple:
         if not (0 <= index < self.n_vertices):
             raise DomainError("vertex index out of range")
-        out = []
-        rem = int(index)
-        for ax in range(self.d):
-            out.append(rem // int(self.strides[ax]) + self.lo[ax])
-            rem %= int(self.strides[ax])
-        return tuple(out)
+        return tuple(int(c) + l for c, l in zip(np.unravel_index(index, self.shape), self.lo))
 
     def edge_id(self, coord, axis: int) -> int:
         """Edge from coord to coord + e_axis; DomainError if absent."""
         if not (0 <= axis < self.d):
             raise DomainError(f"axis must be in 0..{self.d - 1}")
-        u = self.vertex_index(coord)
-        c, side = [int(x) - l for x, l in zip(coord, self.lo)], self.shape[axis]
-        if c[axis] == side - 1:
+        self.vertex_index(coord)  # DomainError outside the box
+        rel = [int(x) - l for x, l in zip(coord, self.lo)]
+        if rel[axis] == self.shape[axis] - 1:
             raise DomainError(f"no edge at {tuple(coord)} along axis {axis}")
-        # the kernel's formula: the edges along lower axes, then u's index in
-        # the box with this axis one shorter
-        off = sum(self.n_vertices // s * (s - 1) for s in self.shape[:axis])
-        return off + u - sum(c[k] * int(self.strides[k]) // side for k in range(axis))
+        return self._offsets[axis] + int(np.ravel_multi_index(rel, self._grids[axis]))
 
     def edge_endpoints(self, eid: int) -> tuple[tuple, tuple]:
+        """(lower endpoint, upper endpoint) of edge eid: `edge_id` inverted."""
         if not (0 <= eid < self.n_edges):
             raise DomainError("edge index out of range")
-        return (
-            self.vertex_coord(int(self.edge_u[eid])),
-            self.vertex_coord(int(self.edge_v[eid])),
-        )
+        axis = bisect.bisect_right(self._offsets, eid) - 1
+        rel = np.unravel_index(int(eid) - self._offsets[axis], self._grids[axis])
+        low = tuple(int(c) + l for c, l in zip(rel, self.lo))
+        return low, tuple(c + (k == axis) for k, c in enumerate(low))
 
     def edges_near(self, center, radius: int) -> np.ndarray:
-        """Edge ids whose lower endpoint is within L1 radius of center."""
-        lo_coords = np.stack(
-            np.unravel_index(self.edge_u, self.shape), axis=1
-        ) + np.asarray(self.lo)
-        dist = np.abs(lo_coords - np.asarray(center)).sum(axis=1)
-        return np.nonzero(dist <= radius)[0]
+        """Ids of the edges whose lower endpoint is within L1 radius of
+        center, ascending, as int64: per axis, the lower endpoints in the
+        ball's bounding box that the ball holds."""
+        rel = [int(c) - l for c, l in zip(center, self.lo)]
+        ids = []
+        for off, grid in zip(self._offsets, self._grids):
+            spans = [np.arange(max(c - radius, 0), min(c + radius + 1, s))
+                     for c, s in zip(rel, grid)]
+            dist = sum(np.abs(x - c) for x, c in zip(np.ix_(*spans), rel))
+            hit = np.nonzero(dist <= radius)
+            low = tuple(x[i] for x, i in zip(spans, hit))
+            ids.append(off + np.ravel_multi_index(low, grid).astype(np.int64))
+        return np.concatenate(ids)
 
     # solving -------------------------------------------------------------
     def solve(
@@ -554,15 +554,13 @@ def _replacement_offers(box: LatticeBox, w, on_path, verts, ds, pred_s, dt, pred
     lab_s = _geodesic_labels(pred_s, path_pos, verts)
     lab_t = _geodesic_labels(pred_t, path_pos, verts)
 
-    off = ~on_path
-    eu, ev, ew = box.edge_u[off], box.edge_v[off], w[off]
-    x = np.concatenate([eu, ev])
-    y = np.concatenate([ev, eu])
-    wx = np.concatenate([ew, ew])
+    indptr, y, eid = box._csr  # every arc x -> y, both ways along each edge
+    x = np.repeat(np.arange(box.n_vertices), np.diff(indptr))
     a, b = lab_s[x], lab_t[y]
-    keep = a < b
+    keep = (a < b) & ~on_path[eid]
+    x, y, eid = x[keep], y[keep], eid[keep]
     offers = np.full((n_path + 1, n_path + 1), np.inf)
-    np.minimum.at(offers, (a[keep], b[keep]), ds[x[keep]] + wx[keep] + dt[y[keep]])
+    np.minimum.at(offers, (a[keep], b[keep]), ds[x] + w[eid] + dt[y])
     # best[i, j] = min over offers with a <= i and b >= j
     best = np.minimum.accumulate(offers, axis=0)
     best = np.minimum.accumulate(best[:, ::-1], axis=1)[:, ::-1]

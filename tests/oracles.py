@@ -122,9 +122,9 @@ def fewest_tight_edges(box, weights, dist, src, tgt):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    rows = np.concatenate([box.edge_u, box.edge_v])
-    cols = np.concatenate([box.edge_v, box.edge_u])
-    keep = dist[rows] + np.tile(weights, 2) == dist[cols]
+    indptr, cols, eids = box._csr
+    rows = np.repeat(np.arange(box.n_vertices), np.diff(indptr))
+    keep = dist[rows] + weights[eids] == dist[cols]
     graph = csr_matrix(
         (np.ones(int(keep.sum())), (rows[keep], cols[keep])),
         shape=(box.n_vertices, box.n_vertices),
@@ -194,6 +194,26 @@ def full_solve_passage_time(field, u, v):
         unique=(ties == 0),
         ties=ties,
     )
+
+
+def random_box(rng):
+    """A random 2D or 3D box, with sides of length 1 among them, anywhere
+    near the origin."""
+    d = int(rng.integers(2, 4))
+    lo = tuple(int(c) for c in rng.integers(-3, 3, size=d))
+    sides = rng.integers(1, 13 if d == 2 else 6, size=d)
+    return fpp_core.LatticeBox(lo, tuple(int(c) for c in np.asarray(lo) + sides - 1))
+
+
+def csr_lower_endpoints(box):
+    """The lower endpoint of each edge, by vertex index, read from the
+    box's CSR graph: the edge list that `edge_id` and `edge_endpoints`
+    compute in closed form."""
+    indptr, indices, eids = box._csr
+    rows = np.repeat(np.arange(box.n_vertices), np.diff(indptr))
+    lower = np.empty(box.n_edges, dtype=np.int64)
+    lower[eids] = np.minimum(rows, indices)
+    return lower
 
 
 def csr_dijkstra(box, weights, src, tgt=None):
@@ -497,7 +517,7 @@ def averaging_properties_oracle(m):
 
 
 def truncated_tail_quantile_100_rounds(nu, u):
-    """Truncated._tail_quantile as a fixed 100-round bisection, never
+    """Truncated.quantile in the tail as a fixed 100-round bisection, never
     stopping early."""
     lo = np.full(u.shape, nu.cut)
     hi = np.full(u.shape, nu.top)

@@ -368,8 +368,8 @@ CONTRACT_LAWS = {
     "tabulated": F.Tabulated([0.0, 1.0, 1.5, 2.0, 4.0], [0.0, 2.0, 0.5, 1.0, 0.0]),
     "trunc-hat": F.parse_spec("trunc(exp:rate=1;k=10,c5=0.5)"),
 }
-# laws whose isf is quantile(1 - q) rather than a closed form
-ISF_BY_QUANTILE = ("uniform", "bernoulli", "dirac", "tabulated", "trunc-hat")
+# laws whose isf is quantile(1 - q) rather than a closed form or a bisection
+ISF_BY_QUANTILE = ("uniform", "bernoulli", "dirac", "tabulated")
 
 # interior points, support ends, the bump region, deep tails and outside values
 Y_GRID = np.array([
@@ -471,8 +471,37 @@ def test_truncated_tail_bisection_stops_at_its_fixed_point_bit_for_bit(spec):
         h_cut + (1.0 - h_cut) * rng.random(2000),
         [np.nextafter(h_cut, 1.0), 0.5 * (1.0 + h_cut), np.nextafter(1.0, 0.0), 1.0],
     ])
-    got = nu._tail_quantile(u)
+    with np.errstate(divide="ignore"):  # the base quantile at u = 1, then replaced
+        got = nu.quantile(u)
     assert got.tobytes() == truncated_tail_quantile_100_rounds(nu, u).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec", ("trunc(exp:rate=1;k=10,c5=0.5)", "trunc(gamma:a=2,b=1;k=10,c5=0.5)")
+)
+def test_truncated_isf_brackets_deep_survival_levels(spec):
+    """isf(q) lies in the support, and q lies between sf there and sf at
+    one of its two float neighbours, down to q = 1e-300, where 1 - q is 1."""
+    nu = F.parse_spec(spec)
+    lo, hi = nu.support
+    for j in range(1, 301):
+        q = 10.0**-j
+        y = nu.isf(q)
+        left, right = (nu.sf(np.nextafter(y, x)) for x in (-np.inf, np.inf))
+        assert lo <= y <= hi, (j, y)
+        assert nu.sf(y) <= q <= left or right <= q <= nu.sf(y), (j, y)
+
+
+def test_exponential_quantile_keeps_its_bits_and_its_input():
+    law = F.parse_spec("exp:rate=1.7")
+    u = np.concatenate([[0.0, 1 - 2**-53], np.random.default_rng(9).random(10**5 - 2)])
+    before = u.copy()
+    assert law.quantile(u).tobytes() == (-np.log1p(-before) / 1.7).tobytes()
+    assert u.tobytes() == before.tobytes()
+    for x in (0.25, np.float64(0.25), np.array(0.25)):
+        value = law.quantile(x)
+        assert type(value) is float and value == -math.log1p(-0.25) / 1.7
 
 
 # ---------------------------------------------------------------------------

@@ -607,7 +607,7 @@ def test_influence_diagnostics_refuses_a_bad_exact_replica_count_before_sampling
 def test_truncation_experiment_refuses_a_bad_replica_count_before_sampling(replicas,
                                                                            monkeypatch):
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(6,), replicas=10, workers=1)
-    monkeypatch.setattr(F.experiments, "_cached_box", None)  # nor is a box built
+    monkeypatch.setattr(F.experiments, "box_for", None)  # nor is a box built
     monkeypatch.setattr(F.experiments, "Truncated", None)
     with pytest.raises(ConfigError, match="replicas must be an integer >= 1"):
         F.truncation_experiment(cfg, k=10, c5=0.5, replicas=replicas)
@@ -696,31 +696,28 @@ def test_influence_diagnostics_collects_m0_and_one_randomized_cell(policy, m_ran
     assert (out["m0"].m, out["randomized"].m) == (0, m_rand)
 
 
-def test_each_set_of_box_corners_is_built_once(monkeypatch):
-    """influence_diagnostics, geodesic_stats and truncation_experiment share
-    the replica threads' box; collect_batch builds it once in the process
-    when a pool of threads runs the replicas."""
-    builds = []
-    original = F.LatticeBox.__init__
+def test_collect_batch_builds_one_box_in_the_calling_thread_first(monkeypatch):
+    """A box is its shape, so there is no cache: collect_batch builds its
+    cell's box itself, once, in the calling thread, before a pool of
+    threads runs the first replica."""
+    events = []
+    build, generate = F.LatticeBox.__init__, F.WeightField.generate.__func__
 
-    def recording(self, lo, hi):
-        builds.append((tuple(lo), tuple(hi)))
-        original(self, lo, hi)
+    def recording_build(self, lo, hi):
+        events.append(("box", threading.get_ident()))
+        build(self, lo, hi)
 
-    monkeypatch.setattr(F.LatticeBox, "__init__", recording)
-    F.experiments._cached_box.cache_clear()
-    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(16,), replicas=12,
-                             master_seed=3, m_policy="auto", workers=1)
-    F.influence_diagnostics(cfg, 16, exact_replicas=4)
-    F.geodesic_stats(cfg, 16)
-    F.truncation_experiment(cfg, k=10, c5=0.5, replicas=2)
-    assert builds == [F.experiments._box_corners(cfg, 16)]
+    def recording_generate(cls, *args):
+        events.append(("replica", threading.get_ident()))
+        return generate(cls, *args)
 
-    builds.clear()
-    F.experiments._cached_box.cache_clear()
+    monkeypatch.setattr(F.LatticeBox, "__init__", recording_build)
+    monkeypatch.setattr(F.WeightField, "generate", classmethod(recording_generate))
     cfg = F.ExperimentConfig(**(TINY | dict(workers=2)))
     F.collect_batch(cfg, 10, 0)
-    assert builds == [F.experiments._box_corners(cfg, 10)]
+    assert events[0] == ("box", threading.get_ident())
+    assert [kind for kind, _ in events].count("box") == 1
+    assert len(events) == 1 + cfg.replicas
 
 
 def _batch_bytes(batch):

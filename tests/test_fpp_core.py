@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ import pytest
 import fpplab as F
 from fpplab import DomainError, UnsupportedParameterError
 
-from oracles import antithetic_mc_influence, brute_force_passage_time
+from oracles import (
+    antithetic_mc_influence,
+    brute_force_passage_time,
+    csr_lower_endpoints,
+    random_box,
+)
 
 
 def _field(box, spec, seed, replica=0):
@@ -48,6 +54,47 @@ def test_edge_index_bijection():
         assert len(seen) == box.n_edges
     with pytest.raises(DomainError):
         box.edge_id((2, 1, 2), 0)  # at the upper face, no outgoing edge
+
+
+def test_closed_form_addressing_is_the_sliced_edge_list():
+    """On random 2D and 3D boxes, sides of length 1 included, the edge
+    count, `edge_id`, `edge_endpoints` and `edges_near` agree with the edge
+    list the box's CSR graph is built from."""
+    rng = np.random.default_rng(22)
+    for case in range(60):
+        box = random_box(rng)
+        indptr, indices, eids = box._csr
+        assert 2 * box.n_edges == indptr[-1] == indices.size, case
+        ends = [box.edge_endpoints(e) for e in range(box.n_edges)]
+        for eid, (u, v) in enumerate(ends):
+            assert all(type(c) is int for c in u + v)
+            axis = int(np.flatnonzero(np.subtract(v, u))[0])
+            assert np.subtract(v, u).tolist() == [int(k == axis) for k in range(box.d)]
+            assert box.edge_id(u, axis) == eid, case
+        for x in range(box.n_vertices):  # every arc x -> y names its edge
+            for y, e in zip(indices[indptr[x]:indptr[x + 1]], eids[indptr[x]:indptr[x + 1]]):
+                arc = sorted([box.vertex_coord(x), box.vertex_coord(int(y))])
+                assert tuple(arc) == ends[e], case
+        lower = np.stack(np.unravel_index(csr_lower_endpoints(box), box.shape), axis=1)
+        lower += np.asarray(box.lo)
+        centers = [box.lo, box.hi, tuple(np.asarray(box.lo) - 2),
+                   tuple(int(c) for c in rng.integers(-6, 13, size=box.d))]
+        for center in centers:
+            dist = np.abs(lower - np.asarray(center)).sum(axis=1)
+            for radius in range(box.d * max(F.experiments.BALL_MS) + 1):
+                near = box.edges_near(center, radius)
+                assert near.dtype == np.int64
+                assert np.array_equal(near, np.flatnonzero(dist <= radius)), (case, center)
+
+
+def test_a_box_holds_only_its_shape():
+    """The n=200 box of `simulate` keeps no per-edge or per-vertex array
+    until its CSR graph is read, and pickles to a few hundred bytes."""
+    box = F.LatticeBox((-100, -100), (300, 100))
+    arrays = {k: v.size for k, v in vars(box).items() if isinstance(v, np.ndarray)}
+    assert all(size <= box.d for size in arrays.values()), arrays
+    assert len(pickle.dumps(box)) < 1024
+    assert "_csr" not in vars(box)
 
 
 def test_edge_counts():

@@ -9,7 +9,7 @@ import pytest
 
 import fpplab as F
 from fpplab import fpp_core
-from oracles import csr_dijkstra
+from oracles import csr_dijkstra, random_box
 
 LAWS = (
     "exp:rate=1",
@@ -38,7 +38,7 @@ def _random_case(rng, case):
         src = tgt = int(rng.integers(box.n_vertices))
     elif case % 3 == 1:
         e = int(rng.integers(box.n_edges))
-        src, tgt = int(box.edge_u[e]), int(box.edge_v[e])
+        src, tgt = (box.vertex_index(c) for c in box.edge_endpoints(e))
         if rng.random() < 0.5:
             src, tgt = tgt, src
     else:
@@ -149,10 +149,7 @@ def test_solve_is_the_csr_solve_byte_for_byte():
     rng = np.random.default_rng(21)
     seen = {"laws": set(), "dims": set(), "side_one": 0}
     for case in range(240):
-        d = int(rng.integers(2, 4))
-        lo = tuple(int(c) for c in rng.integers(-3, 3, size=d))
-        sides = rng.integers(1, 13 if d == 2 else 6, size=d)
-        box = F.LatticeBox(lo, tuple(int(c) for c in np.asarray(lo) + sides - 1))
+        box = random_box(rng)
         indptr, indices, perm = box._csr
         for v in range(box.n_vertices):
             row = slice(indptr[v], indptr[v + 1])
@@ -169,7 +166,7 @@ def test_solve_is_the_csr_solve_byte_for_byte():
             assert dist.tobytes() == ref_dist.tobytes(), (case, target)
             assert pred.tobytes() == ref_pred.tobytes(), (case, target)
         seen["laws"].add(spec)
-        seen["dims"].add(d)
-        seen["side_one"] += bool(np.any(sides == 1))
+        seen["dims"].add(box.d)
+        seen["side_one"] += 1 in box.shape
     assert seen["laws"] == set(LAWS) and seen["dims"] == {2, 3}
     assert seen["side_one"] >= 20

@@ -316,8 +316,9 @@ def test_geodesic_is_the_fewest_edge_tight_path(spec, lo, hi, u, v, solve_backen
         verts = (res.path - np.asarray(box.lo)) @ box.strides
         assert verts[0] == src and verts[-1] == tgt
         # every step is a tight arc along the edge it names
-        ends = np.sort(np.stack([box.edge_u[res.edge_ids], box.edge_v[res.edge_ids]]), axis=0)
-        assert np.array_equal(ends, np.sort(np.stack([verts[:-1], verts[1:]]), axis=0))
+        steps = zip(res.path[:-1].tolist(), res.path[1:].tolist())
+        ends = [box.edge_endpoints(e) for e in res.edge_ids.tolist()]
+        assert ends == [tuple(sorted(map(tuple, step))) for step in steps]
         assert np.array_equal(dist[verts[:-1]] + field.weights[res.edge_ids], dist[verts[1:]])
         assert res.length == fewest_tight_edges(box, field.weights, dist, src, tgt)
 
