@@ -13,15 +13,25 @@
  *
  * off_a the number of edges along the axes below a. The arcs of a vertex
  * come in increasing neighbour index: x - S_a for a = 0..d-1, then x + S_a
- * for a = d-1..0, each where the box has that neighbour.
+ * for a = d-1..0, each where the box has that neighbour. The coordinates
+ * take no hardware divide: c_a = floor(r / S_a) is a multiply and a shift,
+ * exact for every r < 2^31 (LatticeBox refuses boxes with 2^31 or more
+ * edges, so every vertex index is below that).
  *
- * The queue is an indexed 4-ary min-heap with decrease-key. Each heap slot
- * carries its key beside the vertex, and the slots past the end hold +inf
- * keys, so sifting down picks the least of four children without branches.
- * The weights must be nonnegative and not NaN (LatticeBox.solve refuses
- * others): a settled vertex then fails the relaxation test by itself, and
- * a vertex is in the heap exactly when its distance is finite and it is
- * not settled.
+ * The queue is an indexed 4-ary min-heap with decrease-key, held as two
+ * arrays, keys and vertices. The keys follow LaMarca and Ladner ("The
+ * influence of caches on the performance of heaps", 1996): slot i's key
+ * lives at index i + 3 of a 32-byte-aligned block, so the four children of
+ * a slot are one aligned group. The slots past the end hold +inf keys, so
+ * sifting down picks the least of four children without branches. Those
+ * +inf keys are written only up to a high-water mark three slots past the
+ * largest size the heap has reached, the last slot sift_down reads, so a
+ * solve touches heap memory in proportion to its frontier (about 1,000
+ * slots at n=200), not to the box. The weights must be nonnegative and not
+ * NaN (LatticeBox.solve refuses others): a settled vertex then fails the
+ * relaxation test by itself, and a vertex is in the heap exactly when its
+ * distance is finite and it is not settled; its heap position is read only
+ * then.
  *
  * Outputs follow scipy.sparse.csgraph.dijkstra: dist is +inf and pred is
  * -9999 for the source and for unreachable vertices. A vertex's distance
@@ -38,8 +48,9 @@
  * Build: cc -O3 -ffp-contract=off -shared -fPIC _dijkstra.c -o _dijkstra.so
  * (no fused multiply-add, so the limit is the same two IEEE operations as
  * the tie tolerance in fpp_core, and every sum below is the one numpy forms).
- * Scratch arrays that mark vertices come from calloc and store index + 1,
- * so 0 means unset and the pages a pass never touches are never mapped.
+ * Scratch that is indexed by vertex comes from malloc or calloc and is
+ * written only where a pass reaches, so the pages a pass never touches are
+ * never mapped; calloc'd arrays store index + 1, so 0 means unset.
  */
 
 #include <math.h>
@@ -60,10 +71,22 @@
 typedef struct {
     int32_t n;                  /* vertices */
     int32_t stride[MAX_D];      /* S_a */
+    uint64_t magic[MAX_D];      /* ceil(2^shift_a / S_a) */
+    int32_t shift[MAX_D];       /* 31 + ceil(log2 S_a) */
     int32_t last[MAX_D];        /* shape_a - 1 */
     int32_t off[MAX_D];         /* edges along the axes below a */
     int32_t fold[MAX_D][MAX_D]; /* S_k / shape_a for k < a */
 } lattice_t;
+
+/* floor(x / S_a) for 0 <= x < 2^31, as (x * magic) >> shift (Granlund and
+ * Montgomery). magic * S_a = 2^shift + e with 0 <= e < S_a, so x * magic /
+ * 2^shift exceeds x / S_a by x * e / (S_a * 2^shift) < 2^-ceil(log2 S_a),
+ * at most 1 / S_a, and x / S_a is at least that far below the next integer.
+ * magic <= 2^32, so the product fits in 63 bits. */
+INLINE int32_t quotient(const lattice_t *L, int a, int32_t x)
+{
+    return (int32_t)(((uint64_t)x * L->magic[a]) >> L->shift[a]);
+}
 
 static lattice_t lattice(int d, const int32_t *shape)
 {
@@ -74,6 +97,12 @@ static lattice_t lattice(int d, const int32_t *shape)
         L.n *= shape[a];
     }
     for (int a = 0; a < d; a++) {
+        int bits = 0;
+        while ((INT64_C(1) << bits) < L.stride[a])
+            bits++;
+        L.shift[a] = 31 + bits;
+        uint64_t s = (uint64_t)L.stride[a];
+        L.magic[a] = ((UINT64_C(1) << L.shift[a]) + s - 1) / s;
         L.last[a] = shape[a] - 1;
         if (a + 1 < d)
             L.off[a + 1] = L.off[a] + L.n / shape[a] * (shape[a] - 1);
@@ -85,14 +114,14 @@ static lattice_t lattice(int d, const int32_t *shape)
 
 /* The one arc enumeration: runs ARC(v, e) for each arc u -> v of the box,
  * e the id of its edge, in increasing neighbour index. u's coordinates take
- * d - 1 divisions, and base_[a] is the id of the edge (u, u + e_a). d is a
+ * d - 1 quotients, and base_[a] is the id of the edge (u, u + e_a). d is a
  * constant in the three entries' bodies, so there the loops unroll and the
  * arcs stay in registers. */
 #define FOR_EACH_ARC(d, L, u, ARC)                                           \
     do {                                                                     \
         int32_t c_[MAX_D], base_[MAX_D], rem_ = (u);                         \
         for (int a_ = 0; a_ < (d) - 1; a_++) {                               \
-            c_[a_] = rem_ / (L)->stride[a_];                                 \
+            c_[a_] = quotient((L), a_, rem_);                                \
             rem_ -= c_[a_] * (L)->stride[a_];                                \
         }                                                                    \
         c_[(d) - 1] = rem_;                                                  \
@@ -137,55 +166,70 @@ void fpp_reuse_freed_memory(void)
 #endif
 }
 
+/* The heap: slot i holds key[i] and vert[i]. key points 3 doubles into a
+ * 32-byte-aligned block, so the children 4i + 1 .. 4i + 4 of slot i sit at
+ * 4(i + 1) .. 4(i + 1) + 3 of the block, one aligned group. The keys below
+ * mark are written; those from size on are +inf. */
 typedef struct {
-    double key;
-    int32_t v;
-} slot_t;
+    double *key;
+    int32_t *vert;
+    int32_t *pos; /* the slot of each queued vertex */
+    int32_t size, mark;
+} heap_t;
 
-static void sift_up(slot_t *heap, int32_t *pos, int32_t i, slot_t s)
+INLINE void place(heap_t *h, int32_t i, double key, int32_t v)
+{
+    h->key[i] = key;
+    h->vert[i] = v;
+    h->pos[v] = i;
+}
+
+static void sift_up(heap_t *h, int32_t i, double key, int32_t v)
 {
     while (i > 0) {
         int32_t parent = (i - 1) >> 2;
-        if (heap[parent].key <= s.key)
+        if (h->key[parent] <= key)
             break;
-        heap[i] = heap[parent];
-        pos[heap[i].v] = i;
+        place(h, i, h->key[parent], h->vert[parent]);
         i = parent;
     }
-    heap[i] = s;
-    pos[s.v] = i;
+    place(h, i, key, v);
 }
 
-static void sift_down(slot_t *heap, int32_t *pos, int32_t size, int32_t i, slot_t s)
+static void sift_down(heap_t *h, int32_t i, double key, int32_t v)
 {
     for (;;) {
         int32_t c = 4 * i + 1;
-        if (c >= size)
+        if (c >= h->size)
             break;
-        int32_t a = c + (heap[c + 1].key < heap[c].key);
-        int32_t b = c + 2 + (heap[c + 3].key < heap[c + 2].key);
-        c = a + (b - a) * (heap[b].key < heap[a].key);
-        if (heap[c].key >= s.key)
+        int32_t a = c + (h->key[c + 1] < h->key[c]);
+        int32_t b = c + 2 + (h->key[c + 3] < h->key[c + 2]);
+        c = a + (b - a) * (h->key[b] < h->key[a]);
+        if (h->key[c] >= key)
             break;
-        heap[i] = heap[c];
-        pos[heap[i].v] = i;
+        place(h, i, h->key[c], h->vert[c]);
         i = c;
     }
-    heap[i] = s;
-    pos[s.v] = i;
+    place(h, i, key, v);
 }
 
 /* A settled v fails nd < dist[v]: dist[v] <= du <= nd. An unseen v has
- * dist[v] == inf, and it joins the heap at the end. */
-INLINE void relax(slot_t *heap, int32_t *pos, int32_t *size, double *dist, int32_t *pred,
-                  int32_t u, double nd, int32_t v)
+ * dist[v] == inf, and it joins the heap at the end; sift_down reads up to
+ * three slots past the end, so the +inf keys then reach one slot further. */
+INLINE void relax(heap_t *h, double *dist, int32_t *pred, int32_t u, double nd, int32_t v)
 {
     if (nd < dist[v]) {
-        int32_t at = dist[v] == INFINITY ? (*size)++ : pos[v];
+        int32_t at;
+        if (dist[v] == INFINITY) {
+            at = h->size++;
+            if (h->mark < h->size + 3)
+                h->key[h->mark++] = INFINITY;
+        } else {
+            at = h->pos[v];
+        }
         dist[v] = nd;
         pred[v] = u;
-        slot_t s = {nd, v};
-        sift_up(heap, pos, at, s);
+        sift_up(h, at, nd, v);
     }
 }
 
@@ -193,47 +237,55 @@ INLINE int dijkstra(int d, const lattice_t *L, const double *w, int32_t src, int
                     double rel_tol, double *dist, int32_t *pred)
 {
     int32_t n = L->n;
-    slot_t *heap = malloc(((size_t)n + 4) * sizeof(slot_t));
-    int32_t *pos = malloc((size_t)n * sizeof(int32_t)); /* read only for queued vertices */
-    if (heap == NULL || pos == NULL) {
-        free(heap);
-        free(pos);
+    /* keys: 3 doubles of padding, n slots and the 3 past them sift_down reads */
+    void *raw = malloc(((size_t)n + 6) * sizeof(double) + 31);
+    heap_t h = {
+        .vert = malloc((size_t)n * sizeof(int32_t)),
+        .pos = malloc((size_t)n * sizeof(int32_t)),
+        .size = 1,
+        .mark = 4,
+    };
+    if (raw == NULL || h.vert == NULL || h.pos == NULL) {
+        free(raw);
+        free(h.vert);
+        free(h.pos);
         return -1;
     }
+    h.key = (double *)(((uintptr_t)raw + 31) & ~(uintptr_t)31) + 3;
     for (int32_t v = 0; v < n; v++) {
         dist[v] = INFINITY;
         pred[v] = NO_PRED;
     }
-    for (int32_t i = 0; i < n + 4; i++)
-        heap[i].key = INFINITY;
     dist[src] = 0.0;
-    heap[0].key = 0.0;
-    heap[0].v = src;
-    pos[src] = 0;
-    int32_t size = 1;
+    place(&h, 0, 0.0, src);
+    for (int32_t i = 1; i < h.mark; i++)
+        h.key[i] = INFINITY;
     double limit = INFINITY;
 
-    while (size > 0) {
-        int32_t u = heap[0].v;
-        double du = heap[0].key;
+    while (h.size > 0) {
+        int32_t u = h.vert[0];
+        double du = h.key[0];
         if (du > limit)
             break;
         if (u == tgt)
             limit = du + rel_tol * fmax(du, 1.0);
-        slot_t last = heap[--size];
-        heap[size].key = INFINITY;
-        if (size > 0)
-            sift_down(heap, pos, size, 0, last);
-#define RELAX(v, e) relax(heap, pos, &size, dist, pred, u, du + w[e], v)
+        int32_t end = --h.size;
+        double last_key = h.key[end];
+        int32_t last_v = h.vert[end];
+        h.key[end] = INFINITY;
+        if (h.size > 0)
+            sift_down(&h, 0, last_key, last_v);
+#define RELAX(v, e) relax(&h, dist, pred, u, du + w[e], v)
         FOR_EACH_ARC(d, L, u, RELAX);
 #undef RELAX
     }
-    for (int32_t i = 0; i < size; i++) {
-        dist[heap[i].v] = INFINITY;
-        pred[heap[i].v] = NO_PRED;
+    for (int32_t i = 0; i < h.size; i++) {
+        dist[h.vert[i]] = INFINITY;
+        pred[h.vert[i]] = NO_PRED;
     }
-    free(heap);
-    free(pos);
+    free(raw);
+    free(h.vert);
+    free(h.pos);
     return 0;
 }
 
@@ -245,24 +297,41 @@ int fpp_dijkstra(int32_t d, const int32_t *shape, const double *w, int32_t src,
     return BY_DIM(d, dijkstra, &L, w, src, tgt, rel_tol, dist, pred);
 }
 
+/* A vertex the geodesic scan has reached: the record of the vertex it leads
+ * to, the edge id of that step and, once scanned, its in-arcs within tol. */
+typedef struct {
+    int32_t v, next, via, near;
+} reached_t;
+
+#define FIRST_RECORDS 256
+
+/* Doubles the record buffer; -1, the buffer kept, if it cannot. */
+static int grow(reached_t **seen, int32_t *cap)
+{
+    reached_t *grown = realloc(*seen, 2 * (size_t)*cap * sizeof(reached_t));
+    if (grown == NULL)
+        return -1;
+    *seen = grown;
+    *cap *= 2;
+    return 0;
+}
+
 INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const double *dist,
                              int32_t src, int32_t tgt, double tol, int64_t *verts,
                              int64_t *eids, int64_t *ties)
 {
-    int32_t n = L->n;
-    int32_t *next = calloc((size_t)n, sizeof(int32_t)); /* the vertex it leads to, + 1 */
-    int32_t *via = calloc((size_t)n, sizeof(int32_t));  /* the edge id of that step */
-    int32_t *near = calloc((size_t)n, sizeof(int32_t)); /* in-arcs within tol */
-    int32_t *queue = calloc((size_t)n, sizeof(int32_t));
+    int32_t *rec = calloc((size_t)L->n, sizeof(int32_t)); /* record index + 1 */
+    int32_t cap = FIRST_RECORDS;
+    reached_t *seen = malloc((size_t)cap * sizeof(reached_t));
     int64_t len = -1;
-    if (next == NULL || via == NULL || near == NULL || queue == NULL)
+    if (rec == NULL || seen == NULL)
         goto done;
-    next[tgt] = tgt + 1;
-    queue[0] = tgt;
-    for (int32_t head = 0, tail = 1; head < tail; head++) {
-        if (next[src] != 0)
-            break;
-        int32_t v = queue[head];
+    /* the records in the order they are made are the breadth-first queue */
+    seen[0] = (reached_t){tgt, 0, 0, 0};
+    rec[tgt] = 1;
+    int32_t tail = 1;
+    for (int32_t head = 0; head < tail && rec[src] == 0; head++) {
+        int32_t v = seen[head].v;
         double dv = dist[v];
         double limit = dv + tol;
         int32_t count = 0;
@@ -271,36 +340,35 @@ INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const d
         double reach = dist[u] + w[e];                                       \
         if (reach <= limit) {                                                \
             count++;                                                         \
-            if (reach == dv && next[u] == 0) {                               \
-                next[u] = v + 1;                                             \
-                via[u] = e;                                                  \
-                queue[tail++] = u;                                           \
+            if (reach == dv && rec[u] == 0) {                                \
+                if (tail == cap && grow(&seen, &cap) != 0)                   \
+                    goto done;                                               \
+                seen[tail] = (reached_t){u, head, e, 0};                     \
+                rec[u] = ++tail;                                             \
             }                                                                \
         }                                                                    \
     } while (0)
         FOR_EACH_ARC(d, L, v, TIGHT);
 #undef TIGHT
-        near[v] = count;
+        seen[head].near = count;
     }
-    if (next[src] == 0) {
+    if (rec[src] == 0) {
         len = -2;
         goto done;
     }
     int64_t total = 0;
-    int32_t v = src;
+    int32_t r = rec[src] - 1;
     verts[0] = src;
-    for (len = 0; v != tgt; len++) {
-        eids[len] = via[v];
-        v = next[v] - 1;
-        verts[len + 1] = v;
-        total += near[v];
+    for (len = 0; seen[r].v != tgt; len++) {
+        eids[len] = seen[r].via;
+        r = seen[r].next;
+        verts[len + 1] = seen[r].v;
+        total += seen[r].near;
     }
     *ties = total - len;
 done:
-    free(next);
-    free(via);
-    free(near);
-    free(queue);
+    free(rec);
+    free(seen);
     return len;
 }
 

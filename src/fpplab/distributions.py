@@ -587,19 +587,19 @@ class Truncated(Distribution):
 
     def _quantile(self, arr):
         in_tail = arr > float(self.base.cdf(self.cut))
-        return self._bisect_tail(self.base.quantile(arr), arr, in_tail, self._cdf, np.less)
+        tail = lambda target: self._bisect_tail(target, self._cdf, np.less)
+        return _branches(in_tail, arr, tail, self.base.quantile)
 
     def _isf(self, arr):
         # not _quantile(1 - q), which loses a small q to rounding in 1 - q
         in_tail = arr < float(self.base.sf(self.cut))
-        return self._bisect_tail(self.base.isf(arr), arr, in_tail, self._sf, np.greater)
+        tail = lambda target: self._bisect_tail(target, self._sf, np.greater)
+        return _branches(in_tail, arr, tail, self.base.isf)
 
-    def _bisect_tail(self, head, arr, in_tail, fn, left_of):
-        """`head`, the base law's answer, which holds up to the cut, with each
-        entry in_tail replaced by the y in [cut, top] where the test
-        left_of(fn(y), its arr entry), "y is left of the answer", turns false."""
-        out = np.asarray(head, dtype=float).copy()
-        target = arr[in_tail]
+    def _bisect_tail(self, target, fn, left_of):
+        """For each entry of target, the y in [cut, top] where the test
+        left_of(fn(y), entry), "y is left of the answer", turns false: the
+        answer beyond the cut, where the base law's no longer holds."""
         lo = np.full(target.shape, self.cut)
         hi = np.full(target.shape, self.top)
         # bisection is branch-free and robust to flat spots of the hat; a
@@ -613,8 +613,7 @@ class Truncated(Distribution):
             if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
                 break
             lo, hi = new_lo, new_hi
-        out[in_tail] = 0.5 * (lo + hi)
-        return out
+        return 0.5 * (lo + hi)
 
     def domination_check(self, grid_points: int = 10_000) -> _DominationCheck:
         """Compare this CDF with the base's on an even grid over [0, 1.05 top];

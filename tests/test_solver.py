@@ -2,6 +2,7 @@
 the canonical geodesic, which must not depend on the solver."""
 
 import json
+import math
 import os
 import pickle
 import shutil
@@ -16,6 +17,7 @@ import fpplab as F
 from fpplab import fpp_core, reporting
 from oracles import (
     brute_force_passage_time,
+    csr_dijkstra,
     fewest_tight_edges,
     full_solve_passage_time,
     loop_tie_count,
@@ -258,6 +260,78 @@ def test_compiled_dist_is_scipy_dist_byte_for_byte(spec, lohi):
             for _ in range(box.n_vertices.bit_length()):
                 up = up[up]
             assert np.all(up == src)
+
+
+@needs_kernel
+@pytest.mark.parametrize("spec", ("dirac:c=1", "bernoulli:a=1,b=2,p=0.5"))
+@pytest.mark.parametrize("hi", ((59, 59), (15, 15, 15)))
+def test_large_box_corner_to_corner_matches_the_oracles(spec, hi):
+    """Corner to corner on a 60 x 60 and a 16^3 box, on laws whose geodesic
+    scan reaches every vertex (dirac:c=1) or 275 to 1,075 of them (the
+    two-point law): more than the scan's first record buffer of 256 holds,
+    so it grows, up to four times. The stopped and full solves give the CSR
+    solve's dist and pred bytes, and the kernel's scan the Python scan's
+    path, edge ids and ties."""
+    box = F.LatticeBox((0,) * len(hi), hi)
+    src, tgt = 0, box.n_vertices - 1
+    for rep in range(2):
+        w = F.WeightField.generate(box, F.parse_spec(spec), 23, rep).weights
+        for target in (None, tgt):
+            dist, pred = box.solve(w, src, target)
+            ref_dist, ref_pred = csr_dijkstra(box, w, src, target)
+            assert dist.tobytes() == ref_dist.tobytes(), target
+            assert pred.tobytes() == ref_pred.tobytes(), target
+        tol = fpp_core.TIE_REL_TOL * max(float(dist[tgt]), 1.0)
+        ours = fpp_core._kernel_geodesic_scan(box, w, dist, src, tgt, tol)
+        theirs = fpp_core._geodesic_scan(box, w, dist, src, tgt, tol)
+        assert ours[0].tobytes() == theirs[0].tobytes()
+        assert ours[1].tobytes() == theirs[1].tobytes()
+        assert ours[2] == theirs[2]
+
+
+def _python_arcs(shape, x):
+    """(neighbours, edge ids) of vertex x in the kernel's order, in Python
+    integers: x - S_a for a = 0..d-1, then x + S_a for a = d-1..0, and the
+    edge (y, y + e_a) numbered off_a plus y's row-major index in the grid of
+    the axis-a lower endpoints."""
+    d = len(shape)
+    strides = [math.prod(shape[a + 1 :]) for a in range(d)]
+    coords = [x // s % n for s, n in zip(strides, shape)]
+    offsets, grid_strides = [], []
+    for a in range(d):
+        grid = [n - (k == a) for k, n in enumerate(shape)]
+        offsets.append(sum(math.prod(n - (k == b) for k, n in enumerate(shape)) for b in range(a)))
+        grid_strides.append([math.prod(grid[k + 1 :]) for k in range(d)])
+
+    def eid(y, a):
+        c = [y // s % n for s, n in zip(strides, shape)]
+        return offsets[a] + sum(ck * gk for ck, gk in zip(c, grid_strides[a]))
+
+    arcs = [(x - strides[a], eid(x - strides[a], a)) for a in range(d) if coords[a] > 0]
+    arcs += [(x + strides[a], eid(x, a)) for a in reversed(range(d)) if coords[a] < shape[a] - 1]
+    return [v for v, _ in arcs], [e for _, e in arcs]
+
+
+@needs_kernel
+@pytest.mark.parametrize("shape", ((32767, 32767), (1024, 1023, 681), (811, 883, 997)))
+def test_arcs_are_exact_at_the_32_bit_edge_id_limit(shape):
+    """The kernel finds a vertex's coordinates by multiply and shift, exact
+    below 2^31; at shapes whose edge ids nearly fill 32 bits its arcs are
+    Python's integer arithmetic at the first and last vertex, at the ends of
+    rows and layers, and at random vertices. No box-sized array is made."""
+    box = F.LatticeBox((0,) * len(shape), tuple(n - 1 for n in shape))
+    assert 2**31 - 2**27 < box.n_edges < 2**31
+    rng = np.random.default_rng(11)
+    strides = box.strides.tolist()
+    vertices = [0, box.n_vertices - 1] + rng.integers(box.n_vertices, size=300).tolist()
+    for s in strides[:-1]:
+        for k in rng.integers(1, box.n_vertices // s, size=40).tolist():
+            vertices += [k * s - 1, k * s]
+    for x in vertices:
+        nbr = np.empty(2 * box.d, dtype=np.int32)
+        eid = np.empty(2 * box.d, dtype=np.int32)
+        count = fpp_core._KERNEL.fpp_arcs(box.d, box._c_shape, x, nbr.ctypes.data, eid.ctypes.data)
+        assert (nbr[:count].tolist(), eid[:count].tolist()) == _python_arcs(shape, x), x
 
 
 @needs_kernel
