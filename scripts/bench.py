@@ -1,21 +1,27 @@
-"""Write one BENCH file: perfbench runs plus the tier-1 and acceptance times.
+"""Write one BENCH file: perfbench runs, a per-law solve table, tier-1 times.
 
 Run from the root of a checkout:
 
     python3 scripts/bench.py --out BENCH_<n>.json
+    python3 scripts/bench.py --solve-table   # the solve table alone, to stdout
 
 It runs perfbench/run.py with --trace 0 for the simulate and influence
 workloads and with --trace 1 for simulate, each on the default seed for
-10 s, keeping each run's provenance line and final JSON line. Then it runs the tier-1 suite once and records
-its wall time and the elapsed times of acceptance criteria 1 and 10 from
-the suite's JUnit report. Compare a BENCH file only with another taken on
-the same machine.
+10 s, keeping each run's provenance line and final JSON line. The solve
+table times the Dijkstra kernel alone, called as LatticeBox.solve calls
+it: the stopped solve from (0, 0) to (n, 0) on the box of a `simulate`
+cell at n = 100 and 200, for each law of SOLVE_LAWS, and the full solve of
+the 11 x 11 box of the two-point energy fields. Then it runs the tier-1
+suite once and records its wall time and the elapsed times of acceptance
+criteria 1 and 10 from the suite's JUnit report. Compare a BENCH file only
+with another taken on the same machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +33,60 @@ from pathlib import Path
 RUNS = (("simulate", 0), ("influence", 0), ("simulate", 1))
 SECONDS = 10
 CRITERIA = ("test_criterion_01_", "test_criterion_10_")
+SOLVE_LAWS = (
+    "exp:rate=1", "gamma:a=2,b=1", "gamma:a=0.5,b=1", "uniform:lo=1,hi=2", "halfnormal",
+    "bernoulli:a=1,b=2,p=0.5", "bernoulli:a=0,b=1,p=0.6", "bernoulli:a=0.1,b=0.3,p=0.5",
+    "dirac:c=1",
+)
+SOLVE_NS = (100, 200)
+FIELDS = 20
+ROUNDS = 5  # each field is solved once per round
+ENERGY_CALLS = 50  # full solves of the 11 x 11 box per timed call
+
+
+def solve_table() -> dict:
+    """Median ms of one kernel solve, over ROUNDS rounds of FIELDS fields:
+    {"n100": {law: ms}, "n200": {...}, "energy_11x11_full": ms}. The fields
+    come from master seed 1, as perfbench's; the kernel is the one that
+    fpplab under src/ builds."""
+    sys.path.insert(0, "src")
+    import numpy as np
+
+    from fpplab import fpp_core, parse_spec, WeightField
+
+    kernel = fpp_core._KERNEL
+    if kernel is None:
+        sys.exit("bench: no compiled kernel to time")
+
+    def timer(box, fields, src, tgt, calls=1):
+        dist = np.empty(box.n_vertices)
+        pred = np.empty(box.n_vertices, dtype=np.int32)
+        args = (box.d, box._c_shape)
+        tail = (src, tgt, fpp_core.TIE_REL_TOL, dist.ctypes.data, pred.ctypes.data)
+        times = []
+        for _ in range(ROUNDS):
+            for w in fields:
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    kernel.fpp_dijkstra(*args, w.ctypes.data, *tail)
+                times.append((time.perf_counter() - t0) / calls)
+        return float(np.median(times)) * 1e3
+
+    table = {}
+    for n in SOLVE_NS:
+        margin = math.ceil(0.5 * n)  # experiments.box_for at the default margin, m = 0
+        box = fpp_core.LatticeBox((-margin, -margin), (n + margin, margin))
+        src, tgt = box.vertex_index((0, 0)), box.vertex_index((n, 0))
+        table[f"n{n}"] = {
+            spec: timer(box, [WeightField.generate(box, parse_spec(spec), 1, r).weights
+                              for r in range(FIELDS)], src, tgt)
+            for spec in SOLVE_LAWS
+        }
+    box = fpp_core.LatticeBox((0, 0), (10, 10))
+    fields = [WeightField.generate(box, parse_spec("bernoulli:a=1,b=2,p=0.5"), 1, r).weights
+              for r in range(FIELDS)]
+    table["energy_11x11_full"] = timer(box, fields, 0, -1, ENERGY_CALLS)
+    return table
 
 
 def perfbench(workload: str, trace: int) -> dict:
@@ -70,10 +130,18 @@ def tier1() -> dict:
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--out", type=Path)
+    p.add_argument("--solve-table", action="store_true",
+                   help="print the per-law solve table and exit")
     args = p.parse_args()
+    if args.solve_table:
+        print(json.dumps(solve_table(), indent=1))
+        return 0
+    if args.out is None:
+        p.error("--out is required unless --solve-table is given")
     runs = [perfbench(w, t) for w, t in RUNS]
-    bench = {"perfbench": runs, "tier1": tier1()}
+    table = solve_table()
+    bench = {"perfbench": runs, "solve_table_ms": table, "tier1": tier1()}
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(json.dumps(bench["tier1"]))
     return 0 if bench["tier1"]["exit_code"] == 0 else 1

@@ -33,6 +33,17 @@
  * distance is finite and it is not settled; its heap position is read only
  * then.
  *
+ * On a box of at least 4,096 vertices whose sampled weights repeat no value,
+ * a bucket layer stands in front of the heap (buckets_t below): the heap
+ * holds only the keys of the current bucket, at most 14 at a time on the
+ * n=200 box of simulate instead of about 1,000, and later keys wait in
+ * lists until their bucket comes up. Keys still leave the queue in order,
+ * so dist does not change, and pred could change only where two queued keys
+ * are equal: a continuous law's sums all but never are, and a law with
+ * atoms repeats a value in the sample and runs the heap alone, its equal
+ * keys leaving in the heap's order. On the n=200 box the stopped solve of
+ * an exp field takes about 3.0 ms instead of 3.8 (2-core Xeon).
+ *
  * Outputs follow scipy.sparse.csgraph.dijkstra: dist is +inf and pred is
  * -9999 for the source and for unreachable vertices. A vertex's distance
  * is the minimum of dist[u] + w over its in-arcs, one IEEE addition each,
@@ -56,6 +67,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
@@ -213,6 +225,171 @@ static void sift_down(heap_t *h, int32_t i, double key, int32_t v)
     place(h, i, key, v);
 }
 
+INLINE void heap_push(heap_t *h, double key, int32_t v)
+{
+    int32_t at = h->size++;
+    if (h->mark < h->size + 3)
+        h->key[h->mark++] = INFINITY;
+    sift_up(h, at, key, v);
+}
+
+/* The bucket layer (Dial, CACM 12, 1969; Goldberg, SIAM J. Comput. 37,
+ * 2008). Key x lies in bucket floor(x * scale), saturated at SATURATED. The
+ * heap holds the keys of the current bucket cur; the keys of buckets cur + 1
+ * .. cur + BUCKETS - 1, the window, wait in one list per bucket, head[k &
+ * (BUCKETS - 1)], and those past the window in the far list. The lists are
+ * singly linked through one pool of entries with a free list, and hold
+ * entry index + 1, so 0 ends a list. Deletion is lazy: an entry is stale
+ * once its key is not dist[v], and it is freed when its list is read. */
+#define BUCKETS 4096
+#define PER_MEAN 512         /* buckets per mean weight */
+#define SAMPLE 256           /* weights the mean is taken from */
+#define MIN_BUCKETED 4096    /* smaller boxes run the heap alone */
+#define FIRST_ENTRIES 1024
+#define SATURATED (INT64_C(1) << 62)
+#define NO_FAR INT64_MAX
+
+typedef struct {
+    double key;
+    int32_t v, next;
+} entry_t;
+
+typedef struct {
+    double scale;    /* buckets per unit of key */
+    int64_t cur;     /* the bucket the heap holds */
+    int64_t far_min; /* the least bucket on the far list, or NO_FAR */
+    int32_t far;     /* the far list */
+    int32_t pending; /* entries on the window's lists */
+    int32_t spare;   /* the free list */
+    int32_t used, cap;
+    entry_t *pool;
+    int32_t head[BUCKETS];
+} buckets_t;
+
+/* Buckets per unit of key: PER_MEAN over the mean of SAMPLE weights taken
+ * at a stride, so the window spans BUCKETS / PER_MEAN = 8 mean weights. 0,
+ * for the heap alone, on a box of fewer than MIN_BUCKETED vertices, when
+ * two sampled weights are equal (a law with atoms, whose equal keys must
+ * leave the queue in the heap's order) or when the scale is not finite.
+ * The sample's values go into an open-addressed set of their bits + 1 (so 0
+ * marks an empty slot, and -0.0 is first made 0.0), which finds the repeat
+ * of a law with atoms within a few draws. */
+static double bucket_scale(int d, const lattice_t *L, const double *w)
+{
+    if (L->n < MIN_BUCKETED)
+        return 0.0;
+    int32_t side = L->last[d - 1] + 1;
+    int64_t edges = L->off[d - 1] + (int64_t)(L->n / side) * (side - 1);
+    int64_t stride = edges / SAMPLE;
+    uint64_t seen[2 * SAMPLE] = {0};
+    double sum = 0.0;
+    for (int i = 0; i < SAMPLE; i++) {
+        double x = w[i * stride] + 0.0;
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits++;
+        uint64_t slot = (bits * UINT64_C(0x9E3779B97F4A7C15)) >> 55; /* 2^9 slots */
+        for (; seen[slot] != 0; slot = (slot + 1) & (2 * SAMPLE - 1))
+            if (seen[slot] == bits)
+                return 0.0;
+        seen[slot] = bits;
+        sum += x;
+    }
+    double scale = PER_MEAN * SAMPLE / sum;
+    return isfinite(scale) ? scale : 0.0;
+}
+
+/* A double-to-integer conversion out of range is undefined, so the index
+ * saturates first. x >= 0, and the product is monotone in x. */
+INLINE int64_t bucket_of(const buckets_t *b, double x)
+{
+    double q = x * b->scale;
+    return q < (double)SATURATED ? (int64_t)q : SATURATED;
+}
+
+/* Puts (key, v) on the list at *list; -1 if the pool cannot grow. */
+static int list_push(buckets_t *b, int32_t *list, double key, int32_t v)
+{
+    int32_t i = b->spare;
+    if (i != 0) {
+        b->spare = b->pool[i - 1].next;
+    } else {
+        if (b->used == b->cap) {
+            if (b->cap > INT32_MAX / 2)
+                return -1;
+            entry_t *grown = realloc(b->pool, 2 * (size_t)b->cap * sizeof(entry_t));
+            if (grown == NULL)
+                return -1;
+            b->pool = grown;
+            b->cap *= 2;
+        }
+        i = ++b->used;
+    }
+    b->pool[i - 1] = (entry_t){key, v, *list};
+    *list = i;
+    return 0;
+}
+
+/* The list a key of bucket k >= cur waits on: its bucket's in the window,
+ * or the far list. */
+static int32_t *list_for(buckets_t *b, int64_t k)
+{
+    if (k - b->cur < BUCKETS) {
+        b->pending++;
+        return &b->head[k & (BUCKETS - 1)];
+    }
+    if (k < b->far_min)
+        b->far_min = k;
+    return &b->far;
+}
+
+/* Moves the far list's live entries that the window now reaches onto their
+ * buckets' lists and frees its stale ones. */
+static void spread(buckets_t *b, const double *dist)
+{
+    int32_t i = b->far;
+    b->far = 0;
+    b->far_min = NO_FAR;
+    while (i != 0) {
+        entry_t *e = &b->pool[i - 1];
+        int32_t next = e->next;
+        int32_t *list = e->key == dist[e->v] ? list_for(b, bucket_of(b, e->key)) : &b->spare;
+        e->next = *list;
+        *list = i;
+        i = next;
+    }
+}
+
+/* Refills the empty heap from the next bucket with a live key: one bucket
+ * at a time, or straight to the far list's least bucket when the window's
+ * lists are empty. Returns 0 when no key is left. */
+static int advance(heap_t *h, buckets_t *b, const double *dist)
+{
+    while (h->size == 0) {
+        if (b->pending > 0)
+            b->cur++;
+        else if (b->far != 0)
+            b->cur = b->far_min;
+        else
+            return 0;
+        if (b->far_min - b->cur < BUCKETS)
+            spread(b, dist);
+        int32_t *list = &b->head[b->cur & (BUCKETS - 1)];
+        for (int32_t i = *list; i != 0;) {
+            entry_t *e = &b->pool[i - 1];
+            int32_t next = e->next;
+            if (e->key == dist[e->v])
+                heap_push(h, e->key, e->v);
+            e->next = b->spare;
+            b->spare = i;
+            b->pending--;
+            i = next;
+        }
+        *list = 0;
+    }
+    return 1;
+}
+
 /* A settled v fails nd < dist[v]: dist[v] <= du <= nd. An unseen v has
  * dist[v] == inf, and it joins the heap at the end; sift_down reads up to
  * three slots past the end, so the +inf keys then reach one slot further. */
@@ -233,10 +410,44 @@ INLINE void relax(heap_t *h, double *dist, int32_t *pred, int32_t u, double nd, 
     }
 }
 
-INLINE int dijkstra(int d, const lattice_t *L, const double *w, int32_t src, int32_t tgt,
-                    double rel_tol, double *dist, int32_t *pred)
+/* relax with the bucket layer: a key past the heap's bucket waits on a
+ * list. v is in the heap exactly when its old key's bucket is not past
+ * cur; otherwise its entry on a list goes stale, and it joins the heap as
+ * if unseen. Returns -1 if a list cannot grow. */
+INLINE int relax_bucketed(heap_t *h, buckets_t *b, double *dist, int32_t *pred, int32_t u,
+                          double nd, int32_t v)
+{
+    if (nd < dist[v]) {
+        int64_t k = bucket_of(b, nd);
+        if (k > b->cur) {
+            dist[v] = nd;
+            pred[v] = u;
+            return list_push(b, list_for(b, k), nd, v);
+        }
+        if (dist[v] != INFINITY && bucket_of(b, dist[v]) > b->cur)
+            dist[v] = INFINITY;
+        relax(h, dist, pred, u, nd, v);
+    }
+    return 0;
+}
+
+/* Every entry that is still live when the solve stops reads as unreachable. */
+static void unreach(double *dist, int32_t *pred, const entry_t *pool, int32_t i)
+{
+    for (; i != 0; i = pool[i - 1].next) {
+        int32_t v = pool[i - 1].v;
+        if (pool[i - 1].key == dist[v]) {
+            dist[v] = INFINITY;
+            pred[v] = NO_PRED;
+        }
+    }
+}
+
+INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, int32_t src,
+                    int32_t tgt, double rel_tol, double *dist, int32_t *pred)
 {
     int32_t n = L->n;
+    int status = -1;
     /* keys: 3 doubles of padding, n slots and the 3 past them sift_down reads */
     void *raw = malloc(((size_t)n + 6) * sizeof(double) + 31);
     heap_t h = {
@@ -245,12 +456,8 @@ INLINE int dijkstra(int d, const lattice_t *L, const double *w, int32_t src, int
         .size = 1,
         .mark = 4,
     };
-    if (raw == NULL || h.vert == NULL || h.pos == NULL) {
-        free(raw);
-        free(h.vert);
-        free(h.pos);
-        return -1;
-    }
+    if (raw == NULL || h.vert == NULL || h.pos == NULL)
+        goto done;
     h.key = (double *)(((uintptr_t)raw + 31) & ~(uintptr_t)31) + 3;
     for (int32_t v = 0; v < n; v++) {
         dist[v] = INFINITY;
@@ -261,8 +468,9 @@ INLINE int dijkstra(int d, const lattice_t *L, const double *w, int32_t src, int
     for (int32_t i = 1; i < h.mark; i++)
         h.key[i] = INFINITY;
     double limit = INFINITY;
+    int failed = 0; /* a list could not grow */
 
-    while (h.size > 0) {
+    while (h.size > 0 || (b != NULL && advance(&h, b, dist))) {
         int32_t u = h.vert[0];
         double du = h.key[0];
         if (du > limit)
@@ -275,18 +483,62 @@ INLINE int dijkstra(int d, const lattice_t *L, const double *w, int32_t src, int
         h.key[end] = INFINITY;
         if (h.size > 0)
             sift_down(&h, 0, last_key, last_v);
-#define RELAX(v, e) relax(&h, dist, pred, u, du + w[e], v)
+#define RELAX(v, e)                                                          \
+    do {                                                                     \
+        if (b == NULL)                                                       \
+            relax(&h, dist, pred, u, du + w[e], v);                          \
+        else                                                                 \
+            failed |= relax_bucketed(&h, b, dist, pred, u, du + w[e], v);    \
+    } while (0)
         FOR_EACH_ARC(d, L, u, RELAX);
 #undef RELAX
+        if (failed)
+            goto done;
     }
     for (int32_t i = 0; i < h.size; i++) {
         dist[h.vert[i]] = INFINITY;
         pred[h.vert[i]] = NO_PRED;
     }
+    if (b != NULL) {
+        for (int k = 0; k < BUCKETS; k++)
+            unreach(dist, pred, b->pool, b->head[k]);
+        unreach(dist, pred, b->pool, b->far);
+    }
+    status = 0;
+done:
     free(raw);
     free(h.vert);
     free(h.pos);
-    return 0;
+    return status;
+}
+
+/* The two queues are two functions, so that neither's register use and
+ * code layout weigh on the other's loop: inlined into one, the heap's loop
+ * ran about 2% slower. */
+static __attribute__((noinline)) int heap_solve(int d, const lattice_t *L, const double *w,
+                                                int32_t src, int32_t tgt, double rel_tol,
+                                                double *dist, int32_t *pred)
+{
+    return BY_DIM(d, dijkstra, L, NULL, w, src, tgt, rel_tol, dist, pred);
+}
+
+static __attribute__((noinline)) int bucketed_solve(int d, const lattice_t *L, double scale,
+                                                    const double *w, int32_t src,
+                                                    int32_t tgt, double rel_tol,
+                                                    double *dist, int32_t *pred)
+{
+    buckets_t *b = calloc(1, sizeof(buckets_t));
+    int status = -1;
+    if (b != NULL && (b->pool = malloc(FIRST_ENTRIES * sizeof(entry_t))) != NULL) {
+        b->scale = scale;
+        b->far_min = NO_FAR;
+        b->cap = FIRST_ENTRIES;
+        status = BY_DIM(d, dijkstra, L, b, w, src, tgt, rel_tol, dist, pred);
+    }
+    if (b != NULL)
+        free(b->pool);
+    free(b);
+    return status;
 }
 
 /* Returns 0, or -1 when the work arrays cannot be allocated. */
@@ -294,7 +546,10 @@ int fpp_dijkstra(int32_t d, const int32_t *shape, const double *w, int32_t src,
                  int32_t tgt, double rel_tol, double *dist, int32_t *pred)
 {
     lattice_t L = lattice(d, shape);
-    return BY_DIM(d, dijkstra, &L, w, src, tgt, rel_tol, dist, pred);
+    double scale = bucket_scale(d, &L, w);
+    if (scale > 0.0)
+        return bucketed_solve(d, &L, scale, w, src, tgt, rel_tol, dist, pred);
+    return heap_solve(d, &L, w, src, tgt, rel_tol, dist, pred);
 }
 
 /* A vertex the geodesic scan has reached: the record of the vertex it leads

@@ -307,11 +307,12 @@ class Exponential(Distribution):
         return np.where(arr >= 0, -self.rate * np.maximum(arr, 0.0), 0.0)
 
     def _quantile(self, arr):
-        # -log1p(-u) / rate in one fresh buffer (out= keeps a 0-d input an array)
+        # log1p(-u) / -rate in one fresh buffer (out= keeps a 0-d input an
+        # array): IEEE division is symmetric in sign, so these are the bits of
+        # -log1p(-u) / rate in three passes, not four
         out = np.negative(arr, out=np.empty_like(arr))
         np.log1p(out, out=out)
-        np.negative(out, out=out)
-        return np.divide(out, self.rate, out=out)
+        return np.divide(out, -self.rate, out=out)
 
     def _isf(self, arr):
         return -np.log(arr) / self.rate

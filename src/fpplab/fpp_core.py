@@ -60,7 +60,12 @@ def _load_kernel():
     (LatticeBox.solve), `fpp_geodesic_scan` (passage_time) and
     `fpp_replacement_offers` (geodesic_breakpoints); with None every one of
     them runs in Python, on scipy's solver. `fpp_arcs` serves the tests, and
-    `fpp_reuse_freed_memory` runs once, at import.
+    `fpp_reuse_freed_memory` runs once, at import. On a box of at least
+    4,096 vertices whose sampled weights repeat no value, `fpp_dijkstra`
+    puts a bucket layer in front of its heap, so the heap holds only the
+    nearest keys; a law with atoms runs the heap alone, its equal keys
+    leaving in the heap's order, and `dist` and `pred` keep their bytes
+    either way (see the kernel's header comment).
 
     The library is cached per user, named by the machine type and the hash
     of the source. The first import on a machine compiles it into a

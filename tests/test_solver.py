@@ -127,6 +127,14 @@ def test_an_unpickled_box_gives_the_original_bytes(lohi, solve_backend):
         assert a.tobytes() == b.tobytes()
 
 
+def _child_env():
+    """The environment of a child Python that imports this fpplab."""
+    src = str(Path(F.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 _FAULT_PROBE = """
 import json, resource
 import fpplab as F
@@ -149,11 +157,9 @@ print(json.dumps(counts))
 def test_replicas_reuse_the_memory_earlier_replicas_freed():
     # each replica allocates and frees several MB; returned to the system,
     # they fault in again on the next replica: about 600 faults each here
-    src = str(Path(F.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True, env=_child_env(),
+        check=True,
     )
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert max(counts[2:]) < 50, counts
@@ -287,6 +293,101 @@ def test_large_box_corner_to_corner_matches_the_oracles(spec, hi):
         assert ours[0].tobytes() == theirs[0].tobytes()
         assert ours[1].tobytes() == theirs[1].tobytes()
         assert ours[2] == theirs[2]
+
+
+_CHILD_SOLVES = """
+import sys
+import numpy as np
+import fpplab as F
+args = np.load(sys.argv[1])
+box = F.LatticeBox(tuple(args["lo"].tolist()), tuple(args["hi"].tolist()))
+out = {}
+src = int(args["src"])
+for i, tgt in enumerate(args["targets"].tolist()):
+    out[f"dist{i}"], out[f"pred{i}"] = box.solve(args["w"], src, None if tgt < 0 else tgt)
+np.savez(sys.argv[2], **out)
+"""
+
+
+def _solve_in_child(box, w, src, targets, tmp_path):
+    """(dist, pred) of LatticeBox.solve from src to each target (None for
+    the full solve), run in a child process that gets 60 s, so that a solve
+    that never ends fails the test instead of stalling the suite."""
+    args, result = tmp_path / "args.npz", tmp_path / "result.npz"
+    np.savez(args, lo=box.lo, hi=box.hi, w=w, src=src,
+             targets=[-1 if t is None else t for t in targets])
+    subprocess.run([sys.executable, "-c", _CHILD_SOLVES, str(args), str(result)],
+                   env=_child_env(), check=True, timeout=60)
+    with np.load(result) as got:
+        return [(got[f"dist{i}"], got[f"pred{i}"]) for i in range(len(targets))]
+
+
+def _bucket_sample(w):
+    """The 256 weights, at a stride of len(w) // 256, that the kernel takes
+    its bucket width from; the solve of a box of 4,096 or more vertices runs
+    through the bucket layer when they are distinct with a finite sum."""
+    return w[:: len(w) // 256][:256]
+
+
+@needs_kernel
+@pytest.mark.parametrize("hi", ((79, 79), (15, 15, 15)))
+def test_extreme_weights_give_the_oracle_bytes(hi, tmp_path):
+    """exp fields on boxes of 6,400 and 4,096 vertices, which the bucket
+    layer serves, with edges at 0, at sum(w) + 1 (priced out), at 1e300 and
+    at +inf. The far corner lies past 1e300 edges, so its solves end with
+    only far keys left, and a vertex walled in by +inf edges is
+    unreachable. Stopped and full solves give the CSR solve's dist and pred
+    bytes."""
+    box = F.LatticeBox((0,) * len(hi), hi)
+
+    def vertex(x, y):
+        return (x, y) + (2,) * (box.d - 2)
+
+    indptr, _, arc_edges = box._csr
+
+    def edges_at(v):
+        return arc_edges[indptr[v] : indptr[v + 1]]
+
+    src, mid, behind_zero, walled = (
+        box.vertex_index(vertex(*c)) for c in ((2, 3), (10, 10), (6, 5), (12, 6))
+    )
+    corner = box.n_vertices - 1
+    targets = (None, corner, walled, mid, behind_zero)
+    for rep in range(2):
+        w = F.WeightField.generate(box, F.parse_spec("exp:rate=1"), 29, rep).weights
+        priced_out = w.sum() + 1.0
+        for c, a in ((vertex(5, 5), 0), (vertex(5, 5), 1), (vertex(9, 4), 0)):
+            w[box.edge_id(c, a)] = 0.0
+        for x in (3, 4, 7):
+            w[box.edge_id(vertex(x, 3), 0)] = priced_out
+        w[edges_at(corner)] = 1e300
+        w[edges_at(walled)] = np.inf
+        sample = _bucket_sample(w)
+        assert len(set(sample.tolist())) == 256 and np.isfinite(sample.sum())
+        solves = _solve_in_child(box, w, src, targets, tmp_path)
+        for target, (dist, pred) in zip(targets, solves):
+            ref_dist, ref_pred = csr_dijkstra(box, w, src, target)
+            assert dist.tobytes() == ref_dist.tobytes(), target
+            assert pred.tobytes() == ref_pred.tobytes(), target
+        full = solves[0][0]
+        assert full[walled] == np.inf and 1e300 <= full[corner] < np.inf
+
+
+@needs_kernel
+def test_weights_that_repeat_keep_the_heaps_tie_order():
+    """Integer weights 1, 2 and 3 on the 80 x 80 box: their keys tie at
+    every step, and equal keys leave a bucketed queue in another order than
+    the heap's, so pred holds the CSR solve's bytes only because the
+    repeated weights in the kernel's sample keep the solve on the heap."""
+    box = F.LatticeBox((0, 0), (79, 79))
+    src = box.vertex_index((3, 40))
+    for rep in range(4):
+        w = np.random.default_rng(rep).integers(1, 4, size=box.n_edges).astype(np.float64)
+        for target in (None, box.vertex_index((70, 40)), box.n_vertices - 1):
+            dist, pred = box.solve(w, src, target)
+            ref_dist, ref_pred = csr_dijkstra(box, w, src, target)
+            assert dist.tobytes() == ref_dist.tobytes(), (rep, target)
+            assert pred.tobytes() == ref_pred.tobytes(), (rep, target)
 
 
 def _python_arcs(shape, x):
