@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -52,7 +51,7 @@ def solve_table() -> dict:
     sys.path.insert(0, "src")
     import numpy as np
 
-    from fpplab import fpp_core, parse_spec, WeightField
+    from fpplab import experiments, fpp_core, parse_spec, WeightField
 
     kernel = fpp_core._KERNEL
     if kernel is None:
@@ -74,8 +73,7 @@ def solve_table() -> dict:
 
     table = {}
     for n in SOLVE_NS:
-        margin = math.ceil(0.5 * n)  # experiments.box_for at the default margin, m = 0
-        box = fpp_core.LatticeBox((-margin, -margin), (n + margin, margin))
+        box = experiments.box_for(experiments.ExperimentConfig("exp:rate=1", n_list=(n,)), n)
         src, tgt = box.vertex_index((0, 0)), box.vertex_index((n, 0))
         table[f"n{n}"] = {
             spec: timer(box, [WeightField.generate(box, parse_spec(spec), 1, r).weights

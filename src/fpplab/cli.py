@@ -4,8 +4,9 @@ Subcommands map onto the library modules; outputs are deterministic JSON
 and CSV (same seed, same bytes, any worker count). Exit codes: 0 success,
 1 a verified inequality or property was violated, 2 configuration errors.
 
-A flat key=value config file can seed any subcommand's flags; explicit
-flags win. FPPLAB_WORKERS caps the worker pool from the environment.
+A flat key=value config file can seed any subcommand's flags, a switch
+with true or false; explicit flags win. FPPLAB_WORKERS caps the worker
+pool from the environment.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         out_help="directory for scaling.csv, report.json and scaling.svg "
         "(default: the current directory)",
     )
+    sim.set_defaults(run=_cmd_simulate)
 
     ver = subs.add_parser(
         "verify-ineq", help="exact product-space inequality suite on random tables"
@@ -87,14 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tables", type=int, default=100, help="number of tables")
     ver.add_argument("--seed", type=int, default=0, help="master seed")
     _add_common(ver)
+    ver.set_defaults(run=_cmd_verify_ineq)
 
     cls = subs.add_parser("classify", help="nearly-gamma verdict for a law")
     cls.add_argument("--dist", required=True, help="edge-time law spec")
     _add_common(cls)
+    cls.set_defaults(run=_cmd_classify)
 
     gm = subs.add_parser("gm-check", help="exhaustive level-function property report")
     gm.add_argument("--m", type=int, required=True, help="side parameter (m <= 4)")
     _add_common(gm)
+    gm.set_defaults(run=_cmd_gm_check)
 
     tr = subs.add_parser(
         "truncate-check", help="verify the bounded-support modification of a law"
@@ -104,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--c5", type=float, required=True, help="truncation scale constant")
     tr.add_argument("--grid", type=int, default=10000, help="CDF comparison grid size")
     _add_common(tr)
+    tr.set_defaults(run=_cmd_truncate_check)
 
     rep = subs.add_parser(
         "report", help="re-run the config embedded in a JSON report"
@@ -115,11 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless the regenerated report matches byte for byte",
     )
     _add_common(rep)
+    rep.set_defaults(run=_cmd_report)
     return parser
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config as flags so real flags override."""
+    """Prepend key=value pairs from --config as flags so real flags override;
+    a value of true or false, in any case, sets the bare switch or nothing."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -139,8 +147,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             continue
         if "=" not in line:
             raise FppLabError(f"malformed config line: {line!r}")
-        key, val = line.split("=", 1)
-        extra.extend([f"--{key.strip()}", val.strip()])
+        key, val = (part.strip() for part in line.split("=", 1))
+        switch = {"true": [f"--{key}"], "false": []}.get(val.lower())
+        extra.extend([f"--{key}", val] if switch is None else switch)
     # insert right after the subcommand so explicit flags still win
     return argv[:1] + extra + argv[1:]
 
@@ -155,18 +164,30 @@ def _numbers(text: str, kind, flag: str) -> list:
         ) from None
 
 
-def _emit(doc: dict, out: str | None, default_name: str) -> None:
+def _emit(doc: dict, out: str | None, name: str, *, directory: bool = False) -> str:
+    """Write doc as JSON: to stdout when out is None, else to the file out,
+    or to out/name when out is (or ends with /, or `directory` makes it) a
+    directory. Returns the text written."""
     text = reporting.dumps(doc)
     if out is None:
         sys.stdout.write(text)
-        return
+        return text
     path = Path(out)
-    if path.is_dir() or out.endswith("/"):
+    if directory or path.is_dir() or out.endswith("/"):
         path.mkdir(parents=True, exist_ok=True)
-        path = path / default_name
+        path = path / name
     else:
         path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
+    return text
+
+
+def _write_check(args, config: dict, key: str, result, ok: bool) -> int:
+    """Write a check's document, {"version", "config", key: result}, as
+    <command>.json and exit 1 unless the check passed."""
+    _emit({"version": __version__, "config": config, key: result}, args.out,
+          f"{args.command}.json")
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _progress(cfg):
@@ -236,60 +257,29 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify_ineq(args) -> int:
     ps = _numbers(args.p, float, "--p")
-    report = funcineq.run_random_suite(
-        n_tables=args.tables,
-        ns=(args.n,),
-        ps=ps,
-        seed=args.seed,
-    )
-    doc = {
-        "version": __version__,
-        "config": {"n": args.n, "p": ps, "tables": args.tables, "seed": args.seed},
-        "result": report,
-    }
-    _emit(doc, args.out, "verify-ineq.json")
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+    report = funcineq.run_random_suite(n_tables=args.tables, ns=(args.n,), ps=ps, seed=args.seed)
+    config = {"n": args.n, "p": ps, "tables": args.tables, "seed": args.seed}
+    return _write_check(args, config, "result", report, not report.violations)
 
 
 def _cmd_classify(args) -> int:
     verdict = neargamma.classify_nearly_gamma(parse_spec(args.dist))
-    doc = {
-        "version": __version__,
-        "config": {"dist": args.dist},
-        "verdict": verdict,
-    }
-    _emit(doc, args.out, "classify.json")
-    return EXIT_OK
+    return _write_check(args, {"dist": args.dist}, "verdict", verdict, True)
 
 
 def _cmd_gm_check(args) -> int:
     report = averaging.verify_averaging_properties(args.m)
-    doc = {
-        "version": __version__,
-        "config": {"m": args.m},
-        "report": report,
-    }
-    _emit(doc, args.out, "gm-check.json")
     ok = report.gradient_ok and report.level_bound_ok and report.bijection_ok
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return _write_check(args, {"m": args.m}, "report", report, ok)
 
 
 def _cmd_truncate_check(args) -> int:
     nu_k = Truncated(parse_spec(args.dist), args.k, args.c5)
     check = nu_k.domination_check(args.grid)
-    doc = {
-        "version": __version__,
-        "config": {"dist": args.dist, "k": args.k, "c5": args.c5, "grid": args.grid},
-        "report": {
-            "cut": nu_k.cut,
-            "top": nu_k.top,
-            "tail_mass": nu_k.tail_mass,
-            "dominates": check.dominates,
-            **check._asdict(),
-        },
-    }
-    _emit(doc, args.out, "truncate-check.json")
-    return EXIT_OK if check.dominates else EXIT_VIOLATION
+    config = {"dist": args.dist, "k": args.k, "c5": args.c5, "grid": args.grid}
+    report = {"cut": nu_k.cut, "top": nu_k.top, "tail_mass": nu_k.tail_mass,
+              "dominates": check.dominates, **check._asdict()}
+    return _write_check(args, config, "report", report, check.dominates)
 
 
 def _first_difference(a, b, path: str = ""):
@@ -327,14 +317,6 @@ def _mismatch_message(where: str) -> str:
     )
 
 
-def _where_they_differ(regenerated: str, original: str) -> str:
-    diff = _first_difference(json.loads(regenerated), json.loads(original))
-    if diff is None:
-        return "the documents parse equal; only their formatting differs"
-    path, new, old = diff
-    return f"first difference at {path}: regenerated {new!r}, file {old!r}"
-
-
 def _cmd_report(args) -> int:
     source = Path(args.source)
     if not source.is_file():
@@ -342,16 +324,7 @@ def _cmd_report(args) -> int:
     try:
         original = source.read_text(encoding="utf-8")
         doc = json.loads(original)
-        c = doc["config"]
-        cfg = experiments.ExperimentConfig(
-            dist_spec=c["dist_spec"],
-            dim=c["dim"],
-            n_list=tuple(c["n_list"]),
-            replicas=c["replicas"],
-            master_seed=c["master_seed"],
-            m_policy=c["m_policy"],
-            margin_factor=c["margin_factor"],
-        )
+        cfg = experiments.ExperimentConfig.from_echo(doc["config"])
     # bad UTF-8 and JSON are ValueErrors; FppLabError is a config that fails its checks
     except (KeyError, TypeError, ValueError, FppLabError) as exc:
         raise FppLabError(
@@ -362,27 +335,18 @@ def _cmd_report(args) -> int:
     if args.check and fmt != experiments.REPORT_FORMAT:
         print(_mismatch_message(f"format {fmt} report; regenerate it"), file=sys.stderr)
         return EXIT_VIOLATION
-    regenerated = reporting.dumps(experiments.full_report(cfg))
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(regenerated, encoding="utf-8")
-    else:
-        sys.stdout.write(regenerated)
+    regenerated = _emit(
+        experiments.full_report(cfg), args.out or None, "report.json", directory=True
+    )
     if args.check and regenerated != original:
-        print(_mismatch_message(_where_they_differ(regenerated, original)), file=sys.stderr)
+        diff = _first_difference(json.loads(regenerated), doc)
+        where = (
+            "the documents parse equal; only their formatting differs" if diff is None
+            else "first difference at {}: regenerated {!r}, file {!r}".format(*diff)
+        )
+        print(_mismatch_message(where), file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
-
-
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "verify-ineq": _cmd_verify_ineq,
-    "classify": _cmd_classify,
-    "gm-check": _cmd_gm_check,
-    "truncate-check": _cmd_truncate_check,
-    "report": _cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -391,7 +355,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except ResourceGuardError as exc:
         print(f"fpplab: refusing oversized computation: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -779,7 +779,8 @@ def parse_spec(spec: str) -> Distribution:
 
 
 def _parse_kv(text: str, expected: tuple[str, ...]) -> dict[str, float]:
-    """Parameters as finite floats; anything else is a DomainError."""
+    """Parameters as finite floats, each given once; anything else is a
+    DomainError."""
     out = {}
     for piece in text.split(","):
         if "=" not in piece:
@@ -788,6 +789,8 @@ def _parse_kv(text: str, expected: tuple[str, ...]) -> dict[str, float]:
         key = key.strip()
         if key not in expected:
             raise DomainError(f"unexpected parameter {key!r}")
+        if key in out:
+            raise DomainError(f"repeated parameter {key!r}")
         try:
             num = float(val)
         except ValueError:

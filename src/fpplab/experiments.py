@@ -119,6 +119,14 @@ class ExperimentConfig:
             "seed_scheme": "numpy SeedSequence((master_seed, replica)) -> PCG64",
         }
 
+    @classmethod
+    def from_echo(cls, echo: dict) -> ExperimentConfig:
+        """`echo()` inverted, with workers at its default: each field is read
+        as written and checked as above, never coerced to pass; a missing
+        field is a KeyError."""
+        values = {f.name: echo[f.name] for f in fields(cls) if f.name != "workers"}
+        return cls(**{**values, "n_list": tuple(values["n_list"])})
+
 
 def resolve_workers(requested: int | None) -> int:
     """The number of threads `_map_replicas` runs the replicas of

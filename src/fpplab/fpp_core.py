@@ -130,6 +130,17 @@ def _scipy_solve(box: LatticeBox, weights: np.ndarray, source_index: int):
     return dijkstra(graph, directed=True, indices=source_index, return_predecessors=True)
 
 
+def _check_int(value, name: str, size: int | None = None) -> int:
+    """value as an int when it is an integer other than a bool and, when a
+    size is given, in 0..size-1; otherwise a DomainError naming it. Every
+    corner, coordinate, axis, vertex index and edge id is read through it."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise DomainError(f"{name} out of range: {value} not in 0..{size - 1}")
+    return int(value)
+
+
 class LatticeBox:
     """Axis-aligned box of Z^d with a fixed edge indexing.
 
@@ -140,8 +151,8 @@ class LatticeBox:
     """
 
     def __init__(self, lo, hi):
-        lo = tuple(int(c) for c in lo)
-        hi = tuple(int(c) for c in hi)
+        lo = tuple(_check_int(c, "box corner") for c in lo)
+        hi = tuple(_check_int(c, "box corner") for c in hi)
         if len(lo) != len(hi) or len(lo) not in (2, 3):
             raise DomainError("box dimension must be 2 or 3")
         if any(h < l for l, h in zip(lo, hi)):
@@ -189,22 +200,24 @@ class LatticeBox:
 
     # vertex and edge addressing -----------------------------------------
     def contains(self, coord) -> bool:
-        return all(l <= int(c) <= h for c, l, h in zip(coord, self.lo, self.hi))
+        """Whether coord, a sequence of integers, is a vertex of the box."""
+        coord = [_check_int(c, "vertex coordinate") for c in coord]
+        return len(coord) == self.d and all(
+            l <= c <= h for c, l, h in zip(coord, self.lo, self.hi)
+        )
 
     def vertex_index(self, coord) -> int:
-        if len(coord) != self.d or not self.contains(coord):
+        if not self.contains(coord):
             raise DomainError(f"vertex {tuple(coord)} outside box {self.lo}..{self.hi}")
         return int(np.ravel_multi_index([int(c) - l for c, l in zip(coord, self.lo)], self.shape))
 
     def vertex_coord(self, index: int) -> tuple:
-        if not (0 <= index < self.n_vertices):
-            raise DomainError("vertex index out of range")
+        index = _check_int(index, "vertex index", self.n_vertices)
         return tuple(int(c) + l for c, l in zip(np.unravel_index(index, self.shape), self.lo))
 
     def edge_id(self, coord, axis: int) -> int:
         """Edge from coord to coord + e_axis; DomainError if absent."""
-        if not (0 <= axis < self.d):
-            raise DomainError(f"axis must be in 0..{self.d - 1}")
+        axis = _check_int(axis, "axis", self.d)
         self.vertex_index(coord)  # DomainError outside the box
         rel = [int(x) - l for x, l in zip(coord, self.lo)]
         if rel[axis] == self.shape[axis] - 1:
@@ -213,10 +226,9 @@ class LatticeBox:
 
     def edge_endpoints(self, eid: int) -> tuple[tuple, tuple]:
         """(lower endpoint, upper endpoint) of edge eid: `edge_id` inverted."""
-        if not (0 <= eid < self.n_edges):
-            raise DomainError("edge index out of range")
+        eid = _check_int(eid, "edge index", self.n_edges)
         axis = bisect.bisect_right(self._offsets, eid) - 1
-        rel = np.unravel_index(int(eid) - self._offsets[axis], self._grids[axis])
+        rel = np.unravel_index(eid - self._offsets[axis], self._grids[axis])
         low = tuple(int(c) + l for c, l in zip(rel, self.lo))
         return low, tuple(c + (k == axis) for k, c in enumerate(low))
 
@@ -224,7 +236,7 @@ class LatticeBox:
         """Ids of the edges whose lower endpoint is within L1 radius of
         center, ascending, as int64: per axis, the lower endpoints in the
         ball's bounding box that the ball holds."""
-        rel = [int(c) - l for c, l in zip(center, self.lo)]
+        rel = [_check_int(c, "vertex coordinate") - l for c, l in zip(center, self.lo)]
         ids = []
         for off, grid in zip(self._offsets, self._grids):
             spans = [np.arange(max(c - radius, 0), min(c + radius + 1, s))
@@ -255,9 +267,9 @@ class LatticeBox:
             raise DomainError(f"expected {self.n_edges} edge weights, got shape {w.shape}")
         if w.size and not w.min() >= 0.0:  # one pass; a NaN fails the test too
             raise DomainError("edge weights must be nonnegative and not NaN")
-        self._check_index(source_index, "source")
+        _check_int(source_index, "source vertex index", self.n_vertices)
         if target_index is not None:
-            self._check_index(target_index, "target")
+            _check_int(target_index, "target vertex index", self.n_vertices)
         if _KERNEL is None:
             dist, pred = _scipy_solve(self, w, source_index)
             if target_index is not None:
@@ -276,12 +288,6 @@ class LatticeBox:
         if status != 0:
             raise MemoryError("Dijkstra kernel could not allocate its heap")
         return dist, pred
-
-    def _check_index(self, index, name: str) -> None:
-        if not isinstance(index, Integral) or isinstance(index, bool):
-            raise DomainError(f"{name} vertex index must be an integer, got {index!r}")
-        if not 0 <= index < self.n_vertices:
-            raise DomainError(f"{name} vertex index out of range")
 
     def __eq__(self, other):
         return (
@@ -333,10 +339,10 @@ class WeightField:
         return self._law
 
     def export(self, path_prefix) -> tuple[Path, Path]:
-        """Flat little-endian float64 in edge order plus a JSON sidecar."""
-        prefix = Path(path_prefix)
-        bin_path = prefix.with_suffix(".f64")
-        meta_path = prefix.with_suffix(".json")
+        """Flat little-endian float64 in edge order plus a JSON sidecar, at
+        path_prefix with .f64 and .json appended (a dotted prefix such as
+        field.n100 keeps its dot)."""
+        bin_path, meta_path = (Path(f"{path_prefix}{ext}") for ext in (".f64", ".json"))
         bin_path.write_bytes(self.weights.astype("<f8").tobytes())
         meta = {
             "box_lo": list(self.box.lo),
@@ -477,7 +483,7 @@ def randomized_passage_time(field: WeightField, a_bits: np.ndarray, v) -> float:
         raise DomainError(f"offset bits must have shape ({box.d}, m^2)")
     z = OffsetSample(a_bits).z
     start = tuple(int(c) for c in z)
-    end = tuple(int(c) for c in (np.asarray(v, dtype=np.int64) + z))
+    end = tuple(_check_int(c, "vertex coordinate") + s for c, s in zip(v, start, strict=True))
     if not box.contains(start) or not box.contains(end):
         raise DomainError("offset endpoints fall outside the box; enlarge the margin")
     return passage_time(field, start, end).time

@@ -377,6 +377,35 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert doc["config"]["dist"] == "halfnormal"
 
 
+def test_config_file_sets_and_clears_switches(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    base = "dist=exp:rate=1\nn=5,8\nreplicas=4\nworkers=1\n"
+    cfgfile.write_text(base + "svg=true\nprogress=TRUE\n")
+    assert _run(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "on")]) == 0
+    assert (tmp_path / "on" / "scaling.svg").is_file()
+    assert capsys.readouterr().err.startswith("fpplab: cell 1/2 (n=5, m=0) done")
+    cfgfile.write_text(base + "svg=false\nprogress=False\n")
+    assert _run(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "off")]) == 0
+    assert not (tmp_path / "off" / "scaling.svg").exists()
+    assert capsys.readouterr().err == ""
+    # report's --check too: a changed report fails it
+    report = tmp_path / "on" / "report.json"
+    report.write_text(report.read_text().replace('"replicas": 4', '"replicas": 4 '))
+    cfgfile.write_text(f"from={report}\ncheck=true\n")
+    assert _run(["report", "--config", str(cfgfile), "--out", str(tmp_path / "re")]) == 1
+    assert "only their formatting differs" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_repeated_spec_parameter_before_sampling(tmp_path, monkeypatch,
+                                                                    capsys):
+    _forbid_sampling(monkeypatch)
+    argv = ["simulate", "--dist", "exp:rate=1,rate=2", "--n", "4", "--replicas", "4",
+            "--out", str(tmp_path / "out")]
+    assert _run(argv) == 2
+    assert "repeated parameter 'rate'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_workers_env_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("FPPLAB_WORKERS", "1")
     from fpplab.experiments import resolve_workers

@@ -291,6 +291,20 @@ def test_parse_spec_rejects_non_finite_and_non_numeric(bad):
         F.parse_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "spec,key",
+    (
+        ("exp:rate=1,rate=2", "rate"),
+        ("bernoulli:a=1,b=2,p=0.5,a=0.5", "a"),
+        ("trunc(exp:rate=1;k=10,c5=0.5,k=3)", "k"),
+        ("trunc(exp:rate=1,rate=2;k=10,c5=0.5)", "rate"),
+    ),
+)
+def test_parse_spec_refuses_a_repeated_parameter(spec, key):
+    with pytest.raises(DomainError, match=f"repeated parameter '{key}'"):
+        F.parse_spec(spec)
+
+
 def test_spec_string_keeps_short_form_when_lossless():
     assert F.parse_spec("exp:rate=1").spec_string() == "exp:rate=1"
     assert F.Bernoulli(0.125, 2.0, 0.5).spec_string() == "bernoulli:a=0.125,b=2,p=0.5"

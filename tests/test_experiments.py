@@ -471,6 +471,19 @@ def test_config_accepts_numpy_integers():
     assert cfg.echo()["n_list"] == [4]
 
 
+def test_config_round_trips_through_its_echo():
+    import json
+
+    cfg = F.ExperimentConfig(dist_spec="gamma:a=2,b=1", dim=3, n_list=(9, 5), replicas=7,
+                             master_seed=11, m_policy="1", margin_factor=0.75)
+    default = F.ExperimentConfig(dist_spec="exp:rate=1")
+    assert all(getattr(cfg, k) != getattr(default, k) for k in cfg.echo() if k != "seed_scheme")
+    echo = json.loads(json.dumps(cfg.echo()))  # as a report holds it
+    assert F.ExperimentConfig.from_echo(echo) == cfg
+    with pytest.raises(KeyError):
+        F.ExperimentConfig.from_echo({k: v for k, v in echo.items() if k != "dim"})
+
+
 # ---------------------------------------------------------------------------
 # the replica path against the per-replica tuple fold it replaced
 

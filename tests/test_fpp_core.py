@@ -42,6 +42,46 @@ def test_vertex_index_roundtrip():
         box.vertex_coord(box.n_vertices)
 
 
+@pytest.mark.parametrize("bad", (2.0, 2.7, True, "1"))
+def test_addresses_must_be_integers(bad):
+    """Corners, coordinates, axes, vertex indices and edge ids that are not
+    integers are refused, never truncated or parsed to a neighbouring one."""
+    box = F.LatticeBox((0, 0), (4, 2))
+    field = _field(box, "exp:rate=1", 3)
+    calls = (
+        lambda: F.LatticeBox((bad, 0), (4, 2)),
+        lambda: F.LatticeBox((0, 0), (4, bad)),
+        lambda: box.contains((bad, 0)),
+        lambda: box.vertex_index((bad, 0)),
+        lambda: box.vertex_index((0, bad)),
+        lambda: box.vertex_coord(bad),
+        lambda: box.edge_id((bad, 0), 0),
+        lambda: box.edge_id((1, 0), bad),
+        lambda: box.edge_endpoints(bad),
+        lambda: box.edges_near((bad, 0), 1),
+        lambda: box.solve(field.weights, bad),
+        lambda: box.solve(field.weights, 0, bad),
+        lambda: F.passage_time(field, (bad, 0), (3, 0)),
+        lambda: F.passage_time(field, (0, 0), (3, bad)),
+        lambda: F.randomized_passage_time(field, np.zeros((2, 1), dtype=np.uint8), (bad, 0)),
+    )
+    for i, call in enumerate(calls):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+            pytest.fail(f"call {i} accepted {bad!r}")
+
+
+def test_address_range_errors_name_the_range():
+    box = F.LatticeBox((0, 0), (4, 2))
+    with pytest.raises(DomainError, match=r"edge index out of range: 22 not in 0\.\.21"):
+        box.edge_endpoints(box.n_edges)
+    with pytest.raises(DomainError, match=r"axis out of range: 2 not in 0\.\.1"):
+        box.edge_id((0, 0), 2)
+    with pytest.raises(DomainError, match="outside box"):
+        box.vertex_index((0, 0, 0))
+    assert not box.contains((0, 0, 0)) and not box.contains((5, 0)) and box.contains((4, 2))
+
+
 def test_edge_index_bijection():
     for lo, hi in [((-1, -1), (2, 2)), ((0, 0, 0), (2, 1, 2))]:
         box = F.LatticeBox(lo, hi)
@@ -257,6 +297,19 @@ def test_export_roundtrip(tmp_path):
     meta = json.loads(meta_path.read_text())
     assert meta["dist_spec"] == "exp:rate=1"
     assert meta["edges"] == box.n_edges
+
+
+def test_export_keeps_dotted_prefixes_apart(tmp_path):
+    box = F.LatticeBox((0, 0), (3, 2))
+    fields = {name: _field(box, "exp:rate=1", 8, r) for r, name in enumerate(("n100", "n200"))}
+    for name, field in fields.items():
+        paths = field.export(tmp_path / f"field.{name}")
+        assert [p.name for p in paths] == [f"field.{name}.f64", f"field.{name}.json"]
+    for name, field in fields.items():
+        loaded = np.frombuffer((tmp_path / f"field.{name}.f64").read_bytes(), dtype="<f8")
+        assert np.array_equal(loaded, field.weights)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "field.n100.f64", "field.n100.json", "field.n200.f64", "field.n200.json"]
 
 
 # ---------------------------------------------------------------------------
