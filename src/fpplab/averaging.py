@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError, _check_int
 
 _EXHAUSTIVE_M_CAP = 4  # 2^(4^2) = 65536 table rows; m = 5 would be 33.5M
 # The rank table is compared with the combinadic rank string by string: on
@@ -88,7 +88,7 @@ class AveragingMap:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
+        if _check_int(self.m, "m") < 1:
             raise DomainError("m must be a positive integer")
 
     @property
@@ -141,11 +141,9 @@ class OffsetSample:
 
 def sample_offset(rng: np.random.Generator, m: int, d: int) -> OffsetSample:
     """Uniform bits a in {0,1}^(d x m^2) and the offset z with z_i = g_m(a_i)."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if d < 2:
-        raise DomainError("offset needs lattice dimension d >= 2")
     amap = AveragingMap(m)
+    if _check_int(d, "d") < 2:
+        raise DomainError("offset needs lattice dimension d >= 2")
     a = rng.integers(0, 2, size=(d, amap.n_bits), dtype=np.uint8)
     return OffsetSample(a=a)
 
@@ -179,11 +177,9 @@ def verify_averaging_properties(m: int) -> AveragingReport:
     with the implied c reported and checked against 4.
     Refuses m > 4, where the table would stop being a desk-scale object.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    amap = AveragingMap(m)
     if m > _EXHAUSTIVE_M_CAP:
         raise ResourceGuardError(f"exhaustive verification capped at m <= 4, got {m}")
-    amap = AveragingMap(m)
     n = amap.n_bits
     weight, ranks = _rank_table(n)
     g = ranks // amap.block_size  # level_table() without a second rank table

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedKindError
+from .errors import DomainError, UnsupportedKindError, _check_int, _is_int
 
 
 def _as_float_array(y):
@@ -545,7 +545,7 @@ class Truncated(Distribution):
     continuous = True
 
     def __init__(self, base: Distribution, k: int, c5: float):
-        if not isinstance(k, (int, np.integer)) or k < 2:
+        if not _is_int(k) or k < 2:
             raise DomainError("truncation index k must be an integer >= 2")
         if not (math.isfinite(c5) and c5 > 0):
             raise DomainError(f"c5 must be finite and positive, got {c5!r}")
@@ -619,7 +619,7 @@ class Truncated(Distribution):
     def domination_check(self, grid_points: int = 10_000) -> _DominationCheck:
         """Compare this CDF with the base's on an even grid over [0, 1.05 top];
         `.dominates` is the verdict, each comparison up to 1e-12 rounding."""
-        if grid_points < 2:
+        if _check_int(grid_points, "grid_points") < 2:
             raise DomainError(f"the comparison grid needs at least 2 points, got {grid_points}")
         grid = np.linspace(0.0, self.top * 1.05, grid_points)
         h_base = np.asarray(self.base.cdf(grid))

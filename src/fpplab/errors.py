@@ -2,7 +2,11 @@
 
 Every error raised on purpose by this package derives from FppLabError, so
 callers (and the CLI) can distinguish usage problems from genuine bugs.
+Every index, count and size the package takes is read by `_is_int`, the
+one integer rule, most of them through `_check_int`.
 """
+
+from numbers import Integral
 
 
 class FppLabError(Exception):
@@ -35,3 +39,18 @@ class ConfigError(FppLabError, ValueError):
 
 class NumericError(FppLabError, ArithmeticError):
     """A numerical routine (quadrature, root finding) failed to converge."""
+
+
+def _is_int(value) -> bool:
+    """The package's one integer rule: an integer other than a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_int(value, name: str, size: int | None = None) -> int:
+    """value as an int when it is an integer other than a bool and, when a
+    size is given, in 0..size-1; otherwise a DomainError naming it."""
+    if not _is_int(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise DomainError(f"{name} out of range: {value} not in 0..{size - 1}")
+    return int(value)

@@ -18,14 +18,14 @@ import os
 import time as _time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from ._version import __version__ as _pkg_version
 from . import averaging
 from .distributions import Truncated, default_c5, parse_spec
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _is_int
 # perfbench's traced profile wraps these two names on this module, so the
 # replica code must call them through it, not through fpp_core
 from .fpp_core import LatticeBox, WeightField, breakpoint_influence, edge_breakpoint, passage_time
@@ -42,10 +42,6 @@ _TRUNCATION_STREAM = 0x7A  # and the uniforms of its truncation comparison from 
 # hold depth-first geodesic lengths on laws with ties
 REPORT_FORMAT = 3
 _Z95 = 1.959963984540054  # the standard normal 0.975 quantile, norm.ppf(0.975)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _check_distance(n) -> None:

@@ -40,7 +40,6 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field as dataclass_field
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +47,17 @@ import numpy as np
 from . import reporting
 from .averaging import OffsetSample
 from .distributions import Distribution, parse_spec
-from .errors import DomainError, UnsupportedKindError, UnsupportedParameterError
+from .errors import DomainError, UnsupportedKindError, UnsupportedParameterError, _check_int
 
 TIE_REL_TOL = 1e-12
 _KERNEL_SOURCE = Path(__file__).with_name("_dijkstra.c")
+
+
+def _kernel_path() -> Path:
+    """The kernel's file in the per-user cache, by machine type and source hash."""
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()
+    return cache / "fpplab" / f"dijkstra-{platform.machine()}-{digest}.so"
 
 
 def _load_kernel():
@@ -67,15 +73,13 @@ def _load_kernel():
     leaving in the heap's order, and `dist` and `pred` keep their bytes
     either way (see the kernel's header comment).
 
-    The library is cached per user, named by the machine type and the hash
-    of the source. The first import on a machine compiles it into a
-    temporary file next to that name and moves it into place, so
-    concurrent first imports do not race; later imports only load it.
+    The library is cached at `_kernel_path()`. The first import on a
+    machine compiles it into a temporary file next to that name and moves
+    it into place, so concurrent first imports do not race; later imports
+    only load it.
     """
     try:
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-        digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()
-        lib = cache / "fpplab" / f"dijkstra-{platform.machine()}-{digest}.so"
+        lib = _kernel_path()
         if not lib.exists():
             cc = shutil.which("cc") or shutil.which("gcc")
             if cc is None:
@@ -128,17 +132,6 @@ def _scipy_solve(box: LatticeBox, weights: np.ndarray, source_index: int):
     indptr, indices, perm = box._csr
     graph = csr_matrix((weights[perm], indices, indptr), shape=(box.n_vertices,) * 2)
     return dijkstra(graph, directed=True, indices=source_index, return_predecessors=True)
-
-
-def _check_int(value, name: str, size: int | None = None) -> int:
-    """value as an int when it is an integer other than a bool and, when a
-    size is given, in 0..size-1; otherwise a DomainError naming it. Every
-    corner, coordinate, axis, vertex index and edge id is read through it."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if size is not None and not 0 <= value < size:
-        raise DomainError(f"{name} out of range: {value} not in 0..{size - 1}")
-    return int(value)
 
 
 class LatticeBox:
@@ -530,8 +523,7 @@ def edge_breakpoint(field: WeightField, result: GeodesicResult, eid: int):
     the geodesic t0 is the geodesic re-summed with the edge at zero, off
     it t_inf is result.time.
     """
-    if not (0 <= eid < field.box.n_edges):
-        raise DomainError("edge index out of range")
+    eid = _check_int(eid, "edge index", field.box.n_edges)
     if result.edge_bitset[eid]:
         i = int(np.flatnonzero(result.edge_ids == eid)[0])
         t0 = float(_path_sums(field.weights[result.edge_ids], [i], 0.0)[0])
@@ -658,9 +650,7 @@ def edge_influence(
     for the quadrature in `upper_mean` of `Truncated` and `Tabulated`.
     An edge off the returned geodesic costs nothing and gives 0.0.
     """
-    box = field.box
-    if not (0 <= eid < box.n_edges):
-        raise DomainError("edge index out of range")
+    eid = _check_int(eid, "edge index", field.box.n_edges)
     if not result.edge_bitset[eid]:
         # the returned geodesic avoids the edge, so raising it never hurts
         # and the positive part vanishes identically
@@ -725,10 +715,11 @@ def geodesic_derivative_check(
     Requires a unique geodesic; with ties the slope indicator is ill
     defined, so the check reports inconclusive instead of failing.
     """
+    eid = _check_int(eid, "edge index", field.box.n_edges)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     if not result.unique:
-        return DerivativeCheck(edge=int(eid), inconclusive=True)
+        return DerivativeCheck(edge=eid, inconclusive=True)
     in_geo = bool(result.edge_bitset[eid])
     delta = _time_with(field, result, eid, field.weights[eid] + epsilon) - result.time
     expected = epsilon if in_geo else 0.0
@@ -744,7 +735,7 @@ def geodesic_derivative_check(
         max_err = max(max_err, abs(t_y - min(t0 + y, t_inf)))
     shape_ok = max_err <= 1e-9 * max(t_inf, 1.0)
     return DerivativeCheck(
-        edge=int(eid),
+        edge=eid,
         inconclusive=False,
         in_geodesic=in_geo,
         delta_observed=delta,

@@ -31,6 +31,7 @@ from .errors import (
     NumericError,
     ResourceGuardError,
     UnsupportedParameterError,
+    _check_int,
 )
 
 _N_CAP = 20
@@ -54,12 +55,14 @@ class ProductTable:
             raise DomainError("p must be a nonempty vector")
         if p.size > _N_CAP:
             raise ResourceGuardError(f"tables capped at n <= {_N_CAP}")
-        if np.any((p <= 0) | (p >= 1)):
+        if not np.all((p > 0) & (p < 1)):  # a NaN fails the test too
             raise DomainError("all Bernoulli parameters must lie in (0, 1)")
         if values.shape != (1 << p.size,):
             raise DomainError(
                 f"table must have 2^{p.size} = {1 << p.size} values, got {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise DomainError("table values must be finite")
         w = np.ones(1)
         for pi in p:
             w = np.kron(w, np.array([1.0 - pi, pi]))
@@ -92,30 +95,37 @@ class ProductTable:
         mu = np.dot(w, self.values)
         return float(np.dot(w, (self.values - mu) ** 2))
 
-    # handy constructors -------------------------------------------------
+    # handy constructors ----------------------------------------------------
+    @classmethod
+    def _on_cube(cls, n, p, values) -> "ProductTable":
+        """The table values(x) on x = 0 .. 2^n - 1, each coordinate Bernoulli(p)."""
+        if _check_int(n, "n") < 1:
+            raise DomainError(f"n must be at least 1, got {n}")
+        return cls(np.broadcast_to(np.asarray(p, dtype=float), (n,)), values(np.arange(1 << n)))
+
     @classmethod
     def random(cls, n: int, p, rng: np.random.Generator) -> "ProductTable":
-        p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
-        return cls(p, rng.random(1 << n))
+        return cls._on_cube(n, p, lambda x: rng.random(x.size))
 
     @classmethod
     def dictator(cls, n: int, p, i: int = 1) -> "ProductTable":
-        p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
-        idx = np.arange(1 << n)
-        vals = ((idx >> (n - i)) & 1).astype(float)
-        return cls(p, vals)
+        return cls._on_cube(n, p, lambda x: (x >> (n - _coordinate(i, n))) & 1)
 
     @classmethod
     def parity(cls, n: int, p) -> "ProductTable":
-        p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
-        bits = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
-        return cls(p, (bits % 2).astype(float))
+        return cls._on_cube(n, p, lambda x: np.bitwise_count(x) % 2)
 
     @classmethod
     def hamming_ball(cls, n: int, p, radius: int) -> "ProductTable":
-        p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
-        bits = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
-        return cls(p, (bits <= radius).astype(float))
+        ball = lambda x: np.bitwise_count(x) <= _check_int(radius, "radius", n + 1)
+        return cls._on_cube(n, p, ball)
+
+
+def _coordinate(i, n: int) -> int:
+    """i as a coordinate of an n-coordinate table: 1-based."""
+    if not 1 <= _check_int(i, "coordinate") <= n:
+        raise DomainError(f"coordinate must be in 1..{n}")
+    return int(i)
 
 
 @dataclass
@@ -182,8 +192,7 @@ def _increment(t: np.ndarray, axis: int, p_i: float) -> np.ndarray:
 
 def coordinate_increment(table: ProductTable, i: int) -> np.ndarray:
     """D_i f = f - E_i f as a full tensor (coordinates are 1-based)."""
-    if not (1 <= i <= table.n):
-        raise DomainError(f"coordinate must be in 1..{table.n}")
+    i = _coordinate(i, table.n)
     return _increment(table.tensor(), i - 1, table.p[i - 1])
 
 
@@ -288,14 +297,12 @@ class EnergyDecomposition:
 
 def verify_energy_decomposition(table: ProductTable, i: int) -> EnergyDecomposition:
     """sum_j E (D_i V_j)^2 against E (D_i f)^2 for one coordinate i."""
-    if not (1 <= i <= table.n):
-        raise DomainError(f"coordinate must be in 1..{table.n}")
+    d = coordinate_increment(table, i)
     w = table.weight_tensor()
     terms = []
     for v in martingale_increments(table):
         dv = _increment(v, i - 1, table.p[i - 1])
         terms.append(float(np.sum(w * dv * dv)))
-    d = coordinate_increment(table, i)
     rhs = float(np.sum(w * d * d))
     return EnergyDecomposition(coordinate=i, lhs_terms=terms, lhs=float(np.sum(terms)), rhs=rhs)
 
@@ -416,7 +423,7 @@ def run_random_suite(
         raise DomainError(
             f'energy_coordinates must be "all", got {energy_coordinates!r}'
         )
-    if n_tables < 1:
+    if _check_int(n_tables, "n_tables") < 1:
         raise DomainError(f"the suite needs at least one table, got {n_tables}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mp_min = math.inf
@@ -426,10 +433,8 @@ def run_random_suite(
     violations = 0
     worst: dict = {}
     families: dict = {}
-    count = 0
     population = _suite_population(list(ns), list(ps), rng)
     for family, table in itertools.islice(population, n_tables):
-        count += 1
         families[family] = families.get(family, 0) + 1
         mp = verify_modified_poincare(table)
         fs = verify_fs_bound(table)
@@ -466,7 +471,7 @@ def run_random_suite(
         fs_min = min(fs_min, rel_fs)
         e_max = max(e_max, e_err)
     return SuiteReport(
-        tables=count,
+        tables=int(n_tables),  # the population never runs out
         families=families,
         mp_min_slack=mp_min,
         fs_min_slack=fs_min,

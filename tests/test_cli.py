@@ -377,6 +377,22 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert doc["config"]["dist"] == "halfnormal"
 
 
+@pytest.mark.parametrize("spelling", (["--config={}"], ["--conf", "{}"], ["--config", "{}"]))
+def test_config_file_is_read_however_the_option_is_spelled(spelling, tmp_path, capsys):
+    """argparse finds --config, so its = form and its abbreviation read the
+    file too, and an explicit flag still wins over the file's value."""
+    cfgfile = tmp_path / "run.cfg"
+    out = tmp_path / "verdict.json"
+    cfgfile.write_text(f"dist=halfnormal\nout={out}\n")
+    option = [part.format(cfgfile) for part in spelling]
+    assert _run(["classify", *option]) == 0
+    assert json.loads(out.read_text())["config"]["dist"] == "halfnormal"
+    out.unlink()
+    assert _run(["classify", "--dist", "exp:rate=1", *option]) == 0
+    assert json.loads(out.read_text())["config"]["dist"] == "exp:rate=1"
+    assert capsys.readouterr().out == ""
+
+
 def test_config_file_sets_and_clears_switches(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     base = "dist=exp:rate=1\nn=5,8\nreplicas=4\nworkers=1\n"

@@ -48,6 +48,19 @@ def test_product_table_validation():
         F.ProductTable([0.5] * 21, np.zeros(2**21))
 
 
+@pytest.mark.parametrize("p, values", (
+    ([math.nan, 0.5], [0.0, 1.0, 2.0, 3.0]),
+    ([0.5, 0.5], [0.0, math.nan, 2.0, 3.0]),
+    ([0.5, 0.5], [0.0, 1.0, math.inf, 3.0]),
+    ([0.5, 0.5], [-math.inf, 1.0, 2.0, 3.0]),
+))
+def test_product_table_refuses_nan_and_infinite_input(p, values):
+    """A NaN parameter or a non-finite value is refused when the table is
+    made, so it cannot read later as a violated inequality."""
+    with pytest.raises(DomainError):
+        F.ProductTable(p, values)
+
+
 def test_martingale_increments_dictator():
     t = F.ProductTable.dictator(3, 0.5, 1)
     vs = F.martingale_increments(t)

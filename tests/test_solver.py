@@ -64,6 +64,14 @@ def test_kernel_builds_into_the_user_cache_or_falls_back(tmp_path, monkeypatch):
     assert not (tmp_path / "none").exists()
 
 
+def test_the_kernel_loads_from_its_cache_path():
+    """_kernel_path() names the library _load_kernel loads, so CI's
+    sanitizer step can put its build there by calling it."""
+    if fpp_core._KERNEL is None:
+        pytest.skip("no C compiler: no kernel was loaded")
+    assert fpp_core._KERNEL._name == str(fpp_core._kernel_path())
+
+
 def test_solve_checks_its_input_on_either_backend(solve_backend):
     box = F.LatticeBox((0, 0), (3, 3))  # 16 vertices, 24 edges
     w = np.ones(box.n_edges)
