@@ -19,7 +19,10 @@
  * edges, so every vertex index is below that).
  *
  * The queue is an indexed 4-ary min-heap with decrease-key, held as two
- * arrays, keys and vertices. The slots past the end hold +inf keys, so
+ * arrays, keys and vertices. The keys follow LaMarca and Ladner ("The
+ * influence of caches on the performance of heaps", 1996): slot i's key
+ * lives at index i + 3 of a 32-byte-aligned block, so the four children of
+ * a slot are one aligned group. The slots past the end hold +inf keys, so
  * sifting down picks the least of four children without branches. Those
  * +inf keys are written only up to a high-water mark three slots past the
  * largest size the heap has reached, the last slot sift_down reads, so a
@@ -175,9 +178,10 @@ void fpp_reuse_freed_memory(void)
 #endif
 }
 
-/* The heap: slot i holds key[i] and vert[i], and its children are the slots
- * 4i + 1 .. 4i + 4. The keys below mark are written; those from size on are
- * +inf. */
+/* The heap: slot i holds key[i] and vert[i]. key points 3 doubles into a
+ * 32-byte-aligned block, so the children 4i + 1 .. 4i + 4 of slot i sit at
+ * 4(i + 1) .. 4(i + 1) + 3 of the block, one aligned group. The keys below
+ * mark are written; those from size on are +inf. */
 typedef struct {
     double *key;
     int32_t *vert;
@@ -303,17 +307,6 @@ INLINE int64_t bucket_of(const buckets_t *b, double x)
     return q < (double)SATURATED ? (int64_t)q : SATURATED;
 }
 
-/* buf, *cap items of the given size, doubled: the bucket pool and the scan's
- * records grow by it. NULL, with buf and *cap kept, if it cannot. Inlined, it
- * kept list_push out of the bucketed loop, 3-5% slower on continuous laws. */
-static __attribute__((noinline)) void *grow(void *buf, int32_t *cap, size_t size)
-{
-    void *grown = *cap > INT32_MAX / 2 ? NULL : realloc(buf, 2 * (size_t)*cap * size);
-    if (grown != NULL)
-        *cap *= 2;
-    return grown;
-}
-
 /* Puts (key, v) on the list at *list; -1 if the pool cannot grow. */
 static int list_push(buckets_t *b, int32_t *list, double key, int32_t v)
 {
@@ -322,10 +315,13 @@ static int list_push(buckets_t *b, int32_t *list, double key, int32_t v)
         b->spare = b->pool[i - 1].next;
     } else {
         if (b->used == b->cap) {
-            entry_t *grown = grow(b->pool, &b->cap, sizeof(entry_t));
+            if (b->cap > INT32_MAX / 2)
+                return -1;
+            entry_t *grown = realloc(b->pool, 2 * (size_t)b->cap * sizeof(entry_t));
             if (grown == NULL)
                 return -1;
             b->pool = grown;
+            b->cap *= 2;
         }
         i = ++b->used;
     }
@@ -452,15 +448,17 @@ INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, in
 {
     int32_t n = L->n;
     int status = -1;
+    /* keys: 3 doubles of padding, n slots and the 3 past them sift_down reads */
+    void *raw = malloc(((size_t)n + 6) * sizeof(double) + 31);
     heap_t h = {
-        .key = malloc(((size_t)n + 3) * sizeof(double)), /* n slots, 3 more for sift_down */
         .vert = malloc((size_t)n * sizeof(int32_t)),
         .pos = malloc((size_t)n * sizeof(int32_t)),
         .size = 1,
         .mark = 4,
     };
-    if (h.key == NULL || h.vert == NULL || h.pos == NULL)
+    if (raw == NULL || h.vert == NULL || h.pos == NULL)
         goto done;
+    h.key = (double *)(((uintptr_t)raw + 31) & ~(uintptr_t)31) + 3;
     for (int32_t v = 0; v < n; v++) {
         dist[v] = INFINITY;
         pred[v] = NO_PRED;
@@ -508,7 +506,7 @@ INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, in
     }
     status = 0;
 done:
-    free(h.key);
+    free(raw);
     free(h.vert);
     free(h.pos);
     return status;
@@ -562,6 +560,17 @@ typedef struct {
 
 #define FIRST_RECORDS 256
 
+/* Doubles the record buffer; -1, the buffer kept, if it cannot. */
+static int grow(reached_t **seen, int32_t *cap)
+{
+    reached_t *grown = realloc(*seen, 2 * (size_t)*cap * sizeof(reached_t));
+    if (grown == NULL)
+        return -1;
+    *seen = grown;
+    *cap *= 2;
+    return 0;
+}
+
 INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const double *dist,
                              int32_t src, int32_t tgt, double tol, int64_t *verts,
                              int64_t *eids, int64_t *ties)
@@ -587,12 +596,8 @@ INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const d
         if (reach <= limit) {                                                \
             count++;                                                         \
             if (reach == dv && rec[u] == 0) {                                \
-                if (tail == cap) {                                           \
-                    reached_t *grown = grow(seen, &cap, sizeof(reached_t));  \
-                    if (grown == NULL)                                       \
-                        goto done;                                           \
-                    seen = grown;                                            \
-                }                                                            \
+                if (tail == cap && grow(&seen, &cap) != 0)                   \
+                    goto done;                                               \
                 seen[tail] = (reached_t){u, head, e, 0};                     \
                 rec[u] = ++tail;                                             \
             }                                                                \
@@ -644,18 +649,19 @@ int64_t fpp_geodesic_scan(int32_t d, const int32_t *shape, const double *w,
 }
 
 /* The path index of the first geodesic vertex on v's tree path, memoised in
- * lab (label + 1; the geodesic vertices are set on entry): one walk up the
- * path to a labelled vertex, a second that labels the vertices before it. A
- * path that ends without reaching the geodesic, at a vertex the solve did
- * not reach, gets -1. */
-static int32_t tree_label(const int32_t *pred, int32_t *lab, int32_t v)
+ * lab (label + 1; the geodesic vertices are set on entry). stack has room for
+ * n vertices. A path that ends without reaching the geodesic, at a vertex
+ * the solve did not reach, gets -1. */
+static int32_t tree_label(const int32_t *pred, int32_t *lab, int32_t *stack, int32_t v)
 {
-    int32_t top = v;
-    while (lab[top] == 0 && pred[top] != NO_PRED)
-        top = pred[top];
-    for (int32_t label = lab[top]; v != top; v = pred[v])
-        lab[v] = label; /* not lab[top], which each store might alias: 13% slower */
-    return lab[top] - 1;
+    int32_t depth = 0;
+    while (lab[v] == 0 && pred[v] != NO_PRED) {
+        stack[depth++] = v;
+        v = pred[v];
+    }
+    while (depth > 0)
+        lab[stack[--depth]] = lab[v];
+    return lab[v] - 1;
 }
 
 INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const double *ds,
@@ -667,21 +673,22 @@ INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const 
     size_t side = (size_t)len + 1;
     int32_t *lab_s = calloc((size_t)n, sizeof(int32_t));
     int32_t *lab_t = calloc((size_t)n, sizeof(int32_t));
+    int32_t *stack = calloc((size_t)n, sizeof(int32_t));
     double *table = malloc(side * side * sizeof(double));
     int status = -1;
-    if (lab_s == NULL || lab_t == NULL || table == NULL)
+    if (lab_s == NULL || lab_t == NULL || stack == NULL || table == NULL)
         goto done;
     for (size_t k = 0; k < side * side; k++)
         table[k] = INFINITY;
     for (int32_t i = 0; i <= len; i++)
         lab_s[verts[i]] = lab_t[verts[i]] = i + 1;
     for (int32_t x = 0; x < n; x++) {
-        int32_t a = tree_label(pred_s, lab_s, x);
+        int32_t a = tree_label(pred_s, lab_s, stack, x);
         if (a < 0)
             continue;
 #define OFFER(y, e)                                                          \
     do {                                                                     \
-        int32_t b = on_path[e] ? -1 : tree_label(pred_t, lab_t, y);   \
+        int32_t b = on_path[e] ? -1 : tree_label(pred_t, lab_t, stack, y);   \
         if (a < b) {                                                         \
             double offer = ds[x] + w[e];                                     \
             offer = offer + dt[y];                                           \
@@ -708,6 +715,7 @@ INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const 
 done:
     free(lab_s);
     free(lab_t);
+    free(stack);
     free(table);
     return status;
 }

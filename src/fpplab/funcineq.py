@@ -101,6 +101,8 @@ class ProductTable:
         """The table values(x) on x = 0 .. 2^n - 1, each coordinate Bernoulli(p)."""
         if _check_int(n, "n") < 1:
             raise DomainError(f"n must be at least 1, got {n}")
+        if n > _N_CAP:  # before the 2^n values are built
+            raise ResourceGuardError(f"tables capped at n <= {_N_CAP}")
         return cls(np.broadcast_to(np.asarray(p, dtype=float), (n,)), values(np.arange(1 << n)))
 
     @classmethod
@@ -117,8 +119,9 @@ class ProductTable:
 
     @classmethod
     def hamming_ball(cls, n: int, p, radius: int) -> "ProductTable":
-        ball = lambda x: np.bitwise_count(x) <= _check_int(radius, "radius", n + 1)
-        return cls._on_cube(n, p, ball)
+        if _check_int(radius, "radius") < 0:
+            raise DomainError(f"radius must be nonnegative, got {radius}")
+        return cls._on_cube(n, p, lambda x: np.bitwise_count(x) <= radius)
 
 
 def _coordinate(i, n: int) -> int:
@@ -471,7 +474,7 @@ def run_random_suite(
         fs_min = min(fs_min, rel_fs)
         e_max = max(e_max, e_err)
     return SuiteReport(
-        tables=int(n_tables),  # the population never runs out
+        tables=sum(families.values()),
         families=families,
         mp_min_slack=mp_min,
         fs_min_slack=fs_min,

@@ -46,7 +46,7 @@ ENTRIES = {
                                     "n", 0, "n must be at least 1, got 0"),
     "ProductTable.hamming_ball radius": (
         lambda r: funcineq.ProductTable.hamming_ball(3, 0.5, r), "radius", -1,
-        r"radius out of range: -1 not in 0\.\.3"),
+        "radius must be nonnegative, got -1"),
     "coordinate_increment i": (lambda i: funcineq.coordinate_increment(TABLE, i),
                                "coordinate", 0, r"coordinate must be in 1\.\.3"),
     "verify_energy_decomposition i": (

@@ -61,6 +61,24 @@ def test_product_table_refuses_nan_and_infinite_input(p, values):
         F.ProductTable(p, values)
 
 
+def test_constructors_refuse_large_n_before_building_the_cube():
+    """n above the cap is refused before the 2^n values are made: n = 64
+    would otherwise ask numpy for 2^64 entries."""
+    for make in (
+        lambda: F.ProductTable.random(64, 0.5, np.random.default_rng(0)),
+        lambda: F.ProductTable.dictator(64, 0.5),
+        lambda: F.ProductTable.parity(64, 0.5),
+        lambda: F.ProductTable.hamming_ball(64, 0.5, 1),
+    ):
+        with pytest.raises(ResourceGuardError, match="tables capped at n <= 20"):
+            make()
+
+
+def test_hamming_ball_of_radius_n_or_more_is_the_whole_cube():
+    for radius in (3, 4, 100):
+        assert np.all(F.ProductTable.hamming_ball(3, 0.5, radius).values == 1.0)
+
+
 def test_martingale_increments_dictator():
     t = F.ProductTable.dictator(3, 0.5, 1)
     vs = F.martingale_increments(t)
