@@ -11,10 +11,12 @@ workloads and with --trace 1 for simulate, each on the default seed for
 table times the Dijkstra kernel alone, called as LatticeBox.solve calls
 it: the stopped solve from (0, 0) to (n, 0) on the box of a `simulate`
 cell at n = 100 and 200, for each law of SOLVE_LAWS, and the full solve of
-the 11 x 11 box of the two-point energy fields. Then it runs the tier-1
-suite once and records its wall time and the elapsed times of acceptance
-criteria 1 and 10 from the suite's JUnit report. Compare a BENCH file only
-with another taken on the same machine.
+the 11 x 11 box of the two-point energy fields. It times
+`fpplab classify --dist exp:rate=1` cold, as the median wall time of 7
+fresh interpreters. Then it runs the tier-1 suite once and records its
+wall time and the elapsed times of acceptance criteria 1 and 10 from the
+suite's JUnit report. Compare a BENCH file only with another taken on the
+same machine.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -41,6 +44,8 @@ SOLVE_NS = (100, 200)
 FIELDS = 20
 ROUNDS = 5  # each field is solved once per round
 ENERGY_CALLS = 50  # full solves of the 11 x 11 box per timed call
+CLASSIFY = ("classify", "--dist", "exp:rate=1")
+INTERPRETERS = 7
 
 
 def solve_table() -> dict:
@@ -97,6 +102,25 @@ def perfbench(workload: str, trace: int) -> dict:
     return {"args": cmd[2:], "provenance": lines[-2]["provenance"], "result": lines[-1]}
 
 
+def _src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def classify_cold() -> dict:
+    """Median wall time of the CLI's classify over INTERPRETERS fresh
+    interpreters, start-up and imports included."""
+    cmd = [sys.executable, "-m", "fpplab.cli", *CLASSIFY]
+    times = []
+    for _ in range(INTERPRETERS):
+        t0 = time.perf_counter()
+        subprocess.run(cmd, env=_src_env(), capture_output=True, check=True)
+        times.append(time.perf_counter() - t0)
+    return {"args": ["fpplab", *CLASSIFY], "runs": len(times),
+            "median_s": statistics.median(times)}
+
+
 def tier1() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "junit.xml"
@@ -104,9 +128,7 @@ def tier1() -> dict:
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
              "-W", "error::RuntimeWarning", "-p", "no:cacheprovider", f"--junitxml={report}"],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, ("src", os.environ.get("PYTHONPATH"))))},
-            capture_output=True, text=True,
+            env=_src_env(), capture_output=True, text=True,
         )
         wall = time.perf_counter() - t0
         suite = ET.parse(report).getroot().find("testsuite")
@@ -139,7 +161,8 @@ def main() -> int:
         p.error("--out is required unless --solve-table is given")
     runs = [perfbench(w, t) for w, t in RUNS]
     table = solve_table()
-    bench = {"perfbench": runs, "solve_table_ms": table, "tier1": tier1()}
+    bench = {"perfbench": runs, "solve_table_ms": table, "classify_cold": classify_cold(),
+             "tier1": tier1()}
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(json.dumps(bench["tier1"]))
     return 0 if bench["tier1"]["exit_code"] == 0 else 1

@@ -129,10 +129,13 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags so real flags override;
     a value of true or false, in any case, sets the bare switch or nothing."""
     pre = argparse.ArgumentParser(add_help=False)  # so --config=FILE and --conf FILE count
-    pre.add_argument("--config", nargs="?", type=Path)  # bare: the real parser's error
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
+    pre.add_argument("--config", nargs="?")  # bare: the real parser's error
+    name = pre.parse_known_args(argv)[0].config
+    if name is None:
         return argv
+    if not name:  # Path("") would print as "."
+        raise FppLabError("config file name is empty")
+    path = Path(name)
     if not path.is_file():
         raise FppLabError(f"config file not found: {path}")
     try:

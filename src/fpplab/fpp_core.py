@@ -442,6 +442,18 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
     src = box.vertex_index(u)
     tgt = box.vertex_index(v)
     dist, _ = box.solve(field.weights, src, tgt)
+    return _geodesic(field, u, v, src, tgt, dist)[0]
+
+
+def _geodesic(field: WeightField, u, v, src: int, tgt: int, dist: np.ndarray):
+    """(GeodesicResult, path vertex indices) from a solve from u, whose
+    vertex index is src (tgt is v's).
+
+    dist may be the stopped solve or the full one: they agree bit for bit
+    within the tie horizon, and beyond it every distance exceeds the
+    horizon, so each test of the scan comes out the same either way.
+    """
+    box = field.box
     time = float(dist[tgt])
     if not math.isfinite(time):
         raise DomainError("target unreachable (disconnected weights?)")
@@ -450,7 +462,7 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
     bitset = np.zeros(box.n_edges, dtype=bool)
     bitset[eids] = True
     coords = np.stack(np.unravel_index(verts, box.shape), axis=1) + np.asarray(box.lo)
-    return GeodesicResult(
+    result = GeodesicResult(
         source=tuple(int(c) for c in u),
         target=tuple(int(c) for c in v),
         time=time,
@@ -460,6 +472,7 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
         unique=(ties == 0),
         ties=ties,
     )
+    return result, verts
 
 
 def randomized_passage_time(field: WeightField, a_bits: np.ndarray, v) -> float:
@@ -607,18 +620,24 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     The labels need a positive weight on the edge itself; free geodesic
     edges and bridges (no offer at all) fall back to a re-solve.
     """
+    box = field.box
     wpath = field.weights[result.edge_ids]
-    return _path_sums(wpath, np.arange(result.length), 0.0), _replacement_times(field, result)
+    verts = (result.path - np.asarray(box.lo)) @ box.strides
+    ds, pred_s = box.solve(field.weights, int(verts[0]))
+    t_inf = _replacement_times(field, result, verts, ds, pred_s)
+    return _path_sums(wpath, np.arange(result.length), 0.0), t_inf
 
 
-def _replacement_times(field: WeightField, result: GeodesicResult) -> np.ndarray:
-    """The t_inf half of `geodesic_breakpoints`."""
+def _replacement_times(
+    field: WeightField, result: GeodesicResult, verts: np.ndarray, ds, pred_s
+) -> np.ndarray:
+    """The t_inf half of `geodesic_breakpoints`, given the path's vertex
+    indices and the full solve (ds, pred_s) from its source: one more full
+    solve, from the target."""
     box = field.box
     w = field.weights
     if result.length == 0:
         return np.empty(0)
-    verts = (result.path - np.asarray(box.lo)) @ box.strides
-    ds, pred_s = box.solve(w, int(verts[0]))
     dt, pred_t = box.solve(w, int(verts[-1]))
     offers = _replacement_offers if _KERNEL is None else _kernel_replacement_offers
     t_inf = offers(box, w, result.edge_bitset, verts, ds, pred_s, dt, pred_t)
@@ -666,9 +685,10 @@ def v_e_plus_bernoulli(field: WeightField, u, v):
     Only geodesic edges currently at the low value can contribute: any
     other edge admits a route around it at the current cost. Raising a low
     edge to b gives min(geodesic with that edge at b, t_inf), with t_inf
-    from `_replacement_times`, so a field costs three solves: the stopped
-    passage-time solve and two full ones. Returns
-    (value, result) so callers can reuse the passage-time solve.
+    from `_replacement_times`. The geodesic is read off the full solve from
+    u that `_replacement_times` needs, the same result `passage_time` gives,
+    so a field costs two full solves, one from each end. Returns
+    (value, result) so callers can reuse the geodesic.
     """
     dist = field.distribution()
     if dist.kind != "bernoulli":
@@ -679,8 +699,12 @@ def v_e_plus_bernoulli(field: WeightField, u, v):
         )
     if not dist.a < dist.b:
         raise UnsupportedParameterError("two-point law needs a < b")
-    result = passage_time(field, u, v)
-    t_inf = _replacement_times(field, result)
+    box = field.box
+    src = box.vertex_index(u)
+    tgt = box.vertex_index(v)
+    ds, pred_s = box.solve(field.weights, src)
+    result, verts = _geodesic(field, u, v, src, tgt, ds)
+    t_inf = _replacement_times(field, result, verts, ds, pred_s)
     wpath = field.weights[result.edge_ids]
     low = np.flatnonzero(wpath == dist.a)
     t_b = np.minimum(_path_sums(wpath, low, dist.b), t_inf[low])

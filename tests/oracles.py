@@ -46,6 +46,47 @@ def gauss_pdf_oracle(x: float) -> float:
     return float(m.npdf(m.mpf(x)))
 
 
+def gauss_log_cdf_oracle(x: float) -> float:
+    m = mp()
+    return float(m.log(m.ncdf(m.mpf(x))))
+
+
+def gauss_quantile_from_log_cdf_oracle(logp: float) -> float:
+    """Newton's method on the high-precision log CDF from -sqrt(-2 log p),
+    which lies left of the root; log G is concave, so the iterates climb
+    to it."""
+    m = mp()
+    target = m.mpf(logp)
+    x = -m.sqrt(-2 * target)
+    for _ in range(100):
+        step = (m.log(m.ncdf(x)) - target) * m.ncdf(x) / m.npdf(x)
+        x -= step
+        if abs(step) <= m.mpf(10) ** -40 * max(1, abs(x)):
+            break
+    return float(x)
+
+
+def erfcx_chebyshev_coefficients(n: int, k: float = 3.75, nodes: int = 96) -> list:
+    """The first n Chebyshev coefficients, interpolated at 60 digits on
+    `nodes` Chebyshev points, of ((1 + 2z) erfcx(z) - 1) / (1 + t) as a
+    function of t = (z - k)/(z + k), erfcx(z) = exp(z^2) erfc(z): the series
+    of fpplab.gaussian."""
+    m = mp()
+    with m.workdps(60):
+        k = m.mpf(k)
+
+        def f(t):  # t = cos(angle) < 1 at every node
+            z = k * (1 + t) / (1 - t)
+            return ((1 + 2 * z) * m.erfc(z) * m.exp(z * z) - 1) / (1 + t)
+
+        angles = [m.pi * (i + m.mpf(1) / 2) / nodes for i in range(nodes)]
+        vals = [f(m.cos(a)) for a in angles]
+        coef = [2 * m.fsum(v * m.cos(j * a) for v, a in zip(vals, angles)) / nodes
+                for j in range(n)]
+        coef[0] /= 2
+        return [float(c) for c in coef]
+
+
 def enumerate_self_avoiding_paths(shape, src, dst):
     """Every self-avoiding path src -> dst on the grid graph with the given
     vertex-grid shape, as lists of vertex tuples."""

@@ -393,6 +393,12 @@ def test_config_file_is_read_however_the_option_is_spelled(spelling, tmp_path, c
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("spelling", (["--config="], ["--config", ""], ["--conf="]))
+def test_empty_config_file_name_is_refused_by_name(spelling, capsys):
+    assert _run(["classify", *spelling]) == 2
+    assert capsys.readouterr().err == "fpplab: config file name is empty\n"
+
+
 def test_config_file_sets_and_clears_switches(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     base = "dist=exp:rate=1\nn=5,8\nreplicas=4\nworkers=1\n"

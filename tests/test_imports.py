@@ -2,8 +2,10 @@
 
 `import fpplab` loads numpy and the package only; each scipy submodule is
 imported inside the function that uses it. An exp-law `simulate` therefore
-runs on numpy and the compiled Dijkstra alone, and no path of the package
-loads `scipy.stats`: the gamma law and the Clopper-Pearson interval run on
+runs on numpy and the compiled Dijkstra alone, and so do `classify` and the
+influence energy constant of the exp, uniform and truncated-exp laws, whose
+Gaussian primitives are numpy code. No path of the package loads
+`scipy.stats`: the gamma law and the Clopper-Pearson interval run on
 `scipy.special`.
 """
 
@@ -28,19 +30,27 @@ out = sys.argv[1]
 rc = cli.main(["simulate", "--dist", "exp:rate=1", "--n", "4,6,8", "--replicas", "4",
                "--workers", "1", "--out", out + "/exp"])
 loaded = scipy_modules()
+rc_laws = [cli.main(["classify", "--dist", spec, "--out", out + f"/law{i}.json"])
+           for i, spec in enumerate(["exp:rate=1", "uniform:lo=1,hi=2",
+                                     "trunc(exp:rate=1;k=10,c5=0.5)"])]
+cfg = experiments.ExperimentConfig(dist_spec="exp:rate=1", dim=2, n_list=(8,), replicas=8,
+                                   master_seed=3, m_policy="auto", workers=1)
+k_const = experiments.influence_diagnostics(cfg, 8, exact_replicas=4)["m0"].k_const
+loaded_after_classify = scipy_modules()
 gamma_cdf = fpplab.parse_spec("gamma:a=2,b=1").cdf(1.0)
 rc_gamma = cli.main(["simulate", "--dist", "gamma:a=2,b=1", "--n", "4,6,8",
                      "--replicas", "4", "--workers", "1", "--out", out + "/gamma"])
 rc_classify = cli.main(["classify", "--dist", "gamma:a=2,b=1", "--out", out + "/classify.json"])
 ci = experiments._count_ci(3, 150)
-print(json.dumps({"rc": [rc, rc_gamma, rc_classify], "loaded": loaded,
+print(json.dumps({"rc": [rc, *rc_laws, rc_gamma, rc_classify], "loaded": loaded,
+                  "loaded_after_classify": loaded_after_classify, "k_const": k_const,
                   "loaded_after_gamma": scipy_modules(),
                   "kernel": fpp_core._KERNEL is not None,
                   "gamma_cdf": gamma_cdf, "ci": ci}))
 """
 
 
-def test_exp_simulate_loads_no_scipy_submodule(tmp_path):
+def test_exp_simulate_and_classify_load_no_scipy_submodule(tmp_path):
     src = str(Path(fpplab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -49,13 +59,19 @@ def test_exp_simulate_loads_no_scipy_submodule(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["rc"] == [0, 0, 0]
-    for out in ("exp/report.json", "gamma/report.json", "classify.json"):
+    assert got["rc"] == [0] * 6
+    outs = ["exp/report.json", "gamma/report.json", "classify.json"]
+    for out in outs + [f"law{i}.json" for i in range(3)]:
         assert (tmp_path / out).is_file()
+    for i in range(3):
+        assert json.loads((tmp_path / f"law{i}.json").read_text())["verdict"]["direct_pass"]
     lazy = ["scipy.stats", "scipy.special", "scipy.integrate", "scipy.optimize"]
     if got["kernel"]:
         lazy.append("scipy.sparse")  # only the fallback solver needs csgraph
     assert not set(lazy) & set(got["loaded"]), got["loaded"]
+    # the classifier and the energy constant of these laws run on numpy alone
+    assert math.isfinite(got["k_const"]) and got["k_const"] > 0
+    assert not set(lazy) & set(got["loaded_after_classify"]), got["loaded_after_classify"]
     # a law that needs scipy still imports it on first use, in the same process
     assert abs(got["gamma_cdf"] - (1.0 - 2.0 * math.exp(-1.0))) < 1e-12
     after = got["loaded_after_gamma"]
