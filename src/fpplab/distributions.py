@@ -3,7 +3,9 @@
 Each distribution knows its density, CDF, quantile and log-scale variants,
 samples by inverse transform (so quantile coupling across laws is exact),
 and reports its support and continuity. Everything is vectorized over
-numpy arrays; scalars in give scalars out.
+numpy arrays; scalars in give scalars out. The support rule of
+`Distribution` decides every value off the support, at NaN and for a
+probability off [0, 1]; a law's kernels see only the rest.
 """
 
 from __future__ import annotations
@@ -23,6 +25,22 @@ def _as_float_array(y):
 
 def _ret(arr, scalar):
     return float(arr) if scalar else arr
+
+
+def _on_support(x, kernel, support, below, above, at_lo=False, at_hi=False):
+    """The support rule: `below` left of (lo, hi) = support, and at lo if
+    at_lo; `above` right of it, and at hi if at_hi; NaN at NaN; the kernel
+    on the rest, even on none (so a law without it still raises)."""
+    arr, scalar = _as_float_array(x)
+    lo, hi = support
+    left = arr <= lo if at_lo else arr < lo
+    right = arr >= hi if at_hi else arr > hi
+    inside = ~(left | right | np.isnan(arr))
+    if inside.all():
+        return _ret(kernel(arr), scalar)
+    out = np.where(left, below, np.where(right, above, np.nan))
+    out[inside] = kernel(arr[inside])
+    return _ret(out, scalar)
 
 
 def _branches(where, arr, f_true, f_false):
@@ -47,14 +65,21 @@ def _fmt(x: float) -> str:
 
 
 class Distribution:
-    """Abstract one-dimensional edge-time law.
+    """Abstract one-dimensional edge-time law on its support [lo, hi].
+
+    The eight public functions (pdf, cdf, sf, quantile, isf and the logs of
+    the first three) take a scalar to a float and an array to an array of
+    its shape, and apply one support rule: NaN in gives NaN out; off
+    [lo, hi] the density is 0 (log -inf); the CDF is 0 left of lo, and at
+    lo for a continuous law, and 1 from hi on, with sf and the logs
+    following; quantile and isf of a probability off [0, 1] are NaN.
 
     A law implements the array kernels _cdf and _quantile, plus _pdf when
-    it has a density. The log forms, _sf and _isf default to log(_pdf),
-    log(_cdf), 1 - _cdf, log(_sf) and _quantile(1 - q); a law overrides a
-    kernel only where it has a more accurate closed form. The public
-    methods take a Python or numpy scalar to a float and an array to an
-    array of the same shape.
+    it has a density (without one, pdf and log_pdf raise). The log forms,
+    _sf and _isf default to log(_pdf), log(_cdf), 1 - _cdf, log(_sf) and
+    _quantile(1 - q); a law overrides one only for a more accurate closed
+    form. A kernel sees only what the rule leaves it: [lo, hi] for a
+    density, (lo, hi) for a CDF ([lo, hi) if discrete), [0, 1] to invert.
     """
 
     kind: str = "abstract"
@@ -66,37 +91,29 @@ class Distribution:
         raise NotImplementedError
 
     def pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._pdf(arr), scalar)
-
-    def cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._cdf(arr), scalar)
-
-    def sf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._sf(arr), scalar)
+        return _on_support(y, self._pdf, self.support, 0.0, 0.0)
 
     def log_pdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._log_pdf(arr), scalar)
+        return _on_support(y, self._log_pdf, self.support, -np.inf, -np.inf)
+
+    def cdf(self, y):
+        return _on_support(y, self._cdf, self.support, 0.0, 1.0, self.continuous, True)
+
+    def sf(self, y):
+        return _on_support(y, self._sf, self.support, 1.0, 0.0, self.continuous, True)
 
     def log_cdf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._log_cdf(arr), scalar)
+        return _on_support(y, self._log_cdf, self.support, -np.inf, 0.0, self.continuous, True)
 
     def log_sf(self, y):
-        arr, scalar = _as_float_array(y)
-        return _ret(self._log_sf(arr), scalar)
+        return _on_support(y, self._log_sf, self.support, 0.0, -np.inf, self.continuous, True)
 
     def quantile(self, u):
-        arr, scalar = _as_float_array(u)
-        return _ret(self._quantile(arr), scalar)
+        return _on_support(u, self._quantile, (0.0, 1.0), np.nan, np.nan)
 
     def isf(self, q):
         """Inverse survival function, the y with sf(y) = q."""
-        arr, scalar = _as_float_array(q)
-        return _ret(self._isf(arr), scalar)
+        return _on_support(q, self._isf, (0.0, 1.0), np.nan, np.nan)
 
     def _pdf(self, arr):
         raise UnsupportedKindError(f"{self.kind} has no density")
@@ -137,16 +154,17 @@ class Distribution:
         if start >= hi:
             return below
         grid = np.linspace(start, hi, points)
-        return below + float(np.trapezoid(self._sf(grid), grid))
+        return below + float(np.trapezoid(self.sf(grid), grid))
 
     def exp_moment_rate(self) -> float:
         """A rate delta with E[exp(delta Y)] finite, used by diagnostics."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-transform sampling; deterministic given the generator state."""
-        u = rng.random(size)
-        return self.quantile(u)
+        """Inverse-transform sampling; deterministic given the generator
+        state. The draws lie in [0, 1), so no support rule is applied."""
+        arr, scalar = _as_float_array(rng.random(size))
+        return _ret(self._quantile(arr), scalar)
 
     def spec_string(self) -> str:
         """The `parse_spec` text of this law, from its entry in `_SPECS`."""
@@ -169,9 +187,10 @@ class Gamma(Distribution):
     The kernels are those of scipy's frozen gamma distribution, written out
     on scipy.special so that they give its bits: y is standardized as
     y / scale with scale = 1 / b, quantiles come back as q-inverse * scale,
-    the support rules at 0 and +inf are its rules, and the log CDF and log
-    SF switch at the median from the log of one tail to log1p of minus the
-    other. So at y = +inf the density is nan for a > 1, as there.
+    the log CDF and log SF switch at the median from the log of one tail
+    to log1p of minus the other, and the support rule is scipy's. So at
+    y = +inf the density is nan for a > 1, as there. Inside the support,
+    y / scale can still be 0 or +inf (5e-324 at scale 4, 1e308 at 0.25).
     """
 
     kind = "gamma"
@@ -194,28 +213,22 @@ class Gamma(Distribution):
         return special.xlogy(self.a - 1.0, x) - x - special.gammaln(self.a)
 
     def _pdf(self, arr):
-        x = arr / self._scale
         with np.errstate(invalid="ignore", over="ignore"):
-            out = np.exp(self._log_kernel(x)) / self._scale
-        return np.where(x < 0, 0.0, out)
+            return np.exp(self._log_kernel(arr / self._scale)) / self._scale
 
     def _log_pdf(self, arr):
-        x = arr / self._scale
         with np.errstate(invalid="ignore"):
-            out = self._log_kernel(x) - np.log(self._scale)
-        return np.where(x < 0, -np.inf, out)
+            return self._log_kernel(arr / self._scale) - np.log(self._scale)
 
     def _cdf(self, arr):
         from scipy import special
 
-        x = arr / self._scale
-        return np.where(x <= 0, 0.0, special.gammainc(self.a, x))
+        return special.gammainc(self.a, arr / self._scale)
 
     def _sf(self, arr):
         from scipy import special
 
-        x = arr / self._scale
-        return np.where(x <= 0, 1.0, special.gammaincc(self.a, x))
+        return special.gammaincc(self.a, arr / self._scale)
 
     def _log_cdf(self, arr):
         from scipy import special
@@ -228,7 +241,7 @@ class Gamma(Distribution):
                 lambda y: np.log(self._cdf(y)),
                 lambda y: np.log1p(-self._sf(y)),
             )
-        return np.where(x <= 0, -np.inf, np.where(x == np.inf, 0.0, out))
+        return np.where(x == np.inf, 0.0, out)  # not log1p(-0.0) = -0.0
 
     def _log_sf(self, arr):
         from scipy import special
@@ -241,7 +254,7 @@ class Gamma(Distribution):
                 lambda y: np.log(self._sf(y)),
                 lambda y: np.log1p(-self._cdf(y)),
             )
-        return np.where(x <= 0, 0.0, out)
+        return np.where(x == 0, 0.0, out)  # not log1p(-0.0) = -0.0
 
     def _quantile(self, arr):
         from scipy import special
@@ -289,22 +302,19 @@ class Exponential(Distribution):
         return (0.0, math.inf)
 
     def _pdf(self, arr):
-        return np.where(arr >= 0, self.rate * np.exp(-self.rate * arr), 0.0)
+        return self.rate * np.exp(-self.rate * arr)
 
     def _log_pdf(self, arr):
-        return np.where(arr >= 0, math.log(self.rate) - self.rate * arr, -np.inf)
+        return math.log(self.rate) - self.rate * arr
 
     def _cdf(self, arr):
-        return np.where(arr >= 0, -np.expm1(-self.rate * np.maximum(arr, 0.0)), 0.0)
-
-    def _log_cdf(self, arr):
-        return np.where(arr >= 0, _log(-np.expm1(-self.rate * np.maximum(arr, 0.0))), -np.inf)
+        return -np.expm1(-self.rate * arr)
 
     def _sf(self, arr):
-        return np.where(arr >= 0, np.exp(-self.rate * np.maximum(arr, 0.0)), 1.0)
+        return np.exp(-self.rate * arr)
 
     def _log_sf(self, arr):
-        return np.where(arr >= 0, -self.rate * np.maximum(arr, 0.0), 0.0)
+        return -self.rate * arr
 
     def _quantile(self, arr):
         # log1p(-u) / -rate in one fresh buffer (out= keeps a 0-d input an
@@ -345,18 +355,16 @@ class Uniform(Distribution):
         return (self.lo, self.hi)
 
     def _pdf(self, arr):
-        return np.where((arr >= self.lo) & (arr <= self.hi), 1.0 / self.width, 0.0)
+        return np.full_like(arr, 1.0 / self.width)
 
     def _log_pdf(self, arr):
-        return np.where(
-            (arr >= self.lo) & (arr <= self.hi), -math.log(self.width), -np.inf
-        )
+        return np.full_like(arr, -math.log(self.width))
 
     def _cdf(self, arr):
-        return np.clip((arr - self.lo) / self.width, 0.0, 1.0)
+        return (arr - self.lo) / self.width
 
     def _sf(self, arr):
-        return np.clip((self.hi - arr) / self.width, 0.0, 1.0)
+        return (self.hi - arr) / self.width
 
     def _quantile(self, arr):
         return self.lo + arr * self.width
@@ -387,28 +395,26 @@ class HalfNormal(Distribution):
         return (0.0, math.inf)
 
     def _pdf(self, arr):
-        return np.where(arr >= 0, self._C * np.exp(-0.5 * arr * arr), 0.0)
+        return self._C * np.exp(-0.5 * arr * arr)
 
     def _log_pdf(self, arr):
-        return np.where(arr >= 0, math.log(self._C) - 0.5 * arr * arr, -np.inf)
+        return math.log(self._C) - 0.5 * arr * arr
 
     def _cdf(self, arr):
         from scipy import special
 
-        return np.where(arr >= 0, special.erf(np.maximum(arr, 0.0) / math.sqrt(2)), 0.0)
+        return special.erf(arr / math.sqrt(2))
 
     def _sf(self, arr):
         from scipy import special
 
-        return np.where(arr >= 0, special.erfc(np.maximum(arr, 0.0) / math.sqrt(2)), 1.0)
+        return special.erfc(arr / math.sqrt(2))
 
     def _log_sf(self, arr):
         from scipy import special
 
         # sf(y) = 2 G(-y); log_ndtr keeps the deep tail exact
-        return np.where(
-            arr >= 0, math.log(2.0) + special.log_ndtr(-np.maximum(arr, 0.0)), 0.0
-        )
+        return math.log(2.0) + special.log_ndtr(-arr)
 
     def _quantile(self, arr):
         from scipy import special
@@ -458,7 +464,7 @@ class Bernoulli(Distribution):
         return (self.a, self.b)
 
     def _cdf(self, arr):
-        return np.where(arr < self.a, 0.0, np.where(arr < self.b, 1.0 - self.p, 1.0))
+        return np.full_like(arr, 1.0 - self.p)  # on [a, b)
 
     def _quantile(self, arr):
         return np.where(arr < 1.0 - self.p, self.a, self.b)
@@ -487,7 +493,7 @@ class Dirac(Distribution):
         return (self.c, self.c)
 
     def _cdf(self, arr):
-        return np.where(arr >= self.c, 1.0, 0.0)
+        return np.ones_like(arr)  # sees no point: the rule gives 0 left of c, 1 from c on
 
     def _quantile(self, arr):
         return np.full_like(arr, self.c)
@@ -502,18 +508,19 @@ class Dirac(Distribution):
         return 1.0
 
 
-# the C1 hat 6 s (1 - s) on [0, 1] that carries a truncated law's tail mass
+# the C1 hat 6 s (1 - s) on [0, 1] that carries a truncated law's tail mass;
+# s <= 1 at every point a truncated law's kernels see, those up to the top
 def _hat_pdf(s):
-    return np.where((s >= 0) & (s <= 1), 6.0 * s * (1.0 - s), 0.0)
+    return np.where(s >= 0, 6.0 * s * (1.0 - s), 0.0)
 
 
 def _hat_cdf(s):
-    sc = np.clip(s, 0.0, 1.0)
+    sc = np.maximum(s, 0.0)
     return sc * sc * (3.0 - 2.0 * sc)
 
 
 def _hat_sf(s):
-    sc = np.clip(s, 0.0, 1.0)
+    sc = np.maximum(s, 0.0)
     return (1.0 - sc) ** 2 * (1.0 + 2.0 * sc)
 
 
@@ -570,32 +577,25 @@ class Truncated(Distribution):
         return (y - self.cut) / self.cut
 
     def _pdf(self, arr):
-        out = self.base.pdf(arr) + _hat_pdf(self._s(arr)) * (
-            self.tail_mass / self.cut
-        )
-        return np.where(arr <= self.top, out, 0.0)
+        return self.base.pdf(arr) + _hat_pdf(self._s(arr)) * (self.tail_mass / self.cut)
 
     def _cdf(self, arr):
-        out = self.base.cdf(arr) + self.tail_mass * _hat_cdf(self._s(arr))
-        return np.where(arr >= self.top, 1.0, out)
+        return self.base.cdf(arr) + self.tail_mass * _hat_cdf(self._s(arr))
 
     def _sf(self, arr):
         # base.sf(y) - base.sf(2T) avoids cancellation: both terms are tail-sized
-        out = (np.asarray(self.base.sf(arr)) - self.tail_mass) + (
-            self.tail_mass * _hat_sf(self._s(arr))
-        )
-        return np.where(arr >= self.top, 0.0, np.maximum(out, 0.0))
+        return (self.base.sf(arr) - self.tail_mass) + self.tail_mass * _hat_sf(self._s(arr))
 
     def _quantile(self, arr):
         in_tail = arr > float(self.base.cdf(self.cut))
         tail = lambda target: self._bisect_tail(target, self._cdf, np.less)
-        return _branches(in_tail, arr, tail, self.base.quantile)
+        return _branches(in_tail, arr, tail, self.base._quantile)
 
     def _isf(self, arr):
         # not _quantile(1 - q), which loses a small q to rounding in 1 - q
         in_tail = arr < float(self.base.sf(self.cut))
         tail = lambda target: self._bisect_tail(target, self._sf, np.greater)
-        return _branches(in_tail, arr, tail, self.base.isf)
+        return _branches(in_tail, arr, tail, self.base._isf)
 
     def _bisect_tail(self, target, fn, left_of):
         """For each entry of target, the y in [cut, top] where the test
@@ -623,7 +623,7 @@ class Truncated(Distribution):
             raise DomainError(f"the comparison grid needs at least 2 points, got {grid_points}")
         grid = np.linspace(0.0, self.top * 1.05, grid_points)
         h_base = np.asarray(self.base.cdf(grid))
-        h_k = self._cdf(grid)
+        h_k = np.asarray(self.cdf(grid))
         below = grid <= self.cut
         max_defect = float((h_base - h_k).max())
         below_cut_error = float(np.abs(h_base[below] - h_k[below]).max())
@@ -670,17 +670,16 @@ class Tabulated(Distribution):
         return (float(self.xs[0]), float(self.xs[-1]))
 
     def _pdf(self, arr):
-        return np.interp(arr, self.xs, self.hs, left=0.0, right=0.0)
+        return np.interp(arr, self.xs, self.hs)
 
     def _cdf(self, arr):
-        idx = np.clip(np.searchsorted(self.xs, arr, side="right") - 1, 0, self.xs.size - 2)
+        idx = np.searchsorted(self.xs, arr, side="right") - 1
         x0 = self.xs[idx]
         h0 = self.hs[idx]
         slope = (self.hs[idx + 1] - h0) / (self.xs[idx + 1] - x0)
-        d = np.clip(arr - x0, 0.0, self.xs[idx + 1] - x0)
-        out = self._cum[idx] + h0 * d + 0.5 * slope * d * d
-        out = np.where(arr <= self.xs[0], 0.0, np.where(arr >= self.xs[-1], 1.0, out))
-        return np.clip(out, 0.0, 1.0)
+        d = arr - x0
+        # rounding in the running sums can carry the value past 1
+        return np.clip(self._cum[idx] + h0 * d + 0.5 * slope * d * d, 0.0, 1.0)
 
     def _quantile(self, arr):
         idx = np.clip(np.searchsorted(self._cum, arr, side="right") - 1, 0, self.xs.size - 2)
@@ -688,7 +687,7 @@ class Tabulated(Distribution):
         h0 = self.hs[idx]
         dx = self.xs[idx + 1] - x0
         slope = (self.hs[idx + 1] - h0) / dx
-        rem = np.maximum(arr - self._cum[idx], 0.0)
+        rem = arr - self._cum[idx]
         # solve 0.5 slope d^2 + h0 d = rem per segment; the rationalized root
         # 2 rem / (h0 + sqrt(h0^2 + 2 slope rem)) is stable for either slope
         # sign and degrades gracefully to the linear case

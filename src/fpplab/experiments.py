@@ -143,7 +143,10 @@ def _margin_for(cfg: ExperimentConfig, n: int, m: int) -> int:
     _check_distance(n)
     if not _is_int(m) or m < 0:
         raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
-    margin = int(math.ceil(cfg.margin_factor * n))
+    scaled = cfg.margin_factor * n
+    if not math.isfinite(scaled):
+        raise ConfigError(f"margin factor {cfg.margin_factor!r} times n={n} overflows")
+    margin = int(math.ceil(scaled))
     if m > margin:
         raise ConfigError(
             f"margin {margin} cannot absorb offsets up to m={m}; enlarge margin_factor"

@@ -428,6 +428,11 @@ def run_random_suite(
         )
     if _check_int(n_tables, "n_tables") < 1:
         raise DomainError(f"the suite needs at least one table, got {n_tables}")
+    if _check_int(seed, "seed") < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    ns, ps = list(ns), list(ps)
+    if not (ns and ps):
+        raise DomainError(f"the suite needs at least one n and one p, got ns={ns}, ps={ps}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mp_min = math.inf
     fs_min = math.inf
@@ -436,7 +441,7 @@ def run_random_suite(
     violations = 0
     worst: dict = {}
     families: dict = {}
-    population = _suite_population(list(ns), list(ps), rng)
+    population = _suite_population(ns, ps, rng)
     for family, table in itertools.islice(population, n_tables):
         families[family] = families.get(family, 0) + 1
         mp = verify_modified_poincare(table)

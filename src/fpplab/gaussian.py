@@ -101,14 +101,16 @@ def _exp_half_square(a: np.ndarray) -> np.ndarray:
 def gauss_pdf(x):
     """Standard normal density g(x)."""
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+    with np.errstate(over="ignore"):  # x*x/2 overflows past |x| = 1.9e154, where g is 0
+        out = np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
     return out if out.ndim else float(out)
 
 
 def gauss_log_pdf(x):
     """log g(x), exact for any finite x."""
     x = np.asarray(x, dtype=float)
-    out = -0.5 * x * x - _LOG_SQRT_2PI
+    with np.errstate(over="ignore"):  # log g is -inf past |x| = 1.9e154
+        out = -0.5 * x * x - _LOG_SQRT_2PI
     return out if out.ndim else float(out)
 
 

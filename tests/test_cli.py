@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fpplab import experiments, reporting
+from fpplab import experiments, funcineq, reporting
 from fpplab.cli import build_parser, main
 from fpplab.distributions import Distribution, Truncated
 
@@ -192,6 +192,39 @@ def test_simulate_rejects_bad_input_before_sampling(bad, tmp_path, monkeypatch):
         rc = exc.code
     assert rc == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["simulate", "--dist", "exp:rate=1", "--n", "4,6,8", "--replicas", "4",
+         "--margin", "1e308"],
+        ["verify-ineq", "--n", "3", "--seed", "-1"],
+        ["verify-ineq", "--n", "3", "--p", ","],
+    ),
+)
+def test_config_errors_exit_2_with_one_line_before_any_sampling_or_table(argv, tmp_path,
+                                                                       monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the input was checked")
+
+    monkeypatch.setattr(Distribution, "sample", refuse)
+    monkeypatch.setattr(funcineq, "_suite_population", refuse)
+    out = tmp_path / "out"
+    assert _run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_report_from_a_config_whose_margin_overflows_exits_2(tmp_path, capsys):
+    cfg = experiments.ExperimentConfig(dist_spec="exp:rate=1", n_list=(4, 6, 8), replicas=4)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"config": cfg.echo() | {"margin_factor": 1e308}}))
+    assert _run(["report", "--from", str(report), "--out", str(tmp_path / "regen")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fpplab: ") and err.count("\n") == 1, err
+    assert err.endswith("ConfigError: margin factor 1e+308 times n=4 overflows\n")
 
 
 def test_simulate_outputs_and_determinism(tmp_path):

@@ -431,6 +431,73 @@ def test_isf_defaults_to_quantile_of_complement(name):
             assert _same_bits(d.isf(float(q)), d.quantile(1.0 - float(q)))
 
 
+def _same_values(a, b):
+    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_LAWS))
+def test_one_support_rule_for_every_law(name):
+    d = CONTRACT_LAWS[name]
+    lo, hi = d.support
+    inf, nan = math.inf, math.nan
+    below = [-inf] + [math.nextafter(lo, -inf)] * math.isfinite(lo) + [lo] * d.continuous
+    above = [inf] + [hi, math.nextafter(hi, inf)] * math.isfinite(hi)
+    # the points the kernels decide: just inside each end, and lo of a discrete law
+    inside = [math.nextafter(lo, inf), math.nextafter(hi, -inf)] * (lo < hi)
+    inside += [lo] * (not d.continuous and lo < hi)
+    limits = {"cdf": (0.0, 1.0), "sf": (1.0, 0.0), "log_cdf": (-inf, 0.0),
+              "log_sf": (0.0, -inf)}
+    with np.errstate(all="ignore"):
+        for method, (left, right) in limits.items():
+            fn = getattr(d, method)
+            assert math.isnan(fn(nan)), method
+            assert all(fn(y) == left for y in below), (method, below)
+            assert all(fn(y) == right for y in above), (method, above)
+            for y in inside:
+                assert fn(y) == float(getattr(d, "_" + method)(np.array([y]))[0]), (method, y)
+            points = below + above + inside + [nan]
+            assert _same_values(fn(np.array(points)), [fn(y) for y in points]), method
+        for method in U_METHODS:
+            fn = getattr(d, method)
+            for u in (nan, -0.5, 1.5, -inf, inf):
+                assert math.isnan(fn(u)), (method, u)
+            assert not math.isnan(fn(0.0)) and not math.isnan(fn(1.0)), method
+            points = [nan, -0.5, 0.0, 0.5, 1.0, 1.5]
+            assert _same_values(fn(np.array(points)), [fn(u) for u in points]), method
+        if not d.continuous:
+            for y in (nan, 5.0, lo, np.array([lo, 5.0])):
+                with pytest.raises(UnsupportedKindError):
+                    d.pdf(y)
+                with pytest.raises(UnsupportedKindError):
+                    d.log_pdf(y)
+            return
+        for method, off in (("pdf", 0.0), ("log_pdf", -inf)):
+            fn = getattr(d, method)
+            assert math.isnan(fn(nan)), method
+            outside = [y for y in (math.nextafter(lo, -inf), math.nextafter(hi, inf))
+                       if math.isfinite(y)]
+            assert all(fn(y) == off for y in outside), (method, outside)
+            for end in (lo, hi):
+                if math.isfinite(end):
+                    assert fn(end) == float(getattr(d, "_" + method)(np.array([end]))[0])
+            points = outside + [lo, hi, nan]
+            assert _same_values(fn(np.array(points)), [fn(y) for y in points]), method
+
+
+def test_gamma_standardized_x_reaches_0_and_inf_inside_the_support():
+    # y / scale underflows to 0 at y = 5e-324, scale 4, and overflows at
+    # y = 1e308, scale 0.25: the log tails stay scipy's +0.0 there
+    with np.errstate(over="ignore"):
+        assert _same_bits(F.Gamma(2.0, 4.0).log_cdf(1e308), 0.0)
+        assert _same_bits(F.Gamma(2.0, 0.25).log_sf(5e-324), 0.0)
+    for a in (0.5, 2.0):
+        law, oracle = F.Gamma(a, 4.0), stats.gamma(a, scale=0.25)
+        with np.errstate(all="ignore"):
+            for y in (1e300, 1e308):
+                assert _same_bits(law.log_cdf(y), oracle.logcdf(y)), (a, y)
+
+
 @pytest.mark.parametrize("name", [k for k, d in CONTRACT_LAWS.items() if d.continuous])
 def test_upper_mean_below_the_support_is_mean_minus_level(name):
     d = CONTRACT_LAWS[name]

@@ -248,6 +248,24 @@ def test_suite_needs_a_table(n_tables):
         F.run_random_suite(n_tables=n_tables, ns=(3,), ps=(0.5,))
 
 
+@pytest.mark.parametrize(
+    "bad,match",
+    (
+        (dict(seed=-1), "seed must be a nonnegative integer"),
+        (dict(seed=1.5), "seed must be an integer"),
+        (dict(ns=()), "at least one n and one p"),
+        (dict(ps=[]), "at least one n and one p"),
+    ),
+)
+def test_suite_refuses_a_bad_seed_or_an_empty_grid_before_any_table(bad, match, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("built a table before the input was checked")
+
+    monkeypatch.setattr(funcineq, "_suite_population", no_tables)
+    with pytest.raises(DomainError, match=match):
+        F.run_random_suite(**(dict(n_tables=3, ns=(3,), ps=(0.5,)) | bad))
+
+
 @pytest.mark.parametrize("mode", ("first", "alll", "", None))
 def test_random_suite_checks_every_energy_coordinate(mode):
     with pytest.raises(DomainError, match="energy_coordinates"):

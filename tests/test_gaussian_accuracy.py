@@ -130,6 +130,9 @@ def test_infinities_and_nan_give_limits_without_a_warning():
         assert got[2:].tolist() == [F.gauss_quantile(0.25), F.gauss_quantile_from_log_cdf(-1e-3)]
         # the finite extremes: log G past -x^2/2 = -1.8e308, G^-1 near log p = -1.8e308
         assert F.gauss_log_cdf(-1e200) == -inf and F.gauss_log_cdf(1e200) == 0.0
+        # and where x*x/2 overflows: g is 0 and log g is -inf
+        for x in (-1e200, 1e200, np.array([-1e200, 1e200])):
+            assert np.all(F.gauss_pdf(x) == 0.0) and np.all(F.gauss_log_pdf(x) == -inf)
         for logp in (-1e300, -1e308, -1.7e308):
             want = -math.sqrt(2.0) * math.sqrt(-logp)
             assert F.gauss_quantile_from_log_cdf(logp) == pytest.approx(want, rel=1e-15)
