@@ -4,7 +4,8 @@ scipy and Python versions, not just within one process.
 Each file under tests/golden/ is regenerated here and compared byte for
 byte; `simulate` runs at 1 and 2 workers. A golden file is regenerated
 only with a stated byte change, never to absorb a new numpy or scipy. To
-regenerate one, run the argv of its case below with `--out tests/golden/...`.
+regenerate one, run the argv of its case below with `--out tests/golden/...`;
+influence.json is the text of `_influence_document()`.
 """
 
 import csv
@@ -16,7 +17,7 @@ import numpy
 import pytest
 import scipy
 
-from fpplab import cli
+from fpplab import cli, experiments, reporting
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,3 +72,28 @@ def test_regenerated_outputs_match_the_golden_bytes(target, argv, files, tmp_pat
         new_text = new.read_text(encoding="utf-8")
         old_text = old.read_text(encoding="utf-8")
         assert new_text == old_text, _mismatch(name, new_text, old_text)
+
+
+def _influence_document(workers: int = 1) -> str:
+    """The two batch readers, as `reporting.dumps` writes them, for two laws:
+    `influence_diagnostics` (12 exact replicas) and `geodesic_stats` at n=16,
+    24 replicas, m policy "auto", seed 17."""
+    doc = {}
+    for name in ("exp", "bernoulli"):
+        cfg = experiments.ExperimentConfig(
+            _LAWS[name], n_list=(16,), replicas=24, master_seed=17, m_policy="auto",
+            workers=workers,
+        )
+        doc[name] = {
+            "influence_diagnostics": experiments.influence_diagnostics(cfg, 16, exact_replicas=12),
+            "geodesic_stats": experiments.geodesic_stats(cfg, 16),
+        }
+    return reporting.dumps(doc)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_batch_readers_match_the_golden_bytes(workers, solve_backend):
+    name = "influence.json"
+    new_text = _influence_document(workers)
+    old_text = (GOLDEN / name).read_text(encoding="utf-8")
+    assert new_text == old_text, _mismatch(name, new_text, old_text)
