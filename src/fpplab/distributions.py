@@ -207,6 +207,11 @@ class Gamma(Distribution):
     def support(self):
         return (0.0, math.inf)
 
+    def _x(self, arr):
+        """y standardized as y / scale, which may overflow to +inf inside the support."""
+        with np.errstate(over="ignore"):
+            return arr / self._scale
+
     def _log_kernel(self, x):
         from scipy import special
 
@@ -214,26 +219,26 @@ class Gamma(Distribution):
 
     def _pdf(self, arr):
         with np.errstate(invalid="ignore", over="ignore"):
-            return np.exp(self._log_kernel(arr / self._scale)) / self._scale
+            return np.exp(self._log_kernel(self._x(arr))) / self._scale
 
     def _log_pdf(self, arr):
         with np.errstate(invalid="ignore"):
-            return self._log_kernel(arr / self._scale) - np.log(self._scale)
+            return self._log_kernel(self._x(arr)) - np.log(self._scale)
 
     def _cdf(self, arr):
         from scipy import special
 
-        return special.gammainc(self.a, arr / self._scale)
+        return special.gammainc(self.a, self._x(arr))
 
     def _sf(self, arr):
         from scipy import special
 
-        return special.gammaincc(self.a, arr / self._scale)
+        return special.gammaincc(self.a, self._x(arr))
 
     def _log_cdf(self, arr):
         from scipy import special
 
-        x = arr / self._scale
+        x = self._x(arr)
         with np.errstate(divide="ignore"):
             out = _branches(
                 x < special.gammaincinv(self.a, 0.5),
@@ -246,7 +251,7 @@ class Gamma(Distribution):
     def _log_sf(self, arr):
         from scipy import special
 
-        x = arr / self._scale
+        x = self._x(arr)
         with np.errstate(divide="ignore"):
             out = _branches(
                 x > special.gammaincinv(self.a, 0.5),
@@ -395,10 +400,12 @@ class HalfNormal(Distribution):
         return (0.0, math.inf)
 
     def _pdf(self, arr):
-        return self._C * np.exp(-0.5 * arr * arr)
+        with np.errstate(over="ignore"):  # y*y/2 overflows past 1.9e154, where the density is 0
+            return self._C * np.exp(-0.5 * arr * arr)
 
     def _log_pdf(self, arr):
-        return math.log(self._C) - 0.5 * arr * arr
+        with np.errstate(over="ignore"):  # and its log is -inf
+            return math.log(self._C) - 0.5 * arr * arr
 
     def _cdf(self, arr):
         from scipy import special

@@ -127,9 +127,14 @@ class ExperimentConfig:
 def resolve_workers(requested: int | None) -> int:
     """The number of threads `_map_replicas` runs the replicas of
     collect_batch and truncation_experiment on: the requested count
-    (default: every core), capped by FPPLAB_WORKERS."""
+    (default: every core this process may run on), capped by FPPLAB_WORKERS."""
     cap = os.environ.get("FPPLAB_WORKERS")
-    n = requested if requested else (os.cpu_count() or 1)
+    if requested:
+        n = requested
+    elif hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
     if cap:
         if not (cap.strip().isdecimal() and int(cap) >= 1):
             raise ConfigError(f"FPPLAB_WORKERS must be a positive integer, got {cap!r}")
@@ -170,35 +175,15 @@ def box_for(cfg: ExperimentConfig, n: int) -> LatticeBox:
 
 @dataclass
 class ReplicaBatch:
-    """Raw per-replica observables for one (n, m) cell."""
+    """Per-replica observables of one (n, m) cell, in replica order."""
 
     n: int
     m: int
     times: np.ndarray
     geo_len: np.ndarray
     ties: np.ndarray
-    presence: np.ndarray  # (replicas, n_probes) uint8
-    probe_ids: np.ndarray
-    geo_edges: list | None = None
+    observed: list | None = None  # observe(field, result, r) per replica, if asked
     seconds: float = 0.0  # collect_batch's wall time; never written to a report
-    # exact probe influences of the first exact_replicas replicas, in order
-    exact_w: np.ndarray | None = None  # (exact_replicas, n_probes) W_{e,+}
-    exact_w_plus: list | None = None  # Lipschitz bound on W_+ per replica
-
-
-def _exact_probes(field, res, dist, probe_ids):
-    """Exact W_{e,+} for the probe edges plus the Lipschitz bound on W_+."""
-    w_e = np.zeros(len(probe_ids))
-    for j, eid in enumerate(probe_ids):
-        if not res.edge_bitset[eid]:
-            continue
-        t0, t_inf = edge_breakpoint(field, res, int(eid))
-        w_e[j] = breakpoint_influence(dist, res.time, t0, t_inf)
-    # 1-Lipschitz bound: resampling edge e can add at most (Y - x_e)+
-    w_plus = float(
-        np.sum([dist.upper_mean(float(x)) for x in field.weights[res.edge_ids]])
-    )
-    return w_e, w_plus
 
 
 def _map_replicas(fn, count: int, workers: int | None) -> list:
@@ -216,35 +201,21 @@ def _map_replicas(fn, count: int, workers: int | None) -> list:
         return [f.result() for f in futures]
 
 
-def collect_batch(
-    cfg: ExperimentConfig,
-    n: int,
-    m: int,
-    want_edges: bool = False,
-    probe_ids=(),
-    exact_replicas: int = 0,
-) -> ReplicaBatch:
+def collect_batch(cfg: ExperimentConfig, n: int, m: int, observe=None) -> ReplicaBatch:
     """Every replica of the (n, m) cell, folded in replica order.
 
     `_map_replicas` runs one replica per call, on `cfg.workers` threads;
     the worker count changes no bit. The threads share one box and one
-    parsed law, both made here before they start: the solves and the
-    sampling release the interpreter lock, so no process is started and
-    nothing is pickled. n, m, exact_replicas and the probe ids (edges of
-    `box_for(cfg, n)`) are checked before any sampling. Replicas below
-    exact_replicas also carry their exact probe influences, taken from the
-    field and geodesic already built.
+    parsed law, both made here, after n and m are checked and before they
+    start: the solves and the sampling release the interpreter lock, so no
+    process is started and nothing is pickled. Each replica keeps its
+    passage time, geodesic length and ties; with `observe`, also
+    `observe(field, result, r)`, computed in the replica's thread from the
+    field and geodesic it already holds, in `ReplicaBatch.observed`.
     """
     t0 = _time.perf_counter()
     _margin_for(cfg, n, m)
-    if not (_is_int(exact_replicas) and exact_replicas >= 0):
-        raise ConfigError(f"exact_replicas must be an integer >= 0, got {exact_replicas!r}")
     box = box_for(cfg, n)
-    probe_ids = tuple(probe_ids)
-    bad = [e for e in probe_ids if not (_is_int(e) and 0 <= e < box.n_edges)]
-    if bad:
-        raise ConfigError(f"probe ids must be integers in [0, {box.n_edges}), got {bad[0]!r}")
-    probe_ids = np.asarray(probe_ids, dtype=np.int64)
     dist = parse_spec(cfg.dist_spec)
     seed = cfg.master_seed
 
@@ -258,30 +229,17 @@ def collect_batch(
         v = z.copy()
         v[0] += n
         res = passage_time(field, tuple(int(c) for c in z), tuple(int(c) for c in v))
-        return (
-            res.time,
-            res.length,
-            res.ties,
-            res.edge_bitset[probe_ids],
-            res.edge_ids if want_edges else None,
-            _exact_probes(field, res, dist, probe_ids) if r < exact_replicas else None,
-        )
+        return res.time, res.length, res.ties, observe(field, res, r) if observe else None
 
-    rows = _map_replicas(replica, cfg.replicas, cfg.workers)
-    times, lengths, ties, presence, edges, exact = zip(*rows)
-    exact = [e for e in exact if e is not None]
+    times, lengths, ties, observed = zip(*_map_replicas(replica, cfg.replicas, cfg.workers))
     return ReplicaBatch(
         n=n,
         m=m,
         times=np.array(times),
         geo_len=np.array(lengths, dtype=float),
         ties=np.array(ties, dtype=np.int64),
-        presence=np.array(presence, dtype=np.uint8),
-        probe_ids=probe_ids,
-        geo_edges=list(edges) if want_edges else None,
+        observed=list(observed) if observe else None,
         seconds=_time.perf_counter() - t0,
-        exact_w=np.array([w for w, _ in exact]).reshape(len(exact), probe_ids.size),
-        exact_w_plus=[w_plus for _, w_plus in exact],
     )
 
 
@@ -565,6 +523,21 @@ def l_of_k(k_const: float, rs: float) -> float:
     return k_const / math.log(k_const / (rs * inner))
 
 
+def _exact_probes(field, res, dist, probe_ids):
+    """Exact W_{e,+} for the probe edges plus the Lipschitz bound on W_+."""
+    w_e = np.zeros(len(probe_ids))
+    for j, eid in enumerate(probe_ids):
+        if not res.edge_bitset[eid]:
+            continue
+        t0, t_inf = edge_breakpoint(field, res, int(eid))
+        w_e[j] = breakpoint_influence(dist, res.time, t0, t_inf)
+    # 1-Lipschitz bound: resampling edge e can add at most (Y - x_e)+
+    w_plus = float(
+        np.sum([dist.upper_mean(float(x)) for x in field.weights[res.edge_ids]])
+    )
+    return w_e, w_plus
+
+
 def influence_diagnostics(
     cfg: ExperimentConfig,
     n: int,
@@ -590,21 +563,26 @@ def influence_diagnostics(
     m_rand = cfg.m_for(n) or int(math.ceil(n**0.25))
     _margin_for(cfg, n, m_rand)
     box = box_for(cfg, n)
-    probe_ids = [int(e) for e in box.edges_near(tuple([0] * cfg.dim), PROBE_RADIUS)]
+    probe_ids = box.edges_near(tuple([0] * cfg.dim), PROBE_RADIUS)
     exact_n = min(exact_replicas, cfg.replicas)
     c_e, law_flags = _energy_constant(dist)
     c5 = default_c5(cfg.dim, dist.exp_moment_rate())
+
+    def observe(field, res, r):
+        exact = _exact_probes(field, res, dist, probe_ids) if r < exact_n else None
+        return res.edge_bitset[probe_ids], exact
+
     out = {}
     for m in (0, m_rand):
-        batch = collect_batch(
-            cfg, n, m=m, probe_ids=probe_ids, exact_replicas=exact_n
-        )
+        batch = collect_batch(cfg, n, m=m, observe=observe)
+        presence, exact = zip(*batch.observed)
+        presence = np.array(presence, dtype=np.uint8).mean(axis=0)
         # summed in replica order, as the replicas were folded
-        w_sq = sum(w_e**2 for w_e in batch.exact_w) / exact_n
-        s_hat = math.sqrt(sum(w_plus**2 for w_plus in batch.exact_w_plus) / exact_n)
+        w_sq = sum(w_e**2 for w_e, _ in exact[:exact_n]) / exact_n
+        s_hat = math.sqrt(sum(w_plus**2 for _, w_plus in exact[:exact_n]) / exact_n)
         mean_f = float(batch.times.mean())
         s_bound = dist.mean() * math.sqrt(float((batch.geo_len**2).mean()))
-        r_hat = float(np.sqrt(w_sq.max())) if len(probe_ids) else 0.0
+        r_hat = float(np.sqrt(w_sq.max())) if probe_ids.size else 0.0
         flags = list(law_flags)
         # K = 4 C E(F) + D (1 + 2/C): only D and E(F) depend on the cell
         d_const = (c5**2) * m * (math.log(n) ** 2) if m > 0 else 0.0
@@ -618,11 +596,11 @@ def influence_diagnostics(
             ProbeStat(
                 edge=eid,
                 endpoints=box.edge_endpoints(eid),
-                presence=float(batch.presence[:, j].mean()),
+                presence=float(presence[j]),
                 w_sq_mean=float(w_sq[j]),
                 r_hat=float(math.sqrt(w_sq[j])),
             )
-            for j, eid in enumerate(probe_ids)
+            for j, eid in enumerate(probe_ids.tolist())
         ]
         out[m] = ConcentrationDiagnostics(
             n=n,
@@ -813,34 +791,28 @@ class GeodesicStats:
     replicas: int
 
 
-def geodesic_stats(
-    cfg: ExperimentConfig, n: int, batch: ReplicaBatch | None = None
-) -> GeodesicStats:
-    """Length moments plus geodesic counts in balls around a mid-path edge.
-
-    A batch passed in must be of the n asked for and carry its geodesic
-    edges (collected with want_edges=True).
-    """
-    if batch is None:
-        batch = collect_batch(cfg, n, m=0, want_edges=True)
-    elif batch.n != n:
-        raise ConfigError(f"geodesic stats at n={n} were given a batch of n={batch.n}")
-    elif batch.geo_edges is None:
-        raise ConfigError("geodesic stats need a batch collected with want_edges=True")
+def geodesic_stats(cfg: ExperimentConfig, n: int) -> GeodesicStats:
+    """Length moments of the m=0 cell plus its mean geodesic edge counts in
+    balls around the mid-path vertex; each replica counts its own."""
     box = box_for(cfg, n)
     center = [n // 2] + [0] * (cfg.dim - 1)
-    ball_counts = {}
+    balls = []
     for m in BALL_MS:
         in_ball = np.zeros(box.n_edges, dtype=bool)
         in_ball[box.edges_near(center, cfg.dim * m)] = True
-        total = sum(int(np.count_nonzero(in_ball[eids])) for eids in batch.geo_edges)
-        ball_counts[int(m)] = total / len(batch.geo_edges)
+        balls.append(in_ball)
+
+    def observe(field, res, r):
+        return [int(np.count_nonzero(in_ball[res.edge_ids])) for in_ball in balls]
+
+    batch = collect_batch(cfg, n, m=0, observe=observe)
+    totals = [sum(column) for column in zip(*batch.observed)]
     return GeodesicStats(
         n=n,
         mean_len=float(batch.geo_len.mean()),
         mean_len_sq=float((batch.geo_len**2).mean()),
         len_sq_over_n_sq=float((batch.geo_len**2).mean() / n**2),
-        ball_counts=ball_counts,
+        ball_counts={int(m): total / cfg.replicas for m, total in zip(BALL_MS, totals)},
         replicas=batch.times.size,
     )
 

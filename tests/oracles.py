@@ -407,14 +407,42 @@ def serial_exact_probe_influence(cfg, n, m, exact_n, probe_ids):
     return w_sq, s_sq_sum / max(exact_n, 1)
 
 
-def tuple_fold_batch(cfg, n, m, want_edges=False, probe_ids=(), exact_replicas=0):
+def probe_observer(cfg, n, exact_replicas):
+    """(probe ids, observer) for `collect_batch`: the edges within L1 radius 1
+    of the origin, and an observer that keeps per replica what the runner
+    once kept itself, (probe presence, geodesic edge ids, exact probe
+    influences below exact_replicas or None)."""
+    from fpplab import experiments as E
+
+    probe_ids = E.box_for(cfg, n).edges_near(tuple([0] * cfg.dim), 1)
+    dist = E.parse_spec(cfg.dist_spec)
+
+    def observe(field, res, r):
+        exact = E._exact_probes(field, res, dist, probe_ids) if r < exact_replicas else None
+        return res.edge_bitset[probe_ids], res.edge_ids, exact
+
+    return probe_ids, observe
+
+
+def batch_bytes(batch):
+    """A ReplicaBatch of `probe_observer` values as comparable bytes."""
+    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (batch.times, batch.geo_len, batch.ties)]
+    observed = [
+        (presence.dtype, presence.tobytes(), edges.tobytes(),
+         None if exact is None else (exact[0].tobytes(), exact[1]))
+        for presence, edges, exact in batch.observed
+    ]
+    return (batch.n, batch.m), arrays, observed
+
+
+def tuple_fold_batch(cfg, n, m, probe_ids, exact_replicas):
     """One (n, m) cell as the replica loop used to build it: a serial loop
-    of per-replica tuples, folded field by field into a ReplicaBatch."""
+    of per-replica tuples, folded field by field into a ReplicaBatch whose
+    `observed` holds what `probe_observer` keeps, computed here."""
     from fpplab import experiments as E
 
     box = E.box_for(cfg, n)
     dist = E.parse_spec(cfg.dist_spec)
-    probe_ids = np.asarray(probe_ids, dtype=np.int64)
     flat = []
     for r in range(cfg.replicas):
         field = E.WeightField.generate(box, dist, cfg.master_seed, r)
@@ -425,7 +453,6 @@ def tuple_fold_batch(cfg, n, m, want_edges=False, probe_ids=(), exact_replicas=0
         v = z.copy()
         v[0] += n
         res = E.passage_time(field, tuple(int(c) for c in z), tuple(int(c) for c in v))
-        presence = res.edge_bitset[probe_ids] if probe_ids.size else np.empty(0, bool)
         exact = None
         if r < exact_replicas:
             w_e = np.zeros(len(probe_ids))
@@ -437,26 +464,15 @@ def tuple_fold_batch(cfg, n, m, want_edges=False, probe_ids=(), exact_replicas=0
                 np.sum([dist.upper_mean(float(x)) for x in field.weights[res.edge_ids]])
             )
             exact = (w_e, w_plus)
-        flat.append(
-            (res.time, res.length, res.ties, presence.astype(np.uint8),
-             res.edge_ids if want_edges else None, exact)
-        )
-    exact = [f[5] for f in flat[:exact_replicas]]
+        flat.append((res.time, res.length, res.ties,
+                     (res.edge_bitset[probe_ids], res.edge_ids, exact)))
     return E.ReplicaBatch(
         n=n,
         m=m,
         times=np.array([f[0] for f in flat]),
         geo_len=np.array([f[1] for f in flat], dtype=float),
         ties=np.array([f[2] for f in flat], dtype=np.int64),
-        presence=(
-            np.stack([f[3] for f in flat])
-            if probe_ids.size
-            else np.empty((len(flat), 0), dtype=np.uint8)
-        ),
-        probe_ids=probe_ids,
-        geo_edges=[f[4] for f in flat] if want_edges else None,
-        exact_w=np.array([w for w, _ in exact]).reshape(len(exact), len(probe_ids)),
-        exact_w_plus=[w_plus for _, w_plus in exact],
+        observed=[f[3] for f in flat],
     )
 
 

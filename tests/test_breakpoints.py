@@ -227,11 +227,12 @@ def test_influence_diagnostics_solves_batch_plus_probe_edges(solve_counter):
     )
     exact_n = 8
     box = F.experiments.box_for(cfg, 12)
-    probe_ids = [int(e) for e in box.edges_near((0, 0), 1)]
+    probe_ids = box.edges_near((0, 0), 1)
     expected = 0
     for m in (0, cfg.m_for(12)):
-        batch = F.collect_batch(cfg, 12, m=m, probe_ids=probe_ids)
-        expected += cfg.replicas + int(batch.presence[:exact_n].sum())
+        batch = F.collect_batch(cfg, 12, m=m,
+                                observe=lambda field, res, r: res.edge_bitset[probe_ids])
+        expected += cfg.replicas + int(np.sum(batch.observed[:exact_n]))
     solve_counter.clear()
     F.influence_diagnostics(cfg, 12, exact_replicas=exact_n)
     assert len(solve_counter) == expected

@@ -485,12 +485,26 @@ def test_one_support_rule_for_every_law(name):
             assert _same_values(fn(np.array(points)), [fn(y) for y in points]), method
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_finite_points_where_the_arithmetic_overflows_raise_no_warning():
+    # halfnormal's y*y/2 overflows past |y| = 1.9e154, where the density is 0
+    hn = F.HalfNormal()
+    for y in (1e200, -1e200, np.array([1e200, -1e200])):
+        assert np.all(hn.pdf(y) == 0.0) and np.all(hn.log_pdf(y) == -math.inf)
+    # gamma's y / scale overflows at y = 1e308, scale 0.25; scipy's bits stay
+    law, oracle = F.Gamma(2.0, 4.0), stats.gamma(2.0, scale=0.25)
+    for method, kernel in (("pdf", "pdf"), ("log_pdf", "logpdf"), ("cdf", "cdf"),
+                           ("sf", "sf"), ("log_cdf", "logcdf"), ("log_sf", "logsf")):
+        with np.errstate(all="ignore"):
+            want = getattr(oracle, kernel)(1e308)
+        assert _same_bits(getattr(law, method)(1e308), want), method
+
+
 def test_gamma_standardized_x_reaches_0_and_inf_inside_the_support():
     # y / scale underflows to 0 at y = 5e-324, scale 4, and overflows at
     # y = 1e308, scale 0.25: the log tails stay scipy's +0.0 there
-    with np.errstate(over="ignore"):
-        assert _same_bits(F.Gamma(2.0, 4.0).log_cdf(1e308), 0.0)
-        assert _same_bits(F.Gamma(2.0, 0.25).log_sf(5e-324), 0.0)
+    assert _same_bits(F.Gamma(2.0, 4.0).log_cdf(1e308), 0.0)
+    assert _same_bits(F.Gamma(2.0, 0.25).log_sf(5e-324), 0.0)
     for a in (0.5, 2.0):
         law, oracle = F.Gamma(a, 4.0), stats.gamma(a, scale=0.25)
         with np.errstate(all="ignore"):

@@ -81,6 +81,17 @@ def test_resolve_workers_applies_the_environment_cap(monkeypatch):
     assert resolve_workers(5) == 5
 
 
+def test_resolve_workers_defaults_to_the_cpus_the_process_may_run_on(monkeypatch):
+    from fpplab.experiments import resolve_workers
+
+    monkeypatch.delenv("FPPLAB_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers(None) == 1 and resolve_workers(3) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+    assert resolve_workers(None) == 8
+
+
 def test_m_policy():
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", m_policy="auto")
     assert cfg.m_for(100) == 4
@@ -212,8 +223,6 @@ def _synthetic_batch(n, times):
         n=n, m=0, times=np.asarray(times, dtype=float),
         geo_len=np.full(len(times), float(n)),
         ties=np.zeros(len(times), dtype=np.int64),
-        presence=np.empty((len(times), 0), dtype=np.uint8),
-        probe_ids=np.empty(0, dtype=np.int64),
     )
 
 
@@ -514,34 +523,23 @@ def test_config_round_trips_through_its_echo():
 @pytest.mark.parametrize("m", (0, 2))
 @pytest.mark.parametrize("spec", ("exp:rate=1", "bernoulli:a=1,b=2,p=0.5"))
 def test_collect_batch_matches_the_tuple_fold(spec, m, workers):
-    from oracles import tuple_fold_batch
+    from oracles import batch_bytes, probe_observer, tuple_fold_batch
 
     n = 12
     # 40 replicas, one per call, in this thread or on 2 pool threads
     cfg = F.ExperimentConfig(dist_spec=spec, n_list=(n,), replicas=40,
                              master_seed=23, m_policy="2", workers=workers)
-    probes = [int(e) for e in F.experiments.box_for(cfg, n).edges_near((0, 0), 1)]
-    got = F.collect_batch(cfg, n, m=m, want_edges=True, probe_ids=probes,
-                          exact_replicas=11)
-    want = tuple_fold_batch(cfg, n, m, want_edges=True, probe_ids=probes,
-                            exact_replicas=11)
-    assert (got.n, got.m) == (want.n, want.m)
-    for name in ("times", "geo_len", "ties", "presence", "probe_ids", "exact_w"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
-    assert len(got.geo_edges) == len(want.geo_edges) == cfg.replicas
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.geo_edges, want.geo_edges))
-    assert got.exact_w_plus == want.exact_w_plus
-    assert len(got.exact_w_plus) == 11 and got.presence.any() and got.exact_w.any()
+    probes, observe = probe_observer(cfg, n, exact_replicas=11)
+    got = F.collect_batch(cfg, n, m=m, observe=observe)
+    assert batch_bytes(got) == batch_bytes(tuple_fold_batch(cfg, n, m, probes, 11))
+    presence, _, exact = zip(*got.observed)
+    assert len(presence) == cfg.replicas and np.any(presence)
+    assert sum(e is not None for e in exact) == 11 and any(e[0].any() for e in exact[:11])
 
 
-def test_collect_batch_without_probes_keeps_empty_shapes():
-    cfg = F.ExperimentConfig(**TINY)
-    batch = F.collect_batch(cfg, 6, m=0)
-    assert batch.presence.shape == (cfg.replicas, 0) and batch.presence.dtype == np.uint8
-    assert batch.exact_w.shape == (0, 0) and batch.exact_w_plus == []
-    assert batch.probe_ids.dtype == np.int64 and batch.geo_edges is None
+def test_collect_batch_without_an_observer_keeps_none():
+    batch = F.collect_batch(F.ExperimentConfig(**TINY), 6, m=0)
+    assert batch.observed is None and batch.times.size == TINY["replicas"]
 
 
 # ---------------------------------------------------------------------------
@@ -601,20 +599,9 @@ def _forbid_sampling(monkeypatch):
 
 def test_batch_readers_refuse_a_batch_of_another_n_before_sampling(monkeypatch):
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(8,), replicas=5, workers=1)
-    batch = _synthetic_batch(16, np.full(5, 16.0))
-    batch.geo_edges = [np.arange(16)] * 5
     _forbid_sampling(monkeypatch)
     with pytest.raises(ConfigError, match="given a batch of n=16"):
-        F.tail_profile(cfg, 8, batch=batch)
-    with pytest.raises(ConfigError, match="given a batch of n=16"):
-        F.geodesic_stats(cfg, 8, batch=batch)
-
-
-def test_geodesic_stats_refuses_a_batch_without_edges_before_sampling(monkeypatch):
-    cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(8,), replicas=5, workers=1)
-    _forbid_sampling(monkeypatch)
-    with pytest.raises(ConfigError, match="want_edges=True"):
-        F.geodesic_stats(cfg, 8, batch=_synthetic_batch(8, np.full(5, 8.0)))
+        F.tail_profile(cfg, 8, batch=_synthetic_batch(16, np.full(5, 16.0)))
 
 
 @pytest.mark.parametrize("n,margin_factor", ((10, 0.1), (2, 0.5)))
@@ -668,18 +655,13 @@ def test_truncation_experiment_runs_on_one_replica():
         (lambda cfg: F.geodesic_stats(cfg, 6.0), "distance n"),
         (lambda cfg: F.tail_profile(cfg, True, batch=_synthetic_batch(1, [1.0, 2.0])),
          "distance n"),
-        (lambda cfg: F.collect_batch(cfg, 6, 0, exact_replicas=2.5), "exact_replicas"),
-        (lambda cfg: F.collect_batch(cfg, 6, 0, exact_replicas=-1), "exact_replicas"),
-        (lambda cfg: F.collect_batch(cfg, 6, 0, exact_replicas=True), "exact_replicas"),
-        (lambda cfg: F.collect_batch(cfg, 6, 0, probe_ids=[-1]), "probe ids"),
-        (lambda cfg: F.collect_batch(cfg, 6, 0, probe_ids=[1.7]), "probe ids"),
-        (lambda cfg: F.collect_batch(cfg, 6, 0, probe_ids=[3, 10**9]), "probe ids"),
-        (lambda cfg: F.collect_batch(cfg, 6, 0, probe_ids=["3"]), "probe ids"),
+        (lambda cfg: F.influence_diagnostics(cfg, 6, exact_replicas=2.5), "exact_replicas"),
+        (lambda cfg: F.influence_diagnostics(cfg, 6, exact_replicas=-1), "exact_replicas"),
+        (lambda cfg: F.influence_diagnostics(cfg, 6, exact_replicas=True), "exact_replicas"),
     ),
     ids=("n=2.5", "n=0", "n=-4", "n=True", "truncation-n=2.5", "truncation-n=0",
          "influence-n=2.5", "influence-n=-4", "geodesic-n=6.0", "tail-n=True",
-         "exact=2.5", "exact=-1", "exact=True",
-         "probe=-1", "probe=1.7", "probe=1e9", "probe='3'"),
+         "exact=2.5", "exact=-1", "exact=True"),
 )
 def test_cell_entries_refuse_bad_inputs_before_sampling(call, match, monkeypatch):
     cfg = F.ExperimentConfig(dist_spec="exp:rate=1", n_list=(6,), replicas=10, workers=1)
@@ -755,20 +737,10 @@ def test_collect_batch_builds_one_box_in_the_calling_thread_first(monkeypatch):
     assert len(events) == 1 + cfg.replicas
 
 
-def _batch_bytes(batch):
-    arrays = ("times", "geo_len", "ties", "presence", "probe_ids", "exact_w")
-    return (
-        [(getattr(batch, a).dtype, getattr(batch, a).shape, getattr(batch, a).tobytes())
-         for a in arrays],
-        [e.tobytes() for e in batch.geo_edges],
-        batch.exact_w_plus,
-    )
-
-
 def _collect_bytes(cfg):
-    probes = [int(e) for e in F.experiments.box_for(cfg, 10).edges_near((0, 0), 1)]
-    return _batch_bytes(F.collect_batch(cfg, 10, 2, want_edges=True, probe_ids=probes,
-                                        exact_replicas=5))
+    from oracles import batch_bytes, probe_observer
+
+    return batch_bytes(F.collect_batch(cfg, 10, 2, observe=probe_observer(cfg, 10, 5)[1]))
 
 
 def _truncation_bytes(cfg):

@@ -16,12 +16,14 @@ import pytest
 import fpplab as F
 from fpplab import fpp_core, reporting
 from oracles import (
+    batch_bytes,
     brute_force_passage_time,
     csr_dijkstra,
     fewest_tight_edges,
     full_solve_passage_time,
     loop_tie_count,
     path_weight,
+    probe_observer,
 )
 
 LAWS = (
@@ -626,15 +628,11 @@ def test_batch_observables_do_not_depend_on_the_backend(monkeypatch):
         dist_spec=TWO_POINT, dim=2, n_list=(12,), replicas=30,
         master_seed=9, m_policy="auto", workers=1,
     )
-    box = F.experiments.box_for(cfg, 12)
-    probes = [int(e) for e in box.edges_near((0, 0), 1)]
+    _, observe = probe_observer(cfg, 12, exact_replicas=0)
 
     def batch():
-        return F.collect_batch(cfg, 12, m=2, want_edges=True, probe_ids=probes)
+        return batch_bytes(F.collect_batch(cfg, 12, m=2, observe=observe))
 
     ours = batch()
     monkeypatch.setattr(fpp_core, "_KERNEL", None)
-    theirs = batch()
-    for key in ("times", "geo_len", "ties", "presence"):
-        assert getattr(ours, key).tobytes() == getattr(theirs, key).tobytes(), key
-    assert all(np.array_equal(a, b) for a, b in zip(ours.geo_edges, theirs.geo_edges))
+    assert batch() == ours
