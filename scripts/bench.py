@@ -4,6 +4,7 @@ Run from the root of a checkout:
 
     python3 scripts/bench.py --out BENCH_<n>.json
     python3 scripts/bench.py --solve-table   # the solve table alone, to stdout
+    python3 scripts/bench.py --memory        # the memory row alone, to stdout
 
 It runs perfbench/run.py with --trace 0 for the simulate and influence
 workloads and with --trace 1 for simulate, each on the default seed for
@@ -13,10 +14,15 @@ it: the stopped solve from (0, 0) to (n, 0) on the box of a `simulate`
 cell at n = 100 and 200, for each law of SOLVE_LAWS, and the full solve of
 the 11 x 11 box of the two-point energy fields. It times
 `fpplab classify --dist exp:rate=1` cold, as the median wall time of 7
-fresh interpreters. Then it runs the tier-1 suite once and records its
-wall time and the elapsed times of acceptance criteria 1 and 10 from the
-suite's JUnit report. Compare a BENCH file only with another taken on the
-same machine.
+fresh interpreters. The memory row is the tracemalloc peak of the numpy
+arrays of one `exp` replica (WeightField.generate and passage_time) on the
+box of a `simulate` cell at n = 100 and 200, against the budget of one
+field, one distance array and the edge bitset, and the growth of the peak
+RSS over one 2-worker, 100-replica `exp` cell at n = 200 in a fresh
+interpreter, from its value after the imports (Linux only). Then it runs
+the tier-1 suite once and records its wall time and the elapsed times of
+acceptance criteria 1 and 10 from the suite's JUnit report. Compare a
+BENCH file only with another taken on the same machine.
 """
 
 from __future__ import annotations
@@ -46,6 +52,23 @@ ROUNDS = 5  # each field is solved once per round
 ENERGY_CALLS = 50  # full solves of the 11 x 11 box per timed call
 CLASSIFY = ("classify", "--dist", "exp:rate=1")
 INTERPRETERS = 7
+MEMORY_REPLICAS = 5  # replicas traced per n, after one whose peak is dropped
+# The peak RSS is Linux's VmHWM, this process image's own: ru_maxrss would
+# also count the process it was forked from.
+_CELL_RSS = """
+import json
+from fpplab import experiments
+
+def peak_mib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) / 1024 for line in status if line.startswith("VmHWM:"))
+
+cfg = experiments.ExperimentConfig("exp:rate=1", n_list=(200,), replicas=100, master_seed=1,
+                                   workers=2)
+before = peak_mib()
+experiments.collect_batch(cfg, 200, 0)
+print(json.dumps({"before_mib": before, "growth_mib": peak_mib() - before}))
+"""
 
 
 def solve_table() -> dict:
@@ -89,6 +112,33 @@ def solve_table() -> dict:
     fields = [WeightField.generate(box, parse_spec("bernoulli:a=1,b=2,p=0.5"), 1, r).weights
               for r in range(FIELDS)]
     table["energy_11x11_full"] = timer(box, fields, 0, -1, ENERGY_CALLS)
+    return table
+
+
+def memory_table() -> dict:
+    """{"n100": {...}, "n200": {...}, "cell_n200": {...}}: per n, the largest
+    tracemalloc peak in bytes over MEMORY_REPLICAS replicas and the budget
+    9 E + 8 V; for the cell, the RSS growth in MiB."""
+    sys.path.insert(0, "src")
+    import tracemalloc
+
+    from fpplab import experiments, parse_spec, passage_time, WeightField
+
+    law = parse_spec("exp:rate=1")
+    table = {}
+    for n in SOLVE_NS:
+        box = experiments.box_for(experiments.ExperimentConfig("exp:rate=1", n_list=(n,)), n)
+        peaks = []
+        for r in range(MEMORY_REPLICAS + 1):
+            tracemalloc.start()
+            passage_time(WeightField.generate(box, law, 1, r), (0, 0), (n, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        table[f"n{n}"] = {"peak_bytes": max(peaks[1:]),
+                          "budget_bytes": 9 * box.n_edges + 8 * box.n_vertices}
+    out = subprocess.run([sys.executable, "-c", _CELL_RSS], env=_src_env(),
+                         capture_output=True, text=True, check=True)
+    table["cell_n200"] = json.loads(out.stdout.splitlines()[-1])
     return table
 
 
@@ -153,16 +203,20 @@ def main() -> int:
     p.add_argument("--out", type=Path)
     p.add_argument("--solve-table", action="store_true",
                    help="print the per-law solve table and exit")
+    p.add_argument("--memory", action="store_true", help="print the memory row and exit")
     args = p.parse_args()
     if args.solve_table:
         print(json.dumps(solve_table(), indent=1))
         return 0
+    if args.memory:
+        print(json.dumps(memory_table(), indent=1))
+        return 0
     if args.out is None:
-        p.error("--out is required unless --solve-table is given")
+        p.error("--out is required unless --solve-table or --memory is given")
     runs = [perfbench(w, t) for w, t in RUNS]
     table = solve_table()
-    bench = {"perfbench": runs, "solve_table_ms": table, "classify_cold": classify_cold(),
-             "tier1": tier1()}
+    bench = {"perfbench": runs, "solve_table_ms": table, "memory": memory_table(),
+             "classify_cold": classify_cold(), "tier1": tier1()}
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(json.dumps(bench["tier1"]))
     return 0 if bench["tier1"]["exit_code"] == 0 else 1

@@ -25,9 +25,11 @@
  * a slot are one aligned group. The slots past the end hold +inf keys, so
  * sifting down picks the least of four children without branches. Those
  * +inf keys are written only up to a high-water mark three slots past the
- * largest size the heap has reached, the last slot sift_down reads, so a
- * solve touches heap memory in proportion to its frontier (about 1,000
- * slots at n=200), not to the box. The weights must be nonnegative and not
+ * largest size the heap has reached, the last slot sift_down reads. The two
+ * arrays start at 1,024 slots and double when a push finds them full, so a
+ * solve holds heap memory in proportion to its frontier (about 1,000 slots
+ * at n=200), not to the box; only the heap positions, pos, are one per
+ * vertex, written when a vertex joins. The weights must be nonnegative and not
  * NaN (LatticeBox.solve refuses others): a settled vertex then fails the
  * relaxation test by itself, and a vertex is in the heap exactly when its
  * distance is finite and it is not settled; its heap position is read only
@@ -48,6 +50,8 @@
  * -9999 for the source and for unreachable vertices. A vertex's distance
  * is the minimum of dist[u] + w over its in-arcs, one IEEE addition each,
  * so dist does not depend on the order in which equal keys leave the heap.
+ * pred may be NULL: the solve then neither initialises nor stores it, and
+ * dist keeps its bytes.
  *
  * With a target tgt >= 0 the solve stops at the target's tie horizon: once
  * tgt leaves the heap at key T, the limit is T + rel_tol * max(T, 1), and
@@ -59,9 +63,16 @@
  * Build: cc -O3 -ffp-contract=off -shared -fPIC _dijkstra.c -o _dijkstra.so
  * (no fused multiply-add, so the limit is the same two IEEE operations as
  * the tie tolerance in fpp_core, and every sum below is the one numpy forms).
- * Scratch that is indexed by vertex comes from malloc or calloc and is
- * written only where a pass reaches, so the pages a pass never touches are
- * never mapped; calloc'd arrays store index + 1, so 0 means unset.
+ *
+ * Work arrays are sized to what a pass reads wherever that is known or can
+ * grow: the heap, the bucket pool and the geodesic scan's records double
+ * from a small first block, and the scan writes the path into buffers of
+ * the caller's size, reporting a path that does not fit. A box-sized block
+ * costs memory even where a pass never writes it: glibc, with the
+ * thresholds of fpp_reuse_freed_memory, keeps freed blocks for reuse, the
+ * next replica's arrays land on their pages and map them, so each thread
+ * holds every box-sized block it ever allocated. calloc'd arrays store
+ * index + 1, so 0 means unset.
  */
 
 #include <math.h>
@@ -179,15 +190,63 @@ void fpp_reuse_freed_memory(void)
 }
 
 /* The heap: slot i holds key[i] and vert[i]. key points 3 doubles into a
- * 32-byte-aligned block, so the children 4i + 1 .. 4i + 4 of slot i sit at
- * 4(i + 1) .. 4(i + 1) + 3 of the block, one aligned group. The keys below
- * mark are written; those from size on are +inf. */
+ * 32-byte-aligned block, raw, so the children 4i + 1 .. 4i + 4 of slot i
+ * sit at 4(i + 1) .. 4(i + 1) + 3 of the block, one aligned group. The keys
+ * below mark are written; those from size on are +inf. The block has room
+ * for cap slots and the 3 past them that sift_down reads, and cap starts at
+ * FIRST_SLOTS (or n) and doubles, up to n, when a push finds it full. */
 typedef struct {
     double *key;
     int32_t *vert;
-    int32_t *pos; /* the slot of each queued vertex */
-    int32_t size, mark;
+    int32_t *pos; /* the slot of each queued vertex, n of them */
+    int32_t size, mark, cap;
+    void *raw;
 } heap_t;
+
+#define FIRST_SLOTS 1024
+
+/* The key block for cap slots: 3 doubles of padding, cap slots and the 3
+ * past them, aligned as above; NULL if it cannot be allocated. */
+static double *key_block(int32_t cap, void **raw)
+{
+    *raw = malloc(((size_t)cap + 6) * sizeof(double) + 31);
+    return *raw == NULL ? NULL : (double *)(((uintptr_t)*raw + 31) & ~(uintptr_t)31) + 3;
+}
+
+/* Doubles the heap's room, up to n slots, keeping its keys and vertices;
+ * -1, the heap kept, if it cannot. */
+static __attribute__((noinline)) int heap_grow(heap_t *h, int32_t n)
+{
+    int32_t cap = h->cap > n / 2 ? n : 2 * h->cap;
+    void *raw;
+    double *key = key_block(cap, &raw);
+    int32_t *vert = realloc(h->vert, (size_t)cap * sizeof(int32_t));
+    if (vert != NULL)
+        h->vert = vert;
+    if (key == NULL || vert == NULL) {
+        free(raw);
+        return -1;
+    }
+    memcpy(key, h->key, (size_t)h->mark * sizeof(double));
+    free(h->raw);
+    h->raw = raw;
+    h->key = key;
+    h->cap = cap;
+    return 0;
+}
+
+/* A new slot at the end of the heap, its key still to be placed: the +inf
+ * keys reach one slot further, as sift_down reads up to three slots past
+ * the end. -1 if the heap is full and cannot grow. */
+INLINE int32_t heap_slot(heap_t *h, int32_t n)
+{
+    if (h->size == h->cap && heap_grow(h, n) != 0)
+        return -1;
+    int32_t at = h->size++;
+    if (h->mark < h->size + 3)
+        h->key[h->mark++] = INFINITY;
+    return at;
+}
 
 INLINE void place(heap_t *h, int32_t i, double key, int32_t v)
 {
@@ -225,12 +284,14 @@ static void sift_down(heap_t *h, int32_t i, double key, int32_t v)
     place(h, i, key, v);
 }
 
-INLINE void heap_push(heap_t *h, double key, int32_t v)
+/* -1 if the heap cannot grow. */
+INLINE int heap_push(heap_t *h, int32_t n, double key, int32_t v)
 {
-    int32_t at = h->size++;
-    if (h->mark < h->size + 3)
-        h->key[h->mark++] = INFINITY;
+    int32_t at = heap_slot(h, n);
+    if (at < 0)
+        return -1;
     sift_up(h, at, key, v);
+    return 0;
 }
 
 /* The bucket layer (Dial, CACM 12, 1969; Goldberg, SIAM J. Comput. 37,
@@ -362,8 +423,9 @@ static void spread(buckets_t *b, const double *dist)
 
 /* Refills the empty heap from the next bucket with a live key: one bucket
  * at a time, or straight to the far list's least bucket when the window's
- * lists are empty. Returns 0 when no key is left. */
-static int advance(heap_t *h, buckets_t *b, const double *dist)
+ * lists are empty. Returns 1, 0 when no key is left, or -1 when the heap
+ * cannot grow. */
+static int advance(heap_t *h, int32_t n, buckets_t *b, const double *dist)
 {
     while (h->size == 0) {
         if (b->pending > 0)
@@ -378,8 +440,8 @@ static int advance(heap_t *h, buckets_t *b, const double *dist)
         for (int32_t i = *list; i != 0;) {
             entry_t *e = &b->pool[i - 1];
             int32_t next = e->next;
-            if (e->key == dist[e->v])
-                heap_push(h, e->key, e->v);
+            if (e->key == dist[e->v] && heap_push(h, n, e->key, e->v) != 0)
+                return -1;
             e->next = b->spare;
             b->spare = i;
             b->pending--;
@@ -391,42 +453,41 @@ static int advance(heap_t *h, buckets_t *b, const double *dist)
 }
 
 /* A settled v fails nd < dist[v]: dist[v] <= du <= nd. An unseen v has
- * dist[v] == inf, and it joins the heap at the end; sift_down reads up to
- * three slots past the end, so the +inf keys then reach one slot further. */
-INLINE void relax(heap_t *h, double *dist, int32_t *pred, int32_t u, double nd, int32_t v)
+ * dist[v] == inf, and it joins the heap at the end. pred may be NULL.
+ * Returns -1 if the heap cannot grow. */
+INLINE int relax(heap_t *h, int32_t n, double *dist, int32_t *pred, int32_t u, double nd,
+                 int32_t v)
 {
     if (nd < dist[v]) {
-        int32_t at;
-        if (dist[v] == INFINITY) {
-            at = h->size++;
-            if (h->mark < h->size + 3)
-                h->key[h->mark++] = INFINITY;
-        } else {
-            at = h->pos[v];
-        }
+        int32_t at = dist[v] == INFINITY ? heap_slot(h, n) : h->pos[v];
+        if (at < 0)
+            return -1;
         dist[v] = nd;
-        pred[v] = u;
+        if (pred != NULL)
+            pred[v] = u;
         sift_up(h, at, nd, v);
     }
+    return 0;
 }
 
 /* relax with the bucket layer: a key past the heap's bucket waits on a
  * list. v is in the heap exactly when its old key's bucket is not past
  * cur; otherwise its entry on a list goes stale, and it joins the heap as
  * if unseen. Returns -1 if a list cannot grow. */
-INLINE int relax_bucketed(heap_t *h, buckets_t *b, double *dist, int32_t *pred, int32_t u,
-                          double nd, int32_t v)
+INLINE int relax_bucketed(heap_t *h, int32_t n, buckets_t *b, double *dist, int32_t *pred,
+                          int32_t u, double nd, int32_t v)
 {
     if (nd < dist[v]) {
         int64_t k = bucket_of(b, nd);
         if (k > b->cur) {
             dist[v] = nd;
-            pred[v] = u;
+            if (pred != NULL)
+                pred[v] = u;
             return list_push(b, list_for(b, k), nd, v);
         }
         if (dist[v] != INFINITY && bucket_of(b, dist[v]) > b->cur)
             dist[v] = INFINITY;
-        relax(h, dist, pred, u, nd, v);
+        return relax(h, n, dist, pred, u, nd, v);
     }
     return 0;
 }
@@ -438,7 +499,8 @@ static void unreach(double *dist, int32_t *pred, const entry_t *pool, int32_t i)
         int32_t v = pool[i - 1].v;
         if (pool[i - 1].key == dist[v]) {
             dist[v] = INFINITY;
-            pred[v] = NO_PRED;
+            if (pred != NULL)
+                pred[v] = NO_PRED;
         }
     }
 }
@@ -448,29 +510,36 @@ INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, in
 {
     int32_t n = L->n;
     int status = -1;
-    /* keys: 3 doubles of padding, n slots and the 3 past them sift_down reads */
-    void *raw = malloc(((size_t)n + 6) * sizeof(double) + 31);
     heap_t h = {
-        .vert = malloc((size_t)n * sizeof(int32_t)),
         .pos = malloc((size_t)n * sizeof(int32_t)),
         .size = 1,
         .mark = 4,
+        .cap = n < FIRST_SLOTS ? n : FIRST_SLOTS,
     };
-    if (raw == NULL || h.vert == NULL || h.pos == NULL)
+    h.key = key_block(h.cap, &h.raw);
+    h.vert = malloc((size_t)h.cap * sizeof(int32_t));
+    if (h.key == NULL || h.vert == NULL || h.pos == NULL)
         goto done;
-    h.key = (double *)(((uintptr_t)raw + 31) & ~(uintptr_t)31) + 3;
-    for (int32_t v = 0; v < n; v++) {
+    for (int32_t v = 0; v < n; v++)
         dist[v] = INFINITY;
-        pred[v] = NO_PRED;
-    }
+    if (pred != NULL)
+        for (int32_t v = 0; v < n; v++)
+            pred[v] = NO_PRED;
     dist[src] = 0.0;
     place(&h, 0, 0.0, src);
     for (int32_t i = 1; i < h.mark; i++)
         h.key[i] = INFINITY;
     double limit = INFINITY;
-    int failed = 0; /* a list could not grow */
+    int failed = 0; /* the heap or a list could not grow */
 
-    while (h.size > 0 || (b != NULL && advance(&h, b, dist))) {
+    for (;;) {
+        if (h.size == 0) {
+            int more = b == NULL ? 0 : advance(&h, n, b, dist);
+            if (more < 0)
+                goto done;
+            if (more == 0)
+                break;
+        }
         int32_t u = h.vert[0];
         double du = h.key[0];
         if (du > limit)
@@ -486,9 +555,9 @@ INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, in
 #define RELAX(v, e)                                                          \
     do {                                                                     \
         if (b == NULL)                                                       \
-            relax(&h, dist, pred, u, du + w[e], v);                          \
+            failed |= relax(&h, n, dist, pred, u, du + w[e], v);             \
         else                                                                 \
-            failed |= relax_bucketed(&h, b, dist, pred, u, du + w[e], v);    \
+            failed |= relax_bucketed(&h, n, b, dist, pred, u, du + w[e], v); \
     } while (0)
         FOR_EACH_ARC(d, L, u, RELAX);
 #undef RELAX
@@ -497,7 +566,8 @@ INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, in
     }
     for (int32_t i = 0; i < h.size; i++) {
         dist[h.vert[i]] = INFINITY;
-        pred[h.vert[i]] = NO_PRED;
+        if (pred != NULL)
+            pred[h.vert[i]] = NO_PRED;
     }
     if (b != NULL) {
         for (int k = 0; k < BUCKETS; k++)
@@ -506,7 +576,7 @@ INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, in
     }
     status = 0;
 done:
-    free(raw);
+    free(h.raw);
     free(h.vert);
     free(h.pos);
     return status;
@@ -572,8 +642,8 @@ static int grow(reached_t **seen, int32_t *cap)
 }
 
 INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const double *dist,
-                             int32_t src, int32_t tgt, double tol, int64_t *verts,
-                             int64_t *eids, int64_t *ties)
+                             int32_t src, int32_t tgt, double tol, int64_t room,
+                             int64_t *verts, int64_t *eids, int64_t *ties)
 {
     int32_t *rec = calloc((size_t)L->n, sizeof(int32_t)); /* record index + 1 */
     int32_t cap = FIRST_RECORDS;
@@ -615,6 +685,10 @@ INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const d
     int32_t r = rec[src] - 1;
     verts[0] = src;
     for (len = 0; seen[r].v != tgt; len++) {
+        if (len + 1 >= room) {
+            len = -3;
+            goto done;
+        }
         eids[len] = seen[r].via;
         r = seen[r].next;
         verts[len + 1] = seen[r].v;
@@ -637,15 +711,17 @@ done:
  * path's own arcs.
  *
  * Writes the L + 1 path vertices, src first, to verts and the L edge ids to
- * eids (room for n of each), and ties to *ties. Returns L, -1 when the work
- * arrays cannot be allocated, or -2 when no tight path reaches src.
+ * eids, room >= 1 entries each, and ties to *ties. Returns L, -1 when the
+ * work arrays cannot be allocated, -2 when no tight path reaches src, or -3
+ * when the path has more than room vertices; then nothing past room is
+ * written (a path has at most n).
  */
 int64_t fpp_geodesic_scan(int32_t d, const int32_t *shape, const double *w,
                           const double *dist, int32_t src, int32_t tgt, double tol,
-                          int64_t *verts, int64_t *eids, int64_t *ties)
+                          int64_t room, int64_t *verts, int64_t *eids, int64_t *ties)
 {
     lattice_t L = lattice(d, shape);
-    return BY_DIM(d, geodesic_scan, &L, w, dist, src, tgt, tol, verts, eids, ties);
+    return BY_DIM(d, geodesic_scan, &L, w, dist, src, tgt, tol, room, verts, eids, ties);
 }
 
 /* The path index of the first geodesic vertex on v's tree path, memoised in

@@ -321,13 +321,20 @@ class Exponential(Distribution):
     def _log_sf(self, arr):
         return -self.rate * arr
 
-    def _quantile(self, arr):
-        # log1p(-u) / -rate in one fresh buffer (out= keeps a 0-d input an
-        # array): IEEE division is symmetric in sign, so these are the bits of
-        # -log1p(-u) / rate in three passes, not four
-        out = np.negative(arr, out=np.empty_like(arr))
+    def _quantile(self, arr, out=None):
+        # log1p(-u) / -rate in one buffer, a fresh one unless out is given
+        # (out= keeps a 0-d input an array): IEEE division is symmetric in
+        # sign, so these are the bits of -log1p(-u) / rate in three passes,
+        # not four
+        out = np.negative(arr, out=np.empty_like(arr) if out is None else out)
         np.log1p(out, out=out)
         return np.divide(out, -self.rate, out=out)
+
+    def sample(self, rng: np.random.Generator, size=None):
+        """Distribution.sample with the same three passes run in the
+        generator's own buffer, so a field costs one array, not two."""
+        arr, scalar = _as_float_array(rng.random(size))
+        return _ret(self._quantile(arr, out=arr), scalar)
 
     def _isf(self, arr):
         return -np.log(arr) / self.rate

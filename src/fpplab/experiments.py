@@ -755,8 +755,8 @@ def truncation_experiment(
         u = rng.random(box.n_edges)
         x = np.asarray(base.quantile(u))
         x_t = np.asarray(nu_k.quantile(u))
-        d_full = box.solve(x, src, tgt)[0][tgt]
-        d_trunc = box.solve(x_t, src, tgt)[0][tgt]
+        d_full = box.solve(x, src, tgt, pred=False)[0][tgt]
+        d_trunc = box.solve(x_t, src, tgt, pred=False)[0][tgt]
         return int(np.count_nonzero(x_t > x)), d_full, d_trunc
 
     rows = zip(*_map_replicas(replica, reps, cfg.workers))

@@ -107,7 +107,9 @@ def _load_kernel():
     ptr, i32, f64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_double
     kernel.fpp_dijkstra.argtypes = [i32, ptr, ptr, i32, i32, f64, ptr, ptr]
     kernel.fpp_dijkstra.restype = ctypes.c_int
-    kernel.fpp_geodesic_scan.argtypes = [i32, ptr, ptr, ptr, i32, i32, f64, ptr, ptr, ptr]
+    kernel.fpp_geodesic_scan.argtypes = [
+        i32, ptr, ptr, ptr, i32, i32, f64, ctypes.c_int64, ptr, ptr, ptr
+    ]
     kernel.fpp_geodesic_scan.restype = ctypes.c_int64
     kernel.fpp_replacement_offers.argtypes = [i32] + [ptr] * 7 + [i32, ptr, ptr]
     kernel.fpp_replacement_offers.restype = ctypes.c_int
@@ -242,7 +244,12 @@ class LatticeBox:
 
     # solving -------------------------------------------------------------
     def solve(
-        self, weights: np.ndarray, source_index: int, target_index: int | None = None
+        self,
+        weights: np.ndarray,
+        source_index: int,
+        target_index: int | None = None,
+        *,
+        pred: bool = True,
     ):
         """Single-source Dijkstra; returns (dist float64, pred int32).
 
@@ -251,7 +258,9 @@ class LatticeBox:
         solved. With one, the solve stops at the target's tie horizon
         T + TIE_REL_TOL * max(T, 1), T the target's distance: dist and pred
         are the full solve's where dist <= that limit, and every vertex
-        beyond it reads as unreachable. A vertex index that is not an
+        beyond it reads as unreachable. With pred=False the second element
+        is None, and the compiled solve neither allocates nor writes the
+        predecessors; dist keeps its bytes. A vertex index that is not an
         integer in range raises DomainError, on either backend, and so do
         negative and NaN weights.
         """
@@ -264,23 +273,23 @@ class LatticeBox:
         if target_index is not None:
             _check_int(target_index, "target vertex index", self.n_vertices)
         if _KERNEL is None:
-            dist, pred = _scipy_solve(self, w, source_index)
+            dist, tree = _scipy_solve(self, w, source_index)
             if target_index is not None:
                 t = float(dist[target_index])
                 beyond = dist > t + TIE_REL_TOL * max(t, 1.0)
                 dist[beyond] = np.inf
-                pred[beyond] = -9999
-            return dist, pred
+                tree[beyond] = -9999
+            return dist, tree if pred else None
         dist = np.empty(self.n_vertices)
-        pred = np.empty(self.n_vertices, dtype=np.int32)
+        tree = np.empty(self.n_vertices, dtype=np.int32) if pred else None
         status = _KERNEL.fpp_dijkstra(
             self.d, self._c_shape, w.ctypes.data, int(source_index),
             -1 if target_index is None else int(target_index), TIE_REL_TOL,
-            dist.ctypes.data, pred.ctypes.data,
+            dist.ctypes.data, None if tree is None else tree.ctypes.data,
         )
         if status != 0:
             raise MemoryError("Dijkstra kernel could not allocate its heap")
-        return dist, pred
+        return dist, tree
 
     def __eq__(self, other):
         return (
@@ -418,17 +427,30 @@ def _geodesic_scan(box: LatticeBox, weights, dist, src: int, tgt: int, tol: floa
     return np.asarray(verts, dtype=np.int64), np.asarray(eids, dtype=np.int64), ties
 
 
+def _path_room(box: LatticeBox, src: int, tgt: int) -> int:
+    """The scan's first path buffer: twice the lattice distance between the
+    ends plus 64 vertices, or every vertex of the box if that is fewer."""
+    ends = np.unravel_index([src, tgt], box.shape)
+    lattice = sum(abs(int(a) - int(b)) for a, b in ends)
+    return min(2 * lattice + 64, box.n_vertices)
+
+
 def _kernel_geodesic_scan(box: LatticeBox, weights, dist, src: int, tgt: int, tol: float):
     """_geodesic_scan by the kernel's `fpp_geodesic_scan`: the same
-    search, arc order and float tests, so the same path, edge ids and ties."""
+    search, arc order and float tests, so the same path, edge ids and ties.
+    The path goes into buffers of `_path_room`, and once more into buffers
+    of every vertex of the box when it does not fit."""
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    verts = np.empty(box.n_vertices, dtype=np.int64)
-    eids = np.empty(box.n_vertices, dtype=np.int64)
     ties = np.empty(1, dtype=np.int64)
-    length = _KERNEL.fpp_geodesic_scan(
-        box.d, box._c_shape, w.ctypes.data, dist.ctypes.data, src, tgt, tol,
-        verts.ctypes.data, eids.ctypes.data, ties.ctypes.data,
-    )
+    for room in (_path_room(box, src, tgt), box.n_vertices):
+        verts = np.empty(room, dtype=np.int64)
+        eids = np.empty(room, dtype=np.int64)
+        length = _KERNEL.fpp_geodesic_scan(
+            box.d, box._c_shape, w.ctypes.data, dist.ctypes.data, src, tgt, tol, room,
+            verts.ctypes.data, eids.ctypes.data, ties.ctypes.data,
+        )
+        if length != -3:
+            break
     if length == -1:
         raise MemoryError("geodesic scan could not allocate its work arrays")
     if length < 0:
@@ -441,7 +463,7 @@ def passage_time(field: WeightField, u, v) -> GeodesicResult:
     box = field.box
     src = box.vertex_index(u)
     tgt = box.vertex_index(v)
-    dist, _ = box.solve(field.weights, src, tgt)
+    dist, _ = box.solve(field.weights, src, tgt, pred=False)
     return _geodesic(field, u, v, src, tgt, dist)[0]
 
 
@@ -502,7 +524,7 @@ def _time_with(field: WeightField, result: GeodesicResult, eid: int, y) -> float
     w = field.weights.copy()
     w[eid] = y
     tgt = box.vertex_index(result.target)
-    dist, _ = box.solve(w, box.vertex_index(result.source), tgt)
+    dist, _ = box.solve(w, box.vertex_index(result.source), tgt, pred=False)
     return float(dist[tgt])
 
 

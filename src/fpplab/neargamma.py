@@ -74,7 +74,10 @@ def _grid(d: Distribution) -> np.ndarray:
     q = 10.0 ** -np.linspace(math.log10(2.0), decades, int(_POINTS_PER_DECADE * decades))
     lower, upper = d.quantile(q), d.isf(q)
     sweep = np.linspace(lower[-1], upper[-1], _BULK_POINTS)
-    grid = np.unique(np.concatenate([lower, upper, sweep]))
+    # np.unique's sort and adjacent-inequality mask, without the import of
+    # numpy.ma it brings; a NaN it would keep once goes with the filter below
+    grid = np.sort(np.concatenate([lower, upper, sweep]))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     return grid[(grid > lo) & (grid < hi)]
 
 

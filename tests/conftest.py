@@ -22,9 +22,9 @@ def solve_counter(monkeypatch):
     calls = []
     original = F.LatticeBox.solve
 
-    def counting(self, weights, source_index, target_index=None):
+    def counting(self, weights, source_index, target_index=None, *, pred=True):
         calls.append((source_index, target_index))
-        return original(self, weights, source_index, target_index)
+        return original(self, weights, source_index, target_index, pred=pred)
 
     monkeypatch.setattr(F.LatticeBox, "solve", counting)
     return calls

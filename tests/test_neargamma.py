@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +217,37 @@ def test_grid_reaches_both_tails_by_probability(spec):
     # 1e-12 of probability beyond each end, up to the float resolution there
     assert d.cdf(grid.min()) <= 1e-12 * (1 + 1e-3)
     assert d.sf(grid.max()) <= 1e-12 * (1 + 1e-3)
+
+
+def _unique_grid(d):
+    """_grid as it was on np.unique: the oracle of its deduplication."""
+    lo, hi = d.support
+    decades = -math.log10(1e-12)
+    q = 10.0 ** -np.linspace(math.log10(2.0), decades, int(200 * decades))
+    lower, upper = d.quantile(q), d.isf(q)
+    grid = np.unique(np.concatenate([lower, upper, np.linspace(lower[-1], upper[-1], 2048)]))
+    return grid[(grid > lo) & (grid < hi)]
+
+
+@pytest.mark.parametrize("spec", ["exp:rate=1", "gamma:a=0.5,b=1", "gamma:a=2,b=1",
+                                  "halfnormal", "uniform:lo=1,hi=2",
+                                  "trunc(exp:rate=1;k=10,c5=0.5)"])
+def test_grid_is_the_np_unique_grid_byte_for_byte(spec):
+    d = F.parse_spec(spec)
+    assert _grid(d).tobytes() == _unique_grid(d).tobytes()
+
+
+def test_exp_classify_leaves_numpy_ma_unloaded():
+    """np.unique imports numpy.ma, about 1.3 MiB of RSS; the classifier's
+    grid deduplicates without it."""
+    probe = ("import sys\n"
+             "import fpplab as F\n"
+             "F.classify_nearly_gamma(F.Exponential(1.0))\n"
+             "sys.exit('numpy.ma' in sys.modules)")
+    src = str(Path(F.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -8,6 +8,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,18 @@ def test_compiled_dist_is_scipy_dist_byte_for_byte(spec, lohi):
             assert np.all(up == src)
 
 
+def _scans_agree(box, w, dist, src, tgt):
+    """The kernel's geodesic scan gives the Python scan's path, edge ids and
+    ties; returns the path's vertices."""
+    tol = fpp_core.TIE_REL_TOL * max(float(dist[tgt]), 1.0)
+    ours = fpp_core._kernel_geodesic_scan(box, w, dist, src, tgt, tol)
+    theirs = fpp_core._geodesic_scan(box, w, dist, src, tgt, tol)
+    assert ours[0].tobytes() == theirs[0].tobytes()
+    assert ours[1].tobytes() == theirs[1].tobytes()
+    assert ours[2] == theirs[2]
+    return ours[0]
+
+
 @needs_kernel
 @pytest.mark.parametrize("spec", ("dirac:c=1", "bernoulli:a=1,b=2,p=0.5"))
 @pytest.mark.parametrize("hi", ((59, 59), (15, 15, 15)))
@@ -297,16 +310,135 @@ def test_large_box_corner_to_corner_matches_the_oracles(spec, hi):
             ref_dist, ref_pred = csr_dijkstra(box, w, src, target)
             assert dist.tobytes() == ref_dist.tobytes(), target
             assert pred.tobytes() == ref_pred.tobytes(), target
-        tol = fpp_core.TIE_REL_TOL * max(float(dist[tgt]), 1.0)
-        ours = fpp_core._kernel_geodesic_scan(box, w, dist, src, tgt, tol)
-        theirs = fpp_core._geodesic_scan(box, w, dist, src, tgt, tol)
-        assert ours[0].tobytes() == theirs[0].tobytes()
-        assert ours[1].tobytes() == theirs[1].tobytes()
-        assert ours[2] == theirs[2]
+        _scans_agree(box, w, dist, src, tgt)
+
+
+@needs_kernel
+@pytest.mark.parametrize("spec", ("dirac:c=1", "uniform:lo=1,hi=1.000001"))
+def test_a_frontier_past_the_heaps_first_block_matches_the_oracles(spec, monkeypatch):
+    """The heap starts at 1,024 slots and doubles. From the centre of a 29^3
+    box the largest distance level of a dirac:c=1 field holds 1,260
+    vertices, all of them queued at once, so the heap grows: on the heap
+    alone (a law with atoms), and through the bucket layer for weights in
+    [1, 1 + 1e-6], distinct but so close that each level falls in one
+    bucket. The stopped and full solves give the CSR solve's dist and pred
+    bytes, and the two geodesic scans and passage_time on either backend
+    agree."""
+    box = F.LatticeBox((-14,) * 3, (14,) * 3)
+    src, tgt = box.vertex_index((0, 0, 0)), box.vertex_index((14, 14, 0))
+    w = F.WeightField.generate(box, F.parse_spec(spec), 5, 0).weights
+    for target in (None, tgt):
+        dist, pred = box.solve(w, src, target)
+        ref_dist, ref_pred = csr_dijkstra(box, w, src, target)
+        assert dist.tobytes() == ref_dist.tobytes(), target
+        assert pred.tobytes() == ref_pred.tobytes(), target
+        if target is None:
+            assert np.bincount(dist.astype(np.int64)).max() > 1024
+    _scans_agree(box, w, dist, src, tgt)
+    field = F.WeightField(box, w, spec, 5, 0)
+    ours = F.passage_time(field, (0, 0, 0), (14, 14, 0))
+    theirs = _scipy_passage_time(monkeypatch, field, (0, 0, 0), (14, 14, 0))
+    assert ours.time == theirs.time and ours.ties == theirs.ties
+    assert ours.edge_ids.tobytes() == theirs.edge_ids.tobytes()
+
+
+def _serpentine(width, rows):
+    """A box of `rows` corridors of width edges, joined end to end at
+    alternate ends, with weight 1 along the corridor and 1000 elsewhere:
+    (box, weights, the corridor's far end). The corridor is the one
+    geodesic from (0, 0), as any other path pays 1000 for one edge."""
+    box = F.LatticeBox((0, 0), (width, 2 * rows - 2))
+    w = np.full(box.n_edges, 1000.0)
+    for row in range(rows):
+        y = 2 * row
+        for x in range(width):
+            w[box.edge_id((x, y), 0)] = 1.0
+        if row + 1 < rows:
+            x = width if row % 2 == 0 else 0
+            w[box.edge_id((x, y), 1)] = w[box.edge_id((x, y + 1), 1)] = 1.0
+    end = (width if rows % 2 else 0, 2 * rows - 2)
+    return box, w, end
+
+
+@needs_kernel
+def test_a_geodesic_longer_than_the_scans_first_buffer(monkeypatch):
+    """A serpentine geodesic of 250 edges between vertices 10 apart: the
+    scan's first buffer holds 84 vertices, so the kernel reports that the
+    path does not fit, writing nothing past the buffer, and the retry with
+    room for every vertex finds it. The solve gives the CSR solve's bytes,
+    and the two scans and passage_time on either backend agree."""
+    box, w, end = _serpentine(40, 6)
+    src, tgt = box.vertex_index((0, 0)), box.vertex_index(end)
+    room = fpp_core._path_room(box, src, tgt)
+    assert room == 84
+    for target in (None, tgt):
+        dist, pred = box.solve(w, src, target)
+        ref_dist, ref_pred = csr_dijkstra(box, w, src, target)
+        assert dist.tobytes() == ref_dist.tobytes(), target
+        assert pred.tobytes() == ref_pred.tobytes(), target
+    verts = _scans_agree(box, w, dist, src, tgt)
+    assert verts.size == 251 and dist[tgt] == 250.0
+
+    guard = np.int64(-7)
+    buffers = [np.full(room + 16, guard) for _ in range(2)]
+    ties = np.empty(1, dtype=np.int64)
+    status = fpp_core._KERNEL.fpp_geodesic_scan(
+        box.d, box._c_shape, w.ctypes.data, dist.ctypes.data, src, tgt,
+        fpp_core.TIE_REL_TOL * 250.0, room, buffers[0].ctypes.data, buffers[1].ctypes.data,
+        ties.ctypes.data,
+    )
+    assert status == -3
+    assert all(np.all(b[room:] == guard) for b in buffers)
+
+    field = F.WeightField(box, w, "dirac:c=1", 0, 0)
+    ours = F.passage_time(field, (0, 0), end)
+    theirs = _scipy_passage_time(monkeypatch, field, (0, 0), end)
+    assert ours.edge_ids.tobytes() == theirs.edge_ids.tobytes() and ours.unique
+
+
+@pytest.mark.parametrize(
+    "lohi", BOXES + (((0, 0), (79, 79)), ((0, 0, 0), (15, 15, 15))),
+    ids=("2d", "3d", "2d-bucketed", "3d-bucketed"),
+)
+@pytest.mark.parametrize("spec", LAWS)
+def test_a_solve_without_predecessors_keeps_the_dist_bytes(spec, lohi, solve_backend):
+    """pred=False returns None for pred and the dist bytes of the default
+    solve, stopped and full; the two larger boxes run a continuous law's
+    solve through the bucket layer."""
+    box = F.LatticeBox(*lohi)
+    src = box.vertex_index((0,) * box.d)
+    w = F.WeightField.generate(box, F.parse_spec(spec), 17, 0).weights
+    for target in (None, box.vertex_index((5,) + (2,) * (box.d - 1)), box.n_vertices - 1):
+        dist, pred = box.solve(w, src, target, pred=False)
+        assert pred is None
+        assert dist.tobytes() == box.solve(w, src, target)[0].tobytes(), target
+
+
+@needs_kernel
+def test_a_replica_allocates_one_field_one_distance_array_and_the_bitset():
+    """The numpy arrays of WeightField.generate and passage_time on the
+    n=200 box of simulate peak below one field (8 bytes an edge), one
+    distance array (8 bytes a vertex) and the geodesic's edge bitset (1 byte
+    an edge), plus 64 KiB for the path's own arrays and Python objects:
+    the sample is transformed in the generator's buffer, the stopped solve
+    keeps no predecessors, and the path buffers are sized to the path."""
+    box = F.LatticeBox((-100, -100), (300, 100))
+    law = F.parse_spec("exp:rate=1")
+    budget = 9 * box.n_edges + 8 * box.n_vertices + 64 * 1024
+    F.passage_time(F.WeightField.generate(box, law, 1, 0), (0, 0), (200, 0))
+    for r in range(1, 4):
+        tracemalloc.start()
+        try:
+            F.passage_time(F.WeightField.generate(box, law, 1, r), (0, 0), (200, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (r, peak, budget)
 
 
 _CHILD_SOLVES = """
 import sys
+import tracemalloc
 import numpy as np
 import fpplab as F
 args = np.load(sys.argv[1])
