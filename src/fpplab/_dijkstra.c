@@ -35,16 +35,16 @@
  * distance is finite and it is not settled; its heap position is read only
  * then.
  *
- * On a box of at least 4,096 vertices whose sampled weights repeat no value,
- * a bucket layer stands in front of the heap (buckets_t below): the heap
- * holds only the keys of the current bucket, at most 14 at a time on the
- * n=200 box of simulate instead of about 1,000, and later keys wait in
- * lists until their bucket comes up. Keys still leave the queue in order,
- * so dist does not change, and pred could change only where two queued keys
- * are equal: a continuous law's sums all but never are, and a law with
- * atoms repeats a value in the sample and runs the heap alone, its equal
- * keys leaving in the heap's order. On the n=200 box the stopped solve of
- * an exp field takes about 3.0 ms instead of 3.8 (2-core Xeon).
+ * On a box of at least 4,096 vertices whose sampled mean weight is finite
+ * and positive, a bucket layer stands in front of the heap (buckets_t
+ * below): the heap holds only the keys of the current bucket, at most 14 at
+ * a time on the n=200 box of simulate instead of about 1,000, and later
+ * keys wait in lists until their bucket comes up. Keys still leave the
+ * queue in order, so dist does not change. Equal keys leave in the queue's
+ * order, so where they tie, as on every step of a law with atoms, pred is
+ * one shortest-path tree of several, chosen by the queue. On the n=200 box
+ * the stopped solve of an exp field takes about 3.0 ms instead of 3.8
+ * (2-core Xeon).
  *
  * Outputs follow scipy.sparse.csgraph.dijkstra: dist is +inf and pred is
  * -9999 for the source and for unreachable vertices. A vertex's distance
@@ -66,13 +66,15 @@
  *
  * Work arrays are sized to what a pass reads wherever that is known or can
  * grow: the heap, the bucket pool and the geodesic scan's records double
- * from a small first block, and the scan writes the path into buffers of
- * the caller's size, reporting a path that does not fit. A box-sized block
- * costs memory even where a pass never writes it: glibc, with the
- * thresholds of fpp_reuse_freed_memory, keeps freed blocks for reuse, the
- * next replica's arrays land on their pages and map them, so each thread
- * holds every box-sized block it ever allocated. calloc'd arrays store
- * index + 1, so 0 means unset.
+ * from a small first block, the scan marks the vertices it reaches with one
+ * bit each, and it writes the path into buffers of the caller's size,
+ * reporting a path that does not fit. The solve's heap positions are its
+ * one box-sized work array. A box-sized block costs memory even where a
+ * pass never writes it: glibc, with the thresholds of
+ * fpp_reuse_freed_memory, keeps freed blocks for reuse, the next replica's
+ * arrays land on their pages and map them, so each thread holds every
+ * box-sized block it ever allocated. calloc'd arrays store index + 1, so 0
+ * means unset.
  */
 
 #include <math.h>
@@ -329,12 +331,8 @@ typedef struct {
 
 /* Buckets per unit of key: PER_MEAN over the mean of SAMPLE weights taken
  * at a stride, so the window spans BUCKETS / PER_MEAN = 8 mean weights. 0,
- * for the heap alone, on a box of fewer than MIN_BUCKETED vertices, when
- * two sampled weights are equal (a law with atoms, whose equal keys must
- * leave the queue in the heap's order) or when the scale is not finite.
- * The sample's values go into an open-addressed set of their bits + 1 (so 0
- * marks an empty slot, and -0.0 is first made 0.0), which finds the repeat
- * of a law with atoms within a few draws. */
+ * for the heap alone, on a box of fewer than MIN_BUCKETED vertices or when
+ * the sampled mean is 0 or +inf. */
 static double bucket_scale(int d, const lattice_t *L, const double *w)
 {
     if (L->n < MIN_BUCKETED)
@@ -342,20 +340,9 @@ static double bucket_scale(int d, const lattice_t *L, const double *w)
     int32_t side = L->last[d - 1] + 1;
     int64_t edges = L->off[d - 1] + (int64_t)(L->n / side) * (side - 1);
     int64_t stride = edges / SAMPLE;
-    uint64_t seen[2 * SAMPLE] = {0};
     double sum = 0.0;
-    for (int i = 0; i < SAMPLE; i++) {
-        double x = w[i * stride] + 0.0;
-        uint64_t bits;
-        memcpy(&bits, &x, sizeof bits);
-        bits++;
-        uint64_t slot = (bits * UINT64_C(0x9E3779B97F4A7C15)) >> 55; /* 2^9 slots */
-        for (; seen[slot] != 0; slot = (slot + 1) & (2 * SAMPLE - 1))
-            if (seen[slot] == bits)
-                return 0.0;
-        seen[slot] = bits;
-        sum += x;
-    }
+    for (int i = 0; i < SAMPLE; i++)
+        sum += w[i * stride];
     double scale = PER_MEAN * SAMPLE / sum;
     return isfinite(scale) ? scale : 0.0;
 }
@@ -630,6 +617,17 @@ typedef struct {
 
 #define FIRST_RECORDS 256
 
+/* A set of vertices, one bit each. */
+INLINE int has(const uint64_t *set, int32_t v)
+{
+    return set[v >> 6] >> (v & 63) & 1;
+}
+
+INLINE void add(uint64_t *set, int32_t v)
+{
+    set[v >> 6] |= UINT64_C(1) << (v & 63);
+}
+
 /* Doubles the record buffer; -1, the buffer kept, if it cannot. */
 static int grow(reached_t **seen, int32_t *cap)
 {
@@ -645,17 +643,17 @@ INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const d
                              int32_t src, int32_t tgt, double tol, int64_t room,
                              int64_t *verts, int64_t *eids, int64_t *ties)
 {
-    int32_t *rec = calloc((size_t)L->n, sizeof(int32_t)); /* record index + 1 */
+    uint64_t *known = calloc(((size_t)L->n + 63) / 64, sizeof(uint64_t)); /* the reached set */
     int32_t cap = FIRST_RECORDS;
     reached_t *seen = malloc((size_t)cap * sizeof(reached_t));
     int64_t len = -1;
-    if (rec == NULL || seen == NULL)
+    if (known == NULL || seen == NULL)
         goto done;
     /* the records in the order they are made are the breadth-first queue */
     seen[0] = (reached_t){tgt, 0, 0, 0};
-    rec[tgt] = 1;
-    int32_t tail = 1;
-    for (int32_t head = 0; head < tail && rec[src] == 0; head++) {
+    add(known, tgt);
+    int32_t tail = 1, at_src = src == tgt ? 0 : -1; /* src's record, once made */
+    for (int32_t head = 0; head < tail && at_src < 0; head++) {
         int32_t v = seen[head].v;
         double dv = dist[v];
         double limit = dv + tol;
@@ -665,11 +663,13 @@ INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const d
         double reach = dist[u] + w[e];                                       \
         if (reach <= limit) {                                                \
             count++;                                                         \
-            if (reach == dv && rec[u] == 0) {                                \
+            if (reach == dv && !has(known, u)) {                             \
                 if (tail == cap && grow(&seen, &cap) != 0)                   \
                     goto done;                                               \
-                seen[tail] = (reached_t){u, head, e, 0};                     \
-                rec[u] = ++tail;                                             \
+                add(known, u);                                               \
+                if ((u) == src)                                              \
+                    at_src = tail;                                           \
+                seen[tail++] = (reached_t){u, head, e, 0};                   \
             }                                                                \
         }                                                                    \
     } while (0)
@@ -677,12 +677,12 @@ INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const d
 #undef TIGHT
         seen[head].near = count;
     }
-    if (rec[src] == 0) {
+    if (at_src < 0) {
         len = -2;
         goto done;
     }
     int64_t total = 0;
-    int32_t r = rec[src] - 1;
+    int32_t r = at_src;
     verts[0] = src;
     for (len = 0; seen[r].v != tgt; len++) {
         if (len + 1 >= room) {
@@ -696,7 +696,7 @@ INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const d
     }
     *ties = total - len;
 done:
-    free(rec);
+    free(known);
     free(seen);
     return len;
 }
@@ -725,19 +725,20 @@ int64_t fpp_geodesic_scan(int32_t d, const int32_t *shape, const double *w,
 }
 
 /* The path index of the first geodesic vertex on v's tree path, memoised in
- * lab (label + 1; the geodesic vertices are set on entry). stack has room for
- * n vertices. A path that ends without reaching the geodesic, at a vertex
- * the solve did not reach, gets -1. */
-static int32_t tree_label(const int32_t *pred, int32_t *lab, int32_t *stack, int32_t v)
+ * lab (label + 1; the geodesic vertices are set on entry): one walk up to a
+ * labelled vertex, and a second along the same vertices that writes its
+ * label. A path that ends without reaching the geodesic, at a vertex the
+ * solve did not reach, gets -1. */
+static int32_t tree_label(const int32_t *pred, int32_t *lab, int32_t v)
 {
-    int32_t depth = 0;
-    while (lab[v] == 0 && pred[v] != NO_PRED) {
-        stack[depth++] = v;
-        v = pred[v];
+    int32_t end = v;
+    while (lab[end] == 0 && pred[end] != NO_PRED)
+        end = pred[end];
+    for (int32_t up; v != end; v = up) {
+        up = pred[v];
+        lab[v] = lab[end];
     }
-    while (depth > 0)
-        lab[stack[--depth]] = lab[v];
-    return lab[v] - 1;
+    return lab[end] - 1;
 }
 
 INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const double *ds,
@@ -749,22 +750,21 @@ INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const 
     size_t side = (size_t)len + 1;
     int32_t *lab_s = calloc((size_t)n, sizeof(int32_t));
     int32_t *lab_t = calloc((size_t)n, sizeof(int32_t));
-    int32_t *stack = calloc((size_t)n, sizeof(int32_t));
     double *table = malloc(side * side * sizeof(double));
     int status = -1;
-    if (lab_s == NULL || lab_t == NULL || stack == NULL || table == NULL)
+    if (lab_s == NULL || lab_t == NULL || table == NULL)
         goto done;
     for (size_t k = 0; k < side * side; k++)
         table[k] = INFINITY;
     for (int32_t i = 0; i <= len; i++)
         lab_s[verts[i]] = lab_t[verts[i]] = i + 1;
     for (int32_t x = 0; x < n; x++) {
-        int32_t a = tree_label(pred_s, lab_s, stack, x);
+        int32_t a = tree_label(pred_s, lab_s, x);
         if (a < 0)
             continue;
 #define OFFER(y, e)                                                          \
     do {                                                                     \
-        int32_t b = on_path[e] ? -1 : tree_label(pred_t, lab_t, stack, y);   \
+        int32_t b = on_path[e] ? -1 : tree_label(pred_t, lab_t, y);          \
         if (a < b) {                                                         \
             double offer = ds[x] + w[e];                                     \
             offer = offer + dt[y];                                           \
@@ -791,7 +791,6 @@ INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const 
 done:
     free(lab_s);
     free(lab_t);
-    free(stack);
     free(table);
     return status;
 }

@@ -67,11 +67,11 @@ def _load_kernel():
     `fpp_replacement_offers` (geodesic_breakpoints); with None every one of
     them runs in Python, on scipy's solver. `fpp_arcs` serves the tests, and
     `fpp_reuse_freed_memory` runs once, at import. On a box of at least
-    4,096 vertices whose sampled weights repeat no value, `fpp_dijkstra`
-    puts a bucket layer in front of its heap, so the heap holds only the
-    nearest keys; a law with atoms runs the heap alone, its equal keys
-    leaving in the heap's order, and `dist` and `pred` keep their bytes
-    either way (see the kernel's header comment).
+    4,096 vertices whose sampled mean weight is finite and positive,
+    `fpp_dijkstra` puts a bucket layer in front of its heap, so the heap
+    holds only the nearest keys; `dist` keeps its bytes either way, and
+    `pred` breaks ties in the order keys leave the queue (see the kernel's
+    header comment).
 
     The library is cached at `_kernel_path()`. The first import on a
     machine compiles it into a temporary file next to that name and moves

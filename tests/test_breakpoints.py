@@ -123,6 +123,35 @@ def test_v_e_plus_matches_per_edge_resolve_bit_for_bit(solve_backend):
         assert val == per_edge_v_e_plus(field, dist, res)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ("bernoulli:a=1,b=2,p=0.5", "bernoulli:a=0,b=1,p=0.6", "bernoulli:a=0.1,b=0.3,p=0.5",
+     "dirac:c=1"),
+)
+def test_breakpoints_with_ties_on_a_bucketed_box(spec, solve_backend):
+    """The box of a simulate cell at n=50, 5,151 vertices, whose solves the
+    kernel runs through its bucket layer; these laws tie at every step, so
+    the trees behind the replacement-path labels are the bucketed queue's.
+    geodesic_breakpoints matches the one-solve edge_breakpoint on every
+    geodesic edge, and v_e_plus_bernoulli, where the law allows it, the
+    per-edge re-solve."""
+    box = F.LatticeBox((-25, -25), (75, 25))
+    law = F.parse_spec(spec)
+    energy = law.kind == "bernoulli" and law.a > 0
+    for rep in range(2):
+        field = F.WeightField.generate(box, law, 50, rep)
+        res = F.passage_time(field, (0, 0), (50, 0))
+        t0, t_inf = F.geodesic_breakpoints(field, res)
+        for i, eid in enumerate(res.edge_ids.tolist()):
+            o0, o_inf = F.edge_breakpoint(field, res, eid)
+            assert t0[i] == pytest.approx(o0, rel=1e-12, abs=0.0)
+            assert t_inf[i] == pytest.approx(o_inf, rel=1e-12, abs=0.0)
+        if energy:
+            val, energy_res = F.v_e_plus_bernoulli(field, (0, 0), (50, 0))
+            assert energy_res.edge_ids.tobytes() == res.edge_ids.tobytes()
+            assert val == pytest.approx(per_edge_v_e_plus(field, law, res), rel=1e-12, abs=0.0)
+
+
 def _same_sums(wpath, positions, value):
     got = F.fpp_core._path_sums(wpath, positions, value)
     want = matrix_path_sums(wpath, positions, value)
