@@ -42,9 +42,9 @@ RUNS = (("simulate", 0), ("influence", 0), ("simulate", 1))
 SECONDS = 10
 CRITERIA = ("test_criterion_01_", "test_criterion_10_")
 SOLVE_LAWS = (
-    "exp:rate=1", "gamma:a=2,b=1", "gamma:a=0.5,b=1", "uniform:lo=1,hi=2", "halfnormal",
-    "bernoulli:a=1,b=2,p=0.5", "bernoulli:a=0,b=1,p=0.6", "bernoulli:a=0.1,b=0.3,p=0.5",
-    "bernoulli:a=1,b=100,p=0.01", "dirac:c=1",
+    "exp:rate=1", "gamma:a=2,b=1", "gamma:a=0.5,b=1", "gamma:a=0.05,b=1", "uniform:lo=1,hi=2",
+    "halfnormal", "bernoulli:a=1,b=2,p=0.5", "bernoulli:a=0,b=1,p=0.6",
+    "bernoulli:a=0.1,b=0.3,p=0.5", "bernoulli:a=1,b=100,p=0.01", "dirac:c=1",
 )
 SOLVE_NS = (100, 200)
 FIELDS = 20

@@ -36,27 +36,35 @@
  * then.
  *
  * On a box of at least 4,096 vertices whose sampled mean weight is finite
- * and positive, a bucket layer stands in front of the heap (buckets_t
- * below): the heap holds only the keys of the current bucket, at most 14 at
- * a time on the n=200 box of simulate instead of about 1,000, and later
- * keys wait in lists until their bucket comes up. Keys still leave the
- * queue in order, so dist does not change. Equal keys leave in the queue's
- * order, so where they tie, as on every step of a law with atoms, pred is
- * one shortest-path tree of several, chosen by the queue. On the n=200 box
- * the stopped solve of an exp field takes about 3.0 ms instead of 3.8
- * (2-core Xeon).
+ * and positive, and whose sampled weights are not mostly light (bucket_scale
+ * below), the solve runs on buckets instead (buckets_t below; Dial 1969,
+ * with the light-edge re-scans of Meyer and Sanders' delta-stepping). Keys
+ * wait in one list per bucket. When a bucket opens, the vertices on its
+ * list are scanned straight off it, in list order, and the heap holds only
+ * the keys that a relaxation lowers into the open bucket, at most a few at
+ * a time on the n=200 box of simulate; it is emptied in key order after the
+ * list. A vertex scanned off the list whose key later drops inside its
+ * bucket is scanned again from the heap, so no vertex is scanned more than
+ * twice per bucket, and the heap phase is exact Dijkstra. dist is the least
+ * fixed point of the monotone IEEE sums below whatever the scan order, so
+ * it keeps the heap's bytes. pred is the first in-arc to reach that least
+ * sum, so where two sums tie, as on every step of a law with atoms, it is
+ * one shortest-path tree of several, chosen by the scan order; a
+ * continuous law's sums all but never tie. On the n=200 box the stopped
+ * solve of an exp field takes about 2.8 ms (2-core Xeon).
  *
  * Outputs follow scipy.sparse.csgraph.dijkstra: dist is +inf and pred is
  * -9999 for the source and for unreachable vertices. A vertex's distance
  * is the minimum of dist[u] + w over its in-arcs, one IEEE addition each,
- * so dist does not depend on the order in which equal keys leave the heap.
+ * so dist does not depend on the order in which equal keys leave the queue.
  * pred may be NULL: the solve then neither initialises nor stores it, and
  * dist keeps its bytes.
  *
  * With a target tgt >= 0 the solve stops at the target's tie horizon: once
- * tgt leaves the heap at key T, the limit is T + rel_tol * max(T, 1), and
- * the solve ends when the heap top exceeds it. The vertices still queued
- * then read as unreachable, so the settled set is exactly {dist <= limit}
+ * tgt is scanned at its final key T, the limit is T + rel_tol * max(T, 1).
+ * The heap alone ends when its top exceeds the limit; the buckets end once
+ * the bucket that holds the limit is done. Every vertex beyond the limit
+ * then reads as unreachable, so the settled set is exactly {dist <= limit}
  * and those distances are the full solve's, bit for bit. tgt = -1 solves
  * the whole box.
  *
@@ -286,26 +294,28 @@ static void sift_down(heap_t *h, int32_t i, double key, int32_t v)
     place(h, i, key, v);
 }
 
-/* -1 if the heap cannot grow. */
-INLINE int heap_push(heap_t *h, int32_t n, double key, int32_t v)
+/* Takes the top off the heap. */
+INLINE void heap_pop(heap_t *h)
 {
-    int32_t at = heap_slot(h, n);
-    if (at < 0)
-        return -1;
-    sift_up(h, at, key, v);
-    return 0;
+    int32_t end = --h->size;
+    double last_key = h->key[end];
+    int32_t last_v = h->vert[end];
+    h->key[end] = INFINITY;
+    if (h->size > 0)
+        sift_down(h, 0, last_key, last_v);
 }
 
-/* The bucket layer (Dial, CACM 12, 1969; Goldberg, SIAM J. Comput. 37,
- * 2008). Key x lies in bucket floor(x * scale), saturated at SATURATED. The
- * heap holds the keys of the current bucket cur; the keys of buckets cur + 1
- * .. cur + BUCKETS - 1, the window, wait in one list per bucket, head[k &
- * (BUCKETS - 1)], and those past the window in the far list. The lists are
- * singly linked through one pool of entries with a free list, and hold
- * entry index + 1, so 0 ends a list. Deletion is lazy: an entry is stale
- * once its key is not dist[v], and it is freed when its list is read. */
+/* The bucket layer (Dial, CACM 12, 1969; Meyer and Sanders, J. Algorithms
+ * 49, 2003). Key x lies in bucket floor(x * scale), saturated at SATURATED.
+ * The keys of the open bucket cur and of buckets cur + 1 .. cur + BUCKETS -
+ * 1, the window, wait in one list per bucket, head[k & (BUCKETS - 1)], and
+ * those past the window in the far list. The lists are singly linked
+ * through one pool of entries with a free list, and hold entry index + 1,
+ * so 0 ends a list. Deletion is lazy: an entry is stale once its key is not
+ * dist[v], and it is freed when its list is read. The heap holds only the
+ * keys that a relaxation lowers into the open bucket. */
 #define BUCKETS 4096
-#define PER_MEAN 512         /* buckets per mean weight */
+#define PER_MEAN 128         /* buckets per mean weight */
 #define SAMPLE 256           /* weights the mean is taken from */
 #define MIN_BUCKETED 4096    /* smaller boxes run the heap alone */
 #define FIRST_ENTRIES 1024
@@ -319,7 +329,7 @@ typedef struct {
 
 typedef struct {
     double scale;    /* buckets per unit of key */
-    int64_t cur;     /* the bucket the heap holds */
+    int64_t cur;     /* the open bucket */
     int64_t far_min; /* the least bucket on the far list, or NO_FAR */
     int32_t far;     /* the far list */
     int32_t pending; /* entries on the window's lists */
@@ -330,9 +340,17 @@ typedef struct {
 } buckets_t;
 
 /* Buckets per unit of key: PER_MEAN over the mean of SAMPLE weights taken
- * at a stride, so the window spans BUCKETS / PER_MEAN = 8 mean weights. 0,
- * for the heap alone, on a box of fewer than MIN_BUCKETED vertices or when
- * the sampled mean is 0 or +inf. */
+ * at a stride, so the window spans BUCKETS / PER_MEAN mean weights. 0, for
+ * the heap alone, on a box of fewer than MIN_BUCKETED vertices, when the
+ * sampled mean is 0 or +inf, or when more than LIGHT[d] of the sampled
+ * weights are light: nonzero but below a bucket's width. Edges that light
+ * join a bucket's vertices into clusters, and once they percolate (the
+ * bond threshold is 1/2 in 2D and 0.249 in 3D) a bucket's list holds many
+ * vertices whose keys the cluster later lowers, each scanned twice. Past
+ * these shares the heap alone was the faster queue on gamma laws of shape
+ * 0.05 to 0.5. */
+static const int LIGHT[MAX_D + 1] = {[2] = SAMPLE * 3 / 5, [3] = SAMPLE * 2 / 5};
+
 static double bucket_scale(int d, const lattice_t *L, const double *w)
 {
     if (L->n < MIN_BUCKETED)
@@ -344,7 +362,10 @@ static double bucket_scale(int d, const lattice_t *L, const double *w)
     for (int i = 0; i < SAMPLE; i++)
         sum += w[i * stride];
     double scale = PER_MEAN * SAMPLE / sum;
-    return isfinite(scale) ? scale : 0.0;
+    int light = 0;
+    for (int i = 0; i < SAMPLE; i++)
+        light += w[i * stride] > 0.0 && w[i * stride] * scale < 1.0;
+    return isfinite(scale) && light <= LIGHT[d] ? scale : 0.0;
 }
 
 /* A double-to-integer conversion out of range is undefined, so the index
@@ -408,13 +429,13 @@ static void spread(buckets_t *b, const double *dist)
     }
 }
 
-/* Refills the empty heap from the next bucket with a live key: one bucket
- * at a time, or straight to the far list's least bucket when the window's
- * lists are empty. Returns 1, 0 when no key is left, or -1 when the heap
- * cannot grow. */
-static int advance(heap_t *h, int32_t n, buckets_t *b, const double *dist)
+/* Opens the next bucket that has a list: the next one in the window, or
+ * the far list's least bucket when the window's lists are empty. Returns
+ * that list, taken off its head, or 0 when no entry is left. */
+static int32_t open_bucket(buckets_t *b, const double *dist)
 {
-    while (h->size == 0) {
+    int32_t list = 0;
+    while (list == 0) {
         if (b->pending > 0)
             b->cur++;
         else if (b->far != 0)
@@ -423,20 +444,10 @@ static int advance(heap_t *h, int32_t n, buckets_t *b, const double *dist)
             return 0;
         if (b->far_min - b->cur < BUCKETS)
             spread(b, dist);
-        int32_t *list = &b->head[b->cur & (BUCKETS - 1)];
-        for (int32_t i = *list; i != 0;) {
-            entry_t *e = &b->pool[i - 1];
-            int32_t next = e->next;
-            if (e->key == dist[e->v] && heap_push(h, n, e->key, e->v) != 0)
-                return -1;
-            e->next = b->spare;
-            b->spare = i;
-            b->pending--;
-            i = next;
-        }
-        *list = 0;
+        list = b->head[b->cur & (BUCKETS - 1)];
+        b->head[b->cur & (BUCKETS - 1)] = 0;
     }
-    return 1;
+    return list;
 }
 
 /* A settled v fails nd < dist[v]: dist[v] <= du <= nd. An unseen v has
@@ -457,95 +468,84 @@ INLINE int relax(heap_t *h, int32_t n, double *dist, int32_t *pred, int32_t u, d
     return 0;
 }
 
-/* relax with the bucket layer: a key past the heap's bucket waits on a
- * list. v is in the heap exactly when its old key's bucket is not past
- * cur; otherwise its entry on a list goes stale, and it joins the heap as
- * if unseen. Returns -1 if a list cannot grow. */
+/* relax with the bucket layer: a key past the open bucket waits on a list,
+ * and one inside it goes to the heap. A reached vertex is in the heap
+ * exactly when its heap position is not -1: a list entry and a pop from the
+ * heap both set it to -1, and the heap is empty whenever a bucket opens.
+ * Returns -1 if the heap or a list cannot grow. */
 INLINE int relax_bucketed(heap_t *h, int32_t n, buckets_t *b, double *dist, int32_t *pred,
                           int32_t u, double nd, int32_t v)
 {
-    if (nd < dist[v]) {
+    double old = dist[v];
+    if (nd < old) {
+        dist[v] = nd;
+        if (pred != NULL)
+            pred[v] = u;
         int64_t k = bucket_of(b, nd);
         if (k > b->cur) {
-            dist[v] = nd;
-            if (pred != NULL)
-                pred[v] = u;
+            h->pos[v] = -1;
             return list_push(b, list_for(b, k), nd, v);
         }
-        if (dist[v] != INFINITY && bucket_of(b, dist[v]) > b->cur)
-            dist[v] = INFINITY;
-        return relax(h, n, dist, pred, u, nd, v);
+        int32_t at = old != INFINITY && h->pos[v] >= 0 ? h->pos[v] : heap_slot(h, n);
+        if (at < 0)
+            return -1;
+        sift_up(h, at, nd, v);
     }
     return 0;
 }
 
-/* Every entry that is still live when the solve stops reads as unreachable. */
-static void unreach(double *dist, int32_t *pred, const entry_t *pool, int32_t i)
+/* The heap holding src alone, every dist +inf but src's 0 and every pred
+ * NO_PRED; -1 if the heap cannot be allocated. */
+static int start(heap_t *h, int32_t n, int32_t src, double *dist, int32_t *pred)
 {
-    for (; i != 0; i = pool[i - 1].next) {
-        int32_t v = pool[i - 1].v;
-        if (pool[i - 1].key == dist[v]) {
-            dist[v] = INFINITY;
-            if (pred != NULL)
-                pred[v] = NO_PRED;
-        }
-    }
-}
-
-INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, int32_t src,
-                    int32_t tgt, double rel_tol, double *dist, int32_t *pred)
-{
-    int32_t n = L->n;
-    int status = -1;
-    heap_t h = {
+    *h = (heap_t){
         .pos = malloc((size_t)n * sizeof(int32_t)),
         .size = 1,
         .mark = 4,
         .cap = n < FIRST_SLOTS ? n : FIRST_SLOTS,
     };
-    h.key = key_block(h.cap, &h.raw);
-    h.vert = malloc((size_t)h.cap * sizeof(int32_t));
-    if (h.key == NULL || h.vert == NULL || h.pos == NULL)
-        goto done;
+    h->key = key_block(h->cap, &h->raw);
+    h->vert = malloc((size_t)h->cap * sizeof(int32_t));
+    if (h->key == NULL || h->vert == NULL || h->pos == NULL)
+        return -1;
     for (int32_t v = 0; v < n; v++)
         dist[v] = INFINITY;
     if (pred != NULL)
         for (int32_t v = 0; v < n; v++)
             pred[v] = NO_PRED;
     dist[src] = 0.0;
-    place(&h, 0, 0.0, src);
-    for (int32_t i = 1; i < h.mark; i++)
-        h.key[i] = INFINITY;
-    double limit = INFINITY;
-    int failed = 0; /* the heap or a list could not grow */
+    place(h, 0, 0.0, src);
+    for (int32_t i = 1; i < h->mark; i++)
+        h->key[i] = INFINITY;
+    return 0;
+}
 
-    for (;;) {
-        if (h.size == 0) {
-            int more = b == NULL ? 0 : advance(&h, n, b, dist);
-            if (more < 0)
-                goto done;
-            if (more == 0)
-                break;
-        }
+static void release(heap_t *h)
+{
+    free(h->raw);
+    free(h->vert);
+    free(h->pos);
+}
+
+INLINE int heap_dijkstra(int d, const lattice_t *L, const double *w, int32_t src,
+                         int32_t tgt, double rel_tol, double *dist, int32_t *pred)
+{
+    int32_t n = L->n;
+    heap_t h;
+    int status = -1;
+    if (start(&h, n, src, dist, pred) != 0)
+        goto done;
+    double limit = INFINITY;
+    int failed = 0; /* the heap could not grow */
+    while (h.size > 0) {
         int32_t u = h.vert[0];
         double du = h.key[0];
         if (du > limit)
             break;
         if (u == tgt)
             limit = du + rel_tol * fmax(du, 1.0);
-        int32_t end = --h.size;
-        double last_key = h.key[end];
-        int32_t last_v = h.vert[end];
-        h.key[end] = INFINITY;
-        if (h.size > 0)
-            sift_down(&h, 0, last_key, last_v);
-#define RELAX(v, e)                                                          \
-    do {                                                                     \
-        if (b == NULL)                                                       \
-            failed |= relax(&h, n, dist, pred, u, du + w[e], v);             \
-        else                                                                 \
-            failed |= relax_bucketed(&h, n, b, dist, pred, u, du + w[e], v); \
-    } while (0)
+        heap_pop(&h);
+#define RELAX(v, e) (failed |= relax(&h, n, dist, pred, u, du + w[e], v))
         FOR_EACH_ARC(d, L, u, RELAX);
 #undef RELAX
         if (failed)
@@ -556,16 +556,78 @@ INLINE int dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w, in
         if (pred != NULL)
             pred[h.vert[i]] = NO_PRED;
     }
-    if (b != NULL) {
-        for (int k = 0; k < BUCKETS; k++)
-            unreach(dist, pred, b->pool, b->head[k]);
-        unreach(dist, pred, b->pool, b->far);
-    }
     status = 0;
 done:
-    free(h.raw);
-    free(h.vert);
-    free(h.pos);
+    release(&h);
+    return status;
+}
+
+/* Each bucket is scanned in two phases. First its list, straight off it in
+ * list order: each live entry's vertex is scanned at its key. Then the heap,
+ * which holds every key a relaxation lowered into the bucket, in key order.
+ * A vertex scanned off the list whose key a later scan lowers is scanned
+ * again from the heap, so it is scanned at most twice in its bucket; and
+ * once the list is done, the heap phase is exact Dijkstra, so a vertex it
+ * pops is final. When the target is scanned, at its final key in the last
+ * scan, its tie horizon is set, and the solve ends when the horizon's
+ * bucket is done. */
+INLINE int bucket_dijkstra(int d, const lattice_t *L, buckets_t *b, const double *w,
+                           int32_t src, int32_t tgt, double rel_tol, double *dist,
+                           int32_t *pred)
+{
+    int32_t n = L->n;
+    heap_t h;
+    int status = -1;
+    if (start(&h, n, src, dist, pred) != 0)
+        goto done;
+    double limit = INFINITY;
+    int64_t last = INT64_MAX; /* the bucket of limit */
+    int32_t list = 0;         /* the rest of the open bucket's list */
+    int failed = 0;           /* the heap or a list could not grow */
+    for (;;) {
+        int32_t u;
+        double du;
+        if (list != 0) {
+            entry_t *e = &b->pool[list - 1];
+            u = e->v;
+            du = e->key;
+            int32_t next = e->next;
+            e->next = b->spare;
+            b->spare = list;
+            b->pending--;
+            list = next;
+            if (du != dist[u])
+                continue;
+        } else if (h.size > 0) {
+            u = h.vert[0];
+            du = h.key[0];
+            heap_pop(&h);
+            h.pos[u] = -1;
+        } else {
+            if (b->cur >= last || (list = open_bucket(b, dist)) == 0)
+                break;
+            continue;
+        }
+        if (u == tgt) {
+            limit = du + rel_tol * fmax(du, 1.0);
+            last = bucket_of(b, limit);
+        }
+#define RELAX(v, e) (failed |= relax_bucketed(&h, n, b, dist, pred, u, du + w[e], v))
+        FOR_EACH_ARC(d, L, u, RELAX);
+#undef RELAX
+        if (failed)
+            goto done;
+    }
+    if (limit < INFINITY)
+        for (int32_t v = 0; v < n; v++)
+            if (dist[v] > limit) {
+                dist[v] = INFINITY;
+                if (pred != NULL)
+                    pred[v] = NO_PRED;
+            }
+    status = 0;
+done:
+    release(&h);
     return status;
 }
 
@@ -576,7 +638,7 @@ static __attribute__((noinline)) int heap_solve(int d, const lattice_t *L, const
                                                 int32_t src, int32_t tgt, double rel_tol,
                                                 double *dist, int32_t *pred)
 {
-    return BY_DIM(d, dijkstra, L, NULL, w, src, tgt, rel_tol, dist, pred);
+    return BY_DIM(d, heap_dijkstra, L, w, src, tgt, rel_tol, dist, pred);
 }
 
 static __attribute__((noinline)) int bucketed_solve(int d, const lattice_t *L, double scale,
@@ -590,7 +652,7 @@ static __attribute__((noinline)) int bucketed_solve(int d, const lattice_t *L, d
         b->scale = scale;
         b->far_min = NO_FAR;
         b->cap = FIRST_ENTRIES;
-        status = BY_DIM(d, dijkstra, L, b, w, src, tgt, rel_tol, dist, pred);
+        status = BY_DIM(d, bucket_dijkstra, L, b, w, src, tgt, rel_tol, dist, pred);
     }
     if (b != NULL)
         free(b->pool);

@@ -31,7 +31,6 @@ from __future__ import annotations
 import bisect
 import ctypes
 import functools
-import hashlib
 import itertools
 import math
 import os
@@ -39,6 +38,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import zlib
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -54,9 +54,12 @@ _KERNEL_SOURCE = Path(__file__).with_name("_dijkstra.c")
 
 
 def _kernel_path() -> Path:
-    """The kernel's file in the per-user cache, by machine type and source hash."""
+    """The kernel's file in the per-user cache, by machine type and a
+    checksum of the source: its length, CRC-32 and Adler-32, from zlib, so
+    that naming the file loads no hash library (hashlib loads OpenSSL)."""
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()
+    source = _KERNEL_SOURCE.read_bytes()
+    digest = f"{len(source):x}-{zlib.crc32(source):08x}{zlib.adler32(source):08x}"
     return cache / "fpplab" / f"dijkstra-{platform.machine()}-{digest}.so"
 
 
@@ -67,11 +70,13 @@ def _load_kernel():
     `fpp_replacement_offers` (geodesic_breakpoints); with None every one of
     them runs in Python, on scipy's solver. `fpp_arcs` serves the tests, and
     `fpp_reuse_freed_memory` runs once, at import. On a box of at least
-    4,096 vertices whose sampled mean weight is finite and positive,
-    `fpp_dijkstra` puts a bucket layer in front of its heap, so the heap
-    holds only the nearest keys; `dist` keeps its bytes either way, and
-    `pred` breaks ties in the order keys leave the queue (see the kernel's
-    header comment).
+    4,096 vertices whose sampled mean weight is finite and positive and
+    whose sampled weights are not mostly lighter than a bucket,
+    `fpp_dijkstra` keeps its keys in buckets: it scans each bucket's
+    vertices straight off its list, and its heap orders only the keys that
+    a relaxation lowers into the open bucket. `dist` keeps its bytes either
+    way, and `pred` breaks ties in the order the vertices are scanned (see
+    the kernel's header comment).
 
     The library is cached at `_kernel_path()`. The first import on a
     machine compiles it into a temporary file next to that name and moves

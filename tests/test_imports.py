@@ -6,7 +6,9 @@ runs on numpy and the compiled Dijkstra alone, and so do `classify` and the
 influence energy constant of the exp, uniform and truncated-exp laws, whose
 Gaussian primitives are numpy code. No path of the package loads
 `scipy.stats`: the gamma law and the Clopper-Pearson interval run on
-`scipy.special`.
+`scipy.special`. Nor does `import fpplab` load OpenSSL: the kernel's cache
+file is named by a zlib checksum, so an exp-law `classify` leaves
+`_hashlib` unloaded (numpy.random loads it, for `secrets`).
 """
 
 import json
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import fpplab
+from fpplab import fpp_core
 
 _PROBE = """
 import json, sys
@@ -50,15 +53,35 @@ print(json.dumps({"rc": [rc, *rc_laws, rc_gamma, rc_classify], "loaded": loaded,
 """
 
 
-def test_exp_simulate_and_classify_load_no_scipy_submodule(tmp_path):
+_CLASSIFY_PROBE = """
+import json, sys
+from fpplab import cli, fpp_core
+rc = cli.main(["classify", "--dist", "exp:rate=1", "--out", sys.argv[1]])
+print(json.dumps({"rc": rc, "hashlib": "_hashlib" in sys.modules,
+                  "kernel": fpp_core._KERNEL is not None}))
+"""
+
+
+def _probe(script, *args):
+    """The last stdout line of script, run in a fresh interpreter that
+    imports this fpplab, as JSON."""
     src = str(Path(fpplab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(tmp_path)],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, check=True,
     )
-    got = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exp_classify_loads_no_openssl(tmp_path):
+    got = _probe(_CLASSIFY_PROBE, str(tmp_path / "exp.json"))
+    assert got["rc"] == 0 and got["kernel"] == (fpp_core._KERNEL is not None)
+    assert not got["hashlib"]
+
+
+def test_exp_simulate_and_classify_load_no_scipy_submodule(tmp_path):
+    got = _probe(_PROBE, str(tmp_path))
     assert got["rc"] == [0] * 6
     outs = ["exp/report.json", "gamma/report.json", "classify.json"]
     for out in outs + [f"law{i}.json" for i in range(3)]:

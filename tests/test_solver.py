@@ -37,8 +37,9 @@ LAWS = (
 BOXES = (((-12, -6), (24, 6)), ((-4, -3, -3), (9, 3, 3)))
 TWO_POINT = "bernoulli:a=1,b=2,p=0.5"
 # A box of this many vertices or more runs the kernel's bucket layer unless
-# the weights it samples for the bucket width sum to 0; smaller boxes run the
-# heap alone, which breaks ties as oracles.csr_dijkstra does.
+# the weights it samples for the bucket width sum to 0 or most of them are
+# light; smaller boxes run the heap alone, which breaks ties as
+# oracles.csr_dijkstra does.
 BUCKETED = 4096
 
 needs_kernel = pytest.mark.skipif(
@@ -493,7 +494,9 @@ def _solve_in_child(box, w, src, targets, tmp_path):
 def _bucket_sample(w):
     """The 256 weights, at a stride of len(w) // 256, that the kernel takes
     its bucket width from; the solve of a box of 4,096 or more vertices runs
-    through the bucket layer when their sum is finite and positive."""
+    through the bucket layer when their sum is finite and positive and at
+    most 3/5 of them in 2D, 2/5 in 3D, are light (nonzero and below one
+    bucket's width, their mean over PER_MEAN)."""
     return w[:: len(w) // 256][:256]
 
 
@@ -560,6 +563,83 @@ def test_weights_that_repeat_give_a_shortest_path_tree():
             _assert_shortest_path_tree(box, w, src, target, dist, pred)
             other_order += pred.tobytes() != ref_pred.tobytes()
     assert other_order > 0  # the bucket layer served these solves
+
+
+RESCAN_BOXES = (((0, 0), (79, 79)), ((0, 0, 0), (15, 15, 15)))
+
+
+def _unit_sample(w):
+    """w with the weights of _bucket_sample set to 1: their mean is 1 and
+    none of them is light, so the kernel serves a box of 4,096 or more
+    vertices through the bucket layer however light the rest of w is."""
+    w = w.copy()
+    w[:: len(w) // 256][:256] = 1.0
+    return w
+
+
+def _light_fields(box):
+    """(name, weights) of fields with light edges, nonzero and far below a
+    bucket's width. gamma:a=0.05 has about 70% of its edges lighter than
+    1/1000: the kernel runs it on the heap alone, as it does any field with
+    that many light sampled weights. gamma:a=0.2 has about 25% of its edges
+    below a bucket's width: they join some keys of a bucket, and the bucket
+    layer scans tens of vertices twice per solve. Then two-point fields with
+    zero edges, and a hand-built mix of 0, 1e-300 and 1, whose sums round to
+    ties. All but the first have the unit sample, so the bucket layer serves
+    them."""
+    gamma = F.WeightField.generate(box, F.parse_spec("gamma:a=0.05,b=1"), 41, 0).weights
+    fields = [("gamma:a=0.05,b=1", gamma)] + [
+        (spec, _unit_sample(F.WeightField.generate(box, F.parse_spec(spec), 41, rep).weights))
+        for spec in ("gamma:a=0.2,b=1", "bernoulli:a=0,b=1,p=0.9")
+        for rep in range(2)
+    ]
+    mix = np.random.default_rng(box.d).choice([0.0, 1e-300, 1.0], size=box.n_edges)
+    return fields + [("0, 1e-300, 1", _unit_sample(mix))]
+
+
+@needs_kernel
+@pytest.mark.parametrize("lohi", RESCAN_BOXES, ids=("2d", "3d"))
+def test_light_edges_rescan_the_vertices_they_lower(lohi):
+    """The bucket layer scans a bucket's list in list order, so a light edge
+    can lower a vertex already scanned at a larger key of its bucket; the
+    heap then scans it again. On the light fields, stopped and full solves
+    give the CSR solve's dist bytes and a shortest-path tree."""
+    box = F.LatticeBox(*lohi)
+    src = box.vertex_index((3,) * box.d)
+    targets = (None, box.vertex_index((9, 5) + (4,) * (box.d - 2)), box.n_vertices - 1)
+    for name, w in _light_fields(box):
+        for target in targets:
+            dist, pred = box.solve(w, src, target)
+            ref_dist, _ = csr_dijkstra(box, w, src, target)
+            assert dist.tobytes() == ref_dist.tobytes(), (name, target)
+            _assert_shortest_path_tree(box, w, src, target, dist, pred)
+
+
+@needs_kernel
+def test_a_tie_horizon_in_the_next_bucket_is_solved_to_its_end():
+    """Unit weights on the 80 x 80 box, so buckets split the keys at
+    multiples of 1 / PER_MEAN. The target (4, 0) lies at T = 4 - 2e-12, at
+    the top of its bucket, and its horizon T + 1e-12 T lies past 4, in the
+    next bucket. Inside it are the three vertices at distance 4 exactly and
+    (1, 4), at 4 + 1e-12, which only (1, 3) reaches so soon, so a solve
+    that ended with the target's bucket would leave it unreached; (0, 4), at
+    4 + 1e-11, is beyond. The stopped solve settles exactly the vertices
+    inside, as the CSR solve does."""
+    box = F.LatticeBox((0, 0), (79, 79))
+    w = np.ones(box.n_edges)
+    w[box.edge_id((3, 0), 0)] = 1.0 - 2e-12
+    w[box.edge_id((0, 3), 1)] = 1.0 + 1e-11
+    w[box.edge_id((1, 3), 1)] = 1e-12
+    assert _bucket_sample(w).sum() == 256.0  # buckets 1 / PER_MEAN wide
+    src, tgt, late, beyond = (box.vertex_index(c) for c in ((0, 0), (4, 0), (1, 4), (0, 4)))
+    dist, pred = box.solve(w, src, tgt)
+    t = dist[tgt]
+    assert t < 4.0 < t + fpp_core.TIE_REL_TOL * t < box.solve(w, src)[0][beyond]
+    ref_dist, _ = csr_dijkstra(box, w, src, tgt)
+    assert dist.tobytes() == ref_dist.tobytes()
+    assert np.count_nonzero(dist == 4.0) == 3 and dist[late] == 4.0 + 1e-12
+    assert dist[beyond] == np.inf
+    _assert_shortest_path_tree(box, w, src, tgt, dist, pred)
 
 
 def _python_arcs(shape, x):
