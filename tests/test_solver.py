@@ -339,16 +339,17 @@ def test_large_box_corner_to_corner_matches_the_oracles(spec, hi):
 @needs_kernel
 @pytest.mark.parametrize("spec", ("dirac:c=0", "dirac:c=1", "uniform:lo=1,hi=1.000001"))
 def test_a_frontier_past_the_heaps_first_block_matches_the_oracles(spec, monkeypatch):
-    """The heap starts at 1,024 slots and doubles. From the centre of a 29^3
-    box the largest distance level of a dirac:c=1 field holds 1,260
-    vertices, all of them queued at once, so the heap grows: through the
-    bucket layer, as for weights in [1, 1 + 1e-6], distinct but so close
-    that each level falls in one bucket. A dirac:c=0 field runs the heap
-    alone, as its sampled mean is 0, and every vertex lies at distance 0:
-    the heap holds up to 13,171 of them. The stopped and full solves give
-    the CSR solve's dist bytes and a shortest-path tree, and the CSR solve's
-    pred bytes except where ties leave the bucketed queue (dirac:c=1); the
-    two geodesic scans and passage_time on either backend agree."""
+    """The heap and the bucket pool start at 1,024 slots and double. From
+    the centre of a 29^3 box the largest distance level of a dirac:c=1
+    field holds 1,260 vertices, all of them queued at once, so the pool
+    grows: they wait on one bucket's list, as for weights in [1, 1 + 1e-6],
+    distinct but so close that each level falls in one bucket. A dirac:c=0
+    field runs the heap alone, as its sampled mean is 0, and every vertex
+    lies at distance 0: the heap holds up to 13,171 of them. The stopped
+    and full solves give the CSR solve's dist bytes and a shortest-path
+    tree, and the CSR solve's pred bytes except where ties leave the
+    bucketed queue (dirac:c=1); the two geodesic scans and passage_time on
+    either backend agree."""
     box = F.LatticeBox((-14,) * 3, (14,) * 3)
     src, tgt = box.vertex_index((0, 0, 0)), box.vertex_index((14, 14, 0))
     w = F.WeightField.generate(box, F.parse_spec(spec), 5, 0).weights
