@@ -5,6 +5,7 @@ Run from the root of a checkout:
     python3 scripts/bench.py --out BENCH_<n>.json
     python3 scripts/bench.py --solve-table   # the solve table alone, to stdout
     python3 scripts/bench.py --memory        # the memory row alone, to stdout
+    python3 scripts/bench.py --energy        # the energy row alone, to stdout
 
 It runs perfbench/run.py with --trace 0 for the simulate and influence
 workloads and with --trace 1 for simulate, each on the default seed for
@@ -12,7 +13,10 @@ workloads and with --trace 1 for simulate, each on the default seed for
 table times the Dijkstra kernel alone, called as LatticeBox.solve calls
 it: the stopped solve from (0, 0) to (n, 0) on the box of a `simulate`
 cell at n = 100 and 200, for each law of SOLVE_LAWS, and the full solve of
-the 11 x 11 box of the two-point energy fields. It times
+the 11 x 11 box of the two-point energy fields. The energy row times a
+call of `v_e_plus_bernoulli` on that box and of `geodesic_breakpoints` on
+it and on the box of a `simulate` cell at n = 100 (`exp`), each the median
+of every call's time over ROUNDS rounds of FIELDS fields. It times
 `fpplab classify --dist exp:rate=1` cold, as the median wall time of 7
 fresh interpreters. The memory row is the tracemalloc peak of the numpy
 arrays of one `exp` replica (WeightField.generate and passage_time) on the
@@ -36,6 +40,7 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from functools import partial
 from pathlib import Path
 
 RUNS = (("simulate", 0), ("influence", 0), ("simulate", 1))
@@ -113,6 +118,47 @@ def solve_table() -> dict:
               for r in range(FIELDS)]
     table["energy_11x11_full"] = timer(box, fields, 0, -1, ENERGY_CALLS)
     return table
+
+
+def energy_table() -> dict:
+    """Median us of one call, over ROUNDS rounds of FIELDS fields:
+    {"v_e_plus_bernoulli_11x11": us, "geodesic_breakpoints_11x11": us,
+    "geodesic_breakpoints_n100": us}. The two-point fields are those of
+    perfbench's energy loop, bernoulli:a=1,b=2,p=0.5 from (0, 0) to
+    (10, 10); the n=100 fields are exp from (0, 0) to (100, 0). Master seed
+    1 throughout."""
+    sys.path.insert(0, "src")
+    import numpy as np
+
+    from fpplab import (experiments, geodesic_breakpoints, LatticeBox, parse_spec,
+                        passage_time, v_e_plus_bernoulli, WeightField)
+
+    def timer(calls):
+        times = []
+        for _ in range(ROUNDS):
+            for call in calls:
+                t0 = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - t0)
+        return float(np.median(times)) * 1e6
+
+    def fields(box, spec):
+        return [WeightField.generate(box, parse_spec(spec), 1, r) for r in range(FIELDS)]
+
+    def breakpoint_calls(box, spec, v):
+        return [partial(geodesic_breakpoints, field, passage_time(field, (0, 0), v))
+                for field in fields(box, spec)]
+
+    small = LatticeBox((0, 0), (10, 10))
+    n100 = experiments.box_for(experiments.ExperimentConfig("exp:rate=1", n_list=(100,)), 100)
+    return {
+        "v_e_plus_bernoulli_11x11": timer(
+            [partial(v_e_plus_bernoulli, field, (0, 0), (10, 10))
+             for field in fields(small, "bernoulli:a=1,b=2,p=0.5")]),
+        "geodesic_breakpoints_11x11": timer(
+            breakpoint_calls(small, "bernoulli:a=1,b=2,p=0.5", (10, 10))),
+        "geodesic_breakpoints_n100": timer(breakpoint_calls(n100, "exp:rate=1", (100, 0))),
+    }
 
 
 def memory_table() -> dict:
@@ -204,6 +250,7 @@ def main() -> int:
     p.add_argument("--solve-table", action="store_true",
                    help="print the per-law solve table and exit")
     p.add_argument("--memory", action="store_true", help="print the memory row and exit")
+    p.add_argument("--energy", action="store_true", help="print the energy row and exit")
     args = p.parse_args()
     if args.solve_table:
         print(json.dumps(solve_table(), indent=1))
@@ -211,11 +258,15 @@ def main() -> int:
     if args.memory:
         print(json.dumps(memory_table(), indent=1))
         return 0
+    if args.energy:
+        print(json.dumps(energy_table(), indent=1))
+        return 0
     if args.out is None:
-        p.error("--out is required unless --solve-table or --memory is given")
+        p.error("--out is required unless --solve-table, --memory or --energy is given")
     runs = [perfbench(w, t) for w, t in RUNS]
     table = solve_table()
-    bench = {"perfbench": runs, "solve_table_ms": table, "memory": memory_table(),
+    bench = {"perfbench": runs, "solve_table_ms": table, "energy_us": energy_table(),
+             "memory": memory_table(),
              "classify_cold": classify_cold(), "tier1": tier1()}
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(json.dumps(bench["tier1"]))

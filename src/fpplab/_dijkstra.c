@@ -1,6 +1,9 @@
 /* Single-source Dijkstra on the lattice box of fpp_core.LatticeBox, and the
  * two passes fpp_core makes over its distances: the canonical geodesic scan
- * and the replacement-path offers.
+ * (passage_time), and the breakpoint pass, one call that solves the box from
+ * both ends of the geodesic and reads off the two solves the replacement
+ * paths and path sums of every geodesic edge (geodesic_breakpoints and
+ * v_e_plus_bernoulli).
  *
  * Every entry takes the box as (d, shape) and reads no graph arrays: the
  * neighbours of a vertex and the edge ids of its arcs are arithmetic on the
@@ -77,8 +80,9 @@
  * from a small first block, the scan marks the vertices it reaches with one
  * bit each, and it writes the path into buffers of the caller's size,
  * reporting a path that does not fit. The solve's heap positions are its
- * one box-sized work array. A box-sized block costs memory even where a
- * pass never writes it: glibc, with the thresholds of
+ * one box-sized work array; the breakpoint pass adds the two trees, the
+ * replacement-path labels and an edge bitset. A box-sized block costs
+ * memory even where a pass never writes it: glibc, with the thresholds of
  * fpp_reuse_freed_memory, keeps freed blocks for reuse, the next replica's
  * arrays land on their pages and map them, so each thread holds every
  * box-sized block it ever allocated. calloc'd arrays store index + 1, so 0
@@ -351,13 +355,20 @@ typedef struct {
  * 0.05 to 0.5. */
 static const int LIGHT[MAX_D + 1] = {[2] = SAMPLE * 3 / 5, [3] = SAMPLE * 2 / 5};
 
-static double bucket_scale(int d, const lattice_t *L, const double *w)
+/* The edges of the box: off_a counts those along the axes below a. */
+INLINE int64_t edge_count(int d, const lattice_t *L)
+{
+    int32_t side = L->last[d - 1] + 1;
+    return L->off[d - 1] + (int64_t)(L->n / side) * (side - 1);
+}
+
+/* Inlined into each caller, so that fpp_dijkstra, which picks its queue
+ * with it, keeps its code and the solves their place in the library. */
+INLINE double bucket_scale(int d, const lattice_t *L, const double *w)
 {
     if (L->n < MIN_BUCKETED)
         return 0.0;
-    int32_t side = L->last[d - 1] + 1;
-    int64_t edges = L->off[d - 1] + (int64_t)(L->n / side) * (side - 1);
-    int64_t stride = edges / SAMPLE;
+    int64_t stride = edge_count(d, L) / SAMPLE;
     double sum = 0.0;
     for (int i = 0; i < SAMPLE; i++)
         sum += w[i * stride];
@@ -660,15 +671,24 @@ static __attribute__((noinline)) int bucketed_solve(int d, const lattice_t *L, d
     return status;
 }
 
-/* Returns 0, or -1 when the work arrays cannot be allocated. */
+/* The solve on the queue bucket_scale picks: fpp_dijkstra's, and the two
+ * of fpp_breakpoint_pass, which calls it here rather than through the
+ * exported entry, whose calls would go through the library's PLT. Returns
+ * 0, or -1 when the work arrays cannot be allocated. */
+INLINE int solve(int d, const lattice_t *L, const double *w, int32_t src, int32_t tgt,
+                 double rel_tol, double *dist, int32_t *pred)
+{
+    double scale = bucket_scale(d, L, w);
+    if (scale > 0.0)
+        return bucketed_solve(d, L, scale, w, src, tgt, rel_tol, dist, pred);
+    return heap_solve(d, L, w, src, tgt, rel_tol, dist, pred);
+}
+
 int fpp_dijkstra(int32_t d, const int32_t *shape, const double *w, int32_t src,
                  int32_t tgt, double rel_tol, double *dist, int32_t *pred)
 {
     lattice_t L = lattice(d, shape);
-    double scale = bucket_scale(d, &L, w);
-    if (scale > 0.0)
-        return bucketed_solve(d, &L, scale, w, src, tgt, rel_tol, dist, pred);
-    return heap_solve(d, &L, w, src, tgt, rel_tol, dist, pred);
+    return solve(d, &L, w, src, tgt, rel_tol, dist, pred);
 }
 
 /* A vertex the geodesic scan has reached: the record of the vertex it leads
@@ -803,6 +823,9 @@ static int32_t tree_label(const int32_t *pred, int32_t *lab, int32_t v)
     return lab[end] - 1;
 }
 
+/* Step 4 of fpp_breakpoint_pass below: t_inf of each of the len geodesic
+ * edges from the two full solves. Returns 0, or -1 when the work arrays
+ * cannot be allocated. */
 INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const double *ds,
                               const int32_t *pred_s, const double *dt, const int32_t *pred_t,
                               const int64_t *verts, int32_t len, const uint8_t *on_path,
@@ -857,24 +880,99 @@ done:
     return status;
 }
 
-/* The replacement-path distance t_inf of each of the L geodesic edges, a
- * port of fpp_core._replacement_offers. ds, pred_s
- * and dt, pred_t are full solves from the geodesic's two ends, verts its
- * L + 1 vertices and on_path its edge bitset. Each vertex is labelled with
- * the path index of the first geodesic vertex on its source-tree path
- * (lab_s) and on its target-tree path (lab_t). Every arc x -> y of an edge
- * off the geodesic with lab_s(x) < lab_t(y) offers (ds[x] + w) + dt[y] to
- * cell (lab_s(x), lab_t(y)) of an (L+1) x (L+1) table; a running minimum
- * down the rows and one leftward along each row then leave the best offer
- * to path edge i in cell (i, i + 1). A minimum is exact, so t_inf has the
- * numpy reduction's bits. Returns 0, or -1 when the work arrays cannot be
- * allocated. */
-int fpp_replacement_offers(int32_t d, const int32_t *shape, const double *w,
-                           const double *ds, const int32_t *pred_s, const double *dt,
-                           const int32_t *pred_t, const int64_t *verts, int32_t len,
-                           const uint8_t *on_path, double *t_inf)
+/* The path sums of fpp_core._path_sums: for each of the len path edges i,
+ * the path's weights summed left to right with entry i set to value. Each
+ * sum continues the left-to-right prefix before entry i one addition at a
+ * time, so it is the sum a solve forms along that path, bit for bit. */
+static void path_sums(const double *w, const int64_t *eids, int64_t len, double value,
+                      double *sums)
+{
+    double prefix = 0.0; /* entries 0 .. i - 1 */
+    for (int64_t i = 0; i < len; i++) {
+        double s = i > 0 ? prefix + value : value;
+        for (int64_t j = i + 1; j < len; j++)
+            s += w[eids[j]];
+        sums[i] = s;
+        prefix = i > 0 ? prefix + w[eids[i]] : w[eids[i]];
+    }
+}
+
+/* The queue fpp_dijkstra runs a box on: the buckets' scale, or 0 for the
+ * heap alone. The tests pin its rules with it. */
+double fpp_bucket_scale(int32_t d, const int32_t *shape, const double *w)
 {
     lattice_t L = lattice(d, shape);
-    return BY_DIM(d, replacement_offers, &L, w, ds, pred_s, dt, pred_t, verts, len,
-                  on_path, t_inf);
+    return bucket_scale(d, &L, w);
+}
+
+/* Every breakpoint of the geodesic edges from src to tgt, in one call:
+ * fpp_core._breakpoint_pass, which geodesic_breakpoints and
+ * v_e_plus_bernoulli read.
+ *
+ * 1. The full solve from src, with its tree, into ds: fpp_dijkstra's solve,
+ *    on the same queue.
+ * 2. The canonical geodesic on ds, fpp_geodesic_scan's, with the tie
+ *    tolerance rel_tol * max(T, 1), T = ds[tgt]: the same two IEEE
+ *    operations as fpp_core's.
+ * 3. The full solve from tgt, with its tree, into dt.
+ * 4. The replacement-path distance t_inf of each of the L geodesic edges, a
+ *    port of fpp_core._replacement_offers. Each vertex is labelled with the
+ *    path index of the first geodesic vertex on its source-tree path (lab_s)
+ *    and on its target-tree path (lab_t). Every arc x -> y of an edge off
+ *    the geodesic with lab_s(x) < lab_t(y) offers (ds[x] + w) + dt[y] to
+ *    cell (lab_s(x), lab_t(y)) of an (L+1) x (L+1) table; a running minimum
+ *    down the rows and one leftward along each row then leave the best
+ *    offer to path edge i in cell (i, i + 1), +inf where none is made. A
+ *    minimum is exact, so t_inf has the numpy reduction's bits.
+ * 5. The path sums with each geodesic edge in turn set to value
+ *    (path_sums).
+ *
+ * ds and dt hold n entries each; verts, eids, sums and t_inf room >= 1
+ * entries each. Returns L as fpp_geodesic_scan does, with -1 when the work
+ * arrays cannot be allocated, -2 when no tight path reaches src and -3 when
+ * the path does not fit, and -4 when tgt is unreachable from src. With src
+ * == tgt, L is 0, and dt is a copy of ds.
+ */
+int64_t fpp_breakpoint_pass(int32_t d, const int32_t *shape, const double *w, int32_t src,
+                            int32_t tgt, double rel_tol, double value, int64_t room,
+                            double *ds, double *dt, int64_t *verts, int64_t *eids,
+                            int64_t *ties, double *sums, double *t_inf)
+{
+    lattice_t L = lattice(d, shape);
+    int32_t *pred_s = malloc((size_t)L.n * sizeof(int32_t));
+    int32_t *pred_t = malloc((size_t)L.n * sizeof(int32_t));
+    uint8_t *on_path = NULL;
+    int64_t len = -1;
+    if (pred_s == NULL || pred_t == NULL
+        || solve(d, &L, w, src, -1, rel_tol, ds, pred_s) != 0)
+        goto done;
+    double T = ds[tgt];
+    if (!isfinite(T)) {
+        len = -4;
+        goto done;
+    }
+    len = BY_DIM(d, geodesic_scan, &L, w, ds, src, tgt, rel_tol * fmax(T, 1.0), room, verts,
+                 eids, ties);
+    if (len == 0)
+        memcpy(dt, ds, (size_t)L.n * sizeof(double));
+    if (len <= 0)
+        goto done;
+    on_path = calloc((size_t)edge_count(d, &L), sizeof(uint8_t));
+    if (on_path == NULL || solve(d, &L, w, tgt, -1, rel_tol, dt, pred_t) != 0) {
+        len = -1;
+        goto done;
+    }
+    for (int64_t i = 0; i < len; i++)
+        on_path[eids[i]] = 1;
+    if (BY_DIM(d, replacement_offers, &L, w, ds, pred_s, dt, pred_t, verts, (int32_t)len,
+               on_path, t_inf) != 0) {
+        len = -1;
+        goto done;
+    }
+    path_sums(w, eids, len, value, sums);
+done:
+    free(pred_s);
+    free(pred_t);
+    free(on_path);
+    return len;
 }

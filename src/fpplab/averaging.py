@@ -36,7 +36,9 @@ def _coerce_bits(x, expected_len: int | None = None) -> np.ndarray:
         bits = np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
     else:
         bits = np.asarray(x)
-        if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
+        # two comparisons, not np.isin, whose set machinery costs more
+        # than a row of m^2 bits
+        if bits.ndim != 1 or not ((bits == 0) | (bits == 1)).all():
             raise DomainError("bits must be a flat 0/1 sequence")
         bits = bits.astype(np.uint8)
     if expected_len is not None and bits.size != expected_len:
@@ -56,14 +58,17 @@ def _combinadic_rank(b: np.ndarray) -> int:
     this one, plus the count of same-weight strings of larger value. The
     latter is a combinadic sum over the zero positions: a string that
     agrees on the prefix and has a 1 where this one has a 0 is larger.
+    The bits are walked as Python ints, which index and test faster than
+    numpy scalars.
     """
-    n = b.size
-    w = int(b.sum())
+    bits = b.tolist()
+    n = len(bits)
+    w = sum(bits)
     rank = 1 + sum(math.comb(n, j) for j in range(w))
     larger = 0
     ones_before = 0
-    for i in range(n):
-        if b[i]:
+    for i, bit in enumerate(bits):
+        if bit:
             ones_before += 1
         elif ones_before < w:
             larger += math.comb(n - 1 - i, w - ones_before - 1)

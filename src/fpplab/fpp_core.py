@@ -8,12 +8,13 @@ the target's tie horizon. The geodesic is a function of the distances and
 weights alone, so it does not depend on how the solver broke ties.
 
 A small C kernel, compiled once per machine, runs the solve, the geodesic
-scan and the replacement-path pass over the solves. It takes the box as
-its shape: each neighbour of a vertex and each edge id is arithmetic on
-the shape. Without a compiler the solve runs on scipy's csgraph and the
-two passes in Python and numpy, over a CSR graph of the box built on first
-use. Each gives the kernel's bytes from the same inputs, and the tests use
-them as the kernel's oracles.
+scan and the breakpoint pass: the two full solves of a geodesic's ends, its
+scan and the replacement paths and path sums read off them, in one call.
+It takes the box as its shape: each neighbour of a vertex and each edge id
+is arithmetic on the shape. Without a compiler the solve runs on scipy's
+csgraph and the passes in Python and numpy, over a CSR graph of the box
+built on first use. Each gives the kernel's bytes from the same inputs,
+and the tests use them as the kernel's oracles.
 
 Single-edge perturbations exploit the breakpoint structure of the passage
 time: as a function of one edge weight y it is min(t0 + y, t_inf), where
@@ -67,16 +68,18 @@ def _load_kernel():
     """The compiled kernel library, or None without a compiler or if the
     build fails. Its three solver entries are `fpp_dijkstra`
     (LatticeBox.solve), `fpp_geodesic_scan` (passage_time) and
-    `fpp_replacement_offers` (geodesic_breakpoints); with None every one of
-    them runs in Python, on scipy's solver. `fpp_arcs` serves the tests, and
-    `fpp_reuse_freed_memory` runs once, at import. On a box of at least
-    4,096 vertices whose sampled mean weight is finite and positive and
-    whose sampled weights are not mostly lighter than a bucket,
-    `fpp_dijkstra` keeps its keys in buckets: it scans each bucket's
-    vertices straight off its list, and its heap orders only the keys that
-    a relaxation lowers into the open bucket. `dist` keeps its bytes either
-    way, and `pred` breaks ties in the order the vertices are scanned (see
-    the kernel's header comment).
+    `fpp_breakpoint_pass` (`_breakpoint_pass`, which geodesic_breakpoints
+    and v_e_plus_bernoulli call); with None every one of them runs in
+    Python, on scipy's solver. `fpp_arcs` and `fpp_bucket_scale` serve the
+    tests, and `fpp_reuse_freed_memory` runs once, at import. On a box of
+    at least 4,096 vertices whose sampled mean weight is finite and
+    positive and whose sampled weights are not mostly lighter than a
+    bucket, `fpp_dijkstra` keeps its keys in buckets: it scans each
+    bucket's vertices straight off its list, and its heap orders only the
+    keys that a relaxation lowers into the open bucket. `dist` keeps its
+    bytes either way, and `pred` breaks ties in the order the vertices are
+    scanned (see the kernel's header comment). The breakpoint pass solves
+    as `fpp_dijkstra` does, on the same queue.
 
     The library is cached at `_kernel_path()`. The first import on a
     machine compiles it into a temporary file next to that name and moves
@@ -116,8 +119,12 @@ def _load_kernel():
         i32, ptr, ptr, ptr, i32, i32, f64, ctypes.c_int64, ptr, ptr, ptr
     ]
     kernel.fpp_geodesic_scan.restype = ctypes.c_int64
-    kernel.fpp_replacement_offers.argtypes = [i32] + [ptr] * 7 + [i32, ptr, ptr]
-    kernel.fpp_replacement_offers.restype = ctypes.c_int
+    kernel.fpp_breakpoint_pass.argtypes = [
+        i32, ptr, ptr, i32, i32, f64, f64, ctypes.c_int64
+    ] + [ptr] * 7
+    kernel.fpp_breakpoint_pass.restype = ctypes.c_int64
+    kernel.fpp_bucket_scale.argtypes = [i32, ptr, ptr]
+    kernel.fpp_bucket_scale.restype = f64
     kernel.fpp_arcs.argtypes = [i32, ptr, i32, ptr, ptr]
     kernel.fpp_arcs.restype = ctypes.c_int
     kernel.fpp_reuse_freed_memory.argtypes = []
@@ -269,11 +276,7 @@ class LatticeBox:
         integer in range raises DomainError, on either backend, and so do
         negative and NaN weights.
         """
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        if w.shape != (self.n_edges,):
-            raise DomainError(f"expected {self.n_edges} edge weights, got shape {w.shape}")
-        if w.size and not w.min() >= 0.0:  # one pass; a NaN fails the test too
-            raise DomainError("edge weights must be nonnegative and not NaN")
+        w = self._checked_weights(weights)
         _check_int(source_index, "source vertex index", self.n_vertices)
         if target_index is not None:
             _check_int(target_index, "target vertex index", self.n_vertices)
@@ -295,6 +298,17 @@ class LatticeBox:
         if status != 0:
             raise MemoryError("Dijkstra kernel could not allocate its heap")
         return dist, tree
+
+    def _checked_weights(self, weights) -> np.ndarray:
+        """weights as the kernel reads them, contiguous float64, or
+        DomainError unless there is one per edge, each nonnegative and not
+        NaN."""
+        w = np.ascontiguousarray(weights, dtype=np.float64)
+        if w.shape != (self.n_edges,):
+            raise DomainError(f"expected {self.n_edges} edge weights, got shape {w.shape}")
+        if w.size and not w.min() >= 0.0:  # one pass; a NaN fails the test too
+            raise DomainError("edge weights must be nonnegative and not NaN")
+        return w
 
     def __eq__(self, other):
         return (
@@ -486,10 +500,15 @@ def _geodesic(field: WeightField, u, v, src: int, tgt: int, dist: np.ndarray):
         raise DomainError("target unreachable (disconnected weights?)")
     scan = _geodesic_scan if _KERNEL is None else _kernel_geodesic_scan
     verts, eids, ties = scan(box, field.weights, dist, src, tgt, TIE_REL_TOL * max(time, 1.0))
+    return _geodesic_result(box, u, v, time, verts, eids, ties), verts
+
+
+def _geodesic_result(box: LatticeBox, u, v, time: float, verts, eids, ties: int):
+    """The GeodesicResult of a scan's path vertex indices, edge ids and ties."""
     bitset = np.zeros(box.n_edges, dtype=bool)
     bitset[eids] = True
     coords = np.stack(np.unravel_index(verts, box.shape), axis=1) + np.asarray(box.lo)
-    result = GeodesicResult(
+    return GeodesicResult(
         source=tuple(int(c) for c in u),
         target=tuple(int(c) for c in v),
         time=time,
@@ -499,7 +518,6 @@ def _geodesic(field: WeightField, u, v, src: int, tgt: int, dist: np.ndarray):
         unique=(ties == 0),
         ties=ties,
     )
-    return result, verts
 
 
 def randomized_passage_time(field: WeightField, a_bits: np.ndarray, v) -> float:
@@ -610,23 +628,66 @@ def _replacement_offers(box: LatticeBox, w, on_path, verts, ds, pred_s, dt, pred
     return best[np.arange(n_path), np.arange(1, n_path + 1)]
 
 
-def _kernel_replacement_offers(box: LatticeBox, w, on_path, verts, ds, pred_s, dt, pred_t):
-    """_replacement_offers by the kernel's `fpp_replacement_offers`: the
-    labels by a memoised walk up each tree, then the same offers, each the
-    same two IEEE additions, into the same table and scans, so the same
-    bits."""
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    on_path = np.ascontiguousarray(on_path, dtype=np.bool_)
-    verts = np.ascontiguousarray(verts, dtype=np.int64)
-    t_inf = np.empty(verts.size - 1)
-    status = _KERNEL.fpp_replacement_offers(
-        box.d, box._c_shape, w.ctypes.data, ds.ctypes.data, pred_s.ctypes.data,
-        dt.ctypes.data, pred_t.ctypes.data, verts.ctypes.data, t_inf.size,
-        on_path.ctypes.data, t_inf.ctypes.data,
-    )
-    if status != 0:
-        raise MemoryError("replacement-path pass could not allocate its work arrays")
-    return t_inf
+def _breakpoint_pass(field: WeightField, u, v, value: float):
+    """(GeodesicResult from u to v, path sums, t_inf): what
+    `geodesic_breakpoints` and `v_e_plus_bernoulli` read of a field.
+
+    The geodesic is read off the full solve from u, the same result
+    `passage_time` gives. The path sums are the geodesic's weights summed
+    left to right with each edge in turn set to value (`_path_sums`), and
+    t_inf is each geodesic edge's replacement-path distance from that solve
+    and a full one from v (`_replacement_offers`). The kernel's
+    `fpp_breakpoint_pass` makes all of this one call, its scan with
+    `_kernel_geodesic_scan`'s path room and retry; without it the same
+    steps run on scipy's solver and in Python. Either way the labels need a
+    positive weight on the edge itself, so a free geodesic edge and a bridge
+    (no offer at all) fall back to a re-solve.
+    """
+    box = field.box
+    src = box.vertex_index(u)
+    tgt = box.vertex_index(v)
+    if _KERNEL is None:
+        ds, pred_s = box.solve(field.weights, src)
+        result, verts = _geodesic(field, u, v, src, tgt, ds)
+        sums = _path_sums(field.weights[result.edge_ids], np.arange(result.length), value)
+        t_inf = np.empty(0)
+        if result.length:
+            dt, pred_t = box.solve(field.weights, tgt)
+            t_inf = _replacement_offers(
+                box, field.weights, result.edge_bitset, verts, ds, pred_s, dt, pred_t
+            )
+    else:
+        w = box._checked_weights(field.weights)
+        n = box.n_vertices
+        # one buffer for the doubles (ds, dt, sums, t_inf) and one for the
+        # integers (verts, eids, ties), as each `.ctypes.data` read costs
+        # about a microsecond
+        for room in (_path_room(box, src, tgt), n):
+            floats = np.empty(2 * n + 2 * room)
+            ints = np.empty(2 * room + 1, dtype=np.int64)
+            f, i = floats.ctypes.data, ints.ctypes.data
+            length = _KERNEL.fpp_breakpoint_pass(
+                box.d, box._c_shape, w.ctypes.data, src, tgt, TIE_REL_TOL, value, room,
+                f, f + 8 * n, i, i + 8 * room, i + 16 * room, f + 16 * n, f + 8 * (2 * n + room),
+            )
+            if length != -3:
+                break
+        if length == -1:
+            raise MemoryError("breakpoint pass could not allocate its work arrays")
+        if length == -4:
+            raise DomainError("target unreachable (disconnected weights?)")
+        if length < 0:
+            raise DomainError("no tight path reaches the source")
+        result = _geodesic_result(
+            box, u, v, float(floats[tgt]), ints[: length + 1],
+            ints[room : room + length].copy(), int(ints[2 * room]),
+        )
+        sums = floats[2 * n : 2 * n + length].copy()
+        t_inf = floats[2 * n + room : 2 * n + room + length].copy()
+    wpath = field.weights[result.edge_ids]
+    for i in np.flatnonzero(np.isinf(t_inf) | (wpath == 0.0)):
+        t_inf[i] = _time_with(field, result, int(result.edge_ids[i]), _priced_out(field))
+    return result, sums, t_inf
 
 
 def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
@@ -641,37 +702,25 @@ def geodesic_breakpoints(field: WeightField, result: GeodesicResult):
     ds[x] + w + dt[y] to path edges lab_s(x) .. lab_t(y) - 1, and the
     cheapest offer to an edge is its t_inf. The offers are reduced through
     an (L+1) x (L+1) table and two running-minimum scans, so this costs two
-    full solves, one from each end: a detour can pass vertices farther
-    than the target, beyond the horizon where `passage_time` stops.
+    full solves, one from each end (`_breakpoint_pass`): a detour can pass
+    vertices farther than the target, beyond the horizon where
+    `passage_time` stops.
 
-    The labels need a positive weight on the edge itself; free geodesic
-    edges and bridges (no offer at all) fall back to a re-solve.
+    result must be the field's geodesic between its endpoints, as
+    `passage_time` gives it; DomainError names the first path position
+    whose edge differs.
     """
-    box = field.box
-    wpath = field.weights[result.edge_ids]
-    verts = (result.path - np.asarray(box.lo)) @ box.strides
-    ds, pred_s = box.solve(field.weights, int(verts[0]))
-    t_inf = _replacement_times(field, result, verts, ds, pred_s)
-    return _path_sums(wpath, np.arange(result.length), 0.0), t_inf
-
-
-def _replacement_times(
-    field: WeightField, result: GeodesicResult, verts: np.ndarray, ds, pred_s
-) -> np.ndarray:
-    """The t_inf half of `geodesic_breakpoints`, given the path's vertex
-    indices and the full solve (ds, pred_s) from its source: one more full
-    solve, from the target."""
-    box = field.box
-    w = field.weights
-    if result.length == 0:
-        return np.empty(0)
-    dt, pred_t = box.solve(w, int(verts[-1]))
-    offers = _replacement_offers if _KERNEL is None else _kernel_replacement_offers
-    t_inf = offers(box, w, result.edge_bitset, verts, ds, pred_s, dt, pred_t)
-    wpath = w[result.edge_ids]
-    for i in np.flatnonzero(np.isinf(t_inf) | (wpath == 0.0)):
-        t_inf[i] = _time_with(field, result, int(result.edge_ids[i]), _priced_out(field))
-    return t_inf
+    ours, t0, t_inf = _breakpoint_pass(field, result.source, result.target, 0.0)
+    theirs = np.asarray(result.edge_ids)
+    if not np.array_equal(theirs, ours.edge_ids):
+        common = min(theirs.size, ours.length)
+        differ = np.flatnonzero(theirs[:common] != ours.edge_ids[:common])
+        at = int(differ[0]) if differ.size else common
+        raise DomainError(
+            f"result is not this field's geodesic from {ours.source} to {ours.target}: "
+            f"its edge ids differ at path position {at}"
+        )
+    return t0, t_inf
 
 
 def breakpoint_influence(dist: Distribution, time: float, t0: float, t_inf: float) -> float:
@@ -711,11 +760,11 @@ def v_e_plus_bernoulli(field: WeightField, u, v):
 
     Only geodesic edges currently at the low value can contribute: any
     other edge admits a route around it at the current cost. Raising a low
-    edge to b gives min(geodesic with that edge at b, t_inf), with t_inf
-    from `_replacement_times`. The geodesic is read off the full solve from
-    u that `_replacement_times` needs, the same result `passage_time` gives,
-    so a field costs two full solves, one from each end. Returns
-    (value, result) so callers can reuse the geodesic.
+    edge to b gives min(geodesic with that edge at b, t_inf), both from
+    `_breakpoint_pass`, which also gives the geodesic, the same result
+    `passage_time` gives. So a field costs two full solves, one from each
+    end, which the kernel makes in one call. Returns (value, result) so
+    callers can reuse the geodesic.
     """
     dist = field.distribution()
     if dist.kind != "bernoulli":
@@ -726,15 +775,9 @@ def v_e_plus_bernoulli(field: WeightField, u, v):
         )
     if not dist.a < dist.b:
         raise UnsupportedParameterError("two-point law needs a < b")
-    box = field.box
-    src = box.vertex_index(u)
-    tgt = box.vertex_index(v)
-    ds, pred_s = box.solve(field.weights, src)
-    result, verts = _geodesic(field, u, v, src, tgt, ds)
-    t_inf = _replacement_times(field, result, verts, ds, pred_s)
-    wpath = field.weights[result.edge_ids]
-    low = np.flatnonzero(wpath == dist.a)
-    t_b = np.minimum(_path_sums(wpath, low, dist.b), t_inf[low])
+    result, sums, t_inf = _breakpoint_pass(field, u, v, dist.b)
+    low = np.flatnonzero(field.weights[result.edge_ids] == dist.a)
+    t_b = np.minimum(sums[low], t_inf[low])
     total = 0.0
     for t in t_b.tolist():
         total += dist.p * (max(t - result.time, 0.0)) ** 2

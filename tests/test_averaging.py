@@ -68,6 +68,27 @@ def test_rank_input_validation():
         weight_reverse_lex_rank([0, 2, 1])
 
 
+@pytest.mark.parametrize(
+    "bits",
+    ([0, 2, 1, 0], [0, -1, 1, 0], [0, 0.5, 1, 0], [0, np.nan, 1, 0], np.ones((2, 2)),
+     np.array([1, 0, 2, 1], dtype=np.uint8)),
+)
+def test_bits_other_than_a_flat_zero_one_row_are_refused(bits):
+    with pytest.raises(DomainError, match="flat 0/1 sequence"):
+        F.AveragingMap(2).rank(bits)
+
+
+def test_every_rank_at_m4_equals_the_rank_table():
+    """The combinadic rank of each of the 2^16 strings at m = 4, taken as
+    the uint8 rows that sample_offset draws, equals the rank table's."""
+    n = 16
+    vals = np.arange(1 << n, dtype=np.int64)
+    rows = ((vals[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    ranks = [F.averaging._combinadic_rank(row) for row in rows]
+    assert ranks == F.averaging._rank_table(n)[1].tolist()
+    assert all(type(r) is int for r in ranks)
+
+
 def test_block_size_covers_cube():
     for m in range(1, 12):
         am = F.AveragingMap(m)

@@ -1,14 +1,16 @@
 """Breakpoints from one solve per edge and two per geodesic, checked against
 the two-solve re-solve and brute-force enumeration, plus solve-count guards.
-The oracle checks run on both backends: the kernel's scan and offer pass,
-and their Python fallbacks on scipy's solver."""
+The oracle checks run on both backends: the kernel's scan and breakpoint
+pass, and their Python fallbacks on scipy's solver."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import fpplab as F
+from fpplab import fpp_core
 from oracles import (
     brute_force_passage_time,
     matrix_path_sums,
@@ -219,16 +221,38 @@ def test_edge_breakpoint_costs_one_solve(solve_counter):
         assert solve_counter == [(box.vertex_index((0, 0)), box.vertex_index((6, 0)))]
 
 
-def test_v_e_plus_costs_two_solves_per_field(solve_counter):
+def _pass_counter(monkeypatch):
+    """The calls of the kernel's breakpoint pass made in this process from
+    here on; none without the kernel."""
+    calls = []
+    if fpp_core._KERNEL is not None:
+        entry = fpp_core._KERNEL.fpp_breakpoint_pass
+        monkeypatch.setattr(fpp_core._KERNEL, "fpp_breakpoint_pass",
+                            lambda *args: calls.append(args[3:5]) or entry(*args))
+    return calls
+
+
+def _assert_two_full_solves(solve_counter, passes, src, tgt):
+    """One kernel pass and no LatticeBox.solve call with the kernel; the
+    full solve from each end, through LatticeBox.solve, without it."""
+    if fpp_core._KERNEL is None:
+        assert solve_counter == [(src, None), (tgt, None)] and passes == []
+    else:
+        assert solve_counter == [] and passes == [(src, tgt)]
+
+
+def test_v_e_plus_costs_two_solves_per_field(solve_counter, solve_backend, monkeypatch):
     """A full solve from each end: the geodesic is read off the source's."""
+    passes = _pass_counter(monkeypatch)
     box = F.LatticeBox((0, 0), (10, 10))
     dist = F.parse_spec("bernoulli:a=1,b=2,p=0.5")
     src, tgt = box.vertex_index((0, 0)), box.vertex_index((10, 10))
     for rep in range(20):
         field = F.WeightField.generate(box, dist, 1789, rep)
         solve_counter.clear()
+        passes.clear()
         F.v_e_plus_bernoulli(field, (0, 0), (10, 10))
-        assert solve_counter == [(src, None), (tgt, None)]
+        _assert_two_full_solves(solve_counter, passes, src, tgt)
 
 
 def test_v_e_plus_geodesic_is_the_passage_time_geodesic(solve_backend):
@@ -293,13 +317,36 @@ def test_influence_diagnostics_matches_serial_oracle(spec, workers):
         assert np.any(w_sq > 0)
 
 
-def test_geodesic_breakpoints_makes_two_full_solves(solve_counter):
+def test_geodesic_breakpoints_makes_two_full_solves(solve_counter, solve_backend, monkeypatch):
+    passes = _pass_counter(monkeypatch)
     box = F.LatticeBox((-2, -2), (8, 2))
     field = F.WeightField.generate(box, F.Exponential(1.0), 3, 2)
     res = F.passage_time(field, (0, 0), (6, 0))
     solve_counter.clear()
     F.geodesic_breakpoints(field, res)
-    assert solve_counter == [(box.vertex_index((0, 0)), None), (box.vertex_index((6, 0)), None)]
+    _assert_two_full_solves(solve_counter, passes, box.vertex_index((0, 0)),
+                            box.vertex_index((6, 0)))
+
+
+def test_geodesic_breakpoints_refuses_a_foreign_result(solve_backend):
+    """A result that is not the field's geodesic between its endpoints: one
+    from another field of the law, and the field's own with its last edge
+    dropped. The error names the first path position whose edge differs."""
+    box = F.LatticeBox((0, 0), (10, 10))
+    law = F.parse_spec("exp:rate=1")
+    field = F.WeightField.generate(box, law, 8, 0)
+    own = F.passage_time(field, (0, 0), (10, 10))
+    assert F.geodesic_breakpoints(field, own)[0].size == own.length
+    others = [F.passage_time(F.WeightField.generate(box, law, 8, rep), (0, 0), (10, 10))
+              for rep in range(1, 4)]
+    short = dataclasses.replace(own, edge_ids=own.edge_ids[:-1])
+    for foreign in others + [short]:
+        common = min(foreign.length, own.length)
+        differ = np.flatnonzero(foreign.edge_ids[:common] != own.edge_ids[:common])
+        at = int(differ[0]) if differ.size else common
+        with pytest.raises(F.DomainError, match=f"edge ids differ at path position {at}$"):
+            F.geodesic_breakpoints(field, foreign)
+    assert short.length == own.length - 1
 
 
 def test_derivative_check_costs_seven_solves(solve_counter):

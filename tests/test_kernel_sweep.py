@@ -1,8 +1,9 @@
 """The kernel against its oracles, byte for byte, on random boxes, laws and
 endpoints: its arcs against the CSR rows of the box, its solve against the
-CSR solve it replaced, and its geodesic scan and replacement-path offers
-against their Python paths, with the distances and trees of either solve
-backend."""
+CSR solve it replaced, its geodesic scan against the Python scan with the
+distances of either solve backend, and its breakpoint pass against the
+Python composition of scan, replacement-path offers and path sums over the
+kernel's own solves."""
 
 import numpy as np
 import pytest
@@ -70,12 +71,44 @@ def _set_an_arc_at_the_tie_horizon(box, w, dist, verts, eids, tol) -> bool:
     return False
 
 
-def _solves(monkeypatch, backend, box, w, src, tgt):
-    """The stopped solve and the full solves from both ends, on one backend."""
+def _kernel_pass(box, w, src, tgt, value):
+    """The kernel's breakpoint pass with room for every vertex: (ds, dt,
+    verts, eids, ties, sums, t_inf), before the re-solve fallback."""
+    n = box.n_vertices
+    ds, dt, sums, t_inf = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    verts, eids = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    ties = np.empty(1, dtype=np.int64)
+    length = fpp_core._KERNEL.fpp_breakpoint_pass(
+        box.d, box._c_shape, w.ctypes.data, src, tgt, fpp_core.TIE_REL_TOL, value, n,
+        *(a.ctypes.data for a in (ds, dt, verts, eids, ties, sums, t_inf)),
+    )
+    assert length >= 0
+    return (ds, dt, verts[: length + 1], eids[:length], int(ties[0]), sums[:length],
+            t_inf[:length])
+
+
+def _python_pass(box, w, src, tgt, value):
+    """The same from the kernel's two full solves, LatticeBox.solve's, and
+    the Python scan, offers and path sums."""
+    ds, pred_s = box.solve(w, src)
+    dt, pred_t = box.solve(w, tgt)
+    tol = fpp_core.TIE_REL_TOL * max(float(ds[tgt]), 1.0)
+    verts, eids, ties = fpp_core._geodesic_scan(box, w, ds, src, tgt, tol)
+    t_inf = np.empty(0)
+    if eids.size:
+        on_path = np.zeros(box.n_edges, dtype=bool)
+        on_path[eids] = True
+        t_inf = fpp_core._replacement_offers(box, w, on_path, verts, ds, pred_s, dt, pred_t)
+    sums = fpp_core._path_sums(w[eids], np.arange(eids.size), value)
+    return ds, dt if eids.size else ds, verts, eids, ties, sums, t_inf
+
+
+def _stopped_solve(monkeypatch, backend, box, w, src, tgt):
+    """The distances of the stopped solve, on one backend."""
     with monkeypatch.context() as mp:
         if backend == "scipy":
             mp.setattr(fpp_core, "_KERNEL", None)
-        return box.solve(w, src, tgt)[0], box.solve(w, src), box.solve(w, tgt)
+        return box.solve(w, src, tgt)[0]
 
 
 @pytest.mark.parametrize("backend", ("compiled", "scipy"))
@@ -85,13 +118,13 @@ def test_kernel_entries_match_their_python_paths(backend, monkeypatch):
     for case in range(CASES):
         box, field, spec, src, tgt = _random_case(rng, case)
         w = field.weights
-        dist, _, _ = _solves(monkeypatch, backend, box, w, src, tgt)
+        dist = _stopped_solve(monkeypatch, backend, box, w, src, tgt)
         tol = fpp_core.TIE_REL_TOL * max(float(dist[tgt]), 1.0)
         verts, eids, _ = fpp_core._geodesic_scan(box, w, dist, src, tgt, tol)
         before = dist.tobytes()
         if _set_an_arc_at_the_tie_horizon(box, w, dist, verts, eids, tol):
             seen["horizon"] += 1
-        dist, (ds, pred_s), (dt, pred_t) = _solves(monkeypatch, backend, box, w, src, tgt)
+        dist = _stopped_solve(monkeypatch, backend, box, w, src, tgt)
         assert dist.tobytes() == before
 
         ours = fpp_core._kernel_geodesic_scan(box, w, dist, src, tgt, tol)
@@ -100,29 +133,34 @@ def test_kernel_entries_match_their_python_paths(backend, monkeypatch):
         assert ours[0].tobytes() == theirs[0].tobytes(), case
         assert ours[1].tobytes() == theirs[1].tobytes(), case
         assert ours[2] == theirs[2], case
-        verts, eids = theirs[0], theirs[1]
-        if eids.size:
-            on_path = np.zeros(box.n_edges, dtype=bool)
-            on_path[eids] = True
-            args = (box, w, on_path, verts, ds, pred_s, dt, pred_t)
-            t_inf = fpp_core._kernel_replacement_offers(*args)
-            assert t_inf.tobytes() == fpp_core._replacement_offers(*args).tobytes(), case
+        eids = theirs[1]
 
-        # the records the package builds, with the kernel and without it
         if backend == "compiled":
+            value = (0.0, 2.0, 1 / 3)[case // 3 % 3]
+            kernel = _kernel_pass(box, w, src, tgt, value)
+            for a, b in zip(kernel, _python_pass(box, w, src, tgt, value)):
+                if isinstance(a, int):
+                    assert a == b, case
+                else:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
+            # the package's record, from a path buffer of every vertex and
+            # from one vertex, which the pass refuses, so it runs again
             u, v = box.vertex_coord(src), box.vertex_coord(tgt)
             res = F.passage_time(field, u, v)
-            bp = F.geodesic_breakpoints(field, res)
+            records = [fpp_core._breakpoint_pass(field, u, v, value)]
             with monkeypatch.context() as mp:
-                mp.setattr(fpp_core, "_kernel_geodesic_scan", fpp_core._geodesic_scan)
-                mp.setattr(fpp_core, "_kernel_replacement_offers", fpp_core._replacement_offers)
-                ref = F.passage_time(field, u, v)
-                ref_bp = F.geodesic_breakpoints(field, ref)
-            assert res.path.tobytes() == ref.path.tobytes()
-            assert res.edge_ids.tobytes() == ref.edge_ids.tobytes()
-            assert res.ties == ref.ties and type(res.ties) is type(ref.ties)
-            assert bp[0].tobytes() == ref_bp[0].tobytes()
-            assert bp[1].tobytes() == ref_bp[1].tobytes()
+                mp.setattr(fpp_core, "_path_room", lambda box, src, tgt: 1)
+                records.append(fpp_core._breakpoint_pass(field, u, v, value))
+            for got, sums, t_inf in records:
+                assert got.time == res.time and got.ties == res.ties, case
+                assert type(got.ties) is type(res.ties), case
+                assert got.path.tobytes() == res.path.tobytes(), case
+                assert got.edge_ids.tobytes() == res.edge_ids.tobytes(), case
+                assert got.edge_bitset.tobytes() == res.edge_bitset.tobytes(), case
+                assert sums.tobytes() == kernel[5].tobytes(), case
+                finite = np.isfinite(kernel[6]) & (w[eids] > 0)
+                assert t_inf[finite].tobytes() == kernel[6][finite].tobytes(), case
+                assert t_inf.tobytes() == records[0][2].tobytes(), case
 
         seen["laws"].add(spec)
         seen["dims"].add(box.d)

@@ -643,6 +643,40 @@ def test_a_tie_horizon_in_the_next_bucket_is_solved_to_its_end():
     _assert_shortest_path_tree(box, w, src, tgt, dist, pred)
 
 
+def _bucket_scale(box, w):
+    """The buckets per unit of key that the kernel's solve of w runs on, or
+    0 for the heap alone: `fpp_bucket_scale`."""
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    return fpp_core._KERNEL.fpp_bucket_scale(box.d, box._c_shape, w.ctypes.data)
+
+
+@needs_kernel
+def test_the_queue_is_chosen_by_box_size_sampled_mean_and_light_share():
+    """The buckets, PER_MEAN (128) to the sampled mean weight, for exp on
+    boxes of 6,400 and 4,096 vertices in 2D and 4,096 in 3D. The heap alone
+    on the same boxes when a sampled weight is +inf or every weight is 0,
+    and for gamma:a=0.05, most of whose sampled weights are lighter than a
+    bucket; and on a box of 4,032 vertices whatever the weights."""
+    exp, gamma = F.parse_spec("exp:rate=1"), F.parse_spec("gamma:a=0.05,b=1")
+    for lohi in (((0, 0), (79, 79)), ((0, 0), (63, 63)), ((0, 0, 0), (15, 15, 15))):
+        box = F.LatticeBox(*lohi)
+        assert box.n_vertices >= BUCKETED
+        for rep in range(3):
+            w = F.WeightField.generate(box, exp, 43, rep).weights
+            sample = _bucket_sample(w).tolist()
+            assert _bucket_scale(box, w) == 128 * 256 / sum(sample) > 0  # summed in order
+            w[0] = np.inf  # the first sampled weight
+            assert _bucket_scale(box, w) == 0.0
+            light = F.WeightField.generate(box, gamma, 43, rep).weights
+            assert 0 < _bucket_sample(light).sum() < np.inf
+            assert _bucket_scale(box, light) == 0.0
+        assert _bucket_scale(box, np.zeros(box.n_edges)) == 0.0
+    small = F.LatticeBox((0, 0), (62, 63))
+    assert small.n_vertices == BUCKETED - 64
+    w = F.WeightField.generate(small, exp, 43, 0).weights
+    assert _bucket_scale(small, w) == 0.0 and _bucket_scale(small, np.ones(small.n_edges)) == 0.0
+
+
 def _python_arcs(shape, x):
     """(neighbours, edge ids) of vertex x in the kernel's order, in Python
     integers: x - S_a for a = 0..d-1, then x + S_a for a = d-1..0, and the
