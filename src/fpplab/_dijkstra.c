@@ -53,8 +53,19 @@
  * it keeps the heap's bytes. pred is the first in-arc to reach that least
  * sum, so where two sums tie, as on every step of a law with atoms, it is
  * one shortest-path tree of several, chosen by the scan order; a
- * continuous law's sums all but never tie. On the n=200 box the stopped
- * solve of an exp field takes about 2.8 ms (2-core Xeon).
+ * continuous law's sums all but never tie.
+ *
+ * Both queues relax a scanned vertex's arcs as one batch, in two steps
+ * (improving below): every arc's sum is formed and tested against its
+ * target's distance, the tests making a bit mask with no branch, and then
+ * the targets whose bit is set are updated, lowest bit first. About a
+ * third of the tests pass, in no pattern a branch predictor can learn, so
+ * a branch taken on each test was often mispredicted. The 2d targets of a
+ * vertex are distinct, so no update changes another arc's test, and the
+ * updates come in arc order: the sums, list entries, heap sifts and pred
+ * ties are those of testing and updating arc by arc. On the n=200 box the
+ * stopped solve of an exp field takes about 2.9 ms (2-core Xeon), against
+ * 3.4 to 3.8 ms arc by arc in the same runs.
  *
  * Outputs follow scipy.sparse.csgraph.dijkstra: dist is +inf and pred is
  * -9999 for the source and for unreachable vertices. A vertex's distance
@@ -149,8 +160,11 @@ static lattice_t lattice(int d, const int32_t *shape)
     return L;
 }
 
-/* The one arc enumeration: runs ARC(v, e) for each arc u -> v of the box,
- * e the id of its edge, in increasing neighbour index. u's coordinates take
+/* The one arc enumeration: runs ARC(v, e, k) for each arc u -> v of the
+ * box, e the id of its edge, in increasing neighbour index. k is the arc's
+ * slot among the 2d directions, a constant once the loops unroll: u - S_a
+ * is slot a and u + S_a slot 2d - 1 - a, so the slots increase in arc
+ * order, with gaps where the box lacks a neighbour. u's coordinates take
  * d - 1 quotients, and base_[a] is the id of the edge (u, u + e_a). d is a
  * constant in the three entries' bodies, so there the loops unroll and the
  * arcs stay in registers. */
@@ -169,10 +183,10 @@ static lattice_t lattice(int d, const int32_t *shape)
         }                                                                    \
         for (int a_ = 0; a_ < (d); a_++)                                     \
             if (c_[a_] > 0)                                                  \
-                ARC((u) - (L)->stride[a_], base_[a_] - (L)->stride[a_]);     \
+                ARC((u) - (L)->stride[a_], base_[a_] - (L)->stride[a_], a_); \
         for (int a_ = (d) - 1; a_ >= 0; a_--)                                \
             if (c_[a_] < (L)->last[a_])                                      \
-                ARC((u) + (L)->stride[a_], base_[a_]);                       \
+                ARC((u) + (L)->stride[a_], base_[a_], 2 * (d) - 1 - a_);     \
     } while (0)
 
 /* The arcs of vertex u: writes each neighbour to nbr and the id of its
@@ -182,7 +196,7 @@ int fpp_arcs(int32_t d, const int32_t *shape, int32_t u, int32_t *nbr, int32_t *
 {
     lattice_t L = lattice(d, shape);
     int count = 0;
-#define LIST(v, e) (nbr[count] = (v), eid[count++] = (e))
+#define LIST(v, e, k) (nbr[count] = (v), eid[count++] = (e))
     FOR_EACH_ARC(d, &L, u, LIST);
 #undef LIST
     return count;
@@ -461,21 +475,37 @@ static int32_t open_bucket(buckets_t *b, const double *dist)
     return list;
 }
 
-/* A settled v fails nd < dist[v]: dist[v] <= du <= nd. An unseen v has
- * dist[v] == inf, and it joins the heap at the end. pred may be NULL.
+/* Step 1 of a scanned vertex's relaxation (see the header): for the arc of
+ * u in each slot k, writes the sum nd[k] = du + w[e] and its target to[k],
+ * and returns the mask whose bit k is nd[k] < dist[to[k]], 0 for the slots
+ * without an arc. A settled target fails that test by itself: dist[v] <= du
+ * <= nd. Step 2, in the solves, walks the set bits from the lowest, which
+ * is arc order, and updates each improving arc's target (relax,
+ * relax_bucketed), not testing again. */
+INLINE unsigned improving(int d, const lattice_t *L, const double *w, const double *dist,
+                          int32_t u, double du, double *nd, int32_t *to)
+{
+    unsigned mask = 0;
+#define TEST(v, e, k) \
+    (nd[k] = du + w[e], to[k] = (v), mask |= (unsigned)(nd[k] < dist[v]) << (k))
+    FOR_EACH_ARC(d, L, u, TEST);
+#undef TEST
+    return mask;
+}
+
+/* Lowers v's distance to nd < dist[v], which improving tested. An unseen v
+ * has dist[v] == inf, and it joins the heap at the end. pred may be NULL.
  * Returns -1 if the heap cannot grow. */
 INLINE int relax(heap_t *h, int32_t n, double *dist, int32_t *pred, int32_t u, double nd,
                  int32_t v)
 {
-    if (nd < dist[v]) {
-        int32_t at = dist[v] == INFINITY ? heap_slot(h, n) : h->pos[v];
-        if (at < 0)
-            return -1;
-        dist[v] = nd;
-        if (pred != NULL)
-            pred[v] = u;
-        sift_up(h, at, nd, v);
-    }
+    int32_t at = dist[v] == INFINITY ? heap_slot(h, n) : h->pos[v];
+    if (at < 0)
+        return -1;
+    dist[v] = nd;
+    if (pred != NULL)
+        pred[v] = u;
+    sift_up(h, at, nd, v);
     return 0;
 }
 
@@ -488,20 +518,18 @@ INLINE int relax_bucketed(heap_t *h, int32_t n, buckets_t *b, double *dist, int3
                           int32_t u, double nd, int32_t v)
 {
     double old = dist[v];
-    if (nd < old) {
-        dist[v] = nd;
-        if (pred != NULL)
-            pred[v] = u;
-        int64_t k = bucket_of(b, nd);
-        if (k > b->cur) {
-            h->pos[v] = -1;
-            return list_push(b, list_for(b, k), nd, v);
-        }
-        int32_t at = old != INFINITY && h->pos[v] >= 0 ? h->pos[v] : heap_slot(h, n);
-        if (at < 0)
-            return -1;
-        sift_up(h, at, nd, v);
+    dist[v] = nd;
+    if (pred != NULL)
+        pred[v] = u;
+    int64_t k = bucket_of(b, nd);
+    if (k > b->cur) {
+        h->pos[v] = -1;
+        return list_push(b, list_for(b, k), nd, v);
     }
+    int32_t at = old != INFINITY && h->pos[v] >= 0 ? h->pos[v] : heap_slot(h, n);
+    if (at < 0)
+        return -1;
+    sift_up(h, at, nd, v);
     return 0;
 }
 
@@ -556,9 +584,12 @@ INLINE int heap_dijkstra(int d, const lattice_t *L, const double *w, int32_t src
         if (u == tgt)
             limit = du + rel_tol * fmax(du, 1.0);
         heap_pop(&h);
-#define RELAX(v, e) (failed |= relax(&h, n, dist, pred, u, du + w[e], v))
-        FOR_EACH_ARC(d, L, u, RELAX);
-#undef RELAX
+        double nd[2 * MAX_D];
+        int32_t to[2 * MAX_D];
+        for (unsigned m = improving(d, L, w, dist, u, du, nd, to); m != 0; m &= m - 1) {
+            int j = __builtin_ctz(m);
+            failed |= relax(&h, n, dist, pred, u, nd[j], to[j]);
+        }
         if (failed)
             goto done;
     }
@@ -623,9 +654,12 @@ INLINE int bucket_dijkstra(int d, const lattice_t *L, buckets_t *b, const double
             limit = du + rel_tol * fmax(du, 1.0);
             last = bucket_of(b, limit);
         }
-#define RELAX(v, e) (failed |= relax_bucketed(&h, n, b, dist, pred, u, du + w[e], v))
-        FOR_EACH_ARC(d, L, u, RELAX);
-#undef RELAX
+        double nd[2 * MAX_D];
+        int32_t to[2 * MAX_D];
+        for (unsigned m = improving(d, L, w, dist, u, du, nd, to); m != 0; m &= m - 1) {
+            int j = __builtin_ctz(m);
+            failed |= relax_bucketed(&h, n, b, dist, pred, u, nd[j], to[j]);
+        }
         if (failed)
             goto done;
     }
@@ -740,7 +774,7 @@ INLINE int64_t geodesic_scan(int d, const lattice_t *L, const double *w, const d
         double dv = dist[v];
         double limit = dv + tol;
         int32_t count = 0;
-#define TIGHT(u, e)                                                          \
+#define TIGHT(u, e, k)                                                       \
     do {                                                                     \
         double reach = dist[u] + w[e];                                       \
         if (reach <= limit) {                                                \
@@ -847,7 +881,7 @@ INLINE int replacement_offers(int d, const lattice_t *L, const double *w, const 
         int32_t a = tree_label(pred_s, lab_s, x);
         if (a < 0)
             continue;
-#define OFFER(y, e)                                                          \
+#define OFFER(y, e, k)                                                       \
     do {                                                                     \
         int32_t b = on_path[e] ? -1 : tree_label(pred_t, lab_t, y);          \
         if (a < b) {                                                         \

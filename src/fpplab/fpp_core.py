@@ -216,7 +216,10 @@ class LatticeBox:
     def vertex_index(self, coord) -> int:
         if not self.contains(coord):
             raise DomainError(f"vertex {tuple(coord)} outside box {self.lo}..{self.hi}")
-        return int(np.ravel_multi_index([int(c) - l for c, l in zip(coord, self.lo)], self.shape))
+        index = 0  # row-major, on Python ints: numpy's calls on scalars cost more
+        for c, l, s in zip(coord, self.lo, self.shape):
+            index = index * s + int(c) - l
+        return index
 
     def vertex_coord(self, index: int) -> tuple:
         index = _check_int(index, "vertex index", self.n_vertices)
@@ -449,8 +452,10 @@ def _geodesic_scan(box: LatticeBox, weights, dist, src: int, tgt: int, tol: floa
 def _path_room(box: LatticeBox, src: int, tgt: int) -> int:
     """The scan's first path buffer: twice the lattice distance between the
     ends plus 64 vertices, or every vertex of the box if that is fewer."""
-    ends = np.unravel_index([src, tgt], box.shape)
-    lattice = sum(abs(int(a) - int(b)) for a, b in ends)
+    lattice = 0  # on Python ints, as in LatticeBox.vertex_index
+    for s in reversed(box.shape):
+        (src, a), (tgt, b) = divmod(src, s), divmod(tgt, s)
+        lattice += abs(a - b)
     return min(2 * lattice + 64, box.n_vertices)
 
 
@@ -507,7 +512,12 @@ def _geodesic_result(box: LatticeBox, u, v, time: float, verts, eids, ties: int)
     """The GeodesicResult of a scan's path vertex indices, edge ids and ties."""
     bitset = np.zeros(box.n_edges, dtype=bool)
     bitset[eids] = True
-    coords = np.stack(np.unravel_index(verts, box.shape), axis=1) + np.asarray(box.lo)
+    coords = np.empty((len(verts), box.d), dtype=np.int64)
+    rest = verts  # row-major, so the last axis is the remainder by its side
+    for a in range(box.d - 1, 0, -1):
+        rest, coords[:, a] = np.divmod(rest, box.shape[a])
+    coords[:, 0] = rest
+    coords += box.lo
     return GeodesicResult(
         source=tuple(int(c) for c in u),
         target=tuple(int(c) for c in v),

@@ -42,6 +42,27 @@ def test_vertex_index_roundtrip():
         box.vertex_coord(box.n_vertices)
 
 
+@pytest.mark.parametrize("lohi", (((-3, -1), (4, 5)), ((-2, 0, -1), (3, 4, 2))))
+def test_index_arithmetic_is_numpys_on_every_vertex(lohi):
+    """vertex_index, _path_room and a path's coordinates do their index
+    arithmetic on Python ints; they give numpy's ravel and unravel on every
+    vertex of a 2D and a 3D box."""
+    box = F.LatticeBox(*lohi)
+    verts = np.arange(box.n_vertices, dtype=np.int64)
+    coords = np.stack(np.unravel_index(verts, box.shape), axis=1) + np.asarray(box.lo)
+    for i, coord in enumerate(coords.tolist()):
+        assert box.vertex_index(coord) == i
+        assert box.vertex_index(tuple(np.int64(c) for c in coord)) == i
+    ends = coords - np.asarray(box.lo)
+    for src in (0, box.n_vertices // 2, box.n_vertices - 1):
+        for tgt in range(box.n_vertices):
+            lattice = int(np.abs(ends[src] - ends[tgt]).sum())
+            assert F.fpp_core._path_room(box, src, tgt) == min(2 * lattice + 64, box.n_vertices)
+    empty = np.empty(0, dtype=np.int64)
+    path = F.fpp_core._geodesic_result(box, box.lo, box.hi, 0.0, verts, empty, 0).path
+    assert path.dtype == coords.dtype and path.tobytes() == coords.tobytes()
+
+
 @pytest.mark.parametrize("bad", (2.0, 2.7, True, "1"))
 def test_addresses_must_be_integers(bad):
     """Corners, coordinates, axes, vertex indices and edge ids that are not

@@ -9,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fpplab as F
-from fpplab import fpp_core, reporting
+from fpplab import experiments, fpp_core, reporting
 from oracles import (
     batch_bytes,
     brute_force_passage_time,
@@ -675,6 +676,59 @@ def test_the_queue_is_chosen_by_box_size_sampled_mean_and_light_share():
     assert small.n_vertices == BUCKETED - 64
     w = F.WeightField.generate(small, exp, 43, 0).weights
     assert _bucket_scale(small, w) == 0.0 and _bucket_scale(small, np.ones(small.n_edges)) == 0.0
+
+
+# zlib.crc32 of dist and pred from the kernel's stopped solve, then of dist
+# and pred from its full solve, on the field of master seed 1, replica 0.
+# The `simulate` cells (experiments.box_for) solve from the origin, stopped
+# at (n, 0, ...); the 11 x 11 box of the two-point energy from corner to
+# corner. Taken from the kernel that tested and updated each arc in turn,
+# before its relaxation was batched.
+SOLVE_CRCS = {
+    ("bernoulli:a=0,b=1,p=0.6", "2d_n100"): (0xb46dd7a1, 0xae66ec33, 0x11c67ee0, 0x4808967d),
+    ("bernoulli:a=0,b=1,p=0.6", "3d_n20"): (0x30bf832e, 0x475bd2d3, 0x999730fd, 0xc32c4c5d),
+    ("bernoulli:a=0,b=1,p=0.6", "11x11"): (0xdc854f3d, 0x1edb104f, 0xb950d9c8, 0x13ce6a7d),
+    ("bernoulli:a=0,b=1,p=0.6", "2d_n10"): (0xad3eeb87, 0x66850094, 0x2ecf54ca, 0x910a7888),
+    ("bernoulli:a=0.1,b=0.3,p=0.5", "2d_n100"): (0xa207e137, 0x6c73f2a0, 0xc371a81f, 0xc462b395),
+    ("bernoulli:a=0.1,b=0.3,p=0.5", "3d_n20"): (0x5b1b6b06, 0xea87ac41, 0xc2706d49, 0xd55348b2),
+    ("bernoulli:a=0.1,b=0.3,p=0.5", "11x11"): (0xbf47c035, 0xdff63744, 0xf9007244, 0x30849ae5),
+    ("bernoulli:a=0.1,b=0.3,p=0.5", "2d_n10"): (0x06b96058, 0x5959f7ee, 0xa46d8a35, 0x9e248c2c),
+    ("dirac:c=1", "2d_n100"): (0x23bcee45, 0xff12a33f, 0x2048f7ec, 0xde9fc43f),
+    ("dirac:c=1", "3d_n20"): (0x64663d99, 0x907794e4, 0x561d9603, 0x1a8bb3a5),
+    ("dirac:c=1", "11x11"): (0x87d1f104, 0x29d6de67, 0x87d1f104, 0x29d6de67),
+    ("dirac:c=1", "2d_n10"): (0xb495c890, 0xba598632, 0x23dd4455, 0x877522ad),
+    ("exp:rate=1", "2d_n100"): (0x20c54fe8, 0x00b6d735, 0xbe3f57ef, 0xe905e5c4),
+    ("exp:rate=1", "3d_n20"): (0xb4e079dd, 0x1abe6aaf, 0xcfb57698, 0x6a87a9f4),
+    ("exp:rate=1", "11x11"): (0xaabb1db3, 0x43fc0f49, 0x5cc1713d, 0x9f67e0aa),
+    ("exp:rate=1", "2d_n10"): (0xaaf6db09, 0x1d4ec5f0, 0x95d47355, 0xf1b81f1c),
+}
+PINNED_BOXES = {"2d_n100": (2, 100), "3d_n20": (3, 20), "2d_n10": (2, 10), "11x11": None}
+
+
+@needs_kernel
+@pytest.mark.parametrize("spec, name", SOLVE_CRCS)
+def test_the_kernels_dist_and_pred_bytes_are_pinned(spec, name):
+    """pred's tie order is the queue's scan order, which no oracle fixes:
+    on laws with atoms many in-arcs reach a vertex's least sum, and on
+    `bernoulli:a=0.1,b=0.3` those sums round, so the tree sets the bits of
+    t_inf. The two cells of 2D n=100 and 3D n=20 run the bucket layer, the
+    two small boxes the heap alone; a change to either queue's scan or
+    update order shows here."""
+    cell = PINNED_BOXES[name]
+    if cell is None:
+        box = F.LatticeBox((0, 0), (10, 10))
+        src, tgt = 0, box.n_vertices - 1
+    else:
+        dim, n = cell
+        box = experiments.box_for(experiments.ExperimentConfig(spec, dim=dim, n_list=(n,)), n)
+        src, tgt = box.vertex_index((0,) * dim), box.vertex_index((n,) + (0,) * (dim - 1))
+    w = F.WeightField.generate(box, F.parse_spec(spec), 1, 0).weights
+    assert (_bucket_scale(box, w) > 0) == (box.n_vertices >= BUCKETED)
+    crcs = []
+    for target in (tgt, None):
+        dist, pred = box.solve(w, src, target)
+        crcs += [zlib.crc32(dist), zlib.crc32(pred)]
+    assert tuple(crcs) == SOLVE_CRCS[spec, name]
 
 
 def _python_arcs(shape, x):
